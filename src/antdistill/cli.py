@@ -16,6 +16,7 @@ next to its reports.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import shutil
 import sys
@@ -102,46 +103,27 @@ def cmd_gen_data(args) -> int:
 def cmd_select(args) -> int:
     cfg = load_config(args.config)
     strategy = args.strategy
-    section = cfg.section(strategy)
+    options = dict(cfg.section(strategy))
     pool_path = cfg.resolve(cfg.get(strategy, "pool"))
-    pool = selection.load_pool(pool_path)
-    if any(c.profile is not None for c in pool.candidates):
-        _, dataset = _build_dataset(cfg)
-        pool.dataset = dataset
+    del options["pool"]
+    # MLP candidates are scored by training on the [data] dataset
+    dataset = _build_dataset(cfg)[1] if cfg.has("data") else None
+    pool = selection.load_pool(pool_path, dataset)
 
-    if strategy == "aco":
-        aco_cfg = AcoConfig(
-            alpha=section.get("alpha", 1.0),
-            beta=section.get("beta", 2.0),
-            rho=section.get("rho", 0.1),
-            q0=section.get("q0", 0.0),
-            n_ants=section.get("n_ants", 5),
-            n_iterations=section.get("n_iterations", 15),
-            seed=section.get("seed", 0),
-        )
-        report = selection.run_aco(
-            pool,
-            aco_cfg,
-            pair_mode=section.get("pair_mode", False),
-            init_pheromone=section.get("init_pheromone"),
-            init_heuristic=section.get("init_heuristic"),
-        )
-    elif strategy == "random":
-        report = selection.run_random(
-            pool, n_picks=section.get("n_picks", 1), seed=section.get("seed", 0)
-        )
-    elif strategy == "grid":
-        report = selection.run_grid(pool, pair_mode=section.get("pair_mode", False))
+    # every key but pool is a keyword argument of the strategy, except the
+    # [aco]/[pso] keys that are AcoConfig/PsoConfig fields: those build its config
+    run, config_cls = {
+        "aco": (selection.run_aco, AcoConfig),
+        "random": (selection.run_random, None),
+        "grid": (selection.run_grid, None),
+        "pso": (selection.run_pso, PsoConfig),
+    }[strategy]
+    if config_cls is None:
+        report = run(pool, **options)
     else:
-        pso_cfg = PsoConfig(
-            n_particles=section.get("n_particles", 8),
-            n_iterations=section.get("n_iterations", 30),
-            inertia=section.get("inertia", 0.7),
-            c1=section.get("c1", 1.5),
-            c2=section.get("c2", 1.5),
-            seed=section.get("seed", 0),
-        )
-        report = selection.run_pso(pool, pso_cfg)
+        fields = {f.name for f in dataclasses.fields(config_cls)} & options.keys()
+        strategy_cfg = config_cls(**{k: options.pop(k) for k in fields})
+        report = run(pool, strategy_cfg, **options)
 
     out = _prepare_out(cfg, args.out)
     _copy_config(cfg, out)
@@ -478,3 +460,7 @@ def main(argv=None) -> int:
 
 def entrypoint() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

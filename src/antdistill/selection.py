@@ -98,117 +98,29 @@ def load_pool(path, dataset=None) -> CandidatePool:
         raise ParseError(f"{path}: expected a list of candidates")
     candidates = []
     for i, e in enumerate(entries):
+        if not isinstance(e, dict):
+            raise ParseError(f"{path}: candidate {i} is not a JSON object")
         name = e.get("name", f"candidate-{i}")
-        if "stub_score" in e:
-            candidates.append(Candidate(i, name, stub_score=float(e["stub_score"])))
-        else:
-            try:
-                profile = MlpProfile(
-                    tuple(int(h) for h in e["hidden_dims"]),
+        if not isinstance(name, str):
+            raise ParseError(f"{path}: candidate {i} has a non-string name")
+        try:
+            if "stub_score" in e:
+                fields = {"stub_score": float(e["stub_score"])}
+            else:
+                dims = e["hidden_dims"]
+                if not isinstance(dims, list):
+                    raise TypeError(f"hidden_dims must be a list, got {dims!r}")
+                fields = {"profile": MlpProfile(
+                    tuple(int(h) for h in dims),
                     float(e.get("learning_rate", 0.05)),
                     int(e.get("epochs", 10)),
-                )
-            except KeyError as exc:
-                raise ParseError(f"{path}: candidate {name!r} missing {exc}") from exc
-            candidates.append(Candidate(i, name, profile=profile))
+                )}
+        except KeyError as exc:
+            raise ParseError(f"{path}: candidate {name!r} missing {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"{path}: candidate {name!r}: {exc}") from exc
+        candidates.append(Candidate(i, name, **fields))
     return CandidatePool(candidates, dataset)
-
-
-class _EvalContext:
-    """Per-run evaluation cache and budget counters."""
-
-    def __init__(self, pool: CandidatePool, run_seed: int):
-        self.pool = pool
-        self.run_seed = run_seed
-        self.single_cache: dict[int, float] = {}
-        self.pair_cache: dict[tuple[int, int], float] = {}
-        self.proxy_cache: dict[int, float] = {}
-        self.total_selections = 0
-
-    @property
-    def unique_evaluations(self) -> int:
-        proxied_only = set(self.proxy_cache) - set(self.single_cache)
-        return len(proxied_only) + len(self.single_cache) + len(self.pair_cache)
-
-    def _seed_for(self, cid: int, proxy: bool = False) -> int:
-        ss = np.random.SeedSequence([self.run_seed, cid, int(proxy)])
-        return int(ss.generate_state(1)[0])
-
-    def _train_profile(self, cand: Candidate, subsample: float, epochs: int | None) -> float:
-        ds = self.pool.dataset
-        profile = cand.profile
-        seed = self._seed_for(cand.cid, proxy=epochs is not None)
-        model = tinynet.init_mlp(
-            [ds.n_features, *profile.hidden_dims, ds.n_classes], seed=seed
-        )
-        work = ds
-        if subsample < 1.0:
-            # keep only a seeded slice of the train split; val split untouched
-            work = ds.copy()
-            rng = np.random.default_rng(seed)
-            train_idx = work.indices("train")
-            keep = max(1, round(subsample * train_idx.size))
-            dropped = train_idx[rng.permutation(train_idx.size)][keep:]
-            work.split[dropped] = "test"
-        cfg = tinynet.TrainConfig(
-            epochs=epochs if epochs is not None else profile.epochs,
-            learning_rate=profile.learning_rate,
-            seed=seed,
-        )
-        trained, history = tinynet.train_supervised(model, work, cfg)
-        return history.val_accuracy[-1]
-
-    def evaluate(self, cid: int) -> float:
-        if cid not in self.single_cache:
-            cand = self.pool.candidates[cid]
-            if cand.stub_score is not None:
-                score = cand.stub_score
-            else:
-                score = self._train_profile(cand, subsample=1.0, epochs=None)
-            self.single_cache[cid] = score
-        return self.single_cache[cid]
-
-    def proxy_evaluate(self, cid: int) -> float:
-        if cid not in self.proxy_cache:
-            cand = self.pool.candidates[cid]
-            if cand.stub_score is not None:
-                score = cand.stub_score
-            else:
-                score = self._train_profile(cand, PROXY_SUBSAMPLE, PROXY_EPOCHS)
-            self.proxy_cache[cid] = score
-        return self.proxy_cache[cid]
-
-    def evaluate_pair(self, teacher_id: int, student_id: int) -> float:
-        key = (teacher_id, student_id)
-        if key not in self.pair_cache:
-            t = self.pool.candidates[teacher_id]
-            s = self.pool.candidates[student_id]
-            if t.stub_score is not None and s.stub_score is not None:
-                score = PAIR_STUDENT_SHARE * s.stub_score + (1 - PAIR_STUDENT_SHARE) * t.stub_score
-            else:
-                score = self._distill_pair(t, s)
-            self.pair_cache[key] = score
-        return self.pair_cache[key]
-
-    def _distill_pair(self, t: Candidate, s: Candidate) -> float:
-        ds = self.pool.dataset
-        seed = int(np.random.SeedSequence([self.run_seed, t.cid, s.cid, 2]).generate_state(1)[0])
-        teacher = tinynet.init_mlp([ds.n_features, *t.profile.hidden_dims, ds.n_classes], seed)
-        teacher, _ = tinynet.train_supervised(
-            teacher, ds,
-            tinynet.TrainConfig(epochs=t.profile.epochs, learning_rate=t.profile.learning_rate,
-                                seed=seed),
-        )
-        student = tinynet.init_mlp([ds.n_features, *s.profile.hidden_dims, ds.n_classes], seed + 1)
-        _, report = distill.distill_train(
-            teacher, student, ds,
-            distill.KdConfig(
-                ConstantPolicy(2.0), t_base=0.5,
-                train=tinynet.TrainConfig(epochs=s.profile.epochs,
-                                          learning_rate=s.profile.learning_rate, seed=seed),
-            ),
-        )
-        return report.final_val_accuracy
 
 
 # ---------------------------------------------------------------------------
@@ -323,11 +235,13 @@ class SelectionReport:
 CSV_HEADER = "strategy,seed,best_score,unique_evaluations,total_selections"
 
 
-def _top_two_by_score(scores: dict[int, float]):
-    ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    teacher = ranked[0][0] if ranked else None
-    student = ranked[1][0] if len(ranked) > 1 else None
-    return teacher, student
+def _rank(scores: dict, pheromone=None) -> list:
+    """Units best first: by score, ties by unit; or, given a pheromone
+    vector, every candidate by pheromone, ties by score then index."""
+    if pheromone is None:
+        return sorted(scores, key=lambda u: (-scores[u], u))
+    return sorted(range(len(pheromone)),
+                  key=lambda i: (-pheromone[i], -scores.get(i, -np.inf), i))
 
 
 def extract_teacher_student(report: SelectionReport) -> tuple[int, int]:
@@ -337,16 +251,10 @@ def extract_teacher_student(report: SelectionReport) -> tuple[int, int]:
     alone, which needs at least two evaluated candidates.
     """
     scores = {int(k): v for k, v in report.evaluated.items() if "," not in str(k)}
-    if report.final_pheromone is not None:
-        phi = np.asarray(report.final_pheromone)
-        if phi.size < 2:
-            raise InsufficientEvaluated("need at least 2 candidates")
-        order = sorted(range(phi.size), key=lambda i: (-phi[i], -scores.get(i, -np.inf), i))
-        return order[0], order[1]
-    if len(scores) < 2:
-        raise InsufficientEvaluated("need at least 2 evaluated candidates")
-    teacher, student = _top_two_by_score(scores)
-    return teacher, student
+    order = _rank(scores, report.final_pheromone)
+    if len(order) < 2:
+        raise InsufficientEvaluated(f"need at least 2 ranked candidates, got {len(order)}")
+    return order[0], order[1]
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +262,110 @@ def extract_teacher_student(report: SelectionReport) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _pair_ids(m: int):
-    return [(i, j) for i in range(m) for j in range(m) if i != j]
+def _train(profile: MlpProfile, ds: tinynet.SyntheticDataset, seed: int, epochs: int):
+    """Fresh MLP of `profile` trained supervised on `ds`; returns (model, history)."""
+    model = tinynet.init_mlp([ds.n_features, *profile.hidden_dims, ds.n_classes], seed=seed)
+    cfg = tinynet.TrainConfig(epochs=epochs, learning_rate=profile.learning_rate, seed=seed)
+    return tinynet.train_supervised(model, ds, cfg)
+
+
+class _Run:
+    """One selection run: the evaluation units, their score cache, the
+    budget counters, and the report built from them."""
+
+    def __init__(self, pool: CandidatePool, seed: int, pair_mode: bool):
+        m = len(pool)
+        if m < 2:
+            raise PoolTooSmall(f"need >= 2 candidates, got {m}")
+        if pair_mode and len({c.profile is None for c in pool.candidates}) > 1:
+            raise InvalidShape("pair mode needs an all-stub or an all-MLP pool")
+        self.pool = pool
+        self.seed = seed
+        self.pair_mode = pair_mode
+        self.units = (
+            [(i, j) for i in range(m) for j in range(m) if i != j] if pair_mode else list(range(m))
+        )
+        self.cache: dict = {}  # unit -> score
+        self.proxied: set[int] = set()
+        self.total_selections = 0
+
+    def _seed(self, *parts: int) -> int:
+        return int(np.random.SeedSequence([self.seed, *parts]).generate_state(1)[0])
+
+    def score(self, unit) -> float:
+        """One selection of `unit`; only a cache miss trains."""
+        self.total_selections += 1
+        if unit not in self.cache:
+            self.cache[unit] = self._evaluate(unit)
+        return self.cache[unit]
+
+    def _evaluate(self, unit) -> float:
+        ds = self.pool.dataset
+        if not self.pair_mode:
+            cand = self.pool.candidates[unit]
+            if cand.stub_score is not None:
+                return cand.stub_score
+            _, history = _train(cand.profile, ds, self._seed(cand.cid, 0), cand.profile.epochs)
+            return history.val_accuracy[-1]
+        t, s = (self.pool.candidates[i] for i in unit)
+        if t.stub_score is not None:
+            return PAIR_STUDENT_SHARE * s.stub_score + (1 - PAIR_STUDENT_SHARE) * t.stub_score
+        seed = self._seed(t.cid, s.cid, 2)
+        teacher, _ = _train(t.profile, ds, seed, t.profile.epochs)
+        student = tinynet.init_mlp([ds.n_features, *s.profile.hidden_dims, ds.n_classes], seed + 1)
+        _, report = distill.distill_train(
+            teacher, student, ds,
+            distill.KdConfig(
+                ConstantPolicy(2.0), t_base=0.5,
+                train=tinynet.TrainConfig(epochs=s.profile.epochs,
+                                          learning_rate=s.profile.learning_rate, seed=seed),
+            ),
+        )
+        return report.final_val_accuracy
+
+    def proxy(self, cid: int) -> float:
+        """Cheap score of one candidate: a short run on a seeded slice of
+        the train split, val split untouched."""
+        self.proxied.add(cid)
+        cand = self.pool.candidates[cid]
+        if cand.stub_score is not None:
+            return cand.stub_score
+        seed = self._seed(cand.cid, 1)
+        work = self.pool.dataset.copy()
+        rng = np.random.default_rng(seed)
+        train_idx = work.indices("train")
+        keep = max(1, round(PROXY_SUBSAMPLE * train_idx.size))
+        work.split[train_idx[rng.permutation(train_idx.size)][keep:]] = "test"
+        _, history = _train(cand.profile, work, seed, PROXY_EPOCHS)
+        return history.val_accuracy[-1]
+
+    def report(self, strategy: str, best, best_score: float, history=None,
+               final_pheromone=None) -> SelectionReport:
+        names = [c.name for c in self.pool.candidates]
+        if self.pair_mode:
+            teacher_id, student_id = best
+            best_id, best_name = list(best), f"{names[teacher_id]}->{names[student_id]}"
+            evaluated = {f"{i},{j}": s for (i, j), s in self.cache.items()}
+        else:
+            teacher_id, student_id = (_rank(self.cache, final_pheromone) + [None, None])[:2]
+            best_id, best_name = int(best), names[best]
+            evaluated = {str(i): s for i, s in self.cache.items()}
+        return SelectionReport(
+            strategy=strategy,
+            seed=self.seed,
+            pool_size=len(self.pool),
+            pair_mode=self.pair_mode,
+            best_id=best_id,
+            best_name=best_name,
+            best_score=best_score,
+            teacher_id=teacher_id,
+            student_id=student_id,
+            unique_evaluations=len(self.cache) + len(self.proxied - self.cache.keys()),
+            total_selections=self.total_selections,
+            evaluated=evaluated,
+            history=history or [],
+            final_pheromone=final_pheromone,
+        )
 
 
 def run_aco(pool: CandidatePool, cfg: AcoConfig, pair_mode: bool = False,
@@ -368,24 +378,14 @@ def run_aco(pool: CandidatePool, cfg: AcoConfig, pair_mode: bool = False,
     proxy pass (skipping its evaluations); used to replay worked examples
     from a known mid-run state.
     """
-    m = len(pool)
-    if m < 2:
-        raise PoolTooSmall(f"need >= 2 candidates, got {m}")
-
-    ctx = _EvalContext(pool, cfg.seed)
+    run = _Run(pool, cfg.seed, pair_mode)
     rng = np.random.default_rng(cfg.seed)
-
-    if pair_mode:
-        units = _pair_ids(m)
-        evaluate = lambda u: ctx.evaluate_pair(*units[u])
-    else:
-        units = list(range(m))
-        evaluate = lambda u: ctx.evaluate(u)
+    units = run.units
 
     if init_heuristic is not None:
         heuristic = np.asarray(init_heuristic, dtype=np.float64)
     else:
-        proxy = np.array([ctx.proxy_evaluate(i) for i in range(m)])
+        proxy = np.array([run.proxy(i) for i in range(len(pool))])
         if pair_mode:
             heuristic = np.array([(proxy[i] + proxy[j]) / 2.0 for i, j in units])
         else:
@@ -406,8 +406,7 @@ def run_aco(pool: CandidatePool, cfg: AcoConfig, pair_mode: bool = False,
         selections = []
         for _ant in range(cfg.n_ants):
             u = ant_select(state, cfg, rng)
-            score = evaluate(u)
-            ctx.total_selections += 1
+            score = run.score(units[u])
             selections.append((u, score))
             if score > best_score:
                 best_unit, best_score = u, score
@@ -420,112 +419,30 @@ def run_aco(pool: CandidatePool, cfg: AcoConfig, pair_mode: bool = False,
             }
         )
 
-    if pair_mode:
-        teacher_id, student_id = units[best_unit]
-        best_id = [teacher_id, student_id]
-        best_name = (
-            f"{pool.candidates[teacher_id].name}->{pool.candidates[student_id].name}"
-        )
-        evaluated = {f"{i},{j}": s for (i, j), s in ctx.pair_cache.items()}
-    else:
-        # teacher/student = top two by final pheromone
-        order = sorted(
-            range(m),
-            key=lambda i: (-state.pheromone[i], -ctx.single_cache.get(i, -np.inf), i),
-        )
-        teacher_id, student_id = order[0], order[1]
-        best_id = int(best_unit)
-        best_name = pool.candidates[best_unit].name
-        evaluated = {str(i): s for i, s in ctx.single_cache.items()}
-
-    return SelectionReport(
-        strategy="aco",
-        seed=cfg.seed,
-        pool_size=m,
-        pair_mode=pair_mode,
-        best_id=best_id,
-        best_name=best_name,
-        best_score=best_score,
-        teacher_id=teacher_id,
-        student_id=student_id,
-        unique_evaluations=ctx.unique_evaluations,
-        total_selections=ctx.total_selections,
-        evaluated=evaluated,
-        history=history,
-        final_pheromone=state.pheromone.tolist() if not pair_mode else None,
-    )
+    # single mode: teacher/student = top two by final pheromone
+    final_pheromone = None if pair_mode else state.pheromone.tolist()
+    return run.report("aco", units[best_unit], best_score, history, final_pheromone)
 
 
 def run_random(pool: CandidatePool, n_picks: int = 1, seed: int = 0) -> SelectionReport:
     """Uniform sample of n_picks distinct candidates; no learning."""
-    m = len(pool)
-    if m < 2:
-        raise PoolTooSmall(f"need >= 2 candidates, got {m}")
+    run = _Run(pool, seed, pair_mode=False)
     if n_picks < 1:
         raise EmptyRun("n_picks must be >= 1")
-    ctx = _EvalContext(pool, seed)
     rng = np.random.default_rng(seed)
-    picks = rng.choice(m, size=min(n_picks, m), replace=False)
-    for cid in picks:
-        ctx.evaluate(int(cid))
-        ctx.total_selections += 1
-    teacher_id, student_id = _top_two_by_score(ctx.single_cache)
-    best = teacher_id
-    return SelectionReport(
-        strategy="random",
-        seed=seed,
-        pool_size=m,
-        pair_mode=False,
-        best_id=best,
-        best_name=pool.candidates[best].name,
-        best_score=ctx.single_cache[best],
-        teacher_id=teacher_id,
-        student_id=student_id,
-        unique_evaluations=ctx.unique_evaluations,
-        total_selections=ctx.total_selections,
-        evaluated={str(i): s for i, s in ctx.single_cache.items()},
-    )
+    for cid in rng.choice(len(pool), size=min(n_picks, len(pool)), replace=False):
+        run.score(int(cid))
+    best = _rank(run.cache)[0]
+    return run.report("random", best, run.cache[best])
 
 
 def run_grid(pool: CandidatePool, pair_mode: bool = False, seed: int = 0) -> SelectionReport:
     """Exhaustive sweep: every candidate, or every ordered pair."""
-    m = len(pool)
-    if m < 2:
-        raise PoolTooSmall(f"need >= 2 candidates, got {m}")
-    ctx = _EvalContext(pool, seed)
-    if pair_mode:
-        scored = {}
-        for i, j in _pair_ids(m):
-            scored[(i, j)] = ctx.evaluate_pair(i, j)
-            ctx.total_selections += 1
-        (ti, si), best_score = min(scored.items(), key=lambda kv: (-kv[1], kv[0]))
-        best_id = [ti, si]
-        best_name = f"{pool.candidates[ti].name}->{pool.candidates[si].name}"
-        teacher_id, student_id = ti, si
-        evaluated = {f"{i},{j}": s for (i, j), s in scored.items()}
-    else:
-        for cid in range(m):
-            ctx.evaluate(cid)
-            ctx.total_selections += 1
-        teacher_id, student_id = _top_two_by_score(ctx.single_cache)
-        best_id = teacher_id
-        best_name = pool.candidates[teacher_id].name
-        best_score = ctx.single_cache[teacher_id]
-        evaluated = {str(i): s for i, s in ctx.single_cache.items()}
-    return SelectionReport(
-        strategy="grid",
-        seed=seed,
-        pool_size=m,
-        pair_mode=pair_mode,
-        best_id=best_id,
-        best_name=best_name,
-        best_score=best_score,
-        teacher_id=teacher_id,
-        student_id=student_id,
-        unique_evaluations=ctx.unique_evaluations,
-        total_selections=ctx.total_selections,
-        evaluated=evaluated,
-    )
+    run = _Run(pool, seed, pair_mode)
+    for unit in run.units:
+        run.score(unit)
+    best = _rank(run.cache)[0]
+    return run.report("grid", best, run.cache[best])
 
 
 @dataclass(frozen=True)
@@ -545,22 +462,18 @@ class PsoConfig:
 def run_pso(pool: CandidatePool, cfg: PsoConfig) -> SelectionReport:
     """Particles move on the continuous index line [0, M-1]; positions are
     clamped and rounded to candidate ids for evaluation."""
+    run = _Run(pool, cfg.seed, pair_mode=False)
     m = len(pool)
-    if m < 2:
-        raise PoolTooSmall(f"need >= 2 candidates, got {m}")
-    ctx = _EvalContext(pool, cfg.seed)
     rng = np.random.default_rng(cfg.seed)
 
     x = rng.uniform(0.0, m - 1.0, cfg.n_particles)
     v = np.zeros(cfg.n_particles)
 
+    def cid_at(pos) -> int:
+        return int(np.clip(round(pos), 0, m - 1))
+
     def score_at(positions):
-        out = np.empty(positions.size)
-        for k, pos in enumerate(positions):
-            cid = int(np.clip(round(pos), 0, m - 1))
-            out[k] = ctx.evaluate(cid)
-            ctx.total_selections += 1
-        return out
+        return np.array([run.score(cid_at(pos)) for pos in positions], dtype=np.float64)
 
     pbest_x = x.copy()
     pbest_y = score_at(x)
@@ -582,20 +495,4 @@ def run_pso(pool: CandidatePool, cfg: PsoConfig) -> SelectionReport:
             gbest_x, gbest_y = pbest_x[g], pbest_y[g]
         history.append({"gbest": float(gbest_y)})
 
-    teacher_id, student_id = _top_two_by_score(ctx.single_cache)
-    best_id = int(np.clip(round(gbest_x), 0, m - 1))
-    return SelectionReport(
-        strategy="pso",
-        seed=cfg.seed,
-        pool_size=m,
-        pair_mode=False,
-        best_id=best_id,
-        best_name=pool.candidates[best_id].name,
-        best_score=float(gbest_y),
-        teacher_id=teacher_id,
-        student_id=student_id,
-        unique_evaluations=ctx.unique_evaluations,
-        total_selections=ctx.total_selections,
-        evaluated={str(i): s for i, s in ctx.single_cache.items()},
-        history=history,
-    )
+    return run.report("pso", cid_at(gbest_x), float(gbest_y), history)

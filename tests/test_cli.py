@@ -1,11 +1,16 @@
 """End-to-end tests of the command-line harness."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from antdistill import tinynet
+import antdistill
+from antdistill import selection, tinynet
 from antdistill.cli import main
 from antdistill.config import load_config
 from antdistill.errors import ConfigParseError
@@ -128,6 +133,38 @@ class TestSelect:
                     "[pso]\npool = pool.json\nn_particles = 4\nn_iterations = 5\nseed = 1\n")
         assert main(["select", "--config", str(cfg), "--strategy", "pso",
                      "--out", str(tmp_path / "run")]) == 0
+
+    def test_grid_on_mlp_pool_trains_on_data_section(self, tmp_path):
+        write(tmp_path / "pool.json", json.dumps({"candidates": [
+            {"name": "narrow", "hidden_dims": [4], "learning_rate": 0.05, "epochs": 2},
+            {"name": "wide", "hidden_dims": [8], "learning_rate": 0.05, "epochs": 2},
+        ]}))
+        cfg = write(tmp_path / "c.ini",
+                    "[data]\nsamples = 60\nclasses = 2\ndim = 3\ncomplexity = 0.0\nseed = 1\n\n"
+                    "[grid]\npool = pool.json\n")
+        out = tmp_path / "run"
+        assert main(["select", "--config", str(cfg), "--strategy", "grid",
+                     "--out", str(out)]) == 0
+        dataset = tinynet.generate_synthetic(60, 2, 3, 0.0, seed=1)
+        expected = selection.run_grid(selection.load_pool(tmp_path / "pool.json", dataset))
+        assert (out / "report.json").read_text() == expected.to_json() + "\n"
+        assert expected.unique_evaluations == 2
+
+    def test_mlp_pool_without_data_section_is_exit_2(self, tmp_path, capsys):
+        write(tmp_path / "pool.json", json.dumps({"candidates": [
+            {"name": "a", "hidden_dims": [4]}, {"name": "b", "hidden_dims": [8]},
+        ]}))
+        cfg = write(tmp_path / "c.ini", "[grid]\npool = pool.json\n")
+        assert main(["select", "--config", str(cfg), "--strategy", "grid",
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "needs a dataset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("candidates", [[1, 2], [{"name": "a", "hidden_dims": 5}]])
+    def test_malformed_pool_is_exit_2(self, tmp_path, candidates):
+        write(tmp_path / "pool.json", json.dumps({"candidates": candidates}))
+        cfg = write(tmp_path / "c.ini", "[grid]\npool = pool.json\n")
+        assert main(["select", "--config", str(cfg), "--strategy", "grid",
+                     "--out", str(tmp_path / "run")]) == 2
 
 
 DISTILL_CONFIG = """\
@@ -252,6 +289,15 @@ class TestReproExamples:
     def test_tampered_constant_fails(self, capsys):
         assert main(["repro-examples", "--tamper"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def test_runs_as_module(self):
+        src = str(Path(antdistill.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-m", "antdistill.cli", "repro-examples"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "7/7 checks passed" in proc.stdout
 
     def test_output_stable_across_runs(self, tmp_path):
         main(["repro-examples", "--out", str(tmp_path / "a")])

@@ -5,17 +5,21 @@ The probability triple [0.305, 0.424, 0.271] and the pheromone update
 and hand-evaluated update arithmetic.
 """
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from antdistill import selection, tinynet
+from antdistill import errors, selection, tinynet
 from antdistill.errors import (
     AllZeroWeights,
     EmptyRun,
     InsufficientEvaluated,
     InvalidRho,
+    InvalidShape,
     ParseError,
     PoolTooSmall,
 )
@@ -281,3 +285,120 @@ class TestMlpBackedPool:
         bad.write_text("{not json")
         with pytest.raises(ParseError):
             selection.load_pool(bad)
+
+
+class TestMixedPool:
+    def mixed_pool(self):
+        return selection.CandidatePool(
+            [
+                selection.Candidate(0, "stub", stub_score=0.6),
+                selection.Candidate(1, "mlp", profile=selection.MlpProfile((4,), 0.05, 2)),
+            ],
+            dataset=tinynet.generate_synthetic(60, 2, 3, 0.0, seed=1),
+        )
+
+    def test_pair_mode_rejected_before_any_training(self):
+        with pytest.raises(InvalidShape, match="pair mode"):
+            run_grid(self.mixed_pool(), pair_mode=True)
+        with pytest.raises(InvalidShape, match="pair mode"):
+            run_aco(self.mixed_pool(), AcoConfig(n_ants=1, n_iterations=1), pair_mode=True)
+
+    def test_single_mode_still_runs(self):
+        rep = run_grid(self.mixed_pool())
+        assert rep.unique_evaluations == 2
+        assert rep.evaluated["0"] == 0.6
+        assert 0.0 <= rep.evaluated["1"] <= 1.0
+
+
+# sha256 of to_json() + "\n" + csv_row(), recorded before the strategies
+# shared one run object; any change to a report's bytes shows up here
+TIED = [0.5, 0.7, 0.7, 0.2, 0.9, 0.35]
+GOLDEN_REPORTS = {
+    "aco_single": (
+        lambda: run_aco(stub_pool(TIED), AcoConfig(seed=11)),
+        "18eafd0eb99b63024317d203b15ea647c9221fda8c1f4806966b5141fc9a9c75",
+    ),
+    "aco_pair": (
+        lambda: run_aco(stub_pool(TIED[:5]), AcoConfig(n_ants=4, n_iterations=6, seed=2),
+                        pair_mode=True),
+        "a6fe4088e3111678272232677b4e342f587b90eb9ff65019e05985d4e9a9b754",
+    ),
+    "aco_init_state": (
+        lambda: run_aco(stub_pool([0.9, 0.8, 0.7]), AcoConfig(q0=0.3, n_iterations=4, seed=0),
+                        init_pheromone=[2.0, 1.0, 4.0], init_heuristic=[3.0, 5.0, 2.0]),
+        "122fcc5b6f159d21cacd6c0ef28a1b41ae9016c35ef41f0d98b0f06101f1c526",
+    ),
+    "random_one_pick": (
+        lambda: run_random(stub_pool(TIED), n_picks=1, seed=2),
+        "038878484f025961354dc7174d47082f9a141a01a042317fd74117f5b5f9a04c",
+    ),
+    "random_three_picks": (
+        lambda: run_random(stub_pool(TIED), n_picks=3, seed=5),
+        "20d2f7d9721b9fc889862044b83584ee37910d55486acabbf1d233814453903e",
+    ),
+    "grid_single": (
+        lambda: run_grid(stub_pool(TIED)),
+        "4235166fd6cb3a9c9562b202adb8414374a25321c4e52c674b1f307272f627e1",
+    ),
+    "grid_pair": (
+        lambda: run_grid(stub_pool(TIED[:4]), pair_mode=True),
+        "4ff787d956cff968729e3b57efc56de6c66310ca80ae24ffee41e7b86c5079f9",
+    ),
+    "pso": (
+        lambda: run_pso(stub_pool(TIED), PsoConfig(n_particles=4, n_iterations=6, seed=3)),
+        "91fdbd176d4b786b30b6e8d3a44bbeb2c27300546064973ead4a5fe23551d4e4",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_REPORTS))
+def test_report_bytes_pinned(case):
+    run, digest = GOLDEN_REPORTS[case]
+    rep = run()
+    text = rep.to_json() + "\n" + rep.csv_row()
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+ERROR_TYPES = tuple(
+    v for v in vars(errors).values() if isinstance(v, type) and issubclass(v, Exception)
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+POOL_ENTRIES = st.dictionaries(
+    st.sampled_from(["name", "stub_score", "hidden_dims", "learning_rate", "epochs"]),
+    JSON_VALUES | st.lists(st.integers(-2, 20), max_size=3),
+) | JSON_VALUES
+POOL_DOCS = (
+    JSON_VALUES
+    | st.lists(POOL_ENTRIES, max_size=3)
+    | st.fixed_dictionaries({"candidates": st.lists(POOL_ENTRIES, max_size=3)})
+)
+
+
+class TestLoadPoolInputs:
+    @pytest.mark.parametrize("doc", [
+        {"candidates": [1, 2]},
+        {"candidates": [{"name": "a", "hidden_dims": 5}]},
+        {"candidates": [{"name": "a", "stub_score": [0.5]}]},
+        {"candidates": [{"name": ["a"], "stub_score": 0.5}]},
+    ])
+    def test_malformed_entry_is_parse_error(self, tmp_path, doc):
+        path = tmp_path / "pool.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError):
+            selection.load_pool(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=POOL_DOCS)
+    def test_any_json_gives_pool_or_named_error(self, tmp_path_factory, doc):
+        path = tmp_path_factory.getbasetemp() / "fuzzed_pool.json"
+        path.write_text(json.dumps(doc))
+        try:
+            pool = selection.load_pool(path)
+        except ERROR_TYPES:
+            return
+        assert isinstance(pool, selection.CandidatePool)
