@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import metrics, selection, tinynet
+from . import metrics, numerics, selection, tinynet
 from .config import RunConfig, build_policy, load_config
 from .distill import KdConfig, distill_train
 from .errors import ConfigParseError, ParseError, VerificationFailed
@@ -145,9 +145,7 @@ def cmd_select(args) -> int:
 def _test_metrics(model: tinynet.MlpModel, dataset: tinynet.SyntheticDataset):
     idx = dataset.indices("test")
     logits = tinynet.forward_batch(model, dataset.features[idx])
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
+    probs = numerics.softmax_rows(logits)
     preds = np.argmax(logits, axis=1)
     labels = dataset.labels[idx]
     cm = metrics.confusion(preds, labels, dataset.n_classes)
@@ -279,11 +277,15 @@ def cmd_distill(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# the confusion matrix holds C x C counts, so a class id sets its size
+MAX_EVAL_CLASSES = 1000
+
+
 def _read_csv_table(path) -> tuple[list[str], list[list[str]]]:
     try:
         with open(path) as fh:
             lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if not lines:
         raise ParseError(f"{path}: empty file")
@@ -313,6 +315,8 @@ def cmd_evaluate(args) -> int:
     n_classes = (
         probs.shape[1] if probs is not None else int(max(preds.max(), labels.max())) + 1
     )
+    if n_classes > MAX_EVAL_CLASSES:
+        raise ParseError(f"{n_classes} classes; evaluate takes at most {MAX_EVAL_CLASSES}")
     cm = metrics.confusion(preds, labels, n_classes)
     rep = metrics.class_report(cm)
     roc = pr = None

@@ -7,7 +7,9 @@ temperature-scaled KL term between teacher and student distributions:
     total = (1 - w) * ce + w * T^2 * kl
 
 with per-sample (T, w) supplied by a temperature policy. The teacher is
-frozen throughout; gradients flow only into the student.
+frozen throughout; gradients flow only into the student. kd_loss and
+kd_loss_grad are the validated one-sample reference; training uses
+kd_loss_rows, which gives the same values for a whole batch.
 """
 
 from __future__ import annotations
@@ -18,14 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics, tinynet
-from .errors import LengthMismatch
-from .temperature import (
-    RuleBasedPolicy,
-    TemperaturePolicy,
-    apply_policy,
-    compute_context,
-    policy_descriptor,
-)
+from .errors import InvalidPolicyParameters, LengthMismatch
+from .temperature import TemperaturePolicy, apply_policy_rows, policy_descriptor
+from .temperature import compute_context  # noqa: F401  (the scalar reference, importable here)
 
 
 @dataclass(frozen=True)
@@ -36,7 +33,7 @@ class KdConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.t_base <= 1.0:
-            raise ValueError(f"t_base must lie in [0, 1], got {self.t_base!r}")
+            raise InvalidPolicyParameters(f"t_base must lie in [0, 1], got {self.t_base!r}")
 
 
 @dataclass(frozen=True)
@@ -79,6 +76,26 @@ def kd_loss_grad(student_logits, teacher_logits, true_class: int, temperature: f
     return (1.0 - weight) * (p1 - onehot) + (weight * temperature) * (ps - pt)
 
 
+def kd_loss_rows(student_logits: np.ndarray, teacher_probs: np.ndarray, labels: np.ndarray,
+                 temperatures: np.ndarray, weights: np.ndarray):
+    """Distillation batch loss: (per-row kd_loss(...).total, per-row kd_loss_grad),
+    bit for bit, for (n, C) student logits.
+
+    teacher_probs holds each row's teacher softmax at its own temperature,
+    softmax_rows(teacher_logits, temperatures). Inputs are not validated.
+    """
+    ce, dce = tinynet.cross_entropy_rows(student_logits, labels)
+    ps = numerics.softmax_rows(student_logits, temperatures)
+    pt = teacher_probs
+    log_ratio = np.log(np.maximum(pt, numerics.EPS)) - np.log(np.maximum(ps, numerics.EPS))
+    kl = np.where(pt > 0.0, pt * log_ratio, 0.0).sum(axis=1)
+    # float_power is libm's pow, as the scalar temperature**2 is; ** on an
+    # array squares, which can differ from pow in the last bit
+    total = (1.0 - weights) * ce + weights * np.float_power(temperatures, 2) * kl
+    grad = (1.0 - weights)[:, None] * dce + (weights * temperatures)[:, None] * (ps - pt)
+    return total, grad
+
+
 @dataclass
 class DistillReport:
     seed: int
@@ -86,7 +103,7 @@ class DistillReport:
     t_base: float
     train_loss: list[float]
     val_accuracy: list[float]
-    temp_mean: list[float]  # per epoch, over the train split
+    temp_mean: list[float]  # per epoch, over the train split (constant across epochs)
     temp_min: list[float]
     temp_max: list[float]
     final_val_accuracy: float
@@ -120,43 +137,40 @@ def distill_train(teacher: tinynet.MlpModel, student: tinynet.MlpModel,
 
     Each sample gets its own (temperature, weight) from the policy, so a
     single batch can mix soft and hard targets. The teacher never sees
-    gradients, which makes its logits, the contexts, and the policy
-    outputs constant across epochs; they are precomputed once.
+    gradients, which makes its logits, the contexts, the policy outputs
+    and the teacher's softened targets constant across epochs; they are
+    precomputed once.
     """
-    teacher_logits = tinynet.forward_batch(teacher, dataset.features)
-    n = dataset.n_samples
-    temps = np.empty(n)
-    weights = np.empty(n)
-    for i in range(n):
-        c = compute_context(
-            teacher_logits[i],
-            float(dataset.noise_level[i]),
-            float(dataset.class_complexity[dataset.labels[i]]),
+    if teacher.n_classes != student.n_classes:
+        raise LengthMismatch(
+            f"student has {student.n_classes} classes, teacher {teacher.n_classes}"
         )
-        out = apply_policy(cfg.policy, c, base_weight=cfg.t_base)
-        temps[i] = out.temperature
-        weights[i] = out.distill_weight
-
-    labels = dataset.labels
-    n_classes = student.n_classes
-
-    def sample_loss(logits, i):
-        breakdown = kd_loss(logits, teacher_logits[i], int(labels[i]), temps[i], weights[i])
-        grad = kd_loss_grad(logits, teacher_logits[i], int(labels[i]), temps[i], weights[i])
-        return breakdown.total, grad
-
-    trained, history, temp_stats = tinynet.sgd_fit(
-        student, dataset, cfg.train, sample_loss, per_sample_stat=lambda i: temps[i]
+    teacher_logits = tinynet.forward_batch(teacher, dataset.features)
+    temps, weights = apply_policy_rows(
+        cfg.policy,
+        teacher_logits,
+        dataset.noise_level,
+        dataset.class_complexity[dataset.labels],
+        base_weight=cfg.t_base,
     )
+    teacher_probs = numerics.softmax_rows(teacher_logits, temps)
+    labels = dataset.labels
+
+    def batch_loss(logits, idx):
+        return kd_loss_rows(logits, teacher_probs[idx], labels[idx], temps[idx], weights[idx])
+
+    trained, history = tinynet.sgd_fit(student, dataset, cfg.train, batch_loss)
+    train_temps = temps[dataset.indices("train")]
+    epochs = len(history.train_loss)
     report = DistillReport(
         seed=cfg.train.seed,
         policy=policy_descriptor(cfg.policy),
         t_base=cfg.t_base,
         train_loss=history.train_loss,
         val_accuracy=history.val_accuracy,
-        temp_mean=[s[0] for s in temp_stats],
-        temp_min=[s[1] for s in temp_stats],
-        temp_max=[s[2] for s in temp_stats],
+        temp_mean=[float(train_temps.mean())] * epochs,
+        temp_min=[float(train_temps.min())] * epochs,
+        temp_max=[float(train_temps.max())] * epochs,
         final_val_accuracy=history.val_accuracy[-1],
     )
     return trained, report

@@ -1,10 +1,12 @@
 """Numerically stable probability kernels.
 
-All functions are pure and operate on plain 1-D float64 vectors. Logit
-vectors may be any finite reals; probability vectors must lie in [0, 1]
-and sum to 1 (validated to 1e-6). Logs inside KL and cross-entropy are
-floored at EPS so exactly-zero probabilities from extreme logits stay
-finite.
+All functions are pure. The public 1-D kernels validate their inputs:
+logit vectors may be any finite reals; probability vectors must lie in
+[0, 1] and sum to 1 (validated to 1e-6). Logs inside KL and
+cross-entropy are floored at EPS so exactly-zero probabilities from
+extreme logits stay finite. `softmax_rows` is the batch form of
+`stable_softmax` for training loops; it does not validate, because its
+callers check their inputs once, at the boundary.
 """
 
 from __future__ import annotations
@@ -65,6 +67,17 @@ def stable_softmax(logits, temperature: float = 1.0) -> np.ndarray:
     s = z / t
     e = np.exp(s - s.max())
     return e / e.sum()
+
+
+def softmax_rows(logits: np.ndarray, temperature=1.0) -> np.ndarray:
+    """stable_softmax of each row of an (n, C) matrix, bit for bit.
+
+    temperature is one scalar or one value per row.
+    """
+    t = np.asarray(temperature, dtype=np.float64)
+    s = logits / (t[:, None] if t.ndim else t)
+    e = np.exp(s - s.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def log_softmax(logits, temperature: float = 1.0) -> np.ndarray:

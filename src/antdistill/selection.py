@@ -16,6 +16,7 @@ seeds the ACO heuristic vector counts toward unique evaluations.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +52,14 @@ class MlpProfile:
     hidden_dims: tuple[int, ...]
     learning_rate: float = 0.05
     epochs: int = 10
+
+    def __post_init__(self):
+        if any(h < 1 for h in self.hidden_dims):
+            raise InvalidShape(f"hidden sizes must be >= 1, got {list(self.hidden_dims)}")
+        if self.epochs < 1:
+            raise InvalidShape(f"epochs must be >= 1, got {self.epochs}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
+            raise InvalidShape(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
 
 
 @dataclass

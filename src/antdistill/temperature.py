@@ -12,6 +12,8 @@ temperature T and the distillation weight w used by the loss:
 
 The rule steps are additive and clamped to [min_temperature,
 max_temperature] / [0, max_weight], so outputs are always bounded.
+compute_context and apply_policy evaluate one sample; apply_policy_rows
+gives the same outputs for a whole dataset at once.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .errors import InvalidPolicyParameters
+from .errors import InvalidPolicyParameters, InvalidShape, NonFiniteInput
 
 
 def _check_unit(name: str, value: float) -> float:
@@ -138,6 +140,53 @@ def apply_policy(policy: TemperaturePolicy, ctx: ContextFeatures,
         if ctx.disease_complexity >= policy.complexity_threshold:
             w = min(policy.max_weight, policy.base_weight + policy.weight_step)
         return PolicyOutput(t, w)
+    raise InvalidPolicyParameters(f"unknown policy type {type(policy).__name__}")
+
+
+def apply_policy_rows(policy: TemperaturePolicy, teacher_logits, noise_level, class_complexity,
+                      base_weight: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
+    """(temperatures, weights) of n samples at once.
+
+    Row i equals apply_policy(policy, compute_context(teacher_logits[i],
+    noise_level[i], class_complexity[i]), base_weight) bit for bit, and
+    the inputs are checked as those calls check them, once for all rows.
+    """
+    z = np.asarray(teacher_logits, dtype=np.float64)
+    noise = np.asarray(noise_level, dtype=np.float64)
+    complexity = np.asarray(class_complexity, dtype=np.float64)
+    if z.ndim != 2 or z.shape[1] < 2 or not noise.shape == complexity.shape == z.shape[:1]:
+        raise InvalidShape(
+            f"need (n, C >= 2) logits and n noise levels and complexities, got "
+            f"{z.shape}, {noise.shape}, {complexity.shape}"
+        )
+    if not np.all(np.isfinite(z)):
+        raise NonFiniteInput("teacher logits contain NaN or Inf")
+    for name, values in (("noise_level", noise), ("class complexity", complexity)):
+        if not np.all((values >= 0.0) & (values <= 1.0)):
+            raise InvalidPolicyParameters(f"{name} must lie in [0, 1]")
+    _check_unit("base_weight", base_weight)
+    n = z.shape[0]
+    probs = numerics.softmax_rows(z)
+    run_weight = np.full(n, float(base_weight))
+    if isinstance(policy, ConstantPolicy):
+        return np.full(n, float(policy.temperature)), run_weight
+    if isinstance(policy, UncertaintyLinearPolicy):
+        terms = np.where(probs > 0.0, probs * np.log(np.maximum(probs, numerics.EPS)), 0.0)
+        u = -terms.sum(axis=1) / np.log(z.shape[1])
+        u = np.where(u > 0.0, u, 0.0)  # max(0.0, u) and min(1.0, u), as normalized_entropy
+        u = np.where(u < 1.0, u, 1.0)
+        return 1.0 + policy.scale * u, run_weight
+    if isinstance(policy, RuleBasedPolicy):
+        noisy = noise >= policy.noise_threshold
+        confident = probs.max(axis=1) > policy.confidence_threshold
+        raised = min(policy.max_temperature, policy.base_temperature + policy.raise_step)
+        lowered = max(policy.min_temperature, policy.base_temperature - policy.lower_step)
+        t = np.where(noisy & ~confident, raised,
+                     np.where(~noisy & confident, lowered, policy.base_temperature))
+        w = np.where(complexity >= policy.complexity_threshold,
+                     min(policy.max_weight, policy.base_weight + policy.weight_step),
+                     policy.base_weight)
+        return t.astype(np.float64), w.astype(np.float64)
     raise InvalidPolicyParameters(f"unknown policy type {type(policy).__name__}")
 
 

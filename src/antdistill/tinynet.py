@@ -18,6 +18,7 @@ import numpy as np
 from . import numerics
 from .errors import (
     EmptySplit,
+    IndexOutOfRange,
     InvalidShape,
     LevelOutOfRange,
     NonFiniteLoss,
@@ -125,27 +126,33 @@ def _backward(model: MlpModel, pres, acts, dlogits):
     return grads_w, grads_b
 
 
-def loss_gradients(model: MlpModel, batch, sample_loss):
+def loss_gradients(model: MlpModel, batch, batch_loss):
     """Gradients of the mean batch loss w.r.t. every weight and bias.
 
-    sample_loss(logits_row, row_index) must return (loss, dloss/dlogits);
-    the gradient it returns is treated as exact.
+    batch_loss(logits, idx) must return (per-row losses, dloss/dlogits)
+    for the (n, C) logits of the rows idx = 0..n-1; the gradient it
+    returns is treated as exact.
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ShapeMismatch(f"batch must be a nonempty 2-D matrix, got shape {x.shape}")
     logits, pres, acts = _forward_batch(model, x)
-    dlogits = np.empty_like(logits)
-    total = 0.0
-    for i in range(x.shape[0]):
-        loss, g = sample_loss(logits[i], i)
-        total += loss
-        dlogits[i] = g
+    losses, dlogits = batch_loss(logits, np.arange(x.shape[0]))
+    total = float(np.sum(losses))
     if not np.isfinite(total):
         raise NonFiniteLoss(f"batch loss is {total!r}")
-    dlogits /= x.shape[0]
-    gw, gb = _backward(model, pres, acts, dlogits)
+    gw, gb = _backward(model, pres, acts, dlogits / x.shape[0])
     return total / x.shape[0], gw, gb
+
+
+def cross_entropy_rows(logits: np.ndarray, labels: np.ndarray):
+    """Supervised batch loss: per-row cross_entropy(label, stable_softmax(row))
+    and its gradient softmax(row) - onehot(label), bit for bit."""
+    p = numerics.softmax_rows(logits)
+    rows = np.arange(labels.shape[0])
+    losses = -np.log(np.maximum(p[rows, labels], numerics.EPS))
+    p[rows, labels] -= 1.0
+    return losses, p
 
 
 # ---------------------------------------------------------------------------
@@ -322,21 +329,21 @@ def accuracy(model: MlpModel, features, labels) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
-def sgd_fit(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig, sample_loss,
-            per_sample_stat=None):
-    """Shared SGD loop over the train split; returns (model, history, stats).
+def sgd_fit(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig, batch_loss):
+    """Shared SGD loop over the train split; returns (model, history).
 
-    sample_loss(logits_row, dataset_index) -> (loss, dloss/dlogits).
-    The caller's model is left untouched; training runs on a copy.
-    per_sample_stat, when given, maps a dataset index to a float that is
-    aggregated per epoch (used to log realized distillation temperatures).
+    batch_loss(logits, idx) -> (per-row losses, dloss/dlogits) for the
+    (b, C) logits of the dataset rows idx. The caller's model is left
+    untouched; training runs on a copy.
     """
     train_idx = dataset.indices("train")
     val_idx = dataset.indices("val")
+    labels = dataset.labels[train_idx]
+    if labels.min() < 0 or labels.max() >= model.n_classes:
+        raise IndexOutOfRange(f"train labels outside [0, {model.n_classes})")
     model = model.copy()
     rng = np.random.default_rng(cfg.seed)
     history = TrainHistory()
-    stats = []
     for _ in range(cfg.epochs):
         order = train_idx[rng.permutation(train_idx.size)]
         loss_sum = 0.0
@@ -344,15 +351,14 @@ def sgd_fit(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig, sample
             batch_idx = order[start : start + cfg.batch_size]
             x = dataset.features[batch_idx]
             logits, pres, acts = _forward_batch(model, x)
-            dlogits = np.empty_like(logits)
-            for j, gi in enumerate(batch_idx):
-                loss, g = sample_loss(logits[j], int(gi))
+            losses, dlogits = batch_loss(logits, batch_idx)
+            # one row at a time, in batch order, so that train_loss does not
+            # depend on the order in which numpy would sum
+            for loss in losses.tolist():
                 loss_sum += loss
-                dlogits[j] = g
             if not np.isfinite(loss_sum):
                 raise NonFiniteLoss(f"training loss became {loss_sum!r}")
-            dlogits /= batch_idx.size
-            gw, gb = _backward(model, pres, acts, dlogits)
+            gw, gb = _backward(model, pres, acts, dlogits / batch_idx.size)
             for k in range(len(model.weights)):
                 model.weights[k] -= cfg.learning_rate * gw[k]
                 model.biases[k] -= cfg.learning_rate * gb[k]
@@ -360,25 +366,17 @@ def sgd_fit(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig, sample
         history.val_accuracy.append(
             accuracy(model, dataset.features[val_idx], dataset.labels[val_idx])
         )
-        if per_sample_stat is not None:
-            vals = np.array([per_sample_stat(int(i)) for i in train_idx])
-            stats.append((float(vals.mean()), float(vals.min()), float(vals.max())))
-    return model, history, stats
+    return model, history
 
 
 def train_supervised(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig):
     """Cross-entropy SGD on the train split; returns (model, history)."""
     labels = dataset.labels
-    n_classes = model.n_classes
 
-    def sample_loss(logits, i):
-        p = numerics.stable_softmax(logits, 1.0)
-        onehot = np.zeros(n_classes)
-        onehot[labels[i]] = 1.0
-        return numerics.cross_entropy(int(labels[i]), p), p - onehot
+    def batch_loss(logits, idx):
+        return cross_entropy_rows(logits, labels[idx])
 
-    trained, history, _ = sgd_fit(model, dataset, cfg, sample_loss)
-    return trained, history
+    return sgd_fit(model, dataset, cfg, batch_loss)
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +401,11 @@ def save_dataset(dataset: SyntheticDataset, path) -> None:
 
 
 def load_dataset(path) -> SyntheticDataset:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh]
+    try:
+        with open(path) as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     if len(lines) < 3 or not lines[0].startswith("# class_complexity="):
         raise ParseError(f"{path}: missing class_complexity comment or data rows")
     try:
@@ -426,9 +427,17 @@ def load_dataset(path) -> SyntheticDataset:
             feats.append([float(v) for v in cells[3:]])
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    labels_arr = np.array(labels, dtype=np.int64)
-    if labels_arr.min() < 0 or labels_arr.max() >= comp.shape[0]:
+    if not labels:
+        raise ParseError(f"{path}: no data rows")
+    if min(labels) < 0 or max(labels) >= comp.shape[0]:
         raise ParseError(f"{path}: label outside [0, {comp.shape[0]})")
+    features, noise_arr = np.array(feats), np.array(noise)
+    if not np.all(np.isfinite(features)):
+        raise ParseError(f"{path}: features contain NaN or Inf")
+    for name, values in (("noise_level", noise_arr), ("class_complexity", comp)):
+        if not np.all((values >= 0.0) & (values <= 1.0)):
+            raise ParseError(f"{path}: {name} outside [0, 1]")
     return SyntheticDataset(
-        np.array(feats), labels_arr, np.array(noise), comp, np.array(splits, dtype="<U5")
+        features, np.array(labels, dtype=np.int64), noise_arr, comp,
+        np.array(splits, dtype="<U5"),
     )

@@ -118,11 +118,15 @@ def test_criterion_03_gradient_correctness():
         onehot[labels[i]] = 1.0
         return numerics.cross_entropy(int(labels[i]), p), p - onehot
 
+    def rows_loss(logits, idx):
+        rows = [sample_loss(logits[j], i) for j, i in enumerate(idx)]
+        return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+
     def batch_loss(m):
         logits = tinynet.forward_batch(m, x)
         return float(np.mean([sample_loss(logits[i], i)[0] for i in range(6)]))
 
-    _, gw, gb = tinynet.loss_gradients(model, x, sample_loss)
+    _, gw, gb = tinynet.loss_gradients(model, x, rows_loss)
     worst_mlp = 0.0
     for _ in range(100):
         k = int(rng.integers(0, len(model.weights)))

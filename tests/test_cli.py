@@ -1,5 +1,8 @@
 """End-to-end tests of the command-line harness."""
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import antdistill
 from antdistill import selection, tinynet
@@ -159,6 +164,28 @@ class TestSelect:
                      "--out", str(tmp_path / "run")]) == 2
         assert "needs a dataset" in capsys.readouterr().err
 
+    def test_untrainable_profile_is_exit_2_before_any_training(self, tmp_path, monkeypatch,
+                                                               capsys):
+        write(tmp_path / "pool.json", json.dumps({"candidates": [
+            {"name": "fine", "hidden_dims": [4], "epochs": 2},
+            {"name": "never", "hidden_dims": [4], "epochs": 0},
+        ]}))
+        cfg = write(tmp_path / "c.ini",
+                    "[data]\nsamples = 60\nclasses = 2\ndim = 3\ncomplexity = 0.0\nseed = 1\n\n"
+                    "[grid]\npool = pool.json\n")
+        fits = []
+        real_fit = tinynet.sgd_fit
+
+        def counted_fit(*args, **kwargs):
+            fits.append(1)
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(tinynet, "sgd_fit", counted_fit)
+        assert main(["select", "--config", str(cfg), "--strategy", "grid",
+                     "--out", str(tmp_path / "run")]) == 2
+        assert fits == []
+        assert "'never'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("candidates", [[1, 2], [{"name": "a", "hidden_dims": 5}]])
     def test_malformed_pool_is_exit_2(self, tmp_path, candidates):
         write(tmp_path / "pool.json", json.dumps({"candidates": candidates}))
@@ -235,6 +262,58 @@ class TestDistill:
         assert rows[1][1:] == rows[2][1:]
 
 
+# the README config; the sha256 of every output file was recorded before
+# training moved to batched loss kernels, which must not change a byte
+README_CONFIG = """\
+[data]
+samples = 600
+classes = 4
+dim = 8
+complexity = 0.3
+noise_kind = gaussian
+noise_level = 0.8
+noise_fraction = 0.5
+seed = 7
+
+[policy]
+variant = rule_based
+
+[kd]
+t_base = 0.5
+epochs = 30
+batch_size = 32
+learning_rate = 0.05
+seed = 7
+teacher_hidden = 32,32
+student_hidden = 16,16
+"""
+GOLDEN_DISTILL = {
+    None: {
+        "distill_report.json": "0c377ed92a7e6781bd5381624b55849e189a75eacf39d3c10200ba79bc40403e",
+        "metrics.csv": "b5c6855ff4202c658f903b1e9aae118ffba5d5b421e230cc3d9f3709faad8bfa",
+        "summary.csv": "1d93858a8c3dad294ca410b0f4f27e2588c28a291b241d5d3199b46e47ec49e0",
+    },
+    "table10": {
+        "ablation.csv": "fd4be2a64fb96ee829840f2131c3aabe89cdb19b14f60af5d860d1595cf92004",
+    },
+    "table11": {
+        "ablation.csv": "6cc2b6ddb27dc8fccc2de9454930b7fc08d997756cd7f862f60156be79fe22a7",
+    },
+}
+
+
+@pytest.mark.parametrize("ablation", list(GOLDEN_DISTILL))
+def test_distill_outputs_pinned(tmp_path, ablation):
+    cfg = write(tmp_path / "c.ini", README_CONFIG)
+    out = tmp_path / "run"
+    argv = ["distill", "--config", str(cfg), "--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv + (["--ablation", ablation] if ablation else [])) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.iterdir() if p.name != "config.ini"}
+    assert digests == GOLDEN_DISTILL[ablation]
+
+
 class TestEvaluate:
     def test_perfect_predictions(self, tmp_path):
         write(tmp_path / "preds.csv", "pred\n0\n1\n2\n")
@@ -276,6 +355,49 @@ class TestEvaluate:
         assert main(["evaluate", "--predictions", str(tmp_path / "preds.csv"),
                      "--labels", str(tmp_path / "labels.csv"),
                      "--out", str(tmp_path / "run")]) != 0
+
+
+# cells of a predictions or labels file: class ids (small, huge, out of
+# int64), probabilities, and what the reader must reject
+EVAL_CELLS = (st.integers(-2, 6).map(str)
+              | st.sampled_from(["10000000", "99999999999999999999", "", "x", "1.5", "nan",
+                                 "inf", "0.5", "1e400"])
+              | st.floats(0.0, 1.0).map(repr))
+EVAL_ROWS = st.lists(st.lists(EVAL_CELLS, min_size=1, max_size=4).map(",".join), max_size=6)
+PRED_HEADERS = st.sampled_from(["pred", "pred,p0,p1", "pred,p0,p1,p2", "pred,p1", "pred,p0",
+                                "label", "p0,pred", ""])
+LABEL_HEADERS = st.sampled_from(["label", "pred", "label,x", ""])
+
+
+class TestEvaluateInputs:
+    @settings(max_examples=300, deadline=None)
+    @given(pred_header=PRED_HEADERS, pred_rows=EVAL_ROWS, label_header=LABEL_HEADERS,
+           label_rows=EVAL_ROWS)
+    def test_any_files_exit_0_or_2(self, tmp_path_factory, pred_header, pred_rows,
+                                   label_header, label_rows):
+        base = tmp_path_factory.getbasetemp()
+        preds = write(base / "fuzz_preds.csv", "\n".join([pred_header, *pred_rows]) + "\n")
+        labels = write(base / "fuzz_labels.csv", "\n".join([label_header, *label_rows]) + "\n")
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            rc = main(["evaluate", "--predictions", str(preds), "--labels", str(labels),
+                       "--out", str(base / "fuzz_run")])
+        assert rc in (0, 2)
+
+    @pytest.mark.parametrize("pred_text, label_text", [
+        ("pred\n0\n1\n", "label\n0\n10000000\n"),
+        ("pred\n0\n100000\n", "label\n0\n1\n"),
+        ("pred\n0\n1\n", "label\n0\n99999999999999999999\n"),
+        ("pred," + ",".join(f"p{j}" for j in range(5000)) + "\n0" + ",0" * 5000 + "\n",
+         "label\n0\n"),
+        ("pred\n0\n\xff\n", "label\n0\n1\n"),
+    ], ids=["label", "prediction", "int64-overflow", "probability-columns", "undecodable"])
+    def test_rejected_inputs_are_exit_2(self, tmp_path, capsys, pred_text, label_text):
+        preds = tmp_path / "preds.csv"
+        preds.write_bytes(pred_text.encode("latin-1"))
+        labels = write(tmp_path / "labels.csv", label_text)
+        assert main(["evaluate", "--predictions", str(preds), "--labels", str(labels),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 class TestReproExamples:

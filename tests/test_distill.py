@@ -7,8 +7,13 @@ import pytest
 
 from antdistill import tinynet
 from antdistill.distill import DistillReport, KdConfig, distill_train, kd_loss, kd_loss_grad
-from antdistill.errors import LengthMismatch, NonPositiveTemperature
-from antdistill.temperature import ConstantPolicy, RuleBasedPolicy
+from antdistill.errors import (
+    InvalidPolicyParameters,
+    LengthMismatch,
+    NonFiniteInput,
+    NonPositiveTemperature,
+)
+from antdistill.temperature import ConstantPolicy, RuleBasedPolicy, UncertaintyLinearPolicy
 
 
 def naive_softmax(z, t):
@@ -165,3 +170,38 @@ class TestDistillTrain:
         _, r2 = distill_train(teacher, student, ds, cfg)
         assert r1.to_json() == r2.to_json()
         assert '"seed": 3' in r1.to_json()
+
+
+class TestDistillTrainChecksItsInputsOnce:
+    """What the per-row loss used to reject is rejected at distill_train's entry."""
+
+    def setup(self, c_teacher=3, c_student=3):
+        ds = tinynet.generate_synthetic(90, 3, 4, 0.0, seed=1)
+        teacher = tinynet.init_mlp([4, 8, c_teacher], seed=2)
+        student = tinynet.init_mlp([4, 8, c_student], seed=3)
+        return ds, teacher, student
+
+    @pytest.mark.parametrize("t_base", [-0.1, 1.5, float("nan")])
+    def test_t_base_outside_unit_interval(self, t_base):
+        with pytest.raises(InvalidPolicyParameters, match="t_base"):
+            KdConfig(ConstantPolicy(), t_base)
+
+    def test_teacher_and_student_class_counts_must_match(self):
+        ds, teacher, student = self.setup(c_teacher=4)
+        with pytest.raises(LengthMismatch):
+            distill_train(teacher, student, ds, KdConfig(ConstantPolicy()))
+
+    def test_non_finite_teacher_logits(self):
+        ds, teacher, student = self.setup()
+        teacher.biases[-1][0] = np.inf
+        with pytest.raises(NonFiniteInput):
+            distill_train(teacher, student, ds, KdConfig(ConstantPolicy()))
+
+    @pytest.mark.parametrize("policy", [ConstantPolicy(), UncertaintyLinearPolicy(),
+                                        RuleBasedPolicy()])
+    @pytest.mark.parametrize("field", ["noise_level", "class_complexity"])
+    def test_context_outside_unit_interval_for_every_policy(self, policy, field):
+        ds, teacher, student = self.setup()
+        getattr(ds, field)[1] = 1.5
+        with pytest.raises(InvalidPolicyParameters):
+            distill_train(teacher, student, ds, KdConfig(policy))

@@ -385,6 +385,11 @@ class TestLoadPoolInputs:
         {"candidates": [{"name": "a", "hidden_dims": 5}]},
         {"candidates": [{"name": "a", "stub_score": [0.5]}]},
         {"candidates": [{"name": ["a"], "stub_score": 0.5}]},
+        {"candidates": [{"name": "a", "hidden_dims": [4], "epochs": 0}]},
+        {"candidates": [{"name": "a", "hidden_dims": [4], "learning_rate": -0.1}]},
+        {"candidates": [{"name": "a", "hidden_dims": [4], "learning_rate": float("nan")}]},
+        {"candidates": [{"name": "a", "hidden_dims": [4], "learning_rate": float("inf")}]},
+        {"candidates": [{"name": "a", "hidden_dims": [8, 0]}]},
     ])
     def test_malformed_entry_is_parse_error(self, tmp_path, doc):
         path = tmp_path / "pool.json"

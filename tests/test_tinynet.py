@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antdistill import numerics, tinynet
 from antdistill.errors import (
     EmptySplit,
+    IndexOutOfRange,
     InvalidShape,
     LevelOutOfRange,
     ParseError,
@@ -19,13 +22,18 @@ def small_dataset(seed=0, complexity=0.0, n=300, c=3, d=4):
 
 
 def ce_loss(labels, n_classes):
+    """Batch loss built row by row from the scalar numerics oracle."""
     def sample_loss(logits, i):
         p = numerics.stable_softmax(logits, 1.0)
         onehot = np.zeros(n_classes)
         onehot[labels[i]] = 1.0
         return numerics.cross_entropy(int(labels[i]), p), p - onehot
 
-    return sample_loss
+    def batch_loss(logits, idx):
+        rows = [sample_loss(logits[j], i) for j, i in enumerate(idx)]
+        return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+
+    return batch_loss
 
 
 class TestForward:
@@ -66,7 +74,9 @@ class TestLossGradients:
     def test_constant_loss_gives_zero_gradients(self):
         m = tinynet.init_mlp([4, 6, 3], seed=2)
         x = np.random.default_rng(0).normal(size=(5, 4))
-        _, gw, gb = tinynet.loss_gradients(m, x, lambda logits, i: (1.0, np.zeros(3)))
+        _, gw, gb = tinynet.loss_gradients(
+            m, x, lambda logits, idx: (np.ones(len(idx)), np.zeros_like(logits))
+        )
         assert all(np.all(g == 0) for g in gw)
         assert all(np.all(g == 0) for g in gb)
 
@@ -92,7 +102,7 @@ class TestLossGradients:
 
         def batch_loss(model):
             logits, _, _ = tinynet._forward_batch(model, x)
-            return float(np.mean([loss(logits[i], i)[0] for i in range(6)]))
+            return float(np.mean(loss(logits, np.arange(6))[0]))
 
         _, gw, gb = tinynet.loss_gradients(m, x, loss)
         h = 1e-5
@@ -271,6 +281,14 @@ class TestTrainSupervised:
             hits += h.val_accuracy[-1] >= 0.95
         assert hits == 20
 
+    @pytest.mark.parametrize("label", [3, -1])
+    def test_train_label_outside_model_classes(self, label):
+        ds = small_dataset(seed=11)
+        ds.labels[ds.indices("train")[5]] = label
+        model = tinynet.init_mlp([4, 8, 3], seed=6)
+        with pytest.raises(IndexOutOfRange):
+            tinynet.train_supervised(model, ds, tinynet.TrainConfig(epochs=1, seed=0))
+
     def test_missing_split_raises(self):
         ds = small_dataset(seed=11)
         ds.split[ds.split == "val"] = "train"
@@ -300,3 +318,63 @@ class TestDatasetFile:
         p.write_text("split,label\ntrain,0\n")
         with pytest.raises(ParseError):
             tinynet.load_dataset(p)
+
+
+DATASET_HEAD = "# class_complexity=0.5,0.25\nsplit,label,noise_level,f0,f1\n"
+# cells of a dataset file: valid values, and what the loader must reject
+CELLS = st.sampled_from(
+    ["0", "1", "2", "-1", "0.5", "1.5", "nan", "inf", "-inf", "1e400", "", "x", "train", "val",
+     "99999999999999999999"]
+) | st.floats().map(repr) | st.text(alphabet="0123456789.,-eEnaif# ", max_size=6)
+ROWS = st.lists(st.sampled_from(["train", "val", "test", "dev"]).flatmap(
+    lambda split: st.lists(CELLS, min_size=0, max_size=6).map(lambda c: ",".join([split, *c]))
+), max_size=5)
+COMPLEXITY = st.lists(CELLS, min_size=1, max_size=3).map(lambda c: ",".join(c))
+
+
+class TestDatasetFileInputs:
+    @pytest.mark.parametrize("row", [
+        "train,0,0.0,nan,1.0", "train,0,0.0,1.0,inf", "val,1,0.0,-inf,1.0",
+        "train,0,0.0,1e400,1.0", "train,0,nan,1.0,1.0", "test,1,inf,1.0,1.0",
+        "train,0,1.5,1.0,1.0", "train,0,-0.5,1.0,1.0", "train,99999999999999999999,0.0,1,1",
+    ])
+    def test_non_finite_or_out_of_range_values_are_parse_errors(self, tmp_path, row):
+        path = tmp_path / "d.csv"
+        path.write_text(DATASET_HEAD + "train,1,0.0,0.5,0.5\n" + row + "\n")
+        with pytest.raises(ParseError):
+            tinynet.load_dataset(path)
+
+    @pytest.mark.parametrize("complexity", ["nan,0.5", "0.5,1.5", "inf,0.5"])
+    def test_bad_class_complexity_is_parse_error(self, tmp_path, complexity):
+        path = tmp_path / "d.csv"
+        path.write_text(DATASET_HEAD.replace("0.5,0.25", complexity) + "train,0,0.0,1,2\n\n")
+        with pytest.raises(ParseError):
+            tinynet.load_dataset(path)
+
+    def test_undecodable_bytes_are_parse_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(DATASET_HEAD.encode() + b"train,0,0.0,\xff\xfe,1\n")
+        with pytest.raises(ParseError):
+            tinynet.load_dataset(path)
+
+    def test_no_data_rows_is_parse_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(DATASET_HEAD + "\n\n")
+        with pytest.raises(ParseError):
+            tinynet.load_dataset(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(complexity=COMPLEXITY, header=st.sampled_from(
+        ["split,label,noise_level,f0,f1", "split,label,noise_level", "split,label"]), rows=ROWS)
+    def test_any_file_gives_a_finite_dataset_or_parse_error(self, tmp_path_factory, complexity,
+                                                           header, rows):
+        path = tmp_path_factory.getbasetemp() / "fuzzed_dataset.csv"
+        path.write_text("\n".join([f"# class_complexity={complexity}", header, *rows]) + "\n")
+        try:
+            ds = tinynet.load_dataset(path)
+        except ParseError:
+            return
+        assert np.all(np.isfinite(ds.features))
+        assert np.all((ds.noise_level >= 0) & (ds.noise_level <= 1))
+        assert np.all((ds.class_complexity >= 0) & (ds.class_complexity <= 1))
+        assert ds.labels.min() >= 0 and ds.labels.max() < ds.n_classes
