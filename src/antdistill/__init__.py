@@ -6,6 +6,7 @@ from .metrics import (
     ConfusionMatrix,
     class_report,
     confusion,
+    micro_curves,
     pr_average_precision_micro,
     roc_auc_micro,
 )

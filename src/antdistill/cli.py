@@ -150,8 +150,7 @@ def _test_metrics(model: tinynet.MlpModel, dataset: tinynet.SyntheticDataset):
     labels = dataset.labels[idx]
     cm = metrics.confusion(preds, labels, dataset.n_classes)
     rep = metrics.class_report(cm)
-    roc = metrics.roc_auc_micro(probs, labels)
-    pr = metrics.pr_average_precision_micro(probs, labels)
+    roc, pr = metrics.micro_curves(probs, labels)
     return rep, roc, pr
 
 
@@ -289,8 +288,12 @@ def _read_csv_table(path) -> tuple[list[str], list[list[str]]]:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if not lines:
         raise ParseError(f"{path}: empty file")
-    header = lines[0].split(",")
-    return header, [ln.split(",") for ln in lines[1:]]
+    if len(lines) == 1:
+        raise ParseError(f"{path}: header but no data rows")
+    header = lines.pop(0).split(",")
+    for i, ln in enumerate(lines):  # split in place: no second list of rows
+        lines[i] = ln.split(",")
+    return header, lines
 
 
 def cmd_evaluate(args) -> int:
@@ -303,14 +306,19 @@ def cmd_evaluate(args) -> int:
         want_probs and header_p[1:] == [f"p{j}" for j in range(len(header_p) - 1)]
     ):
         raise ParseError(f"{args.predictions}: expected header 'pred[,p0,p1,...]', got {header_p}")
+    # rows are converted in place and freed before the metrics: their cell
+    # strings take about ten times the memory of the arrays
     try:
         preds = np.array([int(r[0]) for r in rows_p], dtype=np.int64)
         labels = np.array([int(r[0]) for r in rows_l], dtype=np.int64)
-        probs = (
-            np.array([[float(v) for v in r[1:]] for r in rows_p]) if want_probs else None
-        )
+        probs = None
+        if want_probs:
+            for i, r in enumerate(rows_p):
+                rows_p[i] = [float(v) for v in r[1:]]
+            probs = np.array(rows_p)
     except (ValueError, IndexError) as exc:
         raise ParseError(f"bad cell value: {exc}") from exc
+    del rows_p, rows_l
 
     n_classes = (
         probs.shape[1] if probs is not None else int(max(preds.max(), labels.max())) + 1
@@ -321,8 +329,7 @@ def cmd_evaluate(args) -> int:
     rep = metrics.class_report(cm)
     roc = pr = None
     if probs is not None:
-        roc = metrics.roc_auc_micro(probs, labels)
-        pr = metrics.pr_average_precision_micro(probs, labels)
+        roc, pr = metrics.micro_curves(probs, labels)
     else:
         print("warning: no probability columns, skipping AUC/AP")
 

@@ -19,7 +19,7 @@ from .errors import (
     InvalidShape,
     LengthMismatch,
 )
-from .numerics import as_distribution
+from .numerics import _DIST_TOL, as_distribution
 
 
 @dataclass(frozen=True)
@@ -115,6 +115,27 @@ def class_report(cm: ConfusionMatrix) -> ClassReport:
 # ---------------------------------------------------------------------------
 
 
+def _check_rows(p: np.ndarray) -> None:
+    """`as_distribution` on every row of a C-contiguous (n, C) matrix at once.
+
+    The mask applies its checks and tolerance to all rows in one pass; the
+    first bad row then goes through `as_distribution`, which raises the
+    error the row-by-row loop would. C order matters: on a Fortran-ordered
+    matrix `sum(axis=1)` adds in another order than a row's own `sum()`,
+    and can differ from it in the last bit.
+    """
+    with np.errstate(invalid="ignore"):  # inf - inf in a row sum
+        bad = (
+            (p.shape[1] < 2)
+            | ~np.isfinite(p).all(axis=1)
+            | (p < -_DIST_TOL).any(axis=1)
+            | (p > 1.0 + _DIST_TOL).any(axis=1)
+            | (np.abs(p.sum(axis=1) - 1.0) > _DIST_TOL)
+        )
+    if bad.any():
+        as_distribution(p[np.argmax(bad)])
+
+
 def _flatten_ovr(probabilities, labels):
     """All (sample, class) pairs as binary (score, is-true-class) instances."""
     p = np.asarray(probabilities, dtype=np.float64)
@@ -123,8 +144,8 @@ def _flatten_ovr(probabilities, labels):
         raise LengthMismatch(f"{p.shape} probabilities vs {y.shape} labels")
     if p.shape[0] < 2:
         raise InvalidShape("need at least 2 samples")
-    for row in p:
-        as_distribution(row)
+    p = np.ascontiguousarray(p)
+    _check_rows(p)
     if y.min() < 0 or y.max() >= p.shape[1]:
         raise IndexOutOfRange(f"label outside [0, {p.shape[1]})")
     scores = p.ravel()
@@ -164,6 +185,21 @@ class PrCurve:
     precision: np.ndarray
 
 
+def _roc_curve(cum_tp, cum_fp, n_pos: int, n_neg: int) -> RocCurve:
+    tpr = np.concatenate(([0.0], cum_tp / n_pos))
+    fpr = np.concatenate(([0.0], cum_fp / n_neg))
+    auc = float(np.trapezoid(tpr, fpr))
+    return RocCurve(auc, fpr, tpr)
+
+
+def _pr_curve(cum_tp, cum_fp, n_pos: int) -> PrCurve:
+    recall = cum_tp / n_pos
+    precision = cum_tp / (cum_tp + cum_fp)
+    deltas = np.diff(np.concatenate(([0.0], recall)))
+    ap = float((deltas * precision).sum())
+    return PrCurve(ap, recall, precision)
+
+
 def roc_auc_binary(scores, hits) -> RocCurve:
     """Trapezoidal ROC area for one binary ranking problem."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -174,11 +210,7 @@ def roc_auc_binary(scores, hits) -> RocCurve:
     n_neg = hits.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabels("labels are single-class")
-    cum_tp, cum_fp = _threshold_groups(scores, hits)
-    tpr = np.concatenate(([0.0], cum_tp / n_pos))
-    fpr = np.concatenate(([0.0], cum_fp / n_neg))
-    auc = float(np.trapezoid(tpr, fpr))
-    return RocCurve(auc, fpr, tpr)
+    return _roc_curve(*_threshold_groups(scores, hits), n_pos, n_neg)
 
 
 def pr_average_precision_binary(scores, hits) -> PrCurve:
@@ -190,24 +222,25 @@ def pr_average_precision_binary(scores, hits) -> PrCurve:
     n_pos = int(hits.sum())
     if n_pos == 0 or n_pos == hits.size:
         raise DegenerateLabels("labels are single-class")
+    return _pr_curve(*_threshold_groups(scores, hits), n_pos)
+
+
+def micro_curves(probabilities, labels) -> tuple[RocCurve, PrCurve]:
+    """Micro-averaged one-vs-rest ROC and PR curves: every (sample, class)
+    pair flattened, validated once and swept once for both curves."""
+    scores, hits, n_pos, n_neg = _flatten_ovr(probabilities, labels)
     cum_tp, cum_fp = _threshold_groups(scores, hits)
-    recall = cum_tp / n_pos
-    precision = cum_tp / (cum_tp + cum_fp)
-    deltas = np.diff(np.concatenate(([0.0], recall)))
-    ap = float((deltas * precision).sum())
-    return PrCurve(ap, recall, precision)
+    return _roc_curve(cum_tp, cum_fp, n_pos, n_neg), _pr_curve(cum_tp, cum_fp, n_pos)
 
 
 def roc_auc_micro(probabilities, labels) -> RocCurve:
-    """Micro-averaged one-vs-rest ROC: flatten every (sample, class) pair."""
-    scores, hits, _, _ = _flatten_ovr(probabilities, labels)
-    return roc_auc_binary(scores, hits)
+    """Micro-averaged one-vs-rest ROC (the ROC half of `micro_curves`)."""
+    return micro_curves(probabilities, labels)[0]
 
 
 def pr_average_precision_micro(probabilities, labels) -> PrCurve:
-    """Micro-averaged one-vs-rest average precision."""
-    scores, hits, _, _ = _flatten_ovr(probabilities, labels)
-    return pr_average_precision_binary(scores, hits)
+    """Micro-averaged one-vs-rest average precision (the PR half of `micro_curves`)."""
+    return micro_curves(probabilities, labels)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ logit vectors may be any finite reals; probability vectors must lie in
 cross-entropy are floored at EPS so exactly-zero probabilities from
 extreme logits stay finite. `softmax_rows` is the batch form of
 `stable_softmax` for training loops; it does not validate, because its
-callers check their inputs once, at the boundary.
+callers check their inputs once, at the boundary. `metrics` checks a
+whole probability matrix at once with the `as_distribution` checks and
+tolerance (`_DIST_TOL`), and passes the first bad row to
+`as_distribution` for its error.
 """
 
 from __future__ import annotations

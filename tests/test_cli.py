@@ -314,6 +314,60 @@ def test_distill_outputs_pinned(tmp_path, ablation):
     assert digests == GOLDEN_DISTILL[ablation]
 
 
+def write_eval_inputs(directory, with_probs):
+    """2,000 predictions over 10 classes, softmax scores written with repr.
+
+    Half the rows are rounded to 7 decimals, so some scores tie and some
+    rows sum to 1 only within the 1e-6 tolerance.
+    """
+    rng = np.random.default_rng(2024)
+    n, c = 2000, 10
+    labels = rng.integers(0, c, n)
+    logits = rng.normal(size=(n, c))
+    logits[np.arange(n), labels] += 1.0
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    probs[: n // 2] = np.round(probs[: n // 2], 7)
+    preds = probs.argmax(axis=1)
+    if with_probs:
+        header = "pred," + ",".join(f"p{j}" for j in range(c))
+        rows = [f"{p}," + ",".join(map(repr, row))
+                for p, row in zip(preds.tolist(), probs.tolist())]
+    else:
+        header, rows = "pred", [str(p) for p in preds.tolist()]
+    write(directory / "preds.csv", "\n".join([header, *rows]) + "\n")
+    write(directory / "labels.csv", "\n".join(["label", *map(str, labels.tolist())]) + "\n")
+
+
+# sha256 of the evaluate outputs, recorded before the probability matrix
+# was validated in one pass and swept once for both curves
+GOLDEN_EVALUATE = {
+    "probabilities": {
+        "metrics.csv": "c785bb35dac6e1c20806d236589eebeb3379db8260828e6a2d182f8954da797c",
+        "summary.csv": "36e7536971aca1a2ed264b7aedd18f37b6286b24cbde618e133e9f8156b0af59",
+        "stdout": "d130d5cce7ccc44ed740468614d5eb565f65bc4f6cb67582f64b84a382148161",
+    },
+    "pred-only": {
+        "metrics.csv": "c785bb35dac6e1c20806d236589eebeb3379db8260828e6a2d182f8954da797c",
+        "summary.csv": "d4cc8b5c90a4f4c481eaeeb05bd4e66badb503e9f9f99ce9255e179436a354b0",
+        "stdout": "749cd425cc0831e7995810319db11d7c957da165097b9f08a941a9d3c82e9437",
+    },
+}
+
+
+@pytest.mark.parametrize("inputs", list(GOLDEN_EVALUATE))
+def test_evaluate_outputs_pinned(tmp_path, inputs):
+    write_eval_inputs(tmp_path, with_probs=inputs == "probabilities")
+    out = tmp_path / "run"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["evaluate", "--predictions", str(tmp_path / "preds.csv"),
+                     "--labels", str(tmp_path / "labels.csv"), "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    digests["stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+    assert digests == GOLDEN_EVALUATE[inputs]
+
+
 class TestEvaluate:
     def test_perfect_predictions(self, tmp_path):
         write(tmp_path / "preds.csv", "pred\n0\n1\n2\n")
@@ -398,6 +452,20 @@ class TestEvaluateInputs:
         assert main(["evaluate", "--predictions", str(preds), "--labels", str(labels),
                      "--out", str(tmp_path / "run")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("pred_text, label_text, empty", [
+        ("pred\n", "label\n", "preds_only_header.csv"),
+        ("pred,p0,p1\n", "label\n", "preds_only_header.csv"),
+        ("pred\n0\n1\n", "label\n", "labels_only_header.csv"),
+    ], ids=["both", "probability-header", "labels"])
+    def test_header_only_file_is_named_parse_error(self, tmp_path, capsys, pred_text,
+                                                   label_text, empty):
+        preds = write(tmp_path / "preds_only_header.csv", pred_text)
+        labels = write(tmp_path / "labels_only_header.csv", label_text)
+        assert main(["evaluate", "--predictions", str(preds), "--labels", str(labels),
+                     "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and empty in err and "no data rows" in err
 
 
 class TestReproExamples:

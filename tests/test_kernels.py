@@ -1,10 +1,12 @@
-"""The batched training kernels against their validated 1-D references.
+"""The batched kernels against their validated 1-D references.
 
 Training calls only the batch forms: `numerics.softmax_rows`,
 `tinynet.cross_entropy_rows`, `distill.kd_loss_rows` and
-`temperature.apply_policy_rows`. Each must equal its scalar reference
-row by row, bit for bit, so that training outputs do not depend on which
-form computed them.
+`temperature.apply_policy_rows`. Evaluation validates a probability
+matrix in one pass and sweeps it once for both micro curves
+(`metrics.micro_curves`). Each must equal its scalar reference row by
+row, bit for bit, and raise the error the reference raises, so that
+outputs do not depend on which form computed them.
 """
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from antdistill import numerics, tinynet
+from antdistill import metrics, numerics, tinynet
 from antdistill.distill import kd_loss, kd_loss_grad, kd_loss_rows
 from antdistill.errors import InvalidPolicyParameters, InvalidShape, NonFiniteInput
 from antdistill.temperature import (
@@ -183,3 +185,113 @@ class TestApplyPolicyRows:
             apply_policy_rows(ConstantPolicy(), np.zeros((3, 4)), np.zeros(2), np.zeros(3))
         with pytest.raises(InvalidShape):
             apply_policy_rows(ConstantPolicy(), np.zeros((3, 1)), np.zeros(3), np.zeros(3))
+
+
+
+TOL = 1e-6  # the as_distribution tolerance
+# how a row of a probability matrix is made: valid, its sum moved a few ulp
+# either side of 1 - TOL or 1 + TOL, or one entry non-finite or just outside
+# [-TOL, 1 + TOL]
+ROW_KINDS = ["valid", "sum_low", "sum_high", "nan", "inf", "-inf", "past_low", "past_high"]
+
+
+def _ulps(x, k):
+    """x moved k ulp (k may be negative)."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, np.inf if k > 0 else -np.inf)
+    return x
+
+
+@st.composite
+def probability_matrices(draw, kinds=ROW_KINDS, min_classes=0):
+    """Softmax rows, some remade as one of `kinds`, laid out C, F or strided.
+
+    Coarse logits repeat, so scores tie within and across rows.
+    """
+    n = draw(st.integers(2, 10))
+    c = draw(st.integers(min_classes, 12))
+    z = draw(hnp.arrays(np.float64, (n, c), elements=LOGITS))
+    z = np.round(z / 20.0) if draw(st.booleans()) else z / 10.0
+    p = numerics.softmax_rows(z) if c else z
+    for i in range(n):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "valid" or c == 0:
+            continue
+        j = draw(st.integers(0, c - 1))
+        k = draw(st.integers(-4, 4))
+        if kind.startswith("sum"):
+            target = _ulps(1.0 - TOL if kind == "sum_low" else 1.0 + TOL, k)
+            p[i, j] += target - p[i].sum()
+        elif kind == "past_low" and c > 1:  # the other entries bring the sum back to 1
+            p[i, j] = _ulps(-TOL, -abs(k) - 1)
+            p[i, j - 1] += 1.0 - p[i].sum()
+        elif kind == "past_high" and c > 1:  # one entry at -TOL brings the sum back to 1
+            p[i] = 0.0
+            p[i, j] = _ulps(1.0 + TOL, abs(k) + 1)
+            p[i, j - 1] = -TOL
+        elif kind in ("nan", "inf", "-inf"):
+            p[i, j] = float(kind)
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "F":
+        return np.asfortranarray(p)
+    if layout == "strided":
+        big = np.zeros((2 * n, 2 * c + 1))
+        big[::2, 1::2] = p
+        return big[::2, 1::2]
+    return p
+
+
+def _validate_row_by_row(p):
+    """The reference: as_distribution on each row, as the loop did."""
+    for row in np.asarray(p, dtype=np.float64):
+        numerics.as_distribution(row)
+
+
+def _outcome(fn, *args):
+    try:
+        fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestOnePassValidation:
+    @settings(max_examples=500, deadline=None)
+    @given(p=probability_matrices() | probability_matrices(["valid", "sum_low", "sum_high"]))
+    def test_same_verdict_and_error_as_row_by_row(self, p):
+        labels = np.zeros(p.shape[0], dtype=np.int64)
+        want = _outcome(_validate_row_by_row, p)
+        assert _outcome(metrics.micro_curves, p, labels) == want
+
+    def test_fortran_order_rows_sum_as_row_by_row(self):
+        # sum(axis=1) on a Fortran matrix with >= 8 columns adds in another
+        # order than a row's own sum(); take rows right at 1 + TOL
+        rng = np.random.default_rng(11)
+        p = numerics.softmax_rows(rng.normal(size=(4000, 10)))
+        p[:, -1] += (1.0 + TOL) - p.sum(axis=1)
+        f = np.asfortranarray(p)
+        assert np.any(f.sum(axis=1) != np.array([row.sum() for row in f]))
+        labels = np.zeros(p.shape[0], dtype=np.int64)
+        assert _outcome(metrics.micro_curves, f, labels) == _outcome(_validate_row_by_row, f)
+
+
+class TestMicroCurves:
+    @settings(max_examples=300, deadline=None)
+    @given(p=probability_matrices(["valid"], min_classes=2), data=st.data())
+    def test_equal_to_binary_curves_on_the_flattened_pairs(self, p, data):
+        n, c = p.shape
+        labels = data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, c - 1)))
+        hits = np.zeros((n, c), dtype=bool)
+        hits[np.arange(n), labels] = True
+        scores = np.asarray(p, dtype=np.float64).ravel()
+        ref_roc = metrics.roc_auc_binary(scores, hits.ravel())
+        ref_pr = metrics.pr_average_precision_binary(scores, hits.ravel())
+        roc, pr = metrics.micro_curves(p, labels)
+        for got in (roc, metrics.roc_auc_micro(p, labels)):
+            assert got.auc == ref_roc.auc
+            assert np.array_equal(got.fpr, ref_roc.fpr)
+            assert np.array_equal(got.tpr, ref_roc.tpr)
+        for got in (pr, metrics.pr_average_precision_micro(p, labels)):
+            assert got.average_precision == ref_pr.average_precision
+            assert np.array_equal(got.recall, ref_pr.recall)
+            assert np.array_equal(got.precision, ref_pr.precision)
