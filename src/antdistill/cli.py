@@ -16,7 +16,6 @@ next to its reports.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import shutil
 import sys
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, numerics, selection, tinynet
-from .config import RunConfig, build_policy, load_config
+from .config import RunConfig, build_policy, from_section, load_config
 from .distill import KdConfig, distill_train
 from .errors import ConfigParseError, ParseError, VerificationFailed
 from .selection import AcoConfig, PsoConfig
@@ -121,9 +120,9 @@ def cmd_select(args) -> int:
     if config_cls is None:
         report = run(pool, **options)
     else:
-        fields = {f.name for f in dataclasses.fields(config_cls)} & options.keys()
-        strategy_cfg = config_cls(**{k: options.pop(k) for k in fields})
-        report = run(pool, strategy_cfg, **options)
+        strategy_cfg = from_section(config_cls, options)
+        report = run(pool, strategy_cfg,
+                     **{k: v for k, v in options.items() if k not in vars(strategy_cfg)})
 
     out = _prepare_out(cfg, args.out)
     _copy_config(cfg, out)
@@ -154,43 +153,6 @@ def _test_metrics(model: tinynet.MlpModel, dataset: tinynet.SyntheticDataset):
     return rep, roc, pr
 
 
-def _train_teacher(cfg: RunConfig, clean: tinynet.SyntheticDataset):
-    kd_seed = cfg.get("kd", "seed", default=0)
-    hidden = cfg.get("kd", "teacher_hidden", default=[32, 32])
-    train_cfg = _train_config(cfg)
-    teacher = tinynet.init_mlp(
-        [clean.n_features, *hidden, clean.n_classes], seed=_derived_seed(kd_seed, 1)
-    )
-    teacher, _ = tinynet.train_supervised(teacher, clean, train_cfg)
-    return teacher
-
-
-def _train_config(cfg: RunConfig) -> tinynet.TrainConfig:
-    return tinynet.TrainConfig(
-        epochs=cfg.get("kd", "epochs", default=30),
-        batch_size=cfg.get("kd", "batch_size", default=32),
-        learning_rate=cfg.get("kd", "learning_rate", default=0.05),
-        seed=cfg.get("kd", "seed", default=0),
-    )
-
-
-def _student_init(cfg: RunConfig, dataset: tinynet.SyntheticDataset) -> tinynet.MlpModel:
-    kd_seed = cfg.get("kd", "seed", default=0)
-    hidden = cfg.get("kd", "student_hidden", default=[16, 16])
-    return tinynet.init_mlp(
-        [dataset.n_features, *hidden, dataset.n_classes], seed=_derived_seed(kd_seed, 2)
-    )
-
-
-def _context_policy(cfg: RunConfig):
-    """Policy for the context-aware arm: the configured one unless it is
-    constant, in which case the rule-based defaults stand in."""
-    policy = build_policy(cfg.section("policy")) if cfg.has("policy") else RuleBasedPolicy()
-    if isinstance(policy, ConstantPolicy):
-        policy = RuleBasedPolicy()
-    return policy
-
-
 def _metrics_row(tag: str, rep: metrics.ClassReport) -> str:
     return (
         f"{tag},{rep.accuracy!r},{rep.macro_f1!r},{rep.macro_recall!r},{rep.macro_precision!r}"
@@ -205,61 +167,49 @@ def cmd_distill(args) -> int:
     out = _prepare_out(cfg, args.out)
     _copy_config(cfg, out)
     clean, experiment = _build_dataset(cfg)
-    teacher = _train_teacher(cfg, clean)
-    train_cfg = _train_config(cfg)
-    t_base = cfg.get("kd", "t_base", default=0.5)
+    kd = cfg.section("kd")
+    train_cfg = from_section(tinynet.TrainConfig, kd)
+    policy = build_policy(cfg.section("policy")) if cfg.has("policy") else RuleBasedPolicy()
+    teacher = tinynet.init_mlp([clean.n_features, *kd.get("teacher_hidden", [32, 32]),
+                                clean.n_classes], seed=_derived_seed(train_cfg.seed, 1))
+    teacher, _ = tinynet.train_supervised(teacher, clean, train_cfg)
 
+    def train_student(dataset, arm_policy=None):
+        """(student, report) from a fresh student on dataset: distilled under
+        arm_policy, or trained on the labels alone when it is None."""
+        student = tinynet.init_mlp([dataset.n_features, *kd.get("student_hidden", [16, 16]),
+                                    dataset.n_classes], seed=_derived_seed(train_cfg.seed, 2))
+        if arm_policy is None:
+            return tinynet.train_supervised(student, dataset, train_cfg)
+        kd_cfg = from_section(KdConfig, kd, policy=arm_policy, train=train_cfg)
+        return distill_train(teacher, student, dataset, kd_cfg)
+
+    # the ablations compare a constant temperature with a context-aware
+    # policy: the configured one stands in for whichever it is, the
+    # defaults of its class for the other
+    constant = policy if isinstance(policy, ConstantPolicy) else ConstantPolicy()
+    context = RuleBasedPolicy() if isinstance(policy, ConstantPolicy) else policy
     if args.ablation == "table10":
-        student = _student_init(cfg, experiment)
-        rows = []
-        rep, _, _ = _test_metrics(teacher, experiment)
-        rows.append(_metrics_row("teacher", rep))
-        supervised, _ = tinynet.train_supervised(student, experiment, train_cfg)
-        rep, _, _ = _test_metrics(supervised, experiment)
-        rows.append(_metrics_row("student_supervised", rep))
-        const_policy = (
-            build_policy(cfg.section("policy"))
-            if cfg.has("policy") and cfg.get("policy", "variant") == "constant"
-            else ConstantPolicy(2.0)
-        )
-        const_student, _ = distill_train(
-            teacher, student, experiment, KdConfig(const_policy, t_base, train_cfg)
-        )
-        rep, _, _ = _test_metrics(const_student, experiment)
-        rows.append(_metrics_row("student_constant_temp", rep))
-        ctx_student, _ = distill_train(
-            teacher, student, experiment, KdConfig(_context_policy(cfg), t_base, train_cfg)
-        )
-        rep, _, _ = _test_metrics(ctx_student, experiment)
-        rows.append(_metrics_row("student_context_aware", rep))
-        (out / "ablation.csv").write_text(ABLATION_HEADER + "\n" + "\n".join(rows) + "\n")
-        print(f"wrote {out / 'ablation.csv'} (4 rows)")
-        return 0
-
-    if args.ablation == "table11":
+        arms = [("teacher", teacher, experiment)] + [
+            (tag, train_student(experiment, arm_policy)[0], experiment)
+            for tag, arm_policy in (("student_supervised", None),
+                                    ("student_constant_temp", constant),
+                                    ("student_context_aware", context))
+        ]
+    elif args.ablation == "table11":
         level = cfg.get("data", "noise_level", default=0.5)
         seed = cfg.get("data", "seed", default=0)
-        rows = []
-        for tag in ("gaussian", "salt_pepper", "uniform", "clean"):
-            if tag == "clean":
-                variant = clean
-            else:
-                variant = tinynet.inject_noise(clean, tag, level, _derived_seed(seed, 102))
-            student = _student_init(cfg, variant)
-            trained, _ = distill_train(
-                teacher, student, variant, KdConfig(_context_policy(cfg), t_base, train_cfg)
-            )
-            rep, _, _ = _test_metrics(trained, variant)
-            rows.append(_metrics_row(tag, rep))
+        variants = [(kind, tinynet.inject_noise(clean, kind, level, _derived_seed(seed, 102)))
+                    for kind in ("gaussian", "salt_pepper", "uniform")] + [("clean", clean)]
+        arms = [(tag, train_student(variant, context)[0], variant) for tag, variant in variants]
+    if args.ablation:
+        rows = [_metrics_row(tag, _test_metrics(model, dataset)[0])
+                for tag, model, dataset in arms]
         (out / "ablation.csv").write_text(ABLATION_HEADER + "\n" + "\n".join(rows) + "\n")
-        print(f"wrote {out / 'ablation.csv'} (4 rows)")
+        print(f"wrote {out / 'ablation.csv'} ({len(rows)} rows)")
         return 0
 
-    policy = build_policy(cfg.section("policy")) if cfg.has("policy") else RuleBasedPolicy()
-    student = _student_init(cfg, experiment)
-    trained, report = distill_train(
-        teacher, student, experiment, KdConfig(policy, t_base, train_cfg)
-    )
+    trained, report = train_student(experiment, policy)
     rep, roc, pr = _test_metrics(trained, experiment)
     (out / "distill_report.json").write_text(report.to_json() + "\n")
     (out / "metrics.csv").write_text(metrics.report_csv(rep))

@@ -10,18 +10,14 @@ silently fall back to defaults. All randomness is seeded from here.
 from __future__ import annotations
 
 import configparser
+import dataclasses
+import typing
 from pathlib import Path
 
 from .errors import ConfigParseError
-from .temperature import ConstantPolicy, RuleBasedPolicy, UncertaintyLinearPolicy
-
-
-def _int(s: str) -> int:
-    return int(s)
-
-
-def _float(s: str) -> float:
-    return float(s)
+from .selection import AcoConfig, PsoConfig
+from .temperature import POLICIES
+from .tinynet import TrainConfig
 
 
 def _floats(s: str) -> list[float]:
@@ -41,92 +37,55 @@ def _bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _str(s: str) -> str:
-    return s
+def _fields(cls) -> dict:
+    """key -> parser of every field of a config dataclass: its annotated type,
+    which must be int or float."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: {int: int, float: float}[hints[f.name]] for f in dataclasses.fields(cls)}
 
 
+# keys that are dataclass fields are read from the dataclass; the rest
+# are listed here
 _SCHEMA = {
     "data": {
-        "samples": _int,
-        "classes": _int,
-        "dim": _int,
+        "samples": int,
+        "classes": int,
+        "dim": int,
         "complexity": _floats,
-        "noise_kind": _str,
-        "noise_level": _float,
-        "noise_fraction": _float,
-        "seed": _int,
+        "noise_kind": str,
+        "noise_level": float,
+        "noise_fraction": float,
+        "seed": int,
     },
     "policy": {
-        "variant": _str,
-        # constant
-        "temperature": _float,
-        # uncertainty_linear
-        "scale": _float,
-        # rule_based
-        "base_temperature": _float,
-        "raise_step": _float,
-        "lower_step": _float,
-        "min_temperature": _float,
-        "max_temperature": _float,
-        "noise_threshold": _float,
-        "confidence_threshold": _float,
-        "complexity_threshold": _float,
-        "base_weight": _float,
-        "weight_step": _float,
-        "max_weight": _float,
+        "variant": str,
+        **{key: parse for cls in POLICIES.values() for key, parse in _fields(cls).items()},
     },
     "kd": {
-        "t_base": _float,
-        "epochs": _int,
-        "batch_size": _int,
-        "learning_rate": _float,
-        "seed": _int,
+        "t_base": float,
+        **_fields(TrainConfig),
         "teacher_hidden": _ints,
         "student_hidden": _ints,
     },
     "aco": {
-        "pool": _str,
-        "alpha": _float,
-        "beta": _float,
-        "rho": _float,
-        "q0": _float,
-        "n_ants": _int,
-        "n_iterations": _int,
-        "seed": _int,
+        "pool": str,
+        **_fields(AcoConfig),
         "pair_mode": _bool,
         "init_pheromone": _floats,
         "init_heuristic": _floats,
     },
-    "pso": {
-        "pool": _str,
-        "n_particles": _int,
-        "n_iterations": _int,
-        "inertia": _float,
-        "c1": _float,
-        "c2": _float,
-        "seed": _int,
-    },
+    "pso": {"pool": str, **_fields(PsoConfig)},
     "grid": {
-        "pool": _str,
+        "pool": str,
         "pair_mode": _bool,
     },
     "random": {
-        "pool": _str,
-        "n_picks": _int,
-        "seed": _int,
+        "pool": str,
+        "n_picks": int,
+        "seed": int,
     },
     "out": {
-        "dir": _str,
-    },
-}
-
-_POLICY_KEYS = {
-    "constant": {"variant", "temperature"},
-    "uncertainty_linear": {"variant", "scale"},
-    "rule_based": {
-        "variant", "base_temperature", "raise_step", "lower_step", "min_temperature",
-        "max_temperature", "noise_threshold", "confidence_threshold",
-        "complexity_threshold", "base_weight", "weight_step", "max_weight",
+        "dir": str,
     },
 }
 
@@ -166,7 +125,7 @@ def load_config(path) -> RunConfig:
     try:
         with open(path) as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigParseError(f"{path}: {exc}") from exc
@@ -195,23 +154,24 @@ def load_config(path) -> RunConfig:
 
 def _check_policy_keys(section: dict, path) -> None:
     variant = section.get("variant")
-    if variant not in _POLICY_KEYS:
+    if variant not in POLICIES:
         raise ConfigParseError(
-            f"{path}: [policy] variant must be one of {sorted(_POLICY_KEYS)}, got {variant!r}"
+            f"{path}: [policy] variant must be one of {sorted(POLICIES)}, got {variant!r}"
         )
-    extra = set(section) - _POLICY_KEYS[variant]
+    extra = set(section) - {"variant"} - _fields(POLICIES[variant]).keys()
     if extra:
         raise ConfigParseError(
             f"{path}: keys {sorted(extra)} not valid for policy variant {variant!r}"
         )
 
 
+def from_section(cls, section: dict, **extra):
+    """A cls built from the keys of section that are its fields, plus extra;
+    the fields left out take cls's defaults."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{k: v for k, v in section.items() if k in names}, **extra)
+
+
 def build_policy(section: dict):
-    """[policy] section -> policy object, with per-variant defaults."""
-    variant = section["variant"]
-    if variant == "constant":
-        return ConstantPolicy(temperature=section.get("temperature", 2.0))
-    if variant == "uncertainty_linear":
-        return UncertaintyLinearPolicy(scale=section.get("scale", 2.0))
-    kwargs = {k: v for k, v in section.items() if k != "variant"}
-    return RuleBasedPolicy(**kwargs)
+    """[policy] section -> policy object; keys left out take the class defaults."""
+    return from_section(POLICIES[section["variant"]], section)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -153,6 +153,12 @@ class PheromoneState:
             raise InvalidShape("heuristic entries must be >= 0")
 
 
+def _check_finite(cfg) -> None:
+    for name, value in asdict(cfg).items():
+        if not math.isfinite(value):
+            raise InvalidShape(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AcoConfig:
     alpha: float = 1.0  # pheromone exponent
@@ -172,6 +178,7 @@ class AcoConfig:
             raise InvalidShape("alpha and beta must be >= 0")
         if self.n_ants < 1 or self.n_iterations < 1:
             raise EmptyRun("n_ants and n_iterations must be >= 1")
+        _check_finite(self)
 
 
 def _preference_weights(state: PheromoneState, alpha: float, beta: float) -> np.ndarray:
@@ -466,6 +473,7 @@ class PsoConfig:
     def __post_init__(self):
         if self.n_particles < 1 or self.n_iterations < 0:
             raise EmptyRun("n_particles must be >= 1 and n_iterations >= 0")
+        _check_finite(self)
 
 
 def run_pso(pool: CandidatePool, cfg: PsoConfig) -> SelectionReport:

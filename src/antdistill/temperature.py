@@ -18,7 +18,8 @@ gives the same outputs for a whole dataset at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -31,6 +32,12 @@ def _check_unit(name: str, value: float) -> float:
     if not 0.0 <= v <= 1.0:
         raise InvalidPolicyParameters(f"{name} must lie in [0, 1], got {value!r}")
     return v
+
+
+def _check_finite(params) -> None:
+    for name, value in asdict(params).items():
+        if not math.isfinite(value):
+            raise InvalidPolicyParameters(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -60,6 +67,7 @@ class ConstantPolicy:
     def __post_init__(self):
         if not self.temperature > 0.0:
             raise InvalidPolicyParameters(f"temperature must be > 0, got {self.temperature!r}")
+        _check_finite(self)
 
 
 @dataclass(frozen=True)
@@ -71,6 +79,7 @@ class UncertaintyLinearPolicy:
     def __post_init__(self):
         if not self.scale >= 0.0:
             raise InvalidPolicyParameters(f"scale must be >= 0, got {self.scale!r}")
+        _check_finite(self)
 
 
 @dataclass(frozen=True)
@@ -98,9 +107,17 @@ class RuleBasedPolicy:
             _check_unit(name, getattr(self, name))
         if not 0.0 <= self.base_weight <= self.max_weight <= 1.0:
             raise InvalidPolicyParameters("need 0 <= base_weight <= max_weight <= 1")
+        _check_finite(self)
 
 
 TemperaturePolicy = ConstantPolicy | UncertaintyLinearPolicy | RuleBasedPolicy
+
+# the [policy] variant name of each policy; a variant's keys are its class's fields
+POLICIES = {
+    "constant": ConstantPolicy,
+    "uncertainty_linear": UncertaintyLinearPolicy,
+    "rule_based": RuleBasedPolicy,
+}
 
 
 def compute_context(teacher_logits, sample_noise: float, sample_class_complexity: float
@@ -192,13 +209,7 @@ def apply_policy_rows(policy: TemperaturePolicy, teacher_logits, noise_level, cl
 
 def policy_descriptor(policy: TemperaturePolicy) -> dict:
     """JSON-friendly name + parameters, used in run reports."""
-    if isinstance(policy, ConstantPolicy):
-        return {"variant": "constant", "temperature": policy.temperature}
-    if isinstance(policy, UncertaintyLinearPolicy):
-        return {"variant": "uncertainty_linear", "scale": policy.scale}
-    if isinstance(policy, RuleBasedPolicy):
-        d = {"variant": "rule_based"}
-        for f in RuleBasedPolicy.__dataclass_fields__:
-            d[f] = getattr(policy, f)
-        return d
+    for variant, cls in POLICIES.items():
+        if isinstance(policy, cls):
+            return {"variant": variant, **asdict(policy)}
     raise InvalidPolicyParameters(f"unknown policy type {type(policy).__name__}")

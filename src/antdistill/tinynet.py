@@ -211,7 +211,7 @@ def generate_synthetic(n_samples, n_classes, input_dim, complexity, seed: int) -
         comp = np.full(n_classes, float(comp))
     if comp.shape != (n_classes,):
         raise InvalidShape(f"complexity must be scalar or length {n_classes}, got {comp.shape}")
-    if np.any(comp < 0) or np.any(comp > 1):
+    if not np.all((comp >= 0) & (comp <= 1)):  # NaN fails both
         raise InvalidShape("complexity entries must lie in [0, 1]")
     if n_samples < 10 * n_classes:
         raise InvalidShape(f"need at least {10 * n_classes} samples for {n_classes} classes")

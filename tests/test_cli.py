@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line harness."""
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -15,10 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import antdistill
-from antdistill import selection, tinynet
+from antdistill import config, selection, tinynet
 from antdistill.cli import main
 from antdistill.config import load_config
 from antdistill.errors import ConfigParseError
+from antdistill.temperature import POLICIES
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write(path, text):
@@ -42,15 +46,68 @@ class TestConfigParsing:
         with pytest.raises(ConfigParseError, match="mystery"):
             load_config(cfg)
 
-    def test_policy_keys_gated_by_variant(self, tmp_path):
-        cfg = write(tmp_path / "c.ini", "[policy]\nvariant = constant\nscale = 2.0\n")
-        with pytest.raises(ConfigParseError, match="scale"):
-            load_config(cfg)
+    @pytest.mark.parametrize("owner, key", [(variant, f.name) for variant, cls in POLICIES.items()
+                                            for f in dataclasses.fields(cls)])
+    def test_policy_keys_gated_by_variant(self, tmp_path, owner, key):
+        # a key is accepted under the variant whose class owns it, and only there
+        for variant in POLICIES:
+            cfg = write(tmp_path / "c.ini", f"[policy]\nvariant = {variant}\n{key} = 0.5\n")
+            if variant == owner:
+                assert load_config(cfg).sections["policy"] == {"variant": variant, key: 0.5}
+            else:
+                with pytest.raises(ConfigParseError, match=f"'{key}'.*'{variant}'"):
+                    load_config(cfg)
 
     def test_bad_value_reported(self, tmp_path):
         cfg = write(tmp_path / "c.ini", "[data]\nsamples = many\n")
         with pytest.raises(ConfigParseError, match="samples"):
             load_config(cfg)
+
+    def test_undecodable_file_is_named_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.ini"
+        cfg.write_bytes("[out]\ndir = r\xe9sultats\n".encode("latin-1"))
+        with pytest.raises(ConfigParseError, match="latin1.ini"):
+            load_config(cfg)
+        assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert "latin1.ini" in capsys.readouterr().err
+
+    def test_readme_config_reference_loads(self, tmp_path):
+        # every documented key is accepted and parses to its value
+        readme = (ROOT / "README.md").read_text()
+        block = readme.split("### Config reference\n\n```ini\n", 1)[1].split("```", 1)[0]
+        cfg = load_config(write(tmp_path / "readme.ini", block))
+        assert set(cfg.sections) == set(config._SCHEMA)
+        assert cfg.sections["data"]["samples"] == 600
+        assert cfg.sections["data"]["complexity"] == [0.3]
+        assert cfg.sections["kd"]["teacher_hidden"] == [32, 32]
+        assert cfg.sections["aco"]["pair_mode"] is False
+
+    def test_schema_keys_and_parsers(self):
+        # every section's keys and the parser of each, as documented in the README
+        floats = dict.fromkeys(
+            ["base_temperature", "raise_step", "lower_step", "min_temperature",
+             "max_temperature", "noise_threshold", "confidence_threshold",
+             "complexity_threshold", "base_weight", "weight_step", "max_weight"], "float")
+        expected = {
+            "data": {"samples": "int", "classes": "int", "dim": "int", "complexity": "floats",
+                     "noise_kind": "str", "noise_level": "float", "noise_fraction": "float",
+                     "seed": "int"},
+            "policy": {"variant": "str", "temperature": "float", "scale": "float", **floats},
+            "kd": {"t_base": "float", "epochs": "int", "batch_size": "int",
+                   "learning_rate": "float", "seed": "int", "teacher_hidden": "ints",
+                   "student_hidden": "ints"},
+            "aco": {"pool": "str", "alpha": "float", "beta": "float", "rho": "float",
+                    "q0": "float", "n_ants": "int", "n_iterations": "int", "seed": "int",
+                    "pair_mode": "bool", "init_pheromone": "floats", "init_heuristic": "floats"},
+            "pso": {"pool": "str", "n_particles": "int", "n_iterations": "int",
+                    "inertia": "float", "c1": "float", "c2": "float", "seed": "int"},
+            "grid": {"pool": "str", "pair_mode": "bool"},
+            "random": {"pool": "str", "n_picks": "int", "seed": "int"},
+            "out": {"dir": "str"},
+        }
+        schema = {section: {key: parse.__name__.lstrip("_") for key, parse in keys.items()}
+                  for section, keys in config._SCHEMA.items()}
+        assert schema == expected
 
 
 DATA_SECTION = """\
@@ -81,6 +138,15 @@ class TestGenData:
             tmp_path / "b" / "dataset.csv"
         ).read_bytes()
 
+    @pytest.mark.parametrize("complexity", ["nan", "0.1,nan,0.2"])
+    def test_nan_complexity_is_exit_2_without_a_file(self, tmp_path, capsys, complexity):
+        cfg = write(tmp_path / "c.ini",
+                    DATA_SECTION.replace("complexity = 0.0", f"complexity = {complexity}"))
+        out = tmp_path / "run"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "complexity entries must lie in [0, 1]" in capsys.readouterr().err
+        assert not (out / "dataset.csv").exists()
+
 
 def worked_example_pool(tmp_path):
     return write(
@@ -90,6 +156,30 @@ def worked_example_pool(tmp_path):
                             for i, s in enumerate([0.9, 0.8, 0.7])]}
         ),
     )
+
+
+@pytest.fixture
+def fits(monkeypatch):
+    """One entry per training run (tinynet.sgd_fit call) while the test runs."""
+    calls = []
+    real_fit = tinynet.sgd_fit
+
+    def counted_fit(*args, **kwargs):
+        calls.append(1)
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(tinynet, "sgd_fit", counted_fit)
+    return calls
+
+
+# a small MLP pool and the dataset it trains on
+MLP_POOL = {"candidates": [
+    {"name": "a", "hidden_dims": [4], "learning_rate": 0.05, "epochs": 2},
+    {"name": "b", "hidden_dims": [6], "learning_rate": 0.1, "epochs": 2},
+    {"name": "c", "hidden_dims": [5, 3], "learning_rate": 0.05, "epochs": 3},
+]}
+SELECT_DATA = ("[data]\nsamples = 90\nclasses = 3\ndim = 4\ncomplexity = 0.2,0.4,0.1\n"
+               "noise_kind = uniform\nnoise_level = 0.3\nnoise_fraction = 0.5\nseed = 5\n\n")
 
 
 class TestSelect:
@@ -164,8 +254,7 @@ class TestSelect:
                      "--out", str(tmp_path / "run")]) == 2
         assert "needs a dataset" in capsys.readouterr().err
 
-    def test_untrainable_profile_is_exit_2_before_any_training(self, tmp_path, monkeypatch,
-                                                               capsys):
+    def test_untrainable_profile_is_exit_2_before_any_training(self, tmp_path, fits, capsys):
         write(tmp_path / "pool.json", json.dumps({"candidates": [
             {"name": "fine", "hidden_dims": [4], "epochs": 2},
             {"name": "never", "hidden_dims": [4], "epochs": 0},
@@ -173,18 +262,23 @@ class TestSelect:
         cfg = write(tmp_path / "c.ini",
                     "[data]\nsamples = 60\nclasses = 2\ndim = 3\ncomplexity = 0.0\nseed = 1\n\n"
                     "[grid]\npool = pool.json\n")
-        fits = []
-        real_fit = tinynet.sgd_fit
-
-        def counted_fit(*args, **kwargs):
-            fits.append(1)
-            return real_fit(*args, **kwargs)
-
-        monkeypatch.setattr(tinynet, "sgd_fit", counted_fit)
         assert main(["select", "--config", str(cfg), "--strategy", "grid",
                      "--out", str(tmp_path / "run")]) == 2
         assert fits == []
         assert "'never'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("strategy, key", [("aco", "alpha"), ("aco", "beta"),
+                                               ("pso", "inertia"), ("pso", "c2")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_search_parameter_is_exit_2_before_any_training(
+            self, tmp_path, fits, capsys, strategy, key, value):
+        write(tmp_path / "pool.json", json.dumps(MLP_POOL))
+        cfg = write(tmp_path / "c.ini", SELECT_DATA + f"[{strategy}]\npool = pool.json\n"
+                                                     f"{key} = {value}\n")
+        assert main(["select", "--config", str(cfg), "--strategy", strategy,
+                     "--out", str(tmp_path / "run")]) == 2
+        assert fits == []
+        assert f"{key} must be finite, got {value}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("candidates", [[1, 2], [{"name": "a", "hidden_dims": 5}]])
     def test_malformed_pool_is_exit_2(self, tmp_path, candidates):
@@ -247,6 +341,16 @@ class TestDistill:
                      "--out", str(out)]) == 0
         _, rows = read_rows(out / "ablation.csv")
         assert [r[0] for r in rows] == ["gaussian", "salt_pepper", "uniform", "clean"]
+
+    @pytest.mark.parametrize("policy", ["variant = constant\ntemperature = inf",
+                                        "variant = uncertainty_linear\nscale = inf",
+                                        "variant = rule_based\nraise_step = nan"])
+    def test_non_finite_policy_is_exit_2_before_any_training(self, tmp_path, fits, capsys,
+                                                             policy):
+        cfg = write(tmp_path / "c.ini", DISTILL_CONFIG.replace("variant = rule_based", policy))
+        assert main(["distill", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert fits == []
+        assert "must be finite" in capsys.readouterr().err
 
     def test_weight_zero_constant_matches_supervised_bit_for_bit(self, tmp_path):
         # with t_base = 0 the constant-temperature distilled row must equal
@@ -312,6 +416,74 @@ def test_distill_outputs_pinned(tmp_path, ablation):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in out.iterdir() if p.name != "config.ini"}
     assert digests == GOLDEN_DISTILL[ablation]
+
+
+STUB_POOL = {"candidates": [{"name": f"m{i}", "stub_score": s}
+                            for i, s in enumerate([0.61, 0.72, 0.55, 0.83, 0.79])]}
+# every strategy with every key of its section set away from the default,
+# aco and grid in pair mode on MLP_POOL; the sha256 of each output was
+# recorded before the config keys were derived from the dataclasses
+SELECT_RUNS = {
+    "aco": ("aco", STUB_POOL,
+            "[aco]\npool = pool.json\nalpha = 1.5\nbeta = 1.0\nrho = 0.2\nq0 = 0.3\nn_ants = 3\n"
+            "n_iterations = 4\nseed = 11\npair_mode = false\ninit_pheromone = 1,2,3,1,2\n"
+            "init_heuristic = 2,1,1,3,1\n"),
+    "aco_pairs": ("aco", MLP_POOL,
+                  SELECT_DATA + "[aco]\npool = pool.json\nalpha = 0.5\nn_ants = 2\n"
+                                "n_iterations = 3\nseed = 2\npair_mode = yes\n"),
+    "pso": ("pso", STUB_POOL,
+            "[pso]\npool = pool.json\nn_particles = 5\nn_iterations = 6\ninertia = 0.5\n"
+            "c1 = 1.2\nc2 = 1.8\nseed = 4\n"),
+    "grid_pairs": ("grid", MLP_POOL, SELECT_DATA + "[grid]\npool = pool.json\npair_mode = true\n"),
+    "random": ("random", STUB_POOL, "[random]\npool = pool.json\nn_picks = 3\nseed = 9\n"),
+}
+GOLDEN_SELECT = {
+    "aco": {
+        "report.csv": "f3fa1d6e733cfdfd8da0ab3e0767e7283100d61635adc7ea36cc2ef4091b72a5",
+        "report.json": "366fc8e5c70f040e48f6bc4b1468b1f272c60f439df565293b1dea3973bbec85",
+        "stdout": "7ac760ccba461c95014c673931b2d794b5b2e1dfa138483528de61b30186d43c",
+    },
+    "aco_pairs": {
+        "report.csv": "06a687e350c6c450205285836255ff461b2ded7370e6d40db8c818bab2ca02a4",
+        "report.json": "f9291082cfec328d92b5b76751842323ff69288cbabb0bc5d29cf980e8e4d99e",
+        "stdout": "5a062efd9f67c8bc231747c7fd2fde2d22e8367a1d0050f28c32dd79b53e3883",
+    },
+    "grid_pairs": {
+        "report.csv": "f29e39d0257ee902c227ff67585da1fc172be40b2ec08cf1612c3d934fe41ca4",
+        "report.json": "5421d9cc7ea99ad345f895368d4403d8d41b9831e745d6108b9524248746a577",
+        "stdout": "3be3284021d58befd54316868d1fc8f320bfb0ff5ab014f6fd0d0119f72e0667",
+    },
+    "pso": {
+        "report.csv": "b6162e1e238a193af0c10d95b997a09bfd169010fd898ab7d0ed63e4904a19fa",
+        "report.json": "2f4085ce0ccc9506ffeb5fd2feb2831f2925e727fca73ae66f35b277f9f72fe9",
+        "stdout": "6e5009cc29dad98732f7d116e8b9511a8cfccfecf14a14a4008547cb1c4a2b55",
+    },
+    "random": {
+        "report.csv": "47fb15796e80e75177e94fa537e6905368d53a85d6025720894c6df4dd76a948",
+        "report.json": "76d1b14a85fe325b67a7e9486d821f59efcdee6ccc2d14f2d099155bf5077ec3",
+        "stdout": "522ae3360366fdcd8a5881368c0a4b59426af0ef585ac0328eb702f20014db1c",
+    },
+}
+
+
+def select_digests(directory, run):
+    strategy, pool, text = SELECT_RUNS[run]
+    write(directory / "pool.json", json.dumps(pool))
+    cfg = write(directory / "c.ini", text)
+    out = directory / "run"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["select", "--config", str(cfg), "--strategy", strategy,
+                     "--out", str(out)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in out.iterdir() if p.name != "config.ini"}
+    digests["stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+    return digests
+
+
+@pytest.mark.parametrize("run", list(SELECT_RUNS))
+def test_select_outputs_pinned(tmp_path, run):
+    assert select_digests(tmp_path, run) == GOLDEN_SELECT[run]
 
 
 def write_eval_inputs(directory, with_probs):

@@ -226,6 +226,15 @@ class TestRunGrid:
             assert grid.best_score >= aco.best_score
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("cls, name", [(AcoConfig, "alpha"), (AcoConfig, "beta"),
+                                       (AcoConfig, "q0"), (PsoConfig, "inertia"),
+                                       (PsoConfig, "c1"), (PsoConfig, "c2")])
+def test_non_finite_search_parameters_rejected(cls, name, value):
+    with pytest.raises(InvalidShape, match=name):
+        cls(**{name: value})
+
+
 class TestRunPso:
     def test_one_particle_one_iteration_budget(self):
         rep = run_pso(stub_pool([0.2, 0.8, 0.5]), PsoConfig(n_particles=1, n_iterations=1, seed=0))

@@ -1,5 +1,6 @@
 """Tests for context extraction and the three temperature policies."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from antdistill.temperature import (
     UncertaintyLinearPolicy,
     apply_policy,
     compute_context,
+    POLICIES,
     policy_descriptor,
 )
 
@@ -136,9 +138,22 @@ class TestRuleBasedPolicy:
             RuleBasedPolicy(noise_threshold=1.2)
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("cls, name", [(cls, f.name) for cls in POLICIES.values()
+                                       for f in dataclasses.fields(cls)])
+def test_non_finite_parameters_rejected(cls, name, value):
+    with pytest.raises(InvalidPolicyParameters):
+        cls(**{name: value})
+
+
 class TestDescriptors:
     def test_roundtrippable_names(self):
         assert policy_descriptor(ConstantPolicy(2.0))["variant"] == "constant"
         assert policy_descriptor(UncertaintyLinearPolicy(1.0))["variant"] == "uncertainty_linear"
         d = policy_descriptor(RuleBasedPolicy())
         assert d["variant"] == "rule_based" and d["base_temperature"] == 2.0
+        assert d == {"variant": "rule_based", **dataclasses.asdict(RuleBasedPolicy())}
+
+    def test_unknown_policy_type(self):
+        with pytest.raises(InvalidPolicyParameters, match="unknown policy type"):
+            policy_descriptor(object())

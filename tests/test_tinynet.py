@@ -183,6 +183,9 @@ class TestGenerateSynthetic:
             tinynet.generate_synthetic(100, 3, 1, 0.0, 0)
         with pytest.raises(InvalidShape):
             tinynet.generate_synthetic(100, 3, 4, [0.0, 0.5], 0)
+        for complexity in (float("nan"), [0.0, float("nan"), 0.5], 1.5, -0.1):
+            with pytest.raises(InvalidShape, match="complexity"):
+                tinynet.generate_synthetic(100, 3, 4, complexity, 0)
 
 
 class TestInjectNoise:
