@@ -7,9 +7,10 @@ temperature-scaled KL term between teacher and student distributions:
     total = (1 - w) * ce + w * T^2 * kl
 
 with per-sample (T, w) supplied by a temperature policy. The teacher is
-frozen throughout; gradients flow only into the student. kd_loss and
-kd_loss_grad are the validated one-sample reference; training uses
-kd_loss_rows, which gives the same values for a whole batch.
+frozen throughout; gradients flow only into the student. One row kernel
+computes the loss and its gradient: training calls it through
+kd_loss_rows, and kd_loss and kd_loss_grad validate one sample and then
+call it on a batch of one.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numerics, tinynet
-from .errors import InvalidPolicyParameters, LengthMismatch
+from .errors import IndexOutOfRange, InvalidPolicyParameters, LengthMismatch
 from .temperature import TemperaturePolicy, apply_policy_rows, policy_descriptor
-from .temperature import compute_context  # noqa: F401  (the scalar reference, importable here)
+from .temperature import compute_context  # noqa: F401  (perfbench/test_perfbench.py asserts it)
 
 
 @dataclass(frozen=True)
@@ -45,54 +46,55 @@ class LossBreakdown:
     total: float
 
 
-def kd_loss(student_logits, teacher_logits, true_class: int, temperature: float,
-            weight: float) -> LossBreakdown:
-    """Loss breakdown for one sample; teacher logits are constants."""
+def _kd_rows(student_logits, teacher_probs, labels, temperatures, weights):
+    """(ce, kl, total, grad) of each row; see kd_loss_rows for the inputs."""
+    ce, dce = tinynet.cross_entropy_rows(student_logits, labels)
+    ps = numerics.softmax_rows(student_logits, temperatures)
+    kl = numerics.kl_divergence_rows(teacher_probs, ps)
+    # float_power is libm's pow, as a Python float's temperature**2 is; ** on an
+    # array squares, which can differ from pow in the last bit
+    total = (1.0 - weights) * ce + weights * np.float_power(temperatures, 2) * kl
+    grad = (1.0 - weights)[:, None] * dce + (weights * temperatures)[:, None] * (ps - teacher_probs)
+    return ce, kl, total, grad
+
+
+def _kd_one(student_logits, teacher_logits, true_class, temperature, weight):
+    """The kernel's outputs for one validated sample."""
     s = numerics.as_logits(student_logits)
     t = numerics.as_logits(teacher_logits)
     if s.shape != t.shape:
         raise LengthMismatch(f"student has {s.shape[0]} logits, teacher {t.shape[0]}")
-    ce = numerics.cross_entropy(int(true_class), numerics.stable_softmax(s, 1.0))
-    kl = numerics.kl_divergence(
-        numerics.stable_softmax(t, temperature), numerics.stable_softmax(s, temperature)
-    )
-    total = (1.0 - weight) * ce + weight * temperature**2 * kl
-    return LossBreakdown(ce, kl, float(temperature), float(weight), total)
+    c = int(true_class)
+    if c < 0 or c >= s.shape[0]:
+        raise IndexOutOfRange(f"class {c} out of range for {s.shape[0]} classes")
+    temps = np.array([numerics._check_temperature(temperature)])
+    return _kd_rows(s[None, :], numerics.softmax_rows(t[None, :], temps), np.array([c]), temps,
+                    np.array([weight], dtype=np.float64))
+
+
+def kd_loss(student_logits, teacher_logits, true_class: int, temperature: float,
+            weight: float) -> LossBreakdown:
+    """Loss breakdown for one sample; teacher logits are constants."""
+    ce, kl, total, _ = _kd_one(student_logits, teacher_logits, true_class, temperature, weight)
+    return LossBreakdown(float(ce[0]), float(kl[0]), float(temperature), float(weight),
+                         float(total[0]))
 
 
 def kd_loss_grad(student_logits, teacher_logits, true_class: int, temperature: float,
                  weight: float) -> np.ndarray:
     """d(total)/d(student_logits) = (1-w)(p1 - y) + w*T*(p_s - p_t)."""
-    s = numerics.as_logits(student_logits)
-    t = numerics.as_logits(teacher_logits)
-    if s.shape != t.shape:
-        raise LengthMismatch(f"student has {s.shape[0]} logits, teacher {t.shape[0]}")
-    numerics._check_temperature(temperature)
-    p1 = numerics.stable_softmax(s, 1.0)
-    onehot = np.zeros(s.shape[0])
-    onehot[int(true_class)] = 1.0
-    ps = numerics.stable_softmax(s, temperature)
-    pt = numerics.stable_softmax(t, temperature)
-    return (1.0 - weight) * (p1 - onehot) + (weight * temperature) * (ps - pt)
+    return _kd_one(student_logits, teacher_logits, true_class, temperature, weight)[3][0]
 
 
 def kd_loss_rows(student_logits: np.ndarray, teacher_probs: np.ndarray, labels: np.ndarray,
                  temperatures: np.ndarray, weights: np.ndarray):
     """Distillation batch loss: (per-row kd_loss(...).total, per-row kd_loss_grad),
-    bit for bit, for (n, C) student logits.
+    for (n, C) student logits.
 
     teacher_probs holds each row's teacher softmax at its own temperature,
     softmax_rows(teacher_logits, temperatures). Inputs are not validated.
     """
-    ce, dce = tinynet.cross_entropy_rows(student_logits, labels)
-    ps = numerics.softmax_rows(student_logits, temperatures)
-    pt = teacher_probs
-    log_ratio = np.log(np.maximum(pt, numerics.EPS)) - np.log(np.maximum(ps, numerics.EPS))
-    kl = np.where(pt > 0.0, pt * log_ratio, 0.0).sum(axis=1)
-    # float_power is libm's pow, as the scalar temperature**2 is; ** on an
-    # array squares, which can differ from pow in the last bit
-    total = (1.0 - weights) * ce + weights * np.float_power(temperatures, 2) * kl
-    grad = (1.0 - weights)[:, None] * dce + (weights * temperatures)[:, None] * (ps - pt)
+    _, _, total, grad = _kd_rows(student_logits, teacher_probs, labels, temperatures, weights)
     return total, grad
 
 

@@ -200,21 +200,8 @@ def _pr_curve(cum_tp, cum_fp, n_pos: int) -> PrCurve:
     return PrCurve(ap, recall, precision)
 
 
-def roc_auc_binary(scores, hits) -> RocCurve:
-    """Trapezoidal ROC area for one binary ranking problem."""
-    scores = np.asarray(scores, dtype=np.float64)
-    hits = np.asarray(hits, dtype=bool)
-    if scores.shape != hits.shape or scores.ndim != 1:
-        raise LengthMismatch(f"{scores.shape} scores vs {hits.shape} labels")
-    n_pos = int(hits.sum())
-    n_neg = hits.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise DegenerateLabels("labels are single-class")
-    return _roc_curve(*_threshold_groups(scores, hits), n_pos, n_neg)
-
-
-def pr_average_precision_binary(scores, hits) -> PrCurve:
-    """Step-wise AP = sum (R_k - R_{k-1}) * P_k over the descending sweep."""
+def _binary_problem(scores, hits):
+    """(scores, hits, positives) of one binary ranking problem, validated."""
     scores = np.asarray(scores, dtype=np.float64)
     hits = np.asarray(hits, dtype=bool)
     if scores.shape != hits.shape or scores.ndim != 1:
@@ -222,6 +209,18 @@ def pr_average_precision_binary(scores, hits) -> PrCurve:
     n_pos = int(hits.sum())
     if n_pos == 0 or n_pos == hits.size:
         raise DegenerateLabels("labels are single-class")
+    return scores, hits, n_pos
+
+
+def roc_auc_binary(scores, hits) -> RocCurve:
+    """Trapezoidal ROC area for one binary ranking problem."""
+    scores, hits, n_pos = _binary_problem(scores, hits)
+    return _roc_curve(*_threshold_groups(scores, hits), n_pos, hits.size - n_pos)
+
+
+def pr_average_precision_binary(scores, hits) -> PrCurve:
+    """Step-wise AP = sum (R_k - R_{k-1}) * P_k over the descending sweep."""
+    scores, hits, n_pos = _binary_problem(scores, hits)
     return _pr_curve(*_threshold_groups(scores, hits), n_pos)
 
 

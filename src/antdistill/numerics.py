@@ -4,9 +4,10 @@ All functions are pure. The public 1-D kernels validate their inputs:
 logit vectors may be any finite reals; probability vectors must lie in
 [0, 1] and sum to 1 (validated to 1e-6). Logs inside KL and
 cross-entropy are floored at EPS so exactly-zero probabilities from
-extreme logits stay finite. `softmax_rows` is the batch form of
-`stable_softmax` for training loops; it does not validate, because its
-callers check their inputs once, at the boundary. `metrics` checks a
+extreme logits stay finite. The `*_rows` forms compute softmax, KL and
+normalized entropy for (n, C) rows, unvalidated, because their callers
+check inputs once, at the boundary; `stable_softmax`, `kl_divergence`
+and `normalized_entropy` validate, then call them. `metrics` checks a
 whole probability matrix at once with the `as_distribution` checks and
 tolerance (`_DIST_TOL`), and passes the first bad row to
 `as_distribution` for its error.
@@ -67,13 +68,11 @@ def stable_softmax(logits, temperature: float = 1.0) -> np.ndarray:
     """
     z = as_logits(logits)
     t = _check_temperature(temperature)
-    s = z / t
-    e = np.exp(s - s.max())
-    return e / e.sum()
+    return softmax_rows(z[None, :], t)[0]
 
 
 def softmax_rows(logits: np.ndarray, temperature=1.0) -> np.ndarray:
-    """stable_softmax of each row of an (n, C) matrix, bit for bit.
+    """Softmax of each row of an (n, C) matrix, via max-subtraction.
 
     temperature is one scalar or one value per row.
     """
@@ -81,6 +80,19 @@ def softmax_rows(logits: np.ndarray, temperature=1.0) -> np.ndarray:
     s = logits / (t[:, None] if t.ndim else t)
     e = np.exp(s - s.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
+
+
+def kl_divergence_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """KL(p_i || q_i) of each row pair of two (n, C) probability matrices."""
+    terms = np.where(p > 0.0, p * (np.log(np.maximum(p, EPS)) - np.log(np.maximum(q, EPS))), 0.0)
+    return terms.sum(axis=1)
+
+
+def normalized_entropy_rows(p: np.ndarray) -> np.ndarray:
+    """Normalized entropy of each row of an (n, C) probability matrix."""
+    u = -np.where(p > 0.0, p * np.log(np.maximum(p, EPS)), 0.0).sum(axis=1) / np.log(p.shape[1])
+    u = np.where(u > 0.0, u, 0.0)  # max(0, u), not np.clip: a one-hot row's -0.0 reads 0.0
+    return np.where(u < 1.0, u, 1.0)
 
 
 def log_softmax(logits, temperature: float = 1.0) -> np.ndarray:
@@ -98,8 +110,7 @@ def kl_divergence(p, q) -> float:
     q = as_distribution(q)
     if p.shape != q.shape:
         raise LengthMismatch(f"length {p.shape[0]} vs {q.shape[0]}")
-    terms = np.where(p > 0.0, p * (np.log(np.maximum(p, EPS)) - np.log(np.maximum(q, EPS))), 0.0)
-    return float(terms.sum())
+    return float(kl_divergence_rows(p[None, :], q[None, :])[0])
 
 
 def cross_entropy(target, predicted) -> float:
@@ -119,5 +130,4 @@ def cross_entropy(target, predicted) -> float:
 def normalized_entropy(p) -> float:
     """Shannon entropy scaled to [0, 1]: 0 for one-hot, 1 for uniform."""
     p = as_distribution(p)
-    h = float(-np.where(p > 0.0, p * np.log(np.maximum(p, EPS)), 0.0).sum())
-    return min(1.0, max(0.0, h / np.log(p.shape[0])))
+    return float(normalized_entropy_rows(p[None, :])[0])

@@ -13,7 +13,7 @@ temperature T and the distillation weight w used by the loss:
 The rule steps are additive and clamped to [min_temperature,
 max_temperature] / [0, max_weight], so outputs are always bounded.
 compute_context and apply_policy evaluate one sample; apply_policy_rows
-gives the same outputs for a whole dataset at once.
+evaluates a whole dataset at once, through the same policy step.
 """
 
 from __future__ import annotations
@@ -132,6 +132,29 @@ def compute_context(teacher_logits, sample_noise: float, sample_class_complexity
     )
 
 
+def _policy_rows(policy: TemperaturePolicy, confidence, uncertainty, noise, complexity,
+                 base_weight) -> tuple[np.ndarray, np.ndarray]:
+    """(temperatures, weights) for n contexts, given as arrays of n values."""
+    n = confidence.shape[0]
+    run_weight = np.full(n, float(base_weight))
+    if isinstance(policy, ConstantPolicy):
+        return np.full(n, float(policy.temperature)), run_weight
+    if isinstance(policy, UncertaintyLinearPolicy):
+        return 1.0 + policy.scale * uncertainty, run_weight
+    if isinstance(policy, RuleBasedPolicy):
+        noisy = noise >= policy.noise_threshold
+        confident = confidence > policy.confidence_threshold
+        raised = min(policy.max_temperature, policy.base_temperature + policy.raise_step)
+        lowered = max(policy.min_temperature, policy.base_temperature - policy.lower_step)
+        t = np.where(noisy & ~confident, raised,
+                     np.where(~noisy & confident, lowered, policy.base_temperature))
+        w = np.where(complexity >= policy.complexity_threshold,
+                     min(policy.max_weight, policy.base_weight + policy.weight_step),
+                     policy.base_weight)
+        return t.astype(np.float64), w.astype(np.float64)
+    raise InvalidPolicyParameters(f"unknown policy type {type(policy).__name__}")
+
+
 def apply_policy(policy: TemperaturePolicy, ctx: ContextFeatures,
                  base_weight: float = 0.5) -> PolicyOutput:
     """Evaluate a policy on one sample's context.
@@ -141,23 +164,10 @@ def apply_policy(policy: TemperaturePolicy, ctx: ContextFeatures,
     policy manages its own weight (rule 3).
     """
     _check_unit("base_weight", base_weight)
-    if isinstance(policy, ConstantPolicy):
-        return PolicyOutput(policy.temperature, base_weight)
-    if isinstance(policy, UncertaintyLinearPolicy):
-        return PolicyOutput(1.0 + policy.scale * ctx.uncertainty, base_weight)
-    if isinstance(policy, RuleBasedPolicy):
-        t = policy.base_temperature
-        noisy = ctx.noise_level >= policy.noise_threshold
-        confident = ctx.teacher_confidence > policy.confidence_threshold
-        if noisy and not confident:
-            t = min(policy.max_temperature, policy.base_temperature + policy.raise_step)
-        elif not noisy and confident:
-            t = max(policy.min_temperature, policy.base_temperature - policy.lower_step)
-        w = policy.base_weight
-        if ctx.disease_complexity >= policy.complexity_threshold:
-            w = min(policy.max_weight, policy.base_weight + policy.weight_step)
-        return PolicyOutput(t, w)
-    raise InvalidPolicyParameters(f"unknown policy type {type(policy).__name__}")
+    confidence, uncertainty, noise, complexity = np.array(
+        [[ctx.teacher_confidence], [ctx.uncertainty], [ctx.noise_level], [ctx.disease_complexity]])
+    t, w = _policy_rows(policy, confidence, uncertainty, noise, complexity, base_weight)
+    return PolicyOutput(float(t[0]), float(w[0]))
 
 
 def apply_policy_rows(policy: TemperaturePolicy, teacher_logits, noise_level, class_complexity,
@@ -182,29 +192,9 @@ def apply_policy_rows(policy: TemperaturePolicy, teacher_logits, noise_level, cl
         if not np.all((values >= 0.0) & (values <= 1.0)):
             raise InvalidPolicyParameters(f"{name} must lie in [0, 1]")
     _check_unit("base_weight", base_weight)
-    n = z.shape[0]
     probs = numerics.softmax_rows(z)
-    run_weight = np.full(n, float(base_weight))
-    if isinstance(policy, ConstantPolicy):
-        return np.full(n, float(policy.temperature)), run_weight
-    if isinstance(policy, UncertaintyLinearPolicy):
-        terms = np.where(probs > 0.0, probs * np.log(np.maximum(probs, numerics.EPS)), 0.0)
-        u = -terms.sum(axis=1) / np.log(z.shape[1])
-        u = np.where(u > 0.0, u, 0.0)  # max(0.0, u) and min(1.0, u), as normalized_entropy
-        u = np.where(u < 1.0, u, 1.0)
-        return 1.0 + policy.scale * u, run_weight
-    if isinstance(policy, RuleBasedPolicy):
-        noisy = noise >= policy.noise_threshold
-        confident = probs.max(axis=1) > policy.confidence_threshold
-        raised = min(policy.max_temperature, policy.base_temperature + policy.raise_step)
-        lowered = max(policy.min_temperature, policy.base_temperature - policy.lower_step)
-        t = np.where(noisy & ~confident, raised,
-                     np.where(~noisy & confident, lowered, policy.base_temperature))
-        w = np.where(complexity >= policy.complexity_threshold,
-                     min(policy.max_weight, policy.base_weight + policy.weight_step),
-                     policy.base_weight)
-        return t.astype(np.float64), w.astype(np.float64)
-    raise InvalidPolicyParameters(f"unknown policy type {type(policy).__name__}")
+    return _policy_rows(policy, probs.max(axis=1), numerics.normalized_entropy_rows(probs),
+                        noise, complexity, base_weight)
 
 
 def policy_descriptor(policy: TemperaturePolicy) -> dict:

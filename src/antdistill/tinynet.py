@@ -11,6 +11,7 @@ fresh numpy Generator, so all artifacts are reproducible byte for byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,9 @@ NOISE_KINDS = ("gaussian", "salt_pepper", "uniform")
 # cluster center distance from origin at complexity 0, in units of the
 # within-cluster std (1.0); complexity 1 collapses all centers to the origin
 CENTER_RADIUS = 5.0
+
+# cells in generate_synthetic's largest array, max(samples, classes, dim) x dim
+MAX_DATASET_CELLS = 10**8
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +210,9 @@ def generate_synthetic(n_samples, n_classes, input_dim, complexity, seed: int) -
     so complexity 0 gives well-separated clusters and 1 collapses them.
     """
     n_samples, n_classes, input_dim = int(n_samples), int(n_classes), int(input_dim)
+    if max(n_samples, n_classes, input_dim) * input_dim > MAX_DATASET_CELLS:
+        raise InvalidShape(f"max(samples, classes, dim) * dim must be <= {MAX_DATASET_CELLS}, "
+                           f"got {n_samples} samples, {n_classes} classes, dim {input_dim}")
     comp = np.asarray(complexity, dtype=np.float64)
     if comp.ndim == 0:
         comp = np.full(n_classes, float(comp))
@@ -316,6 +323,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1 or not self.learning_rate >= 0.0:
             raise InvalidShape("epochs/batch_size must be >= 1 and learning_rate >= 0")
+        if not math.isfinite(self.learning_rate):
+            raise InvalidShape(f"learning_rate must be finite, got {self.learning_rate!r}")
 
 
 @dataclass

@@ -1,0 +1,109 @@
+"""Independent one-sample implementations of the library's formulas.
+
+In `antdistill` each formula has one implementation, a row kernel, and
+the public one-sample functions validate their input and call it on a
+batch of one. The functions here compute the same values one sample at
+a time, with the same checks and errors, and the property tests in
+`test_kernels.py` hold the library to them bit for bit. They reuse the
+library's validators (`as_logits`, `as_distribution`,
+`_check_temperature`, `_check_unit`) and `cross_entropy`, and call one
+another rather than the library's versions.
+"""
+
+import numpy as np
+
+from antdistill import numerics
+from antdistill.distill import LossBreakdown
+from antdistill.errors import InvalidPolicyParameters, LengthMismatch
+from antdistill.numerics import EPS
+from antdistill.temperature import (
+    ConstantPolicy,
+    ContextFeatures,
+    PolicyOutput,
+    RuleBasedPolicy,
+    UncertaintyLinearPolicy,
+    _check_unit,
+)
+
+
+def stable_softmax(logits, temperature: float = 1.0) -> np.ndarray:
+    z = numerics.as_logits(logits)
+    t = numerics._check_temperature(temperature)
+    s = z / t
+    e = np.exp(s - s.max())
+    return e / e.sum()
+
+
+def kl_divergence(p, q) -> float:
+    p = numerics.as_distribution(p)
+    q = numerics.as_distribution(q)
+    if p.shape != q.shape:
+        raise LengthMismatch(f"length {p.shape[0]} vs {q.shape[0]}")
+    terms = np.where(p > 0.0, p * (np.log(np.maximum(p, EPS)) - np.log(np.maximum(q, EPS))), 0.0)
+    return float(terms.sum())
+
+
+def normalized_entropy(p) -> float:
+    p = numerics.as_distribution(p)
+    h = float(-np.where(p > 0.0, p * np.log(np.maximum(p, EPS)), 0.0).sum())
+    return min(1.0, max(0.0, h / np.log(p.shape[0])))
+
+
+def kd_loss(student_logits, teacher_logits, true_class: int, temperature: float,
+            weight: float) -> LossBreakdown:
+    s = numerics.as_logits(student_logits)
+    t = numerics.as_logits(teacher_logits)
+    if s.shape != t.shape:
+        raise LengthMismatch(f"student has {s.shape[0]} logits, teacher {t.shape[0]}")
+    ce = numerics.cross_entropy(int(true_class), stable_softmax(s, 1.0))
+    kl = kl_divergence(stable_softmax(t, temperature), stable_softmax(s, temperature))
+    total = (1.0 - weight) * ce + weight * temperature**2 * kl
+    return LossBreakdown(ce, kl, float(temperature), float(weight), total)
+
+
+def kd_loss_grad(student_logits, teacher_logits, true_class: int, temperature: float,
+                 weight: float) -> np.ndarray:
+    """Indexes onehot with true_class unchecked: -1 is the last class."""
+    s = numerics.as_logits(student_logits)
+    t = numerics.as_logits(teacher_logits)
+    if s.shape != t.shape:
+        raise LengthMismatch(f"student has {s.shape[0]} logits, teacher {t.shape[0]}")
+    numerics._check_temperature(temperature)
+    p1 = stable_softmax(s, 1.0)
+    onehot = np.zeros(s.shape[0])
+    onehot[int(true_class)] = 1.0
+    ps = stable_softmax(s, temperature)
+    pt = stable_softmax(t, temperature)
+    return (1.0 - weight) * (p1 - onehot) + (weight * temperature) * (ps - pt)
+
+
+def compute_context(teacher_logits, sample_noise: float, sample_class_complexity: float
+                    ) -> ContextFeatures:
+    probs = stable_softmax(teacher_logits, 1.0)
+    return ContextFeatures(
+        noise_level=float(sample_noise),
+        teacher_confidence=float(probs.max()),
+        disease_complexity=float(sample_class_complexity),
+        uncertainty=normalized_entropy(probs),
+    )
+
+
+def apply_policy(policy, ctx: ContextFeatures, base_weight: float = 0.5) -> PolicyOutput:
+    _check_unit("base_weight", base_weight)
+    if isinstance(policy, ConstantPolicy):
+        return PolicyOutput(policy.temperature, base_weight)
+    if isinstance(policy, UncertaintyLinearPolicy):
+        return PolicyOutput(1.0 + policy.scale * ctx.uncertainty, base_weight)
+    if isinstance(policy, RuleBasedPolicy):
+        t = policy.base_temperature
+        noisy = ctx.noise_level >= policy.noise_threshold
+        confident = ctx.teacher_confidence > policy.confidence_threshold
+        if noisy and not confident:
+            t = min(policy.max_temperature, policy.base_temperature + policy.raise_step)
+        elif not noisy and confident:
+            t = max(policy.min_temperature, policy.base_temperature - policy.lower_step)
+        w = policy.base_weight
+        if ctx.disease_complexity >= policy.complexity_threshold:
+            w = min(policy.max_weight, policy.base_weight + policy.weight_step)
+        return PolicyOutput(t, w)
+    raise InvalidPolicyParameters(f"unknown policy type {type(policy).__name__}")

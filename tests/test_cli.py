@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -351,6 +352,21 @@ class TestDistill:
         assert main(["distill", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
         assert fits == []
         assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting, value, message", [
+        ("learning_rate", "inf", "learning_rate must be finite, got inf"),
+        ("samples", "1000000000000", "dim must be <= 100000000, got 1000000000000 samples"),
+        ("dim", "10000000", "dim must be <= 100000000, got 240 samples, 3 classes, dim 10000000"),
+    ])
+    def test_unusable_size_or_rate_is_exit_2_before_any_training(self, tmp_path, fits, capsys,
+                                                                setting, value, message):
+        text, n = re.subn(f"^{setting} = .*$", f"{setting} = {value}", DISTILL_CONFIG,
+                          flags=re.MULTILINE)
+        assert n == 1
+        cfg = write(tmp_path / "c.ini", text)
+        assert main(["distill", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert fits == []
+        assert message in capsys.readouterr().err
 
     def test_weight_zero_constant_matches_supervised_bit_for_bit(self, tmp_path):
         # with t_base = 0 the constant-temperature distilled row must equal

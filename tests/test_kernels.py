@@ -1,12 +1,16 @@
-"""The batched kernels against their validated 1-D references.
+"""The batched kernels and the one-sample functions against independent
+references.
 
 Training calls only the batch forms: `numerics.softmax_rows`,
 `tinynet.cross_entropy_rows`, `distill.kd_loss_rows` and
-`temperature.apply_policy_rows`. Evaluation validates a probability
+`temperature.apply_policy_rows`. The public one-sample functions
+validate their input and call the same kernels on a batch of one.
+`scalar_reference` keeps an independent one-sample implementation of
+each; every batch row and every one-sample call must equal it bit for
+bit, and raise the error it raises. Evaluation validates a probability
 matrix in one pass and sweeps it once for both micro curves
-(`metrics.micro_curves`). Each must equal its scalar reference row by
-row, bit for bit, and raise the error the reference raises, so that
-outputs do not depend on which form computed them.
+(`metrics.micro_curves`), which must equal the row-by-row checks and the
+binary curves.
 """
 
 import numpy as np
@@ -15,11 +19,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import scalar_reference as ref
 from antdistill import metrics, numerics, tinynet
 from antdistill.distill import kd_loss, kd_loss_grad, kd_loss_rows
-from antdistill.errors import InvalidPolicyParameters, InvalidShape, NonFiniteInput
+from antdistill.errors import (
+    IndexOutOfRange,
+    InvalidPolicyParameters,
+    InvalidShape,
+    NonFiniteInput,
+)
 from antdistill.temperature import (
     ConstantPolicy,
+    ContextFeatures,
     RuleBasedPolicy,
     UncertaintyLinearPolicy,
     apply_policy,
@@ -53,12 +64,19 @@ class TestSoftmaxRows:
     @settings(max_examples=200, deadline=None)
     @given(batch=batches(), scalar=TEMPERATURES)
     def test_rows_equal_stable_softmax(self, batch, scalar):
+        # small temperatures make one-hot rows, whose entropy is exactly 0
         z, _, _, temps, _ = batch
         per_row = numerics.softmax_rows(z, temps)
         shared = numerics.softmax_rows(z, scalar)
+        entropy = numerics.normalized_entropy_rows(per_row)
         for i in range(z.shape[0]):
-            assert np.array_equal(per_row[i], numerics.stable_softmax(z[i], temps[i]))
-            assert np.array_equal(shared[i], numerics.stable_softmax(z[i], scalar))
+            for rows, t in ((per_row, temps[i]), (shared, scalar)):
+                want = ref.stable_softmax(z[i], t)
+                assert np.array_equal(rows[i], want)
+                assert np.array_equal(numerics.stable_softmax(z[i], t), want)
+            want = ref.normalized_entropy(per_row[i])
+            assert entropy[i] == want
+            assert numerics.normalized_entropy(per_row[i]) == want
 
     def test_default_temperature_is_one(self):
         z = np.array([[2.0, 0.5, -1.0], [0.0, 0.0, 0.0]])
@@ -72,7 +90,7 @@ class TestCrossEntropyRows:
         z, _, labels, _, _ = batch
         losses, grad = tinynet.cross_entropy_rows(z, labels)
         for i in range(z.shape[0]):
-            p = numerics.stable_softmax(z[i], 1.0)
+            p = ref.stable_softmax(z[i], 1.0)
             onehot = np.zeros(z.shape[1])
             onehot[labels[i]] = 1.0
             assert losses[i] == numerics.cross_entropy(int(labels[i]), p)
@@ -84,13 +102,20 @@ class TestKdLossRows:
     @given(batch=batches())
     def test_rows_equal_kd_loss_and_kd_loss_grad(self, batch):
         z, teacher, labels, temps, weights = batch
-        losses, grad = kd_loss_rows(
-            z, numerics.softmax_rows(teacher, temps), labels, temps, weights
-        )
+        pt, ps = numerics.softmax_rows(teacher, temps), numerics.softmax_rows(z, temps)
+        losses, grad = kd_loss_rows(z, pt, labels, temps, weights)
+        kl = numerics.kl_divergence_rows(pt, ps)
         for i in range(z.shape[0]):
             args = (z[i], teacher[i], int(labels[i]), temps[i], weights[i])
-            assert losses[i] == kd_loss(*args).total
-            assert np.array_equal(grad[i], kd_loss_grad(*args))
+            want = ref.kd_loss(*args)
+            assert losses[i] == want.total
+            assert kd_loss(*args) == want
+            want_grad = ref.kd_loss_grad(*args)
+            assert np.array_equal(grad[i], want_grad)
+            assert np.array_equal(kd_loss_grad(*args), want_grad)
+            want_kl = ref.kl_divergence(pt[i], ps[i])
+            assert kl[i] == want_kl
+            assert numerics.kl_divergence(pt[i], ps[i]) == want_kl
 
     def test_temperature_is_squared_as_the_scalar_reference_squares_it(self):
         # ** on an array squares (t * t), while the scalar temperature**2 is
@@ -105,7 +130,10 @@ class TestKdLossRows:
         losses, _ = kd_loss_rows(z, numerics.softmax_rows(teacher, temps), labels, temps,
                                  weights)
         for i in range(n):
-            assert losses[i] == kd_loss(z[i], teacher[i], labels[i], temps[i], 1.0).total
+            args = (z[i], teacher[i], labels[i], temps[i], 1.0)
+            want = ref.kd_loss(*args).total
+            assert losses[i] == want
+            assert kd_loss(*args).total == want
 
     def test_weight_zero_rows_are_cross_entropy_rows(self):
         rng = np.random.default_rng(3)
@@ -138,6 +166,7 @@ def policies():
 
 
 POLICIES = policies()
+POLICY_DEFAULTS = [ConstantPolicy(), UncertaintyLinearPolicy(), RuleBasedPolicy()]
 
 
 class TestApplyPolicyRows:
@@ -153,15 +182,17 @@ class TestApplyPolicyRows:
             complexity = data.draw(hnp.arrays(np.float64, n, elements=CONTEXT_VALUES))
             temps, weights = apply_policy_rows(policy, z, noise, complexity, base_weight)
             for i in range(n):
-                out = apply_policy(policy, compute_context(z[i], noise[i], complexity[i]),
-                                   base_weight=base_weight)
-                assert temps[i] == out.temperature
-                assert weights[i] == out.distill_weight
+                ctx = compute_context(z[i], noise[i], complexity[i])
+                want_ctx = ref.compute_context(z[i], noise[i], complexity[i])
+                assert ctx == want_ctx
+                want = ref.apply_policy(policy, want_ctx, base_weight=base_weight)
+                assert temps[i] == want.temperature
+                assert weights[i] == want.distill_weight
+                assert apply_policy(policy, ctx, base_weight=base_weight) == want
 
         check()
 
-    @pytest.mark.parametrize("policy", [ConstantPolicy(), UncertaintyLinearPolicy(),
-                                        RuleBasedPolicy()])
+    @pytest.mark.parametrize("policy", POLICY_DEFAULTS)
     @pytest.mark.parametrize("noise, complexity, base_weight", [
         (1.5, 0.2, 0.5), (-0.1, 0.2, 0.5), (np.nan, 0.2, 0.5),
         (0.2, 1.5, 0.5), (0.2, -0.5, 0.5), (0.2, 0.2, 1.2), (0.2, 0.2, -0.2),
@@ -186,6 +217,75 @@ class TestApplyPolicyRows:
         with pytest.raises(InvalidShape):
             apply_policy_rows(ConstantPolicy(), np.zeros((3, 1)), np.zeros(3), np.zeros(3))
 
+
+def _outcome(fn, *args):
+    try:
+        fn(*args)
+    except (ValueError, IndexError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+PUBLIC = {
+    "stable_softmax": numerics.stable_softmax,
+    "kl_divergence": numerics.kl_divergence,
+    "normalized_entropy": numerics.normalized_entropy,
+    "kd_loss": kd_loss,
+    "kd_loss_grad": kd_loss_grad,
+    "compute_context": compute_context,
+    "apply_policy": apply_policy,
+}
+Z = [1.0, 2.0, 0.5]
+CTX = ContextFeatures(0.2, 0.6, 0.7, 0.3)
+BAD_LOGITS = [[1.0], [[1.0, 2.0]], [], [np.nan, 1.0], [np.inf, 0.0]]
+BAD_TEMPERATURES = [0.0, -1.0, np.nan]
+BAD_DISTRIBUTIONS = [[0.5], [[0.5, 0.5]], [0.5, 0.6], [1.2, -0.2], [np.nan, 1.0]]
+INVALID_CALLS = (
+    [("stable_softmax", (z,)) for z in BAD_LOGITS]
+    + [("stable_softmax", (Z, t)) for t in BAD_TEMPERATURES]
+    + [("kl_divergence", (p, [0.5, 0.5])) for p in BAD_DISTRIBUTIONS]
+    + [("kl_divergence", ([0.5, 0.5], p)) for p in BAD_DISTRIBUTIONS]
+    + [("kl_divergence", ([0.5, 0.5], [0.2, 0.3, 0.5]))]
+    + [("normalized_entropy", (p,)) for p in BAD_DISTRIBUTIONS]
+    + [(fn, args) for fn in ("kd_loss", "kd_loss_grad") for args in (
+        [(z, Z, 0, 2.0, 0.5) for z in BAD_LOGITS]
+        + [(Z, z, 0, 2.0, 0.5) for z in BAD_LOGITS]
+        + [(Z, Z[:2], 0, 2.0, 0.5)]
+        + [(Z, Z, 0, t, 0.5) for t in BAD_TEMPERATURES])]
+    + [("kd_loss", (Z, Z, c, 2.0, 0.5)) for c in (-1, 3)]
+    + [("compute_context", (z, 0.2, 0.3)) for z in BAD_LOGITS]
+    + [("compute_context", (Z, noise, complexity)) for noise, complexity in (
+        (1.5, 0.3), (-0.1, 0.3), (np.nan, 0.3), (0.2, 1.5), (0.2, -0.5))]
+    + [("apply_policy", (policy, CTX, w))
+       for policy in POLICY_DEFAULTS for w in (1.2, -0.2, np.nan)]
+    + [("apply_policy", (object(), CTX))]
+)
+
+
+class TestOneSampleFunctions:
+    @pytest.mark.parametrize("name, args", INVALID_CALLS)
+    def test_invalid_input_raises_as_the_reference(self, name, args):
+        want = _outcome(getattr(ref, name), *args)
+        assert want is not None
+        assert _outcome(PUBLIC[name], *args) == want
+
+    @pytest.mark.parametrize("true_class", [-1, 3])
+    def test_kd_loss_grad_checks_the_class_as_kd_loss_does(self, true_class):
+        # the reference indexes the one-hot vector unchecked: -1 is the last class
+        with pytest.raises(IndexOutOfRange, match=f"class {true_class} out of range for 3"):
+            kd_loss_grad(Z, Z, true_class, 2.0, 0.5)
+
+    def test_outputs_are_python_floats(self):
+        p = np.array([0.25, 0.25, 0.5])
+        out = [numerics.normalized_entropy(p), compute_context(Z, 0.2, 0.3).uncertainty,
+               kd_loss(np.array(Z), np.array(Z[::-1]), np.int64(1), np.float64(2.0),
+                       np.float64(0.5)).total]
+        for policy in (ConstantPolicy(3), UncertaintyLinearPolicy(), RuleBasedPolicy(
+                base_temperature=2, raise_step=1, lower_step=1, min_temperature=1,
+                max_temperature=4, base_weight=0, weight_step=1, max_weight=1)):
+            result = apply_policy(policy, CTX, 1)
+            out += [result.temperature, result.distill_weight]
+        assert [type(v) for v in out] == [float] * len(out)
 
 
 TOL = 1e-6  # the as_distribution tolerance
@@ -245,14 +345,6 @@ def _validate_row_by_row(p):
     """The reference: as_distribution on each row, as the loop did."""
     for row in np.asarray(p, dtype=np.float64):
         numerics.as_distribution(row)
-
-
-def _outcome(fn, *args):
-    try:
-        fn(*args)
-    except ValueError as exc:
-        return type(exc), str(exc)
-    return None
 
 
 class TestOnePassValidation:

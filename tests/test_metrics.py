@@ -203,11 +203,16 @@ class TestAveragePrecision:
             scores, hits = flatten(probs, labels)
             assert abs(got - brute_force_ap(scores, hits)) < 1e-9
 
-    def test_all_negative_flattening_rejected(self):
-        with pytest.raises(DegenerateLabels):
-            pr_average_precision_binary([0.4, 0.7, 0.1], [False, False, False])
-        with pytest.raises(DegenerateLabels):
-            roc_auc_binary([0.4, 0.7], [True, True])
+    @pytest.mark.parametrize("curve", [roc_auc_binary, pr_average_precision_binary])
+    @pytest.mark.parametrize("scores, hits, error, message", [
+        ([0.4, 0.7, 0.1], [False, False, False], DegenerateLabels, "labels are single-class"),
+        ([0.4, 0.7], [True, True], DegenerateLabels, "labels are single-class"),
+        ([0.4, 0.7], [True], LengthMismatch, r"^\(2,\) scores vs \(1,\) labels$"),
+        ([[0.4, 0.7]], [[True, False]], LengthMismatch, r"^\(1, 2\) scores vs \(1, 2\) labels$"),
+    ])
+    def test_binary_curves_reject_bad_input(self, curve, scores, hits, error, message):
+        with pytest.raises(error, match=message):
+            curve(scores, hits)
 
 
 class TestCsvExport:

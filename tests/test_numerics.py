@@ -194,7 +194,11 @@ class TestCrossEntropy:
 
 class TestNormalizedEntropy:
     def test_onehot_is_zero(self):
-        assert numerics.normalized_entropy([1.0, 0.0, 0.0]) == 0.0
+        # +0.0, though the negated sum of zero terms is -0.0
+        value = numerics.normalized_entropy([1.0, 0.0, 0.0])
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
+        rows = numerics.normalized_entropy_rows(np.eye(3))
+        assert np.all(rows == 0.0) and not np.any(np.signbit(rows))
 
     def test_uniform_is_one(self):
         for c in (2, 3, 7):

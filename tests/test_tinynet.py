@@ -186,6 +186,10 @@ class TestGenerateSynthetic:
         for complexity in (float("nan"), [0.0, float("nan"), 0.5], 1.5, -0.1):
             with pytest.raises(InvalidShape, match="complexity"):
                 tinynet.generate_synthetic(100, 3, 4, complexity, 0)
+        # features, class directions and the orthonormal basis, each past the cap
+        for n, c, d in ((10**12, 3, 8), (600, 10**12, 8), (600, 3, 10**7)):
+            with pytest.raises(InvalidShape, match=f"must be <= {tinynet.MAX_DATASET_CELLS}, "):
+                tinynet.generate_synthetic(n, c, d, 0.0, 0)
 
 
 class TestInjectNoise:
@@ -239,6 +243,17 @@ class TestInjectNoise:
 
 
 class TestTrainSupervised:
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(epochs=0), "epochs/batch_size must be >= 1 and learning_rate >= 0"),
+        (dict(batch_size=0), "epochs/batch_size must be >= 1 and learning_rate >= 0"),
+        (dict(learning_rate=-0.1), "epochs/batch_size must be >= 1 and learning_rate >= 0"),
+        (dict(learning_rate=float("nan")), "epochs/batch_size must be >= 1 and learning_rate >= 0"),
+        (dict(learning_rate=float("inf")), "learning_rate must be finite, got inf"),
+    ])
+    def test_invalid_train_config(self, kwargs, message):
+        with pytest.raises(InvalidShape, match=f"^{message}$"):
+            tinynet.TrainConfig(**kwargs)
+
     def test_zero_learning_rate_is_identity(self):
         ds = small_dataset(seed=8)
         model = tinynet.init_mlp([4, 8, 3], seed=3)
