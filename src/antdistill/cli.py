@@ -230,46 +230,67 @@ def cmd_distill(args) -> int:
 MAX_EVAL_CLASSES = 1000
 
 
-def _read_csv_table(path) -> tuple[list[str], list[list[str]]]:
+def _read_csv_table(path) -> tuple[list[str], int, list[str]]:
+    """(header, number of data rows, data cells in file order) of a CSV
+    file; blank lines are skipped, and every data row must have as many
+    cells as the header."""
     try:
         with open(path) as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+    lines = [ln for ln in text.split("\n") if ln.strip()]
+    del text
     if not lines:
         raise ParseError(f"{path}: empty file")
     if len(lines) == 1:
         raise ParseError(f"{path}: header but no data rows")
     header = lines.pop(0).split(",")
-    for i, ln in enumerate(lines):  # split in place: no second list of rows
-        lines[i] = ln.split(",")
-    return header, lines
+    for i, ln in enumerate(lines):
+        if ln.count(",") != len(header) - 1:
+            raise ParseError(f"{path}: data row {i + 1} has {ln.count(',') + 1} cells, "
+                             f"header has {len(header)}")
+    n_rows = len(lines)
+    # the text, the lines and the cells are never all held at once
+    cells = ",".join(lines)
+    del lines
+    return header, n_rows, cells.split(",")
+
+
+def _evaluate_inputs(pred_path, label_path):
+    """(preds, labels, probs or None) as arrays from a predictions file and
+    a labels file."""
+    header_p, n_rows, cells_p = _read_csv_table(pred_path)
+    header_l, _, cells_l = _read_csv_table(label_path)
+    if header_l != ["label"]:
+        raise ParseError(f"{label_path}: expected header 'label', got {header_l}")
+    width = len(header_p)
+    want_probs = header_p[:1] == ["pred"] and width > 1
+    if header_p != ["pred"] and not (
+        want_probs and header_p[1:] == [f"p{j}" for j in range(width - 1)]
+    ):
+        raise ParseError(f"{pred_path}: expected header 'pred[,p0,p1,...]', got {header_p}")
+    # pred ids, then labels, then probabilities row by row: the first bad
+    # cell in that order is the one the error names. Every id is parsed
+    # before any is stored, so a bad cell is reported ahead of an int64
+    # overflow in an earlier one
+    try:
+        preds = np.array(list(map(int, cells_p[::width])), dtype=np.int64)
+        labels = np.array(list(map(int, cells_l)), dtype=np.int64)
+        probs = None
+        if want_probs:
+            del cells_p[::width]
+            probs = np.fromiter(map(float, cells_p), dtype=np.float64, count=len(cells_p))
+            probs = probs.reshape(n_rows, width - 1)
+    except ValueError as exc:
+        raise ParseError(f"bad cell value: {exc}") from exc
+    return preds, labels, probs
 
 
 def cmd_evaluate(args) -> int:
-    header_p, rows_p = _read_csv_table(args.predictions)
-    header_l, rows_l = _read_csv_table(args.labels)
-    if header_l != ["label"]:
-        raise ParseError(f"{args.labels}: expected header 'label', got {header_l}")
-    want_probs = header_p[:1] == ["pred"] and len(header_p) > 1
-    if header_p != ["pred"] and not (
-        want_probs and header_p[1:] == [f"p{j}" for j in range(len(header_p) - 1)]
-    ):
-        raise ParseError(f"{args.predictions}: expected header 'pred[,p0,p1,...]', got {header_p}")
-    # rows are converted in place and freed before the metrics: their cell
-    # strings take about ten times the memory of the arrays
-    try:
-        preds = np.array([int(r[0]) for r in rows_p], dtype=np.int64)
-        labels = np.array([int(r[0]) for r in rows_l], dtype=np.int64)
-        probs = None
-        if want_probs:
-            for i, r in enumerate(rows_p):
-                rows_p[i] = [float(v) for v in r[1:]]
-            probs = np.array(rows_p)
-    except (ValueError, IndexError) as exc:
-        raise ParseError(f"bad cell value: {exc}") from exc
-    del rows_p, rows_l
-
+    # the cell strings take about ten times the memory of the arrays, and
+    # are freed when _evaluate_inputs returns
+    preds, labels, probs = _evaluate_inputs(args.predictions, args.labels)
     n_classes = (
         probs.shape[1] if probs is not None else int(max(preds.max(), labels.max())) + 1
     )

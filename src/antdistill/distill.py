@@ -22,7 +22,7 @@ import numpy as np
 
 from . import numerics, tinynet
 from .errors import IndexOutOfRange, InvalidPolicyParameters, LengthMismatch
-from .temperature import TemperaturePolicy, apply_policy_rows, policy_descriptor
+from .temperature import TemperaturePolicy, _check_unit, apply_policy_rows, policy_descriptor
 from .temperature import compute_context  # noqa: F401  (perfbench/test_perfbench.py asserts it)
 
 
@@ -68,8 +68,9 @@ def _kd_one(student_logits, teacher_logits, true_class, temperature, weight):
     if c < 0 or c >= s.shape[0]:
         raise IndexOutOfRange(f"class {c} out of range for {s.shape[0]} classes")
     temps = np.array([numerics._check_temperature(temperature)])
+    weights = np.array([_check_unit("weight", weight)])
     return _kd_rows(s[None, :], numerics.softmax_rows(t[None, :], temps), np.array([c]), temps,
-                    np.array([weight], dtype=np.float64))
+                    weights)
 
 
 def kd_loss(student_logits, teacher_logits, true_class: int, temperature: float,

@@ -18,6 +18,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidShape,
     LengthMismatch,
+    NonFiniteInput,
 )
 from .numerics import _DIST_TOL, as_distribution
 
@@ -160,8 +161,12 @@ def _flatten_ovr(probabilities, labels):
 
 
 def _threshold_groups(scores, hits):
-    """Cumulative TP/FP after each tie group of the descending score sweep."""
-    order = np.argsort(-scores, kind="stable")
+    """Cumulative TP/FP after each tie group of the descending score sweep.
+
+    Only the counts at group ends are read, and they do not depend on the
+    order inside a group, so the sort need not be stable.
+    """
+    order = np.argsort(-scores)
     s = scores[order]
     h = hits[order]
     boundary = np.flatnonzero(np.diff(s) != 0)
@@ -206,6 +211,8 @@ def _binary_problem(scores, hits):
     hits = np.asarray(hits, dtype=bool)
     if scores.shape != hits.shape or scores.ndim != 1:
         raise LengthMismatch(f"{scores.shape} scores vs {hits.shape} labels")
+    if not np.isfinite(scores).all():  # NaN or equal infinities split a tie group
+        raise NonFiniteInput("scores must be finite")
     n_pos = int(hits.sum())
     if n_pos == 0 or n_pos == hits.size:
         raise DegenerateLabels("labels are single-class")

@@ -210,6 +210,8 @@ def generate_synthetic(n_samples, n_classes, input_dim, complexity, seed: int) -
     so complexity 0 gives well-separated clusters and 1 collapses them.
     """
     n_samples, n_classes, input_dim = int(n_samples), int(n_classes), int(input_dim)
+    if n_classes < 2:
+        raise InvalidShape(f"n_classes must be >= 2, got {n_classes}")
     if max(n_samples, n_classes, input_dim) * input_dim > MAX_DATASET_CELLS:
         raise InvalidShape(f"max(samples, classes, dim) * dim must be <= {MAX_DATASET_CELLS}, "
                            f"got {n_samples} samples, {n_classes} classes, dim {input_dim}")

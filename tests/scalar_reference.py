@@ -8,13 +8,17 @@ a time, with the same checks and errors, and the property tests in
 library's validators (`as_logits`, `as_distribution`,
 `_check_temperature`, `_check_unit`) and `cross_entropy`, and call one
 another rather than the library's versions.
+
+The file also keeps the row-by-row `evaluate` input reader and the
+stable-sort threshold sweep, as the references of the flat-cell reader
+in `cli` and of `metrics._threshold_groups`.
 """
 
 import numpy as np
 
 from antdistill import numerics
 from antdistill.distill import LossBreakdown
-from antdistill.errors import InvalidPolicyParameters, LengthMismatch
+from antdistill.errors import InvalidPolicyParameters, LengthMismatch, ParseError
 from antdistill.numerics import EPS
 from antdistill.temperature import (
     ConstantPolicy,
@@ -107,3 +111,58 @@ def apply_policy(policy, ctx: ContextFeatures, base_weight: float = 0.5) -> Poli
             w = min(policy.max_weight, policy.base_weight + policy.weight_step)
         return PolicyOutput(t, w)
     raise InvalidPolicyParameters(f"unknown policy type {type(policy).__name__}")
+
+
+def _read_csv_table(path) -> tuple[list[str], list[list[str]]]:
+    try:
+        with open(path) as fh:
+            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    if not lines:
+        raise ParseError(f"{path}: empty file")
+    if len(lines) == 1:
+        raise ParseError(f"{path}: header but no data rows")
+    header = lines.pop(0).split(",")
+    for i, ln in enumerate(lines):  # split in place: no second list of rows
+        lines[i] = ln.split(",")
+    return header, lines
+
+
+def evaluate_inputs(pred_path, label_path):
+    """(preds, labels, probs or None) of the `evaluate` input files, read
+    one row list at a time; the header checks match `cli`'s."""
+    header_p, rows_p = _read_csv_table(pred_path)
+    header_l, rows_l = _read_csv_table(label_path)
+    if header_l != ["label"]:
+        raise ParseError(f"{label_path}: expected header 'label', got {header_l}")
+    want_probs = header_p[:1] == ["pred"] and len(header_p) > 1
+    if header_p != ["pred"] and not (
+        want_probs and header_p[1:] == [f"p{j}" for j in range(len(header_p) - 1)]
+    ):
+        raise ParseError(f"{pred_path}: expected header 'pred[,p0,p1,...]', got {header_p}")
+    # rows are converted in place and freed before the metrics: their cell
+    # strings take about ten times the memory of the arrays
+    try:
+        preds = np.array([int(r[0]) for r in rows_p], dtype=np.int64)
+        labels = np.array([int(r[0]) for r in rows_l], dtype=np.int64)
+        probs = None
+        if want_probs:
+            for i, r in enumerate(rows_p):
+                rows_p[i] = [float(v) for v in r[1:]]
+            probs = np.array(rows_p)
+    except (ValueError, IndexError) as exc:
+        raise ParseError(f"bad cell value: {exc}") from exc
+    return preds, labels, probs
+
+
+def threshold_groups(scores, hits):
+    """Cumulative TP/FP after each tie group of the descending score sweep."""
+    order = np.argsort(-scores, kind="stable")
+    s = scores[order]
+    h = hits[order]
+    boundary = np.flatnonzero(np.diff(s) != 0)
+    ends = np.append(boundary, s.size - 1)
+    cum_tp = np.cumsum(h)[ends]
+    cum_fp = np.cumsum(~h)[ends]
+    return cum_tp.astype(np.float64), cum_fp.astype(np.float64)

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import antdistill
-from antdistill import config, selection, tinynet
+import scalar_reference as ref
+from antdistill import cli, config, selection, tinynet
 from antdistill.cli import main
 from antdistill.config import load_config
 from antdistill.errors import ConfigParseError
@@ -146,6 +147,14 @@ class TestGenData:
         out = tmp_path / "run"
         assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
         assert "complexity entries must lie in [0, 1]" in capsys.readouterr().err
+        assert not (out / "dataset.csv").exists()
+
+    @pytest.mark.parametrize("classes", [-1, 0, 1])
+    def test_classes_below_2_is_exit_2_without_a_file(self, tmp_path, capsys, classes):
+        cfg = write(tmp_path / "c.ini", DATA_SECTION.replace("classes = 3", f"classes = {classes}"))
+        out = tmp_path / "run"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"n_classes must be >= 2, got {classes}" in capsys.readouterr().err
         assert not (out / "dataset.csv").exists()
 
 
@@ -357,6 +366,7 @@ class TestDistill:
         ("learning_rate", "inf", "learning_rate must be finite, got inf"),
         ("samples", "1000000000000", "dim must be <= 100000000, got 1000000000000 samples"),
         ("dim", "10000000", "dim must be <= 100000000, got 240 samples, 3 classes, dim 10000000"),
+        ("classes", "1", "n_classes must be >= 2, got 1"),
     ])
     def test_unusable_size_or_rate_is_exit_2_before_any_training(self, tmp_path, fits, capsys,
                                                                 setting, value, message):
@@ -609,6 +619,36 @@ EVAL_ROWS = st.lists(st.lists(EVAL_CELLS, min_size=1, max_size=4).map(",".join),
 PRED_HEADERS = st.sampled_from(["pred", "pred,p0,p1", "pred,p0,p1,p2", "pred,p1", "pred,p0",
                                 "label", "p0,pred", ""])
 LABEL_HEADERS = st.sampled_from(["label", "pred", "label,x", ""])
+# lines that both evaluate readers skip
+BLANK_LINES = st.sampled_from(["", " ", "\t", "  \t "])
+
+
+@st.composite
+def eval_files(draw, headers):
+    """File bytes: a header from `headers`, data rows as wide as it, and
+    blank lines anywhere, with \\n, \\r\\n or \\r line ends. The cells of
+    half the files parse: class ids first, then probabilities."""
+    header = draw(headers)
+    width = header.count(",") + 1
+    if draw(st.booleans()):
+        cells = [st.integers(0, 3).map(str)] + [st.floats(0.0, 1.0).map(repr)] * (width - 1)
+    else:
+        cells = [EVAL_CELLS] * width
+    lines = [header, *draw(st.lists(st.tuples(*cells).map(",".join), min_size=1, max_size=6))]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(BLANK_LINES))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return (end.join(lines) + draw(st.sampled_from(["", end]))).encode()
+
+
+def _parsed(read, *paths):
+    """(preds, labels, probs) of a reader as (dtype, shape, bytes) triples,
+    or the type and message of the error it raises."""
+    try:
+        arrays = read(*paths)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return [a if a is None else (a.dtype, a.shape, a.tobytes()) for a in arrays]
 
 
 class TestEvaluateInputs:
@@ -624,6 +664,39 @@ class TestEvaluateInputs:
             rc = main(["evaluate", "--predictions", str(preds), "--labels", str(labels),
                        "--out", str(base / "fuzz_run")])
         assert rc in (0, 2)
+
+    @settings(max_examples=500, deadline=None)
+    @given(pred_file=eval_files(PRED_HEADERS | st.sampled_from(["pred", "pred,p0,p1,p2"])),
+           label_file=eval_files(LABEL_HEADERS | st.just("label")))
+    def test_flat_cell_reader_equals_the_row_reader(self, tmp_path_factory, pred_file,
+                                                    label_file):
+        # on files whose rows all match their header's width: equal arrays,
+        # bit for bit, or the same error type and message
+        base = tmp_path_factory.getbasetemp()
+        (base / "parse_preds.csv").write_bytes(pred_file)
+        (base / "parse_labels.csv").write_bytes(label_file)
+        paths = (base / "parse_preds.csv", base / "parse_labels.csv")
+        want = _parsed(ref.evaluate_inputs, *paths)
+        assert _parsed(cli._evaluate_inputs, *paths) == want
+
+    @pytest.mark.parametrize("pred_text, label_text, name, message", [
+        ("pred\n0\n1,1\n", "label\n0\n1\n", "preds.csv", "data row 2 has 2 cells, header has 1"),
+        ("pred\n0\n1\n", "label\n0,1\n1\n", "labels.csv", "data row 1 has 2 cells, header has 1"),
+        ("pred,p0,p1,p2\n0,0.5,0.5\n1,0.5,0.5\n", "label\n0\n1\n", "preds.csv",
+         "data row 1 has 3 cells, header has 4"),
+        ("pred,p0,p1\n0,0.5,0.5\n\n1,1.0\n", "label\n0\n1\n", "preds.csv",
+         "data row 2 has 2 cells, header has 3"),
+        ("pred,p0,p1\n0,0.5,0.5\n1,0.5,0.5,0\n", "label\n0\n1\n", "preds.csv",
+         "data row 2 has 4 cells, header has 3"),
+    ], ids=["pred-extra", "label-extra", "probs-narrow", "probs-ragged", "probs-wide"])
+    def test_row_width_differs_from_header_is_exit_2(self, tmp_path, capsys, pred_text,
+                                                      label_text, name, message):
+        # a blank line is not a data row: the ragged row is data row 2
+        preds = write(tmp_path / "preds.csv", pred_text)
+        labels = write(tmp_path / "labels.csv", label_text)
+        assert main(["evaluate", "--predictions", str(preds), "--labels", str(labels),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / name}: {message}\n"
 
     @pytest.mark.parametrize("pred_text, label_text", [
         ("pred\n0\n1\n", "label\n0\n10000000\n"),

@@ -1,6 +1,7 @@
 """Tests for the distillation loss, its analytic gradient, and training."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,13 @@ class TestKdLoss:
             kd_loss([1.0, 2.0], [1.0, 2.0, 3.0], 0, 1.0, 0.5)
         with pytest.raises(NonPositiveTemperature):
             kd_loss([1.0, 2.0], [1.0, 2.0], 0, 0.0, 0.5)
+
+    @pytest.mark.parametrize("fn", [kd_loss, kd_loss_grad])
+    @pytest.mark.parametrize("weight", [math.nan, -0.1, 1.5, 7.0])
+    def test_weight_outside_unit_interval_rejected(self, fn, weight):
+        message = re.escape(f"weight must lie in [0, 1], got {weight!r}")
+        with pytest.raises(InvalidPolicyParameters, match=f"^{message}$"):
+            fn([1.0, 2.0], [2.0, 1.0], 0, 2.0, weight)
 
 
 class TestKdLossGrad:

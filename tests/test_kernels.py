@@ -387,3 +387,14 @@ class TestMicroCurves:
             assert got.average_precision == ref_pr.average_precision
             assert np.array_equal(got.recall, ref_pr.recall)
             assert np.array_equal(got.precision, ref_pr.precision)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 400))
+    def test_threshold_groups_equal_the_stable_sort_sweep(self, data, n):
+        # a coarse grid ties most scores, and 0.0 and -0.0 tie with each other
+        grid = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, -1.0, 1e-300])
+        scores = data.draw(hnp.arrays(np.float64, n, elements=grid))
+        hits = data.draw(hnp.arrays(bool, n))
+        got = metrics._threshold_groups(scores, hits)
+        want = ref.threshold_groups(scores, hits)
+        assert [(a.dtype, a.tobytes()) for a in got] == [(a.dtype, a.tobytes()) for a in want]

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from antdistill.errors import DegenerateLabels, EmptyMatrix, IndexOutOfRange, LengthMismatch
+from antdistill.errors import (
+    DegenerateLabels,
+    EmptyMatrix,
+    IndexOutOfRange,
+    LengthMismatch,
+    NonFiniteInput,
+)
 from antdistill.metrics import (
     ConfusionMatrix,
     class_report,
@@ -209,6 +215,8 @@ class TestAveragePrecision:
         ([0.4, 0.7], [True, True], DegenerateLabels, "labels are single-class"),
         ([0.4, 0.7], [True], LengthMismatch, r"^\(2,\) scores vs \(1,\) labels$"),
         ([[0.4, 0.7]], [[True, False]], LengthMismatch, r"^\(1, 2\) scores vs \(1, 2\) labels$"),
+        ([0.4, np.nan, np.nan], [True, False, True], NonFiniteInput, "^scores must be finite$"),
+        ([np.inf, np.inf, 0.1], [True, False, True], NonFiniteInput, "^scores must be finite$"),
     ])
     def test_binary_curves_reject_bad_input(self, curve, scores, hits, error, message):
         with pytest.raises(error, match=message):

@@ -183,6 +183,9 @@ class TestGenerateSynthetic:
             tinynet.generate_synthetic(100, 3, 1, 0.0, 0)
         with pytest.raises(InvalidShape):
             tinynet.generate_synthetic(100, 3, 4, [0.0, 0.5], 0)
+        for classes in (-1, 0, 1):
+            with pytest.raises(InvalidShape, match=f"^n_classes must be >= 2, got {classes}$"):
+                tinynet.generate_synthetic(60, classes, 8, 0.3, 0)
         for complexity in (float("nan"), [0.0, float("nan"), 0.5], 1.5, -0.1):
             with pytest.raises(InvalidShape, match="complexity"):
                 tinynet.generate_synthetic(100, 3, 4, complexity, 0)
