@@ -29,10 +29,10 @@ clean_half = test[noisy.noise_level[test] == 0.0]
 
 for name, policy in [("constant T=2", ConstantPolicy(2.0)), ("rule-based", RuleBasedPolicy())]:
     student, report = distill_train(teacher, student0, noisy, KdConfig(policy, 0.5, cfg))
-    mean_t, min_t, max_t = report.run_temp_stats()
     acc_noisy = accuracy(student, noisy.features[noisy_half], noisy.labels[noisy_half])
     acc_clean = accuracy(student, noisy.features[clean_half], noisy.labels[clean_half])
     print(f"\n{name} student:")
-    print(f"  realized temperatures: mean {mean_t:.2f}, min {min_t}, max {max_t}")
+    print(f"  realized temperatures: mean {report.temp_mean:.2f}, min {report.temp_min}, "
+          f"max {report.temp_max}")
     print(f"  test accuracy on clean half: {acc_clean:.3f}")
     print(f"  test accuracy on noisy half: {acc_noisy:.3f}")

@@ -37,10 +37,6 @@ from .temperature import (
 )
 
 
-def _derived_seed(*parts: int) -> int:
-    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
-
-
 def _prepare_out(cfg: RunConfig | None, override: str | None) -> Path:
     if override:
         out = Path(override)
@@ -70,7 +66,7 @@ def _build_dataset(cfg: RunConfig) -> tuple[tinynet.SyntheticDataset, tinynet.Sy
         return clean, clean
     level = cfg.get("data", "noise_level", default=0.0)
     fraction = cfg.get("data", "noise_fraction", default=1.0)
-    noisy = tinynet.inject_noise(clean, kind, level, _derived_seed(seed, 101), fraction)
+    noisy = tinynet.inject_noise(clean, kind, level, tinynet.derive_seed(seed, 101), fraction)
     return clean, noisy
 
 
@@ -171,14 +167,14 @@ def cmd_distill(args) -> int:
     train_cfg = from_section(tinynet.TrainConfig, kd)
     policy = build_policy(cfg.section("policy")) if cfg.has("policy") else RuleBasedPolicy()
     teacher = tinynet.init_mlp([clean.n_features, *kd.get("teacher_hidden", [32, 32]),
-                                clean.n_classes], seed=_derived_seed(train_cfg.seed, 1))
+                                clean.n_classes], seed=tinynet.derive_seed(train_cfg.seed, 1))
     teacher, _ = tinynet.train_supervised(teacher, clean, train_cfg)
 
     def train_student(dataset, arm_policy=None):
         """(student, report) from a fresh student on dataset: distilled under
         arm_policy, or trained on the labels alone when it is None."""
         student = tinynet.init_mlp([dataset.n_features, *kd.get("student_hidden", [16, 16]),
-                                    dataset.n_classes], seed=_derived_seed(train_cfg.seed, 2))
+                                    dataset.n_classes], seed=tinynet.derive_seed(train_cfg.seed, 2))
         if arm_policy is None:
             return tinynet.train_supervised(student, dataset, train_cfg)
         kd_cfg = from_section(KdConfig, kd, policy=arm_policy, train=train_cfg)
@@ -199,7 +195,7 @@ def cmd_distill(args) -> int:
     elif args.ablation == "table11":
         level = cfg.get("data", "noise_level", default=0.5)
         seed = cfg.get("data", "seed", default=0)
-        variants = [(kind, tinynet.inject_noise(clean, kind, level, _derived_seed(seed, 102)))
+        variants = [(kind, tinynet.inject_noise(clean, kind, level, tinynet.derive_seed(seed, 102)))
                     for kind in ("gaussian", "salt_pepper", "uniform")] + [("clean", clean)]
         arms = [(tag, train_student(variant, context)[0], variant) for tag, variant in variants]
     if args.ablation:
@@ -261,7 +257,7 @@ def _evaluate_inputs(pred_path, label_path):
     """(preds, labels, probs or None) as arrays from a predictions file and
     a labels file."""
     header_p, n_rows, cells_p = _read_csv_table(pred_path)
-    header_l, _, cells_l = _read_csv_table(label_path)
+    header_l, n_labels, cells_l = _read_csv_table(label_path)
     if header_l != ["label"]:
         raise ParseError(f"{label_path}: expected header 'label', got {header_l}")
     width = len(header_p)
@@ -270,6 +266,8 @@ def _evaluate_inputs(pred_path, label_path):
         want_probs and header_p[1:] == [f"p{j}" for j in range(width - 1)]
     ):
         raise ParseError(f"{pred_path}: expected header 'pred[,p0,p1,...]', got {header_p}")
+    if n_rows != n_labels:
+        raise ParseError(f"{pred_path} has {n_rows} data rows, {label_path} has {n_labels}")
     # pred ids, then labels, then probabilities row by row: the first bad
     # cell in that order is the one the error names. Every id is parsed
     # before any is stored, so a bad cell is reported ahead of an int64
@@ -323,14 +321,12 @@ def _fmt(values) -> str:
     return f"{values:.6f}"
 
 
-def run_example_checks(tamper: bool = False) -> list[tuple[str, bool, str]]:
+def run_example_checks() -> list[tuple[str, bool, str]]:
     """Recompute each built-in worked example; returns (name, ok, detail)."""
     checks = []
 
     state = selection.PheromoneState(np.array([2.0, 1.0, 4.0]), np.array([3.0, 5.0, 2.0]))
     probs = selection.selection_probabilities(state, 1.0, 2.0)
-    if tamper:
-        probs = probs + 0.05
     checks.append(("selection probabilities", probs, [0.305, 0.424, 0.271], 1e-3))
 
     updated = selection.update_pheromones(state, [(1, 0.8), (0, 0.9), (1, 0.7)], rho=0.1)
@@ -340,15 +336,13 @@ def run_example_checks(tamper: bool = False) -> list[tuple[str, bool, str]]:
     temp = apply_policy(UncertaintyLinearPolicy(scale=2.0), ctx).temperature
     checks.append(("adaptive temperature", temp, 1.6, 0.0))
 
-    from .numerics import stable_softmax
-
     z = [2.0, 0.5, -1.0]
-    p2 = stable_softmax(z, 2.0)
+    p2 = numerics.stable_softmax(z, 2.0)
     oracle2 = np.array([math.exp(v / 2.0) for v in z])
     oracle2 /= oracle2.sum()
     checks.append(("softmax T=2 vs rounded print", p2, [0.61, 0.27, 0.12], 0.03))
     checks.append(("softmax T=2 vs exp oracle", p2, oracle2, 1e-4))
-    p16 = stable_softmax(z, 1.6)
+    p16 = numerics.stable_softmax(z, 1.6)
     oracle16 = np.array([math.exp(v / 1.6) for v in z])
     oracle16 /= oracle16.sum()
     checks.append(("softmax T=1.6 vs rounded print", p16, [0.65, 0.23, 0.12], 0.03))
@@ -368,7 +362,7 @@ def run_example_checks(tamper: bool = False) -> list[tuple[str, bool, str]]:
 
 
 def cmd_repro_examples(args) -> int:
-    results = run_example_checks(tamper=args.tamper)
+    results = run_example_checks()
     lines = []
     for name, ok, detail in results:
         lines.append(f"{'PASS' if ok else 'FAIL'}  {name:<32} {detail}")
@@ -422,7 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repro-examples", help="verify built-in worked examples")
     p.add_argument("--out", help="also write repro_examples.txt here")
-    p.add_argument("--tamper", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_repro_examples)
 
     return parser

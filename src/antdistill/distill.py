@@ -16,7 +16,7 @@ call it on a batch of one.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -106,32 +106,14 @@ class DistillReport:
     t_base: float
     train_loss: list[float]
     val_accuracy: list[float]
-    temp_mean: list[float]  # per epoch, over the train split (constant across epochs)
-    temp_min: list[float]
-    temp_max: list[float]
+    # realized temperatures over the train split; fixed before training starts
+    temp_mean: float
+    temp_min: float
+    temp_max: float
     final_val_accuracy: float
 
-    def run_temp_stats(self):
-        """(mean, min, max) of realized temperatures over the whole run."""
-        return (
-            float(np.mean(self.temp_mean)),
-            float(np.min(self.temp_min)),
-            float(np.max(self.temp_max)),
-        )
-
     def to_json(self) -> str:
-        payload = {
-            "seed": self.seed,
-            "policy": self.policy,
-            "t_base": self.t_base,
-            "train_loss": self.train_loss,
-            "val_accuracy": self.val_accuracy,
-            "temp_mean": self.temp_mean,
-            "temp_min": self.temp_min,
-            "temp_max": self.temp_max,
-            "final_val_accuracy": self.final_val_accuracy,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
 
 def distill_train(teacher: tinynet.MlpModel, student: tinynet.MlpModel,
@@ -164,16 +146,15 @@ def distill_train(teacher: tinynet.MlpModel, student: tinynet.MlpModel,
 
     trained, history = tinynet.sgd_fit(student, dataset, cfg.train, batch_loss)
     train_temps = temps[dataset.indices("train")]
-    epochs = len(history.train_loss)
     report = DistillReport(
         seed=cfg.train.seed,
         policy=policy_descriptor(cfg.policy),
         t_base=cfg.t_base,
         train_loss=history.train_loss,
         val_accuracy=history.val_accuracy,
-        temp_mean=[float(train_temps.mean())] * epochs,
-        temp_min=[float(train_temps.min())] * epochs,
-        temp_max=[float(train_temps.max())] * epochs,
+        temp_mean=float(train_temps.mean()),
+        temp_min=float(train_temps.min()),
+        temp_max=float(train_temps.max()),
         final_val_accuracy=history.val_accuracy[-1],
     )
     return trained, report

@@ -306,7 +306,7 @@ class _Run:
         self.total_selections = 0
 
     def _seed(self, *parts: int) -> int:
-        return int(np.random.SeedSequence([self.seed, *parts]).generate_state(1)[0])
+        return tinynet.derive_seed(self.seed, *parts)
 
     def score(self, unit) -> float:
         """One selection of `unit`; only a cache miss trains."""

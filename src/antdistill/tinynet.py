@@ -7,6 +7,7 @@ noise corruptions (gaussian / salt_pepper / uniform) applied on top.
 
 Every stochastic operation takes an explicit seed and draws from a
 fresh numpy Generator, so all artifacts are reproducible byte for byte.
+derive_seed turns a tuple of integers into such a seed.
 """
 
 from __future__ import annotations
@@ -40,6 +41,11 @@ CENTER_RADIUS = 5.0
 
 # cells in generate_synthetic's largest array, max(samples, classes, dim) x dim
 MAX_DATASET_CELLS = 10**8
+
+
+def derive_seed(*parts: int) -> int:
+    """A 32-bit seed that depends on every part and on their order."""
+    return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -86,19 +92,17 @@ def init_mlp(layer_dims, seed: int) -> MlpModel:
 
 
 def _forward_batch(model: MlpModel, x: np.ndarray):
-    """Returns (logits, pre-activations per layer, inputs per layer)."""
+    """Returns (logits, inputs per layer)."""
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise ShapeMismatch(f"expected (n, {model.input_dim}) features, got {x.shape}")
-    acts = [x]
-    pres = []
+    acts = []
     a = x
     last = len(model.weights) - 1
     for k, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w.T + b
-        pres.append(z)
-        a = z if k == last else np.maximum(z, 0.0)
         acts.append(a)
-    return a, pres, acts
+        z = a @ w.T + b
+        a = z if k == last else np.maximum(z, 0.0)
+    return a, acts
 
 
 def forward(model: MlpModel, x) -> np.ndarray:
@@ -106,19 +110,20 @@ def forward(model: MlpModel, x) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != model.input_dim:
         raise ShapeMismatch(f"expected {model.input_dim} features, got shape {x.shape}")
-    logits, _, _ = _forward_batch(model, x[None, :])
+    logits, _ = _forward_batch(model, x[None, :])
     return logits[0]
 
 
 def forward_batch(model: MlpModel, x) -> np.ndarray:
     """Logits for an (n, input_dim) feature matrix."""
     x = np.asarray(x, dtype=np.float64)
-    logits, _, _ = _forward_batch(model, x)
+    logits, _ = _forward_batch(model, x)
     return logits
 
 
-def _backward(model: MlpModel, pres, acts, dlogits):
-    """Reverse-mode gradients given d(loss)/d(logits) per row."""
+def _backward(model: MlpModel, acts, dlogits):
+    """Reverse-mode gradients given d(loss)/d(logits) per row; a ReLU
+    passes gradient where its output, and so its input, is positive."""
     grads_w = [None] * len(model.weights)
     grads_b = [None] * len(model.weights)
     delta = dlogits
@@ -126,7 +131,7 @@ def _backward(model: MlpModel, pres, acts, dlogits):
         grads_w[k] = delta.T @ acts[k]
         grads_b[k] = delta.sum(axis=0)
         if k > 0:
-            delta = (delta @ model.weights[k]) * (pres[k - 1] > 0.0)
+            delta = (delta @ model.weights[k]) * (acts[k] > 0.0)
     return grads_w, grads_b
 
 
@@ -140,12 +145,12 @@ def loss_gradients(model: MlpModel, batch, batch_loss):
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ShapeMismatch(f"batch must be a nonempty 2-D matrix, got shape {x.shape}")
-    logits, pres, acts = _forward_batch(model, x)
+    logits, acts = _forward_batch(model, x)
     losses, dlogits = batch_loss(logits, np.arange(x.shape[0]))
     total = float(np.sum(losses))
     if not np.isfinite(total):
         raise NonFiniteLoss(f"batch loss is {total!r}")
-    gw, gb = _backward(model, pres, acts, dlogits / x.shape[0])
+    gw, gb = _backward(model, acts, dlogits / x.shape[0])
     return total / x.shape[0], gw, gb
 
 
@@ -361,7 +366,7 @@ def sgd_fit(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig, batch_
         for start in range(0, order.size, cfg.batch_size):
             batch_idx = order[start : start + cfg.batch_size]
             x = dataset.features[batch_idx]
-            logits, pres, acts = _forward_batch(model, x)
+            logits, acts = _forward_batch(model, x)
             losses, dlogits = batch_loss(logits, batch_idx)
             # one row at a time, in batch order, so that train_loss does not
             # depend on the order in which numpy would sum
@@ -369,7 +374,7 @@ def sgd_fit(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig, batch_
                 loss_sum += loss
             if not np.isfinite(loss_sum):
                 raise NonFiniteLoss(f"training loss became {loss_sum!r}")
-            gw, gb = _backward(model, pres, acts, dlogits / batch_idx.size)
+            gw, gb = _backward(model, acts, dlogits / batch_idx.size)
             for k in range(len(model.weights)):
                 model.weights[k] -= cfg.learning_rate * gw[k]
                 model.biases[k] -= cfg.learning_rate * gb[k]
@@ -421,10 +426,14 @@ def load_dataset(path) -> SyntheticDataset:
         raise ParseError(f"{path}: missing class_complexity comment or data rows")
     try:
         comp = np.array([float(v) for v in lines[0].split("=", 1)[1].split(",")])
+        if comp.shape[0] < 2:
+            raise ValueError(f"class_complexity has {comp.shape[0]} entry, need >= 2 classes")
         header = lines[1].split(",")
         d = len(header) - 3
         if header != ["split", "label", "noise_level"] + [f"f{j}" for j in range(d)]:
             raise ValueError("bad header")
+        if d < 1:
+            raise ValueError("no feature columns")
         splits, labels, noise, feats = [], [], [], []
         for ln in lines[2:]:
             if not ln:

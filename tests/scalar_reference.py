@@ -131,7 +131,7 @@ def _read_csv_table(path) -> tuple[list[str], list[list[str]]]:
 
 def evaluate_inputs(pred_path, label_path):
     """(preds, labels, probs or None) of the `evaluate` input files, read
-    one row list at a time; the header checks match `cli`'s."""
+    one row list at a time; the header and row-count checks match `cli`'s."""
     header_p, rows_p = _read_csv_table(pred_path)
     header_l, rows_l = _read_csv_table(label_path)
     if header_l != ["label"]:
@@ -141,6 +141,9 @@ def evaluate_inputs(pred_path, label_path):
         want_probs and header_p[1:] == [f"p{j}" for j in range(len(header_p) - 1)]
     ):
         raise ParseError(f"{pred_path}: expected header 'pred[,p0,p1,...]', got {header_p}")
+    if len(rows_p) != len(rows_l):
+        raise ParseError(f"{pred_path} has {len(rows_p)} data rows, {label_path} has "
+                         f"{len(rows_l)}")
     # rows are converted in place and freed before the metrics: their cell
     # strings take about ten times the memory of the arrays
     try:

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line harness."""
 
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -393,7 +394,9 @@ class TestDistill:
 
 
 # the README config; the sha256 of every output file was recorded before
-# training moved to batched loss kernels, which must not change a byte
+# training moved to batched loss kernels, which must not change a byte.
+# distill_report.json was re-recorded when its temp_mean/min/max became one
+# number each instead of one per epoch
 README_CONFIG = """\
 [data]
 samples = 600
@@ -419,7 +422,7 @@ student_hidden = 16,16
 """
 GOLDEN_DISTILL = {
     None: {
-        "distill_report.json": "0c377ed92a7e6781bd5381624b55849e189a75eacf39d3c10200ba79bc40403e",
+        "distill_report.json": "45037bc73bc0671ee07d8ab84782c0d0105cecf7aedb99cc6b4ef4196c431c78",
         "metrics.csv": "b5c6855ff4202c658f903b1e9aae118ffba5d5b421e230cc3d9f3709faad8bfa",
         "summary.csv": "1d93858a8c3dad294ca410b0f4f27e2588c28a291b241d5d3199b46e47ec49e0",
     },
@@ -698,6 +701,16 @@ class TestEvaluateInputs:
                      "--out", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err == f"error: {tmp_path / name}: {message}\n"
 
+    @pytest.mark.parametrize("pred_text", ["pred\n0\n1\n", "pred,p0,p1\n0,1.0,0.0\n1,x,0.5\n"],
+                             ids=["pred", "probabilities"])
+    def test_row_count_mismatch_names_both_files(self, tmp_path, capsys, pred_text):
+        # checked before any cell is parsed, so the bad cell "x" is not reported
+        preds = write(tmp_path / "preds.csv", pred_text)
+        labels = write(tmp_path / "labels.csv", "label\n0\n")
+        assert main(["evaluate", "--predictions", str(preds), "--labels", str(labels),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == f"error: {preds} has 2 data rows, {labels} has 1\n"
+
     @pytest.mark.parametrize("pred_text, label_text", [
         ("pred\n0\n1\n", "label\n0\n10000000\n"),
         ("pred\n0\n100000\n", "label\n0\n1\n"),
@@ -737,8 +750,11 @@ class TestReproExamples:
         assert "7/7 checks passed" in out
         assert (tmp_path / "repro_examples.txt").exists()
 
-    def test_tampered_constant_fails(self, capsys):
-        assert main(["repro-examples", "--tamper"]) == 1
+    def test_tampered_constant_fails(self, capsys, monkeypatch):
+        probabilities = selection.selection_probabilities
+        monkeypatch.setattr(selection, "selection_probabilities",
+                            lambda *args: probabilities(*args) + 0.05)
+        assert main(["repro-examples"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
     def test_runs_as_module(self):
@@ -766,3 +782,19 @@ class TestErrorPaths:
         cfg = write(tmp_path / "c.ini", "[data]\nwhat = 1\n")
         assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
         assert "what" in capsys.readouterr().err
+
+
+def test_parser_options_are_the_readme_usage_options():
+    # no hidden knobs: each subcommand takes exactly the options its README usage line shows
+    readme = (ROOT / "README.md").read_text()
+    usage = readme.split("## Command-line harness", 1)[1].split("```bash\n", 1)[1]
+    documented = {}
+    for line in usage.split("```", 1)[0].splitlines():
+        _, command, *rest = line.split()
+        documented[command] = set(re.findall(r"--[a-z-]+", " ".join(rest)))
+    subparsers = next(a for a in cli.build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    parsed = {command: {opt for action in sub._actions for opt in action.option_strings
+                        if opt not in ("-h", "--help")}
+              for command, sub in subparsers.choices.items()}
+    assert parsed == documented

@@ -156,8 +156,7 @@ class TestDistillTrain:
             teacher, student, ds,
             KdConfig(ConstantPolicy(2.0), train=tinynet.TrainConfig(epochs=3, seed=0)),
         )
-        mean, lo, hi = report.run_temp_stats()
-        assert mean == lo == hi == 2.0
+        assert report.temp_mean == report.temp_min == report.temp_max == 2.0
 
     def test_rule_based_hits_both_branches_on_half_noisy_data(self):
         ds, teacher, student = self.make_setup(33, n=400)
@@ -167,9 +166,8 @@ class TestDistillTrain:
             teacher, student, noisy,
             KdConfig(pol, train=tinynet.TrainConfig(epochs=2, seed=0)),
         )
-        _, lo, hi = report.run_temp_stats()
-        assert hi == pol.base_temperature + pol.raise_step
-        assert lo == pol.base_temperature - pol.lower_step
+        assert report.temp_max == pol.base_temperature + pol.raise_step
+        assert report.temp_min == pol.base_temperature - pol.lower_step
 
     def test_report_json_is_deterministic(self):
         ds, teacher, student = self.make_setup(34)

@@ -1,5 +1,7 @@
 """Tests for the MLP, synthetic data, noise injection, and SGD training."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from antdistill.errors import (
     IndexOutOfRange,
     InvalidShape,
     LevelOutOfRange,
+    NonFiniteLoss,
     ParseError,
     ShapeMismatch,
     UnknownNoiseKind,
@@ -34,6 +37,11 @@ def ce_loss(labels, n_classes):
         return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
 
     return batch_loss
+
+
+def nan_loss(logits, idx):
+    """Batch loss whose every row is NaN."""
+    return np.full(len(idx), np.nan), np.zeros_like(logits)
 
 
 class TestForward:
@@ -80,6 +88,12 @@ class TestLossGradients:
         assert all(np.all(g == 0) for g in gw)
         assert all(np.all(g == 0) for g in gb)
 
+    def test_nan_batch_loss_raises(self):
+        m = tinynet.init_mlp([4, 6, 3], seed=2)
+        x = np.random.default_rng(0).normal(size=(5, 4))
+        with pytest.raises(NonFiniteLoss, match="^batch loss is nan$"):
+            tinynet.loss_gradients(m, x, nan_loss)
+
     def test_duplicated_sample_equals_single(self):
         m = tinynet.init_mlp([4, 6, 3], seed=2)
         rng = np.random.default_rng(1)
@@ -101,7 +115,7 @@ class TestLossGradients:
         loss = ce_loss(labels, 4)
 
         def batch_loss(model):
-            logits, _, _ = tinynet._forward_batch(model, x)
+            logits, _ = tinynet._forward_batch(model, x)
             return float(np.mean(loss(logits, np.arange(6))[0]))
 
         _, gw, gb = tinynet.loss_gradients(m, x, loss)
@@ -310,6 +324,12 @@ class TestTrainSupervised:
         with pytest.raises(IndexOutOfRange):
             tinynet.train_supervised(model, ds, tinynet.TrainConfig(epochs=1, seed=0))
 
+    def test_nan_batch_loss_stops_training(self):
+        ds = small_dataset(seed=3)
+        m = tinynet.init_mlp([4, 8, 3], seed=0)
+        with pytest.raises(NonFiniteLoss, match="^training loss became nan$"):
+            tinynet.sgd_fit(m, ds, tinynet.TrainConfig(epochs=1), nan_loss)
+
     def test_missing_split_raises(self):
         ds = small_dataset(seed=11)
         ds.split[ds.split == "val"] = "train"
@@ -378,6 +398,18 @@ class TestDatasetFileInputs:
         with pytest.raises(ParseError):
             tinynet.load_dataset(path)
 
+    def test_header_without_feature_columns_is_parse_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("# class_complexity=0.5,0.25\nsplit,label,noise_level\ntrain,0,0.0\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: no feature columns$"):
+            tinynet.load_dataset(path)
+
+    def test_one_class_complexity_is_parse_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(DATASET_HEAD.replace("0.5,0.25", "0.5") + "train,0,0.0,1,2\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: class_complexity has 1 "):
+            tinynet.load_dataset(path)
+
     def test_no_data_rows_is_parse_error(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text(DATASET_HEAD + "\n\n")
@@ -395,6 +427,7 @@ class TestDatasetFileInputs:
             ds = tinynet.load_dataset(path)
         except ParseError:
             return
+        assert ds.n_features >= 1 and ds.n_classes >= 2
         assert np.all(np.isfinite(ds.features))
         assert np.all((ds.noise_level >= 0) & (ds.noise_level <= 1))
         assert np.all((ds.class_complexity >= 0) & (ds.class_complexity <= 1))
