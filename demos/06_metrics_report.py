@@ -10,8 +10,7 @@ from antdistill import (
     confusion,
     generate_synthetic,
     init_mlp,
-    pr_average_precision_micro,
-    roc_auc_micro,
+    micro_curves,
     stable_softmax,
     train_supervised,
 )
@@ -37,8 +36,7 @@ logits = forward_batch(model, ds.features[test])
 probs = np.vstack([stable_softmax(row, 1.0) for row in logits])
 labels = ds.labels[test]
 rep = class_report(confusion(np.argmax(logits, axis=1), labels, 3))
-roc = roc_auc_micro(probs, labels)
-pr = pr_average_precision_micro(probs, labels)
+roc, pr = micro_curves(probs, labels)
 print(f"accuracy {rep.accuracy:.3f}  macro f1 {rep.macro_f1:.3f}")
 print(f"micro AUC {roc.auc:.4f} ({roc.fpr.size} curve points)")
 print(f"micro AP  {pr.average_precision:.4f}")

@@ -7,13 +7,10 @@ from .metrics import (
     class_report,
     confusion,
     micro_curves,
-    pr_average_precision_micro,
-    roc_auc_micro,
 )
 from .numerics import (
     cross_entropy,
     kl_divergence,
-    log_softmax,
     normalized_entropy,
     stable_softmax,
 )
@@ -25,7 +22,6 @@ from .selection import (
     PsoConfig,
     SelectionReport,
     ant_select,
-    extract_teacher_student,
     run_aco,
     run_grid,
     run_pso,

@@ -145,6 +145,8 @@ def load_config(path) -> RunConfig:
                 raise ConfigParseError(
                     f"{path}: bad value for {key!r} in [{name}]: {exc}"
                 ) from exc
+            if key == "seed" and parsed[key] < 0:
+                raise ConfigParseError(f"{path}: 'seed' in [{name}] must be >= 0, got {raw}")
         sections[name] = parsed
     cfg = RunConfig(sections, path)
     if cfg.has("policy"):

@@ -69,10 +69,6 @@ class EmptyRun(ValueError):
     """Optimizer configured with zero ants or zero iterations."""
 
 
-class InsufficientEvaluated(ValueError):
-    """Fewer than two candidates were ever evaluated."""
-
-
 class EmptyMatrix(ValueError):
     """Confusion matrix has zero total count."""
 

@@ -18,7 +18,6 @@ from .errors import (
     IndexOutOfRange,
     InvalidShape,
     LengthMismatch,
-    NonFiniteInput,
 )
 from .numerics import _DIST_TOL, as_distribution
 
@@ -205,48 +204,12 @@ def _pr_curve(cum_tp, cum_fp, n_pos: int) -> PrCurve:
     return PrCurve(ap, recall, precision)
 
 
-def _binary_problem(scores, hits):
-    """(scores, hits, positives) of one binary ranking problem, validated."""
-    scores = np.asarray(scores, dtype=np.float64)
-    hits = np.asarray(hits, dtype=bool)
-    if scores.shape != hits.shape or scores.ndim != 1:
-        raise LengthMismatch(f"{scores.shape} scores vs {hits.shape} labels")
-    if not np.isfinite(scores).all():  # NaN or equal infinities split a tie group
-        raise NonFiniteInput("scores must be finite")
-    n_pos = int(hits.sum())
-    if n_pos == 0 or n_pos == hits.size:
-        raise DegenerateLabels("labels are single-class")
-    return scores, hits, n_pos
-
-
-def roc_auc_binary(scores, hits) -> RocCurve:
-    """Trapezoidal ROC area for one binary ranking problem."""
-    scores, hits, n_pos = _binary_problem(scores, hits)
-    return _roc_curve(*_threshold_groups(scores, hits), n_pos, hits.size - n_pos)
-
-
-def pr_average_precision_binary(scores, hits) -> PrCurve:
-    """Step-wise AP = sum (R_k - R_{k-1}) * P_k over the descending sweep."""
-    scores, hits, n_pos = _binary_problem(scores, hits)
-    return _pr_curve(*_threshold_groups(scores, hits), n_pos)
-
-
 def micro_curves(probabilities, labels) -> tuple[RocCurve, PrCurve]:
     """Micro-averaged one-vs-rest ROC and PR curves: every (sample, class)
     pair flattened, validated once and swept once for both curves."""
     scores, hits, n_pos, n_neg = _flatten_ovr(probabilities, labels)
     cum_tp, cum_fp = _threshold_groups(scores, hits)
     return _roc_curve(cum_tp, cum_fp, n_pos, n_neg), _pr_curve(cum_tp, cum_fp, n_pos)
-
-
-def roc_auc_micro(probabilities, labels) -> RocCurve:
-    """Micro-averaged one-vs-rest ROC (the ROC half of `micro_curves`)."""
-    return micro_curves(probabilities, labels)[0]
-
-
-def pr_average_precision_micro(probabilities, labels) -> PrCurve:
-    """Micro-averaged one-vs-rest average precision (the PR half of `micro_curves`)."""
-    return micro_curves(probabilities, labels)[1]
 
 
 # ---------------------------------------------------------------------------

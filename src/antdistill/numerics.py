@@ -95,15 +95,6 @@ def normalized_entropy_rows(p: np.ndarray) -> np.ndarray:
     return np.where(u < 1.0, u, 1.0)
 
 
-def log_softmax(logits, temperature: float = 1.0) -> np.ndarray:
-    """Elementwise log of stable_softmax, via log-sum-exp (no overflow)."""
-    z = as_logits(logits)
-    t = _check_temperature(temperature)
-    s = z / t
-    shifted = s - s.max()
-    return shifted - np.log(np.exp(shifted).sum())
-
-
 def kl_divergence(p, q) -> float:
     """Kullback-Leibler divergence sum(p * ln(p/q)), terms with p=0 drop out."""
     p = as_distribution(p)

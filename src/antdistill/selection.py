@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,13 +25,12 @@ from . import distill, tinynet
 from .errors import (
     AllZeroWeights,
     EmptyRun,
-    InsufficientEvaluated,
     InvalidRho,
     InvalidShape,
     ParseError,
     PoolTooSmall,
 )
-from .temperature import ConstantPolicy
+from .temperature import ConstantPolicy, _check_finite
 
 # pair score favors the student side: teacher quality matters, the
 # student's achievable accuracy matters more
@@ -95,6 +94,10 @@ def stub_pool(scores) -> CandidatePool:
     )
 
 
+def _is_json_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_pool(path, dataset=None) -> CandidatePool:
     """Pool definition file: JSON list of {name, stub_score | hidden_dims+lr+epochs}."""
     with open(path) as fh:
@@ -117,12 +120,13 @@ def load_pool(path, dataset=None) -> CandidatePool:
                 fields = {"stub_score": float(e["stub_score"])}
             else:
                 dims = e["hidden_dims"]
-                if not isinstance(dims, list):
-                    raise TypeError(f"hidden_dims must be a list, got {dims!r}")
+                epochs = e.get("epochs", 10)
+                if not isinstance(dims, list) or not all(map(_is_json_int, dims)):
+                    raise TypeError(f"hidden_dims must be a list of integers, got {dims!r}")
+                if not _is_json_int(epochs):
+                    raise TypeError(f"epochs must be an integer, got {epochs!r}")
                 fields = {"profile": MlpProfile(
-                    tuple(int(h) for h in dims),
-                    float(e.get("learning_rate", 0.05)),
-                    int(e.get("epochs", 10)),
+                    tuple(dims), float(e.get("learning_rate", 0.05)), epochs,
                 )}
         except KeyError as exc:
             raise ParseError(f"{path}: candidate {name!r} missing {exc}") from exc
@@ -151,12 +155,8 @@ class PheromoneState:
             raise InvalidShape("pheromone entries must stay > 0")
         if np.any(self.heuristic < 0):
             raise InvalidShape("heuristic entries must be >= 0")
-
-
-def _check_finite(cfg) -> None:
-    for name, value in asdict(cfg).items():
-        if not math.isfinite(value):
-            raise InvalidShape(f"{name} must be finite, got {value!r}")
+        if not (np.isfinite(self.pheromone).all() and np.isfinite(self.heuristic).all()):
+            raise InvalidShape("pheromone and heuristic entries must be finite")
 
 
 @dataclass(frozen=True)
@@ -178,7 +178,7 @@ class AcoConfig:
             raise InvalidShape("alpha and beta must be >= 0")
         if self.n_ants < 1 or self.n_iterations < 1:
             raise EmptyRun("n_ants and n_iterations must be >= 1")
-        _check_finite(self)
+        _check_finite(self, InvalidShape)
 
 
 def _preference_weights(state: PheromoneState, alpha: float, beta: float) -> np.ndarray:
@@ -258,19 +258,6 @@ def _rank(scores: dict, pheromone=None) -> list:
         return sorted(scores, key=lambda u: (-scores[u], u))
     return sorted(range(len(pheromone)),
                   key=lambda i: (-pheromone[i], -scores.get(i, -np.inf), i))
-
-
-def extract_teacher_student(report: SelectionReport) -> tuple[int, int]:
-    """Top two candidates by final pheromone, ties by score then index.
-
-    Reports without a pheromone vector (random/grid/pso) rank by score
-    alone, which needs at least two evaluated candidates.
-    """
-    scores = {int(k): v for k, v in report.evaluated.items() if "," not in str(k)}
-    order = _rank(scores, report.final_pheromone)
-    if len(order) < 2:
-        raise InsufficientEvaluated(f"need at least 2 ranked candidates, got {len(order)}")
-    return order[0], order[1]
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +460,7 @@ class PsoConfig:
     def __post_init__(self):
         if self.n_particles < 1 or self.n_iterations < 0:
             raise EmptyRun("n_particles must be >= 1 and n_iterations >= 0")
-        _check_finite(self)
+        _check_finite(self, InvalidShape)
 
 
 def run_pso(pool: CandidatePool, cfg: PsoConfig) -> SelectionReport:

@@ -34,10 +34,11 @@ def _check_unit(name: str, value: float) -> float:
     return v
 
 
-def _check_finite(params) -> None:
+def _check_finite(params, error: type[ValueError]) -> None:
+    """Raise `error` naming the first field of dataclass `params` that is not finite."""
     for name, value in asdict(params).items():
         if not math.isfinite(value):
-            raise InvalidPolicyParameters(f"{name} must be finite, got {value!r}")
+            raise error(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ class ConstantPolicy:
     def __post_init__(self):
         if not self.temperature > 0.0:
             raise InvalidPolicyParameters(f"temperature must be > 0, got {self.temperature!r}")
-        _check_finite(self)
+        _check_finite(self, InvalidPolicyParameters)
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,7 @@ class UncertaintyLinearPolicy:
     def __post_init__(self):
         if not self.scale >= 0.0:
             raise InvalidPolicyParameters(f"scale must be >= 0, got {self.scale!r}")
-        _check_finite(self)
+        _check_finite(self, InvalidPolicyParameters)
 
 
 @dataclass(frozen=True)
@@ -107,7 +108,7 @@ class RuleBasedPolicy:
             _check_unit(name, getattr(self, name))
         if not 0.0 <= self.base_weight <= self.max_weight <= 1.0:
             raise InvalidPolicyParameters("need 0 <= base_weight <= max_weight <= 1")
-        _check_finite(self)
+        _check_finite(self, InvalidPolicyParameters)
 
 
 TemperaturePolicy = ConstantPolicy | UncertaintyLinearPolicy | RuleBasedPolicy

@@ -105,15 +105,6 @@ def _forward_batch(model: MlpModel, x: np.ndarray):
     return a, acts
 
 
-def forward(model: MlpModel, x) -> np.ndarray:
-    """Logits for a single feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != model.input_dim:
-        raise ShapeMismatch(f"expected {model.input_dim} features, got shape {x.shape}")
-    logits, _ = _forward_batch(model, x[None, :])
-    return logits[0]
-
-
 def forward_batch(model: MlpModel, x) -> np.ndarray:
     """Logits for an (n, input_dim) feature matrix."""
     x = np.asarray(x, dtype=np.float64)

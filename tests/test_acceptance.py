@@ -16,7 +16,7 @@ import pytest
 from antdistill import numerics, selection, tinynet
 from antdistill.cli import main, run_example_checks
 from antdistill.distill import KdConfig, distill_train, kd_loss, kd_loss_grad
-from antdistill.metrics import ConfusionMatrix, class_report, confusion, roc_auc_micro
+from antdistill.metrics import ConfusionMatrix, class_report, confusion, micro_curves
 from antdistill.selection import AcoConfig, run_aco, run_grid, run_random, stub_pool
 from antdistill.temperature import ConstantPolicy, RuleBasedPolicy
 
@@ -310,7 +310,7 @@ def test_criterion_09_metrics_oracle_equivalence():
             probs = np.round(probs, 1)
             probs /= probs.sum(axis=1, keepdims=True)
         labels = rng.integers(0, c, size=n)
-        got = roc_auc_micro(probs, labels).auc
+        got = micro_curves(probs, labels)[0].auc
         # exhaustive pairwise oracle
         scores = probs.ravel()
         hits = np.zeros(probs.shape, dtype=bool)

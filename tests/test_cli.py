@@ -66,6 +66,22 @@ class TestConfigParsing:
         with pytest.raises(ConfigParseError, match="samples"):
             load_config(cfg)
 
+    @pytest.mark.parametrize("section", ["data", "kd", "aco", "pso", "random"])
+    def test_negative_seed_is_exit_2_naming_key_and_section(self, tmp_path, fits, capsys,
+                                                            section):
+        if section in ("data", "kd"):
+            command = ["distill"]
+            text = re.sub(rf"(\[{section}\][^\[]*)seed = 3", r"\1seed = -1", DISTILL_CONFIG)
+        else:
+            command = ["select", "--strategy", section]
+            write(tmp_path / "pool.json", json.dumps(MLP_POOL))
+            text = SELECT_DATA + f"[{section}]\npool = pool.json\nseed = -1\n"
+        assert "seed = -1" in text
+        cfg = write(tmp_path / "c.ini", text)
+        assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert fits == []
+        assert f"'seed' in [{section}] must be >= 0, got -1" in capsys.readouterr().err
+
     def test_undecodable_file_is_named_config_error(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.ini"
         cfg.write_bytes("[out]\ndir = r\xe9sultats\n".encode("latin-1"))
@@ -290,6 +306,19 @@ class TestSelect:
                      "--out", str(tmp_path / "run")]) == 2
         assert fits == []
         assert f"{key} must be finite, got {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["init_pheromone", "init_heuristic"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_init_vector_is_exit_2(self, tmp_path, capsys, key, value):
+        worked_example_pool(tmp_path)
+        vectors = {"init_pheromone": "1,1,1", "init_heuristic": "1,1,1", key: f"{value},1,1"}
+        cfg = write(tmp_path / "c.ini", "[aco]\npool = pool.json\n"
+                    + "".join(f"{k} = {v}\n" for k, v in vectors.items()))
+        out = tmp_path / "run"
+        assert main(["select", "--config", str(cfg), "--strategy", "aco",
+                     "--out", str(out)]) == 2
+        assert not (out / "report.json").exists()
+        assert "entries must be finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("candidates", [[1, 2], [{"name": "a", "hidden_dims": 5}]])
     def test_malformed_pool_is_exit_2(self, tmp_path, candidates):

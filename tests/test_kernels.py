@@ -10,7 +10,7 @@ each; every batch row and every one-sample call must equal it bit for
 bit, and raise the error it raises. Evaluation validates a probability
 matrix in one pass and sweeps it once for both micro curves
 (`metrics.micro_curves`), which must equal the row-by-row checks and the
-binary curves.
+curves of the reference stable-sort sweep over the flattened pairs.
 """
 
 import numpy as np
@@ -376,17 +376,18 @@ class TestMicroCurves:
         hits = np.zeros((n, c), dtype=bool)
         hits[np.arange(n), labels] = True
         scores = np.asarray(p, dtype=np.float64).ravel()
-        ref_roc = metrics.roc_auc_binary(scores, hits.ravel())
-        ref_pr = metrics.pr_average_precision_binary(scores, hits.ravel())
+        hits = hits.ravel()
+        n_pos = int(hits.sum())
+        groups = ref.threshold_groups(scores, hits)
+        ref_roc = metrics._roc_curve(*groups, n_pos, hits.size - n_pos)
+        ref_pr = metrics._pr_curve(*groups, n_pos)
         roc, pr = metrics.micro_curves(p, labels)
-        for got in (roc, metrics.roc_auc_micro(p, labels)):
-            assert got.auc == ref_roc.auc
-            assert np.array_equal(got.fpr, ref_roc.fpr)
-            assert np.array_equal(got.tpr, ref_roc.tpr)
-        for got in (pr, metrics.pr_average_precision_micro(p, labels)):
-            assert got.average_precision == ref_pr.average_precision
-            assert np.array_equal(got.recall, ref_pr.recall)
-            assert np.array_equal(got.precision, ref_pr.precision)
+        assert roc.auc == ref_roc.auc
+        assert np.array_equal(roc.fpr, ref_roc.fpr)
+        assert np.array_equal(roc.tpr, ref_roc.tpr)
+        assert pr.average_precision == ref_pr.average_precision
+        assert np.array_equal(pr.recall, ref_pr.recall)
+        assert np.array_equal(pr.precision, ref_pr.precision)
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), n=st.integers(1, 400))

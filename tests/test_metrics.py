@@ -3,22 +3,20 @@
 import numpy as np
 import pytest
 
+from antdistill import metrics
 from antdistill.errors import (
-    DegenerateLabels,
     EmptyMatrix,
     IndexOutOfRange,
+    InvalidDistribution,
+    InvalidShape,
     LengthMismatch,
-    NonFiniteInput,
 )
 from antdistill.metrics import (
     ConfusionMatrix,
     class_report,
     confusion,
-    pr_average_precision_binary,
-    pr_average_precision_micro,
+    micro_curves,
     report_csv,
-    roc_auc_binary,
-    roc_auc_micro,
     summary_csv,
 )
 
@@ -138,16 +136,16 @@ class TestRocAuc:
     def test_perfect_ranking(self):
         probs = np.array([[0.9, 0.1], [0.8, 0.2], [0.1, 0.9], [0.2, 0.8]])
         labels = [0, 0, 1, 1]
-        assert abs(roc_auc_micro(probs, labels).auc - 1.0) < 1e-12
+        assert abs(micro_curves(probs, labels)[0].auc - 1.0) < 1e-12
 
     def test_constant_scores_give_half(self):
         probs = np.full((4, 2), 0.5)
-        assert abs(roc_auc_micro(probs, [0, 1, 0, 1]).auc - 0.5) < 1e-12
+        assert abs(micro_curves(probs, [0, 1, 0, 1])[0].auc - 0.5) < 1e-12
 
     def test_four_sample_hand_case_vs_pairwise_oracle(self):
         probs = np.array([[0.7, 0.3], [0.4, 0.6], [0.5, 0.5], [0.3, 0.7]])
         labels = [0, 0, 1, 1]
-        got = roc_auc_micro(probs, labels).auc
+        got = micro_curves(probs, labels)[0].auc
         scores, hits = flatten(probs, labels)
         assert abs(got - brute_force_auc(scores, hits)) < 1e-9
 
@@ -161,7 +159,7 @@ class TestRocAuc:
                 probs = np.round(probs, 1)
                 probs = probs / probs.sum(axis=1, keepdims=True)
             labels = rng.integers(0, c, size=n)
-            got = roc_auc_micro(probs, labels).auc
+            got = micro_curves(probs, labels)[0].auc
             scores, hits = flatten(probs, labels)
             assert abs(got - brute_force_auc(scores, hits)) < 1e-9
 
@@ -170,11 +168,17 @@ class TestRocAuc:
         probs = rng.dirichlet(np.ones(3), size=20)
         labels = rng.integers(0, 3, size=20)
         scores, hits = flatten(probs, labels)
-        base = roc_auc_binary(scores, hits).auc
-        assert abs(base - roc_auc_micro(probs, labels).auc) < 1e-12
+        hits = np.asarray(hits)
+        n_pos = int(hits.sum())
+
+        def auc(s):
+            groups = metrics._threshold_groups(s, hits)
+            return metrics._roc_curve(*groups, n_pos, hits.size - n_pos).auc
+
+        base = auc(np.asarray(scores))
+        assert abs(base - micro_curves(probs, labels)[0].auc) < 1e-12
         for transform in (lambda s: s * 10.0, np.exp):
-            warped = transform(np.asarray(scores))
-            assert abs(roc_auc_binary(warped, hits).auc - base) < 1e-12
+            assert abs(auc(transform(np.asarray(scores))) - base) < 1e-12
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(4)
@@ -182,19 +186,19 @@ class TestRocAuc:
         labels = rng.integers(0, 3, size=15)
         perm = rng.permutation(15)
         assert abs(
-            roc_auc_micro(probs, labels).auc - roc_auc_micro(probs[perm], labels[perm]).auc
+            micro_curves(probs, labels)[0].auc - micro_curves(probs[perm], labels[perm])[0].auc
         ) < 1e-12
 
 
 class TestAveragePrecision:
     def test_perfect_ranking(self):
         probs = np.array([[0.9, 0.1], [0.1, 0.9]])
-        assert abs(pr_average_precision_micro(probs, [0, 1]).average_precision - 1.0) < 1e-12
+        assert abs(micro_curves(probs, [0, 1])[1].average_precision - 1.0) < 1e-12
 
     def test_four_sample_hand_case_vs_sweep_oracle(self):
         probs = np.array([[0.7, 0.3], [0.4, 0.6], [0.5, 0.5], [0.3, 0.7]])
         labels = [0, 0, 1, 1]
-        got = pr_average_precision_micro(probs, labels).average_precision
+        got = micro_curves(probs, labels)[1].average_precision
         scores, hits = flatten(probs, labels)
         assert abs(got - brute_force_ap(scores, hits)) < 1e-9
 
@@ -205,22 +209,27 @@ class TestAveragePrecision:
             c = int(rng.integers(2, 4))
             probs = rng.dirichlet(np.ones(c), size=n)
             labels = rng.integers(0, c, size=n)
-            got = pr_average_precision_micro(probs, labels).average_precision
+            got = micro_curves(probs, labels)[1].average_precision
             scores, hits = flatten(probs, labels)
             assert abs(got - brute_force_ap(scores, hits)) < 1e-9
 
-    @pytest.mark.parametrize("curve", [roc_auc_binary, pr_average_precision_binary])
-    @pytest.mark.parametrize("scores, hits, error, message", [
-        ([0.4, 0.7, 0.1], [False, False, False], DegenerateLabels, "labels are single-class"),
-        ([0.4, 0.7], [True, True], DegenerateLabels, "labels are single-class"),
-        ([0.4, 0.7], [True], LengthMismatch, r"^\(2,\) scores vs \(1,\) labels$"),
-        ([[0.4, 0.7]], [[True, False]], LengthMismatch, r"^\(1, 2\) scores vs \(1, 2\) labels$"),
-        ([0.4, np.nan, np.nan], [True, False, True], NonFiniteInput, "^scores must be finite$"),
-        ([np.inf, np.inf, 0.1], [True, False, True], NonFiniteInput, "^scores must be finite$"),
+    @pytest.mark.parametrize("probs, labels, error, message", [
+        ([0.4, 0.6], [0, 1], LengthMismatch, r"^\(2,\) probabilities vs \(2,\) labels$"),
+        ([[0.4, 0.6], [0.5, 0.5]], [0], LengthMismatch,
+         r"^\(2, 2\) probabilities vs \(1,\) labels$"),
+        ([[[0.4, 0.6]], [[0.5, 0.5]]], [0, 1], LengthMismatch,
+         r"^\(2, 1, 2\) probabilities vs \(2,\) labels$"),
+        ([[0.4, 0.6]], [1], InvalidShape, "^need at least 2 samples$"),
+        ([[0.4, 0.6], [0.5, 0.5]], [0, 2], IndexOutOfRange, r"^label outside \[0, 2\)$"),
+        ([[0.4, 0.6], [0.5, 0.5]], [-1, 0], IndexOutOfRange, r"^label outside \[0, 2\)$"),
+        ([[0.4, 0.6], [np.nan, 0.5]], [0, 1], InvalidDistribution,
+         "^distribution contains NaN or Inf$"),
+        ([[np.inf, 0.0], [0.5, 0.5]], [0, 1], InvalidDistribution,
+         "^distribution contains NaN or Inf$"),
     ])
-    def test_binary_curves_reject_bad_input(self, curve, scores, hits, error, message):
+    def test_micro_curves_reject_bad_input(self, probs, labels, error, message):
         with pytest.raises(error, match=message):
-            curve(scores, hits)
+            micro_curves(probs, labels)
 
 
 class TestCsvExport:

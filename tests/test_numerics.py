@@ -120,29 +120,6 @@ class TestStableSoftmax:
             numerics.stable_softmax([1.0], 1.0)
 
 
-class TestLogSoftmax:
-    def test_uniform_pair(self):
-        np.testing.assert_allclose(
-            numerics.log_softmax([0.0, 0.0], 1.0), [-math.log(2)] * 2, atol=1e-15
-        )
-
-    def test_log_of_softmax_oracle(self):
-        ls = numerics.log_softmax([2.0, 0.5, -1.0], 2.0)
-        np.testing.assert_allclose(ls, np.log(SOFTMAX_T2), atol=1e-6)
-
-    def test_no_overflow_on_extreme_logits(self):
-        ls = numerics.log_softmax([1000.0, 0.0], 1.0)
-        assert np.all(np.isfinite(ls))
-        assert abs(ls[0]) < 1e-6
-        assert abs(ls[1] + 1000.0) < 1e-6
-
-    def test_exp_sums_to_one(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            z = rng.uniform(-30, 30, size=rng.integers(2, 9))
-            assert abs(np.exp(numerics.log_softmax(z, 0.7)).sum() - 1.0) < 1e-9
-
-
 class TestKlDivergence:
     def test_identical_is_zero(self):
         assert numerics.kl_divergence([0.5, 0.5], [0.5, 0.5]) == 0.0

@@ -17,7 +17,6 @@ from antdistill import errors, selection, tinynet
 from antdistill.errors import (
     AllZeroWeights,
     EmptyRun,
-    InsufficientEvaluated,
     InvalidRho,
     InvalidShape,
     ParseError,
@@ -27,9 +26,7 @@ from antdistill.selection import (
     AcoConfig,
     PheromoneState,
     PsoConfig,
-    SelectionReport,
     ant_select,
-    extract_teacher_student,
     run_aco,
     run_grid,
     run_pso,
@@ -166,29 +163,22 @@ class TestRunAco:
 
 
 class TestExtractTeacherStudent:
-    def make_report(self, phi, evaluated=None):
-        return SelectionReport(
-            strategy="aco", seed=0, pool_size=len(phi), pair_mode=False,
-            best_id=0, best_name="x", best_score=0.0, teacher_id=None, student_id=None,
-            unique_evaluations=0, total_selections=0,
-            evaluated=evaluated or {}, final_pheromone=list(phi),
-        )
+    """A single-mode report's teacher and student are the top two of
+    `selection._rank`: by final pheromone, ties by score then index."""
 
     def test_worked_final_pheromone(self):
-        teacher, student = extract_teacher_student(self.make_report([2.7, 2.4, 3.6]))
-        assert (teacher, student) == (2, 0)  # 3.6 > 2.7 > 2.4
+        assert selection._rank({}, [2.7, 2.4, 3.6])[:2] == [2, 0]  # 3.6 > 2.7 > 2.4
 
     def test_two_candidates(self):
-        assert extract_teacher_student(self.make_report([1.0, 2.0])) == (1, 0)
+        assert selection._rank({}, [1.0, 2.0]) == [1, 0]
 
     def test_tie_broken_by_score(self):
-        rep = self.make_report([2.0, 2.0], evaluated={"0": 0.8, "1": 0.9})
-        assert extract_teacher_student(rep) == (1, 0)
+        assert selection._rank({0: 0.8, 1: 0.9}, [2.0, 2.0]) == [1, 0]
 
-    def test_insufficient(self):
-        rep = self.make_report([1.0])
-        with pytest.raises(InsufficientEvaluated):
-            extract_teacher_student(rep)
+    def test_one_evaluated_candidate_has_no_student(self):
+        rep = run_random(stub_pool([0.3, 0.7]), n_picks=1)
+        assert rep.teacher_id is not None
+        assert rep.student_id is None
 
 
 class TestRunRandom:
@@ -399,6 +389,10 @@ class TestLoadPoolInputs:
         {"candidates": [{"name": "a", "hidden_dims": [4], "learning_rate": float("nan")}]},
         {"candidates": [{"name": "a", "hidden_dims": [4], "learning_rate": float("inf")}]},
         {"candidates": [{"name": "a", "hidden_dims": [8, 0]}]},
+        {"candidates": [{"name": "a", "hidden_dims": [1.5]}]},
+        {"candidates": [{"name": "a", "hidden_dims": [True]}]},
+        {"candidates": [{"name": "a", "hidden_dims": ["3"]}]},
+        {"candidates": [{"name": "a", "hidden_dims": [4], "epochs": 2.7}]},
     ])
     def test_malformed_entry_is_parse_error(self, tmp_path, doc):
         path = tmp_path / "pool.json"

@@ -49,7 +49,7 @@ class TestForward:
         m = tinynet.init_mlp([4, 5, 3], seed=0)
         for w in m.weights:
             w[:] = 0.0
-        logits = tinynet.forward(m, np.ones(4))
+        logits = tinynet.forward_batch(m, np.ones((1, 4)))[0]
         np.testing.assert_array_equal(logits, np.zeros(3))
         np.testing.assert_allclose(numerics.stable_softmax(logits, 1.0), [1 / 3] * 3)
 
@@ -58,7 +58,7 @@ class TestForward:
         m.weights[0] = np.eye(3)
         m.biases[0] = np.zeros(3)
         x = np.array([0.3, -1.2, 2.5])
-        np.testing.assert_allclose(tinynet.forward(m, x), x, atol=1e-15)
+        np.testing.assert_allclose(tinynet.forward_batch(m, x[None])[0], x, atol=1e-15)
 
     def test_matches_independent_matmul_oracle(self):
         rng = np.random.default_rng(5)
@@ -70,12 +70,12 @@ class TestForward:
             for k in range(len(m.weights)):
                 z = np.array([m.weights[k][r] @ a + m.biases[k][r] for r in range(len(m.biases[k]))])
                 a = z if k == len(m.weights) - 1 else np.where(z > 0, z, 0.0)
-            np.testing.assert_allclose(tinynet.forward(m, x), a, atol=1e-9)
+            np.testing.assert_allclose(tinynet.forward_batch(m, x[None])[0], a, atol=1e-9)
 
     def test_shape_mismatch(self):
         m = tinynet.init_mlp([4, 3], seed=0)
         with pytest.raises(ShapeMismatch):
-            tinynet.forward(m, np.ones(5))
+            tinynet.forward_batch(m, np.ones((1, 5)))
 
 
 class TestLossGradients:
