@@ -8,9 +8,11 @@ temperature-scaled KL term between teacher and student distributions:
 
 with per-sample (T, w) supplied by a temperature policy. The teacher is
 frozen throughout; gradients flow only into the student. One row kernel
-computes the loss and its gradient: training calls it through
-kd_loss_rows, and kd_loss and kd_loss_grad validate one sample and then
-call it on a batch of one.
+computes the loss and its gradient from the blend's per-row constants
+1 - w, w * T^2 and w * T: distill_train computes them once per training
+run and hands the kernel to sgd_fit, kd_loss_rows computes them per call,
+and kd_loss and kd_loss_grad validate one sample and then call the kernel
+on a batch of one.
 """
 
 from __future__ import annotations
@@ -46,16 +48,28 @@ class LossBreakdown:
     total: float
 
 
-def _kd_rows(student_logits, teacher_probs, labels, temperatures, weights):
-    """(ce, kl, total, grad) of each row; see kd_loss_rows for the inputs."""
+def _kd_weights(temperatures, weights):
+    """The blend's per-row constants (1 - w, w * T^2, w * T)."""
+    # float_power is libm's pow, as a Python float's temperature**2 is; ** on an
+    # array squares, which can differ from pow in the last bit
+    return 1.0 - weights, weights * np.float_power(temperatures, 2), weights * temperatures
+
+
+def _kd_rows(student_logits, teacher_probs, labels, temperatures, ce_weight, kl_weight,
+             grad_weight):
+    """(total, grad, ce, kl) of each row; the three weights are _kd_weights's,
+    the other inputs kd_loss_rows's."""
     ce, dce = tinynet.cross_entropy_rows(student_logits, labels)
     ps = numerics.softmax_rows(student_logits, temperatures)
     kl = numerics.kl_divergence_rows(teacher_probs, ps)
-    # float_power is libm's pow, as a Python float's temperature**2 is; ** on an
-    # array squares, which can differ from pow in the last bit
-    total = (1.0 - weights) * ce + weights * np.float_power(temperatures, 2) * kl
-    grad = (1.0 - weights)[:, None] * dce + (weights * temperatures)[:, None] * (ps - teacher_probs)
-    return ce, kl, total, grad
+    total = ce_weight * ce + kl_weight * kl
+    grad = ce_weight[:, None] * dce + grad_weight[:, None] * (ps - teacher_probs)
+    return total, grad, ce, kl
+
+
+def _kd_loss_rows(*rows):
+    """_kd_rows's (total, grad): the loss_rows distill_train gives sgd_fit."""
+    return _kd_rows(*rows)[:2]
 
 
 def _kd_one(student_logits, teacher_logits, true_class, temperature, weight):
@@ -70,13 +84,13 @@ def _kd_one(student_logits, teacher_logits, true_class, temperature, weight):
     temps = np.array([numerics._check_temperature(temperature)])
     weights = np.array([_check_unit("weight", weight)])
     return _kd_rows(s[None, :], numerics.softmax_rows(t[None, :], temps), np.array([c]), temps,
-                    weights)
+                    *_kd_weights(temps, weights))
 
 
 def kd_loss(student_logits, teacher_logits, true_class: int, temperature: float,
             weight: float) -> LossBreakdown:
     """Loss breakdown for one sample; teacher logits are constants."""
-    ce, kl, total, _ = _kd_one(student_logits, teacher_logits, true_class, temperature, weight)
+    total, _, ce, kl = _kd_one(student_logits, teacher_logits, true_class, temperature, weight)
     return LossBreakdown(float(ce[0]), float(kl[0]), float(temperature), float(weight),
                          float(total[0]))
 
@@ -84,7 +98,7 @@ def kd_loss(student_logits, teacher_logits, true_class: int, temperature: float,
 def kd_loss_grad(student_logits, teacher_logits, true_class: int, temperature: float,
                  weight: float) -> np.ndarray:
     """d(total)/d(student_logits) = (1-w)(p1 - y) + w*T*(p_s - p_t)."""
-    return _kd_one(student_logits, teacher_logits, true_class, temperature, weight)[3][0]
+    return _kd_one(student_logits, teacher_logits, true_class, temperature, weight)[1][0]
 
 
 def kd_loss_rows(student_logits: np.ndarray, teacher_probs: np.ndarray, labels: np.ndarray,
@@ -95,8 +109,8 @@ def kd_loss_rows(student_logits: np.ndarray, teacher_probs: np.ndarray, labels: 
     teacher_probs holds each row's teacher softmax at its own temperature,
     softmax_rows(teacher_logits, temperatures). Inputs are not validated.
     """
-    _, _, total, grad = _kd_rows(student_logits, teacher_probs, labels, temperatures, weights)
-    return total, grad
+    return _kd_loss_rows(student_logits, teacher_probs, labels, temperatures,
+                         *_kd_weights(temperatures, weights))
 
 
 @dataclass
@@ -124,7 +138,7 @@ def distill_train(teacher: tinynet.MlpModel, student: tinynet.MlpModel,
     single batch can mix soft and hard targets. The teacher never sees
     gradients, which makes its logits, the contexts, the policy outputs
     and the teacher's softened targets constant across epochs; they are
-    precomputed once.
+    precomputed once, with the blend's per-row constants.
     """
     if teacher.n_classes != student.n_classes:
         raise LengthMismatch(
@@ -139,12 +153,8 @@ def distill_train(teacher: tinynet.MlpModel, student: tinynet.MlpModel,
         base_weight=cfg.t_base,
     )
     teacher_probs = numerics.softmax_rows(teacher_logits, temps)
-    labels = dataset.labels
-
-    def batch_loss(logits, idx):
-        return kd_loss_rows(logits, teacher_probs[idx], labels[idx], temps[idx], weights[idx])
-
-    trained, history = tinynet.sgd_fit(student, dataset, cfg.train, batch_loss)
+    targets = (teacher_probs, dataset.labels, temps, *_kd_weights(temps, weights))
+    trained, history = tinynet.sgd_fit(student, dataset, cfg.train, _kd_loss_rows, targets)
     train_temps = temps[dataset.indices("train")]
     report = DistillReport(
         seed=cfg.train.seed,

@@ -73,10 +73,6 @@ class EmptyMatrix(ValueError):
     """Confusion matrix has zero total count."""
 
 
-class DegenerateLabels(ValueError):
-    """Flattened one-vs-rest labels are all positive or all negative."""
-
-
 class ParseError(ValueError):
     """A data file could not be parsed."""
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DegenerateLabels,
     EmptyMatrix,
     IndexOutOfRange,
     InvalidShape,
@@ -151,12 +150,8 @@ def _flatten_ovr(probabilities, labels):
     scores = p.ravel()
     hits = np.zeros(p.shape, dtype=bool)
     hits[np.arange(y.size), y] = True
-    hits = hits.ravel()
-    n_pos = int(hits.sum())
-    n_neg = hits.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise DegenerateLabels("flattened labels are single-class")
-    return scores, hits, n_pos, n_neg
+    # each row gives one positive and C - 1 >= 1 negative pairs
+    return scores, hits.ravel(), y.size, y.size * (p.shape[1] - 1)
 
 
 def _threshold_groups(scores, hits):

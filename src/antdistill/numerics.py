@@ -71,13 +71,17 @@ def stable_softmax(logits, temperature: float = 1.0) -> np.ndarray:
     return softmax_rows(z[None, :], t)[0]
 
 
-def softmax_rows(logits: np.ndarray, temperature=1.0) -> np.ndarray:
+def softmax_rows(logits: np.ndarray, temperature=None) -> np.ndarray:
     """Softmax of each row of an (n, C) matrix, via max-subtraction.
 
-    temperature is one scalar or one value per row.
+    temperature is one scalar or one value per row; None means 1, and
+    skips the division, which at 1 changes no bit.
     """
-    t = np.asarray(temperature, dtype=np.float64)
-    s = logits / (t[:, None] if t.ndim else t)
+    if temperature is None:
+        s = logits
+    else:
+        t = np.asarray(temperature, dtype=np.float64)
+        s = logits / (t[:, None] if t.ndim else t)
     e = np.exp(s - s.max(axis=1, keepdims=True))
     return e / e.sum(axis=1, keepdims=True)
 

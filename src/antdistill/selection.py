@@ -98,6 +98,14 @@ def _is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _json_float(value, key: str) -> float:
+    """value, the entry's key, as a float; it must be a JSON number, not a
+    string or a boolean."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def load_pool(path, dataset=None) -> CandidatePool:
     """Pool definition file: JSON list of {name, stub_score | hidden_dims+lr+epochs}."""
     with open(path) as fh:
@@ -117,7 +125,7 @@ def load_pool(path, dataset=None) -> CandidatePool:
             raise ParseError(f"{path}: candidate {i} has a non-string name")
         try:
             if "stub_score" in e:
-                fields = {"stub_score": float(e["stub_score"])}
+                fields = {"stub_score": _json_float(e["stub_score"], "stub_score")}
             else:
                 dims = e["hidden_dims"]
                 epochs = e.get("epochs", 10)
@@ -125,9 +133,8 @@ def load_pool(path, dataset=None) -> CandidatePool:
                     raise TypeError(f"hidden_dims must be a list of integers, got {dims!r}")
                 if not _is_json_int(epochs):
                     raise TypeError(f"epochs must be an integer, got {epochs!r}")
-                fields = {"profile": MlpProfile(
-                    tuple(dims), float(e.get("learning_rate", 0.05)), epochs,
-                )}
+                lr = _json_float(e.get("learning_rate", 0.05), "learning_rate")
+                fields = {"profile": MlpProfile(tuple(dims), lr, epochs)}
         except KeyError as exc:
             raise ParseError(f"{path}: candidate {name!r} missing {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:

@@ -91,6 +91,25 @@ def init_mlp(layer_dims, seed: int) -> MlpModel:
     return MlpModel(dims, weights, biases)
 
 
+def _flat_views(layer_dims, vector: np.ndarray):
+    """(weights, biases) laid out layer by layer, each a view of vector."""
+    weights, biases, at = [], [], 0
+    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
+        weights.append(vector[at : at + fan_out * fan_in].reshape(fan_out, fan_in))
+        at += fan_out * fan_in
+        biases.append(vector[at : at + fan_out])
+        at += fan_out
+    return weights, biases
+
+
+def _flat_copy(model: MlpModel):
+    """(copy, vector): a copy of model whose weights and biases are views
+    of one new vector."""
+    vector = np.concatenate([a.ravel() for w, b in zip(model.weights, model.biases)
+                             for a in (w, b)])
+    return MlpModel(list(model.layer_dims), *_flat_views(model.layer_dims, vector)), vector
+
+
 def _forward_batch(model: MlpModel, x: np.ndarray):
     """Returns (logits, inputs per layer)."""
     if x.ndim != 2 or x.shape[1] != model.input_dim:
@@ -112,36 +131,44 @@ def forward_batch(model: MlpModel, x) -> np.ndarray:
     return logits
 
 
-def _backward(model: MlpModel, acts, dlogits):
-    """Reverse-mode gradients given d(loss)/d(logits) per row; a ReLU
-    passes gradient where its output, and so its input, is positive."""
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.weights)
+def _backward(model: MlpModel, acts, dlogits, grads_w, grads_b) -> None:
+    """Reverse-mode gradients given d(loss)/d(logits) per row, written into
+    grads_w and grads_b; a ReLU passes gradient where its output, and so
+    its input, is positive."""
     delta = dlogits
     for k in range(len(model.weights) - 1, -1, -1):
-        grads_w[k] = delta.T @ acts[k]
-        grads_b[k] = delta.sum(axis=0)
+        np.matmul(delta.T, acts[k], out=grads_w[k])
+        np.add.reduce(delta, axis=0, out=grads_b[k])
         if k > 0:
             delta = (delta @ model.weights[k]) * (acts[k] > 0.0)
-    return grads_w, grads_b
 
 
-def loss_gradients(model: MlpModel, batch, batch_loss):
+def _check_targets(targets, n_rows: int) -> None:
+    if any(np.shape(t)[:1] != (n_rows,) for t in targets):
+        raise ShapeMismatch(f"every target must have {n_rows} rows, got shapes "
+                            f"{[np.shape(t) for t in targets]}")
+
+
+def loss_gradients(model: MlpModel, batch, loss_rows, targets):
     """Gradients of the mean batch loss w.r.t. every weight and bias.
 
-    batch_loss(logits, idx) must return (per-row losses, dloss/dlogits)
-    for the (n, C) logits of the rows idx = 0..n-1; the gradient it
-    returns is treated as exact.
+    targets is a tuple of arrays indexed by batch row, and
+    loss_rows(logits, *targets) must return (per-row losses, dloss/dlogits)
+    for the (n, C) logits of the batch; the gradient it returns is treated
+    as exact.
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ShapeMismatch(f"batch must be a nonempty 2-D matrix, got shape {x.shape}")
+    _check_targets(targets, x.shape[0])
     logits, acts = _forward_batch(model, x)
-    losses, dlogits = batch_loss(logits, np.arange(x.shape[0]))
+    losses, dlogits = loss_rows(logits, *targets)
     total = float(np.sum(losses))
     if not np.isfinite(total):
         raise NonFiniteLoss(f"batch loss is {total!r}")
-    gw, gb = _backward(model, acts, dlogits / x.shape[0])
+    grads = np.empty(sum(w.size + b.size for w, b in zip(model.weights, model.biases)))
+    gw, gb = _flat_views(model.layer_dims, grads)
+    _backward(model, acts, dlogits / x.shape[0], gw, gb)
     return total / x.shape[0], gw, gb
 
 
@@ -336,54 +363,54 @@ def accuracy(model: MlpModel, features, labels) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
-def sgd_fit(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig, batch_loss):
+def sgd_fit(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig, loss_rows, targets):
     """Shared SGD loop over the train split; returns (model, history).
 
-    batch_loss(logits, idx) -> (per-row losses, dloss/dlogits) for the
-    (b, C) logits of the dataset rows idx. The caller's model is left
-    untouched; training runs on a copy.
+    targets is a tuple of arrays indexed by dataset row. Each epoch gathers
+    the features and every target in the epoch's shuffled order once; each
+    mini-batch then calls loss_rows(logits, *target rows), with views of
+    those gathers, for (per-row losses, dloss/dlogits) of its (b, C)
+    logits. The caller's model is left untouched: training runs on a copy
+    whose weights and biases are views of one parameter vector, and each
+    mini-batch updates that vector with one subtraction.
     """
     train_idx = dataset.indices("train")
     val_idx = dataset.indices("val")
     labels = dataset.labels[train_idx]
     if labels.min() < 0 or labels.max() >= model.n_classes:
         raise IndexOutOfRange(f"train labels outside [0, {model.n_classes})")
-    model = model.copy()
+    _check_targets(targets, dataset.n_samples)
+    model, params = _flat_copy(model)
+    grads = np.empty_like(params)
+    grads_w, grads_b = _flat_views(model.layer_dims, grads)
+    val_x, val_y = dataset.features[val_idx], dataset.labels[val_idx]
     rng = np.random.default_rng(cfg.seed)
     history = TrainHistory()
     for _ in range(cfg.epochs):
         order = train_idx[rng.permutation(train_idx.size)]
+        x = dataset.features[order]
+        columns = [t[order] for t in targets]
         loss_sum = 0.0
         for start in range(0, order.size, cfg.batch_size):
-            batch_idx = order[start : start + cfg.batch_size]
-            x = dataset.features[batch_idx]
-            logits, acts = _forward_batch(model, x)
-            losses, dlogits = batch_loss(logits, batch_idx)
+            stop = start + cfg.batch_size
+            logits, acts = _forward_batch(model, x[start:stop])
+            losses, dlogits = loss_rows(logits, *[c[start:stop] for c in columns])
             # one row at a time, in batch order, so that train_loss does not
             # depend on the order in which numpy would sum
             for loss in losses.tolist():
                 loss_sum += loss
-            if not np.isfinite(loss_sum):
+            if not math.isfinite(loss_sum):
                 raise NonFiniteLoss(f"training loss became {loss_sum!r}")
-            gw, gb = _backward(model, acts, dlogits / batch_idx.size)
-            for k in range(len(model.weights)):
-                model.weights[k] -= cfg.learning_rate * gw[k]
-                model.biases[k] -= cfg.learning_rate * gb[k]
+            _backward(model, acts, dlogits / logits.shape[0], grads_w, grads_b)
+            params -= cfg.learning_rate * grads
         history.train_loss.append(loss_sum / order.size)
-        history.val_accuracy.append(
-            accuracy(model, dataset.features[val_idx], dataset.labels[val_idx])
-        )
+        history.val_accuracy.append(accuracy(model, val_x, val_y))
     return model, history
 
 
 def train_supervised(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig):
     """Cross-entropy SGD on the train split; returns (model, history)."""
-    labels = dataset.labels
-
-    def batch_loss(logits, idx):
-        return cross_entropy_rows(logits, labels[idx])
-
-    return sgd_fit(model, dataset, cfg, batch_loss)
+    return sgd_fit(model, dataset, cfg, cross_entropy_rows, (dataset.labels,))
 
 
 # ---------------------------------------------------------------------------

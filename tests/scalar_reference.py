@@ -11,14 +11,23 @@ another rather than the library's versions.
 
 The file also keeps the row-by-row `evaluate` input reader and the
 stable-sort threshold sweep, as the references of the flat-cell reader
-in `cli` and of `metrics._threshold_groups`.
+in `cli` and of `metrics._threshold_groups`, and the SGD loop that
+indexed the dataset per mini-batch, called a per-batch loss closure and
+updated each weight and bias array on its own, as the reference of
+`tinynet.sgd_fit`, with its supervised and distillation losses.
 """
 
 import numpy as np
 
-from antdistill import numerics
+from antdistill import numerics, tinynet
 from antdistill.distill import LossBreakdown
-from antdistill.errors import InvalidPolicyParameters, LengthMismatch, ParseError
+from antdistill.errors import (
+    IndexOutOfRange,
+    InvalidPolicyParameters,
+    LengthMismatch,
+    NonFiniteLoss,
+    ParseError,
+)
 from antdistill.numerics import EPS
 from antdistill.temperature import (
     ConstantPolicy,
@@ -27,6 +36,7 @@ from antdistill.temperature import (
     RuleBasedPolicy,
     UncertaintyLinearPolicy,
     _check_unit,
+    apply_policy_rows,
 )
 
 
@@ -169,3 +179,118 @@ def threshold_groups(scores, hits):
     cum_tp = np.cumsum(h)[ends]
     cum_fp = np.cumsum(~h)[ends]
     return cum_tp.astype(np.float64), cum_fp.astype(np.float64)
+
+
+def _forward_batch(model, x):
+    """Returns (logits, inputs per layer)."""
+    acts = []
+    a = x
+    last = len(model.weights) - 1
+    for k, (w, b) in enumerate(zip(model.weights, model.biases)):
+        acts.append(a)
+        z = a @ w.T + b
+        a = z if k == last else np.maximum(z, 0.0)
+    return a, acts
+
+
+def _backward(model, acts, dlogits):
+    grads_w = [None] * len(model.weights)
+    grads_b = [None] * len(model.weights)
+    delta = dlogits
+    for k in range(len(model.weights) - 1, -1, -1):
+        grads_w[k] = delta.T @ acts[k]
+        grads_b[k] = delta.sum(axis=0)
+        if k > 0:
+            delta = (delta @ model.weights[k]) * (acts[k] > 0.0)
+    return grads_w, grads_b
+
+
+def _accuracy(model, features, labels) -> float:
+    logits, _ = _forward_batch(model, features)
+    return float(np.mean(np.argmax(logits, axis=1) == labels))
+
+
+def sgd_fit(model, dataset, cfg, batch_loss):
+    """batch_loss(logits, idx) -> (per-row losses, dloss/dlogits) for the
+    (b, C) logits of the dataset rows idx; returns (model, history)."""
+    train_idx = dataset.indices("train")
+    val_idx = dataset.indices("val")
+    labels = dataset.labels[train_idx]
+    if labels.min() < 0 or labels.max() >= model.n_classes:
+        raise IndexOutOfRange(f"train labels outside [0, {model.n_classes})")
+    model = model.copy()
+    rng = np.random.default_rng(cfg.seed)
+    history = tinynet.TrainHistory()
+    for _ in range(cfg.epochs):
+        order = train_idx[rng.permutation(train_idx.size)]
+        loss_sum = 0.0
+        for start in range(0, order.size, cfg.batch_size):
+            batch_idx = order[start : start + cfg.batch_size]
+            x = dataset.features[batch_idx]
+            logits, acts = _forward_batch(model, x)
+            losses, dlogits = batch_loss(logits, batch_idx)
+            for loss in losses.tolist():
+                loss_sum += loss
+            if not np.isfinite(loss_sum):
+                raise NonFiniteLoss(f"training loss became {loss_sum!r}")
+            gw, gb = _backward(model, acts, dlogits / batch_idx.size)
+            for k in range(len(model.weights)):
+                model.weights[k] -= cfg.learning_rate * gw[k]
+                model.biases[k] -= cfg.learning_rate * gb[k]
+        history.train_loss.append(loss_sum / order.size)
+        history.val_accuracy.append(
+            _accuracy(model, dataset.features[val_idx], dataset.labels[val_idx])
+        )
+    return model, history
+
+
+def _softmax_rows(logits, temperature=1.0):
+    t = np.asarray(temperature, dtype=np.float64)
+    s = logits / (t[:, None] if t.ndim else t)
+    e = np.exp(s - s.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _cross_entropy_rows(logits, labels):
+    p = _softmax_rows(logits)
+    rows = np.arange(labels.shape[0])
+    losses = -np.log(np.maximum(p[rows, labels], EPS))
+    p[rows, labels] -= 1.0
+    return losses, p
+
+
+def _kd_rows(student_logits, teacher_probs, labels, temperatures, weights):
+    ce, dce = _cross_entropy_rows(student_logits, labels)
+    ps = _softmax_rows(student_logits, temperatures)
+    p = teacher_probs
+    kl = np.where(p > 0.0, p * (np.log(np.maximum(p, EPS)) - np.log(np.maximum(ps, EPS))),
+                  0.0).sum(axis=1)
+    total = (1.0 - weights) * ce + weights * np.float_power(temperatures, 2) * kl
+    grad = (1.0 - weights)[:, None] * dce + (weights * temperatures)[:, None] * (ps - teacher_probs)
+    return total, grad
+
+
+def train_supervised(model, dataset, cfg):
+    labels = dataset.labels
+
+    def batch_loss(logits, idx):
+        return _cross_entropy_rows(logits, labels[idx])
+
+    return sgd_fit(model, dataset, cfg, batch_loss)
+
+
+def distill_train(teacher, student, dataset, cfg):
+    """distill_train's (student, history); the teacher's targets come from
+    the library's forward pass and apply_policy_rows."""
+    teacher_logits = tinynet.forward_batch(teacher, dataset.features)
+    temps, weights = apply_policy_rows(
+        cfg.policy, teacher_logits, dataset.noise_level,
+        dataset.class_complexity[dataset.labels], base_weight=cfg.t_base,
+    )
+    teacher_probs = _softmax_rows(teacher_logits, temps)
+    labels = dataset.labels
+
+    def batch_loss(logits, idx):
+        return _kd_rows(logits, teacher_probs[idx], labels[idx], temps[idx], weights[idx])
+
+    return sgd_fit(student, dataset, cfg.train, batch_loss)

@@ -126,7 +126,7 @@ def test_criterion_03_gradient_correctness():
         logits = tinynet.forward_batch(m, x)
         return float(np.mean([sample_loss(logits[i], i)[0] for i in range(6)]))
 
-    _, gw, gb = tinynet.loss_gradients(model, x, rows_loss)
+    _, gw, gb = tinynet.loss_gradients(model, x, rows_loss, (np.arange(6),))
     worst_mlp = 0.0
     for _ in range(100):
         k = int(rng.integers(0, len(model.weights)))

@@ -320,6 +320,22 @@ class TestSelect:
         assert not (out / "report.json").exists()
         assert "entries must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("stub_score", "0.5"), ("stub_score", True),
+                                            ("learning_rate", "0.1"), ("learning_rate", True)])
+    def test_non_number_float_field_is_exit_2_before_any_training(
+            self, tmp_path, fits, capsys, key, value):
+        if key == "stub_score":
+            candidates = [{"name": "a", "stub_score": 0.5}, {"name": "b", key: value}]
+        else:
+            candidates = [dict(MLP_POOL["candidates"][0]), dict(MLP_POOL["candidates"][1])]
+            candidates[1][key] = value
+        write(tmp_path / "pool.json", json.dumps({"candidates": candidates}))
+        cfg = write(tmp_path / "c.ini", SELECT_DATA + "[grid]\npool = pool.json\n")
+        assert main(["select", "--config", str(cfg), "--strategy", "grid",
+                     "--out", str(tmp_path / "run")]) == 2
+        assert fits == []
+        assert f"'b': {key} must be a number, got {value!r}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("candidates", [[1, 2], [{"name": "a", "hidden_dims": 5}]])
     def test_malformed_pool_is_exit_2(self, tmp_path, candidates):
         write(tmp_path / "pool.json", json.dumps({"candidates": candidates}))

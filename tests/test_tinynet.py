@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antdistill import numerics, tinynet
+import scalar_reference as ref
+from antdistill import distill, numerics, tinynet
 from antdistill.errors import (
     EmptySplit,
     IndexOutOfRange,
@@ -18,6 +19,7 @@ from antdistill.errors import (
     ShapeMismatch,
     UnknownNoiseKind,
 )
+from antdistill.temperature import ConstantPolicy, RuleBasedPolicy, UncertaintyLinearPolicy
 
 
 def small_dataset(seed=0, complexity=0.0, n=300, c=3, d=4):
@@ -25,7 +27,8 @@ def small_dataset(seed=0, complexity=0.0, n=300, c=3, d=4):
 
 
 def ce_loss(labels, n_classes):
-    """Batch loss built row by row from the scalar numerics oracle."""
+    """Batch loss built row by row from the scalar numerics oracle; its one
+    target is each row's index into labels."""
     def sample_loss(logits, i):
         p = numerics.stable_softmax(logits, 1.0)
         onehot = np.zeros(n_classes)
@@ -39,9 +42,9 @@ def ce_loss(labels, n_classes):
     return batch_loss
 
 
-def nan_loss(logits, idx):
+def nan_loss(logits):
     """Batch loss whose every row is NaN."""
-    return np.full(len(idx), np.nan), np.zeros_like(logits)
+    return np.full(logits.shape[0], np.nan), np.zeros_like(logits)
 
 
 class TestForward:
@@ -83,7 +86,7 @@ class TestLossGradients:
         m = tinynet.init_mlp([4, 6, 3], seed=2)
         x = np.random.default_rng(0).normal(size=(5, 4))
         _, gw, gb = tinynet.loss_gradients(
-            m, x, lambda logits, idx: (np.ones(len(idx)), np.zeros_like(logits))
+            m, x, lambda logits: (np.ones(logits.shape[0]), np.zeros_like(logits)), ()
         )
         assert all(np.all(g == 0) for g in gw)
         assert all(np.all(g == 0) for g in gb)
@@ -92,7 +95,7 @@ class TestLossGradients:
         m = tinynet.init_mlp([4, 6, 3], seed=2)
         x = np.random.default_rng(0).normal(size=(5, 4))
         with pytest.raises(NonFiniteLoss, match="^batch loss is nan$"):
-            tinynet.loss_gradients(m, x, nan_loss)
+            tinynet.loss_gradients(m, x, nan_loss, ())
 
     def test_duplicated_sample_equals_single(self):
         m = tinynet.init_mlp([4, 6, 3], seed=2)
@@ -100,8 +103,8 @@ class TestLossGradients:
         x = rng.normal(size=(1, 4))
         labels = np.array([1])
         loss = ce_loss(np.array([1, 1, 1, 1]), 3)
-        l1, gw1, gb1 = tinynet.loss_gradients(m, x, loss)
-        lk, gwk, gbk = tinynet.loss_gradients(m, np.repeat(x, 4, axis=0), loss)
+        l1, gw1, gb1 = tinynet.loss_gradients(m, x, loss, (np.arange(1),))
+        lk, gwk, gbk = tinynet.loss_gradients(m, np.repeat(x, 4, axis=0), loss, (np.arange(4),))
         assert abs(l1 - lk) < 1e-12
         for a, b in zip(gw1, gwk):
             np.testing.assert_allclose(a, b, atol=1e-12)
@@ -118,7 +121,7 @@ class TestLossGradients:
             logits, _ = tinynet._forward_batch(model, x)
             return float(np.mean(loss(logits, np.arange(6))[0]))
 
-        _, gw, gb = tinynet.loss_gradients(m, x, loss)
+        _, gw, gb = tinynet.loss_gradients(m, x, loss, (np.arange(6),))
         h = 1e-5
         worst = 0.0
         for _ in range(100):
@@ -328,7 +331,7 @@ class TestTrainSupervised:
         ds = small_dataset(seed=3)
         m = tinynet.init_mlp([4, 8, 3], seed=0)
         with pytest.raises(NonFiniteLoss, match="^training loss became nan$"):
-            tinynet.sgd_fit(m, ds, tinynet.TrainConfig(epochs=1), nan_loss)
+            tinynet.sgd_fit(m, ds, tinynet.TrainConfig(epochs=1), nan_loss, ())
 
     def test_missing_split_raises(self):
         ds = small_dataset(seed=11)
@@ -336,6 +339,99 @@ class TestTrainSupervised:
         model = tinynet.init_mlp([4, 8, 3], seed=6)
         with pytest.raises(EmptySplit):
             tinynet.train_supervised(model, ds, tinynet.TrainConfig(epochs=1, seed=0))
+
+    def test_target_with_other_row_count_raises(self):
+        ds = small_dataset(seed=3)
+        m = tinynet.init_mlp([4, 8, 3], seed=0)
+        with pytest.raises(ShapeMismatch, match="every target must have 300 rows"):
+            tinynet.sgd_fit(m, ds, tinynet.TrainConfig(epochs=1), tinynet.cross_entropy_rows,
+                            (ds.labels[:-1],))
+
+
+def model_arrays(model):
+    return model.weights + model.biases
+
+
+class TestParameterVector:
+    """sgd_fit trains a copy whose arrays are views of one parameter vector."""
+
+    def setup_method(self):
+        self.model = tinynet.init_mlp([4, 6, 5, 3], seed=2)
+        self.before = [a.tobytes() for a in model_arrays(self.model)]
+        self.trained, _ = tinynet.train_supervised(self.model, small_dataset(seed=4),
+                                                   tinynet.TrainConfig(epochs=2, seed=1))
+
+    def test_caller_model_is_untouched(self):
+        assert [a.tobytes() for a in model_arrays(self.model)] == self.before
+
+    def test_trained_model_shares_no_memory_with_the_caller_model(self):
+        for a in model_arrays(self.trained):
+            assert not any(np.shares_memory(a, b) for b in model_arrays(self.model))
+
+    def test_copy_of_trained_model_does_not_move_with_its_vector(self):
+        vector = self.trained.weights[0].base
+        assert vector.ndim == 1 and vector.size == sum(a.size for a in model_arrays(self.trained))
+        assert all(np.shares_memory(a, vector) for a in model_arrays(self.trained))
+        snapshot = self.trained.copy()
+        before = [a.tobytes() for a in model_arrays(snapshot)]
+        vector -= 0.5
+        assert [a.tobytes() for a in model_arrays(snapshot)] == before
+        assert all(not np.array_equal(a, b)
+                   for a, b in zip(model_arrays(self.trained), model_arrays(snapshot)))
+
+
+@st.composite
+def training_runs(draw):
+    """(policy or None, teacher, student, dataset, train config, t_base) of
+    one small training run; policy None means supervised training."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    c, d = draw(st.integers(2, 4)), draw(st.integers(2, 5))
+    ds = tinynet.generate_synthetic(draw(st.integers(10 * c, 60)), c, d,
+                                    draw(st.floats(0.0, 1.0)), seed)
+    ds = tinynet.inject_noise(ds, "gaussian", draw(st.sampled_from([0.0, 0.5, 1.0])), seed,
+                              fraction=0.5)
+    hidden = draw(st.lists(st.integers(1, 8), max_size=2))
+    student = tinynet.init_mlp([d, *hidden, c], seed)
+    teacher = tinynet.init_mlp([d, 6, c], seed + 1)
+    rows = ds.indices("train").size
+    cfg = tinynet.TrainConfig(
+        epochs=draw(st.integers(1, 4)),
+        batch_size=draw(st.sampled_from([1, rows - 1, rows, rows + 3]) | st.integers(1, rows + 5)),
+        learning_rate=draw(st.just(0.0) | st.floats(0.0, 0.5)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    policy = draw(st.none()
+                  | st.builds(ConstantPolicy, st.floats(0.05, 20.0))
+                  | st.builds(UncertaintyLinearPolicy, st.floats(0.0, 10.0))
+                  | st.builds(RuleBasedPolicy, base_temperature=st.floats(1.0, 8.0),
+                              base_weight=st.floats(0.0, 0.9)))
+    return policy, teacher, student, ds, cfg, draw(st.floats(0.0, 1.0))
+
+
+def fit_outcome(fit):
+    """(weights and biases as bytes, train_loss, val_accuracy), or the error raised."""
+    try:
+        model, history = fit()
+    except NonFiniteLoss as exc:
+        return repr(exc)
+    return ([a.tobytes() for a in model_arrays(model)], history.train_loss,
+            history.val_accuracy)
+
+
+class TestSgdFitMatchesReferenceLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(run=training_runs())
+    def test_bit_for_bit(self, run):
+        policy, teacher, student, ds, cfg, t_base = run
+        if policy is None:
+            got = fit_outcome(lambda: tinynet.train_supervised(student, ds, cfg))
+            want = fit_outcome(lambda: ref.train_supervised(student, ds, cfg))
+        else:
+            kd = distill.KdConfig(policy, t_base, cfg)
+            # the report's train_loss and val_accuracy are the history's
+            got = fit_outcome(lambda: distill.distill_train(teacher, student, ds, kd))
+            want = fit_outcome(lambda: ref.distill_train(teacher, student, ds, kd))
+        assert got == want
 
 
 class TestDatasetFile:
