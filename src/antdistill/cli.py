@@ -16,9 +16,11 @@ next to its reports.
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import shutil
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -253,19 +255,64 @@ def _read_csv_table(path) -> tuple[list[str], int, list[str]]:
     return header, n_rows, cells.split(",")
 
 
+def _is_pred_header(header: list[str]) -> bool:
+    return header[:1] == ["pred"] and header[1:] == [f"p{j}" for j in range(len(header) - 1)]
+
+
+def _loadtxt_table(path, header_ok):
+    """(ids, probabilities) of a CSV file read by numpy's C parser: the
+    first column as int64, the others as an (n, width - 1) float64 array.
+    None for a header that fails header_ok, for no data rows, and for a
+    file with a byte outside ASCII or one of the separators 0x1c-0x1f:
+    numpy reads those separators as whitespace and any Unicode digit as a
+    digit, where int() and float() reject both."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii() or any(sep in data for sep in (b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
+        return None
+    # decoded as open(path) in _read_csv_table decodes it
+    with io.TextIOWrapper(io.BytesIO(data)) as fh:
+        header = fh.readline().removesuffix("\n").split(",")
+        if not header_ok(header):
+            return None
+        rows = np.loadtxt(fh, dtype=[("id", np.int64), ("p", np.float64, (len(header) - 1,))],
+                          delimiter=",", comments=None, ndmin=1)
+    # copies are C-contiguous, as the int()/float() reader's arrays are
+    return (rows["id"].copy(), rows["p"].copy()) if len(rows) else None
+
+
+def _loadtxt_inputs(pred_path, label_path):
+    """(preds, labels, probs or None) read by numpy's C parser, or None
+    when _evaluate_inputs must read the files with int() and float(). On
+    the files _loadtxt_table reads, numpy rejects whitespace-only lines
+    and every cell that int() or float() rejects or reads otherwise, so
+    both readers give the same arrays."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # loadtxt: "input contained no data"
+            pred = _loadtxt_table(pred_path, _is_pred_header)
+            label = _loadtxt_table(label_path, lambda header: header == ["label"])
+    except (OSError, ValueError, UserWarning):
+        return None
+    if pred is None or label is None or len(pred[0]) != len(label[0]):
+        return None
+    (preds, probs), (labels, _) = pred, label
+    return preds, labels, probs if probs.shape[1] else None
+
+
 def _evaluate_inputs(pred_path, label_path):
     """(preds, labels, probs or None) as arrays from a predictions file and
     a labels file."""
+    arrays = _loadtxt_inputs(pred_path, label_path)
+    if arrays is not None:
+        return arrays
     header_p, n_rows, cells_p = _read_csv_table(pred_path)
     header_l, n_labels, cells_l = _read_csv_table(label_path)
     if header_l != ["label"]:
         raise ParseError(f"{label_path}: expected header 'label', got {header_l}")
-    width = len(header_p)
-    want_probs = header_p[:1] == ["pred"] and width > 1
-    if header_p != ["pred"] and not (
-        want_probs and header_p[1:] == [f"p{j}" for j in range(width - 1)]
-    ):
+    if not _is_pred_header(header_p):
         raise ParseError(f"{pred_path}: expected header 'pred[,p0,p1,...]', got {header_p}")
+    width = len(header_p)
     if n_rows != n_labels:
         raise ParseError(f"{pred_path} has {n_rows} data rows, {label_path} has {n_labels}")
     # pred ids, then labels, then probabilities row by row: the first bad
@@ -276,7 +323,7 @@ def _evaluate_inputs(pred_path, label_path):
         preds = np.array(list(map(int, cells_p[::width])), dtype=np.int64)
         labels = np.array(list(map(int, cells_l)), dtype=np.int64)
         probs = None
-        if want_probs:
+        if width > 1:
             del cells_p[::width]
             probs = np.fromiter(map(float, cells_p), dtype=np.float64, count=len(cells_p))
             probs = probs.reshape(n_rows, width - 1)
@@ -286,8 +333,9 @@ def _evaluate_inputs(pred_path, label_path):
 
 
 def cmd_evaluate(args) -> int:
-    # the cell strings take about ten times the memory of the arrays, and
-    # are freed when _evaluate_inputs returns
+    # when _evaluate_inputs falls back to the int()/float() reader, its cell
+    # strings take about ten times the memory of the arrays; they are freed
+    # when it returns
     preds, labels, probs = _evaluate_inputs(args.predictions, args.labels)
     n_classes = (
         probs.shape[1] if probs is not None else int(max(preds.max(), labels.max())) + 1

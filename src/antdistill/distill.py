@@ -127,7 +127,7 @@ class DistillReport:
     final_val_accuracy: float
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
+        return json.dumps(asdict(self), sort_keys=True, indent=2, allow_nan=False)
 
 
 def distill_train(teacher: tinynet.MlpModel, student: tinynet.MlpModel,

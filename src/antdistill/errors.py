@@ -57,6 +57,10 @@ class AllZeroWeights(ValueError):
     """Every pheromone^alpha * heuristic^beta weight is zero."""
 
 
+class NonFiniteWeights(ValueError):
+    """A pheromone^alpha * heuristic^beta weight overflowed to inf or NaN."""
+
+
 class InvalidRho(ValueError):
     """Evaporation rate outside [0, 1)."""
 

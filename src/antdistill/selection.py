@@ -27,6 +27,7 @@ from .errors import (
     EmptyRun,
     InvalidRho,
     InvalidShape,
+    NonFiniteWeights,
     ParseError,
     PoolTooSmall,
 )
@@ -189,7 +190,11 @@ class AcoConfig:
 
 
 def _preference_weights(state: PheromoneState, alpha: float, beta: float) -> np.ndarray:
-    w = state.pheromone**alpha * state.heuristic**beta
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf * 0
+        w = state.pheromone**alpha * state.heuristic**beta
+    if not np.isfinite(w).all():
+        raise NonFiniteWeights(f"pheromone^alpha * heuristic^beta is not finite for alpha "
+                               f"{alpha!r}, beta {beta!r}: {w.tolist()}")
     if not np.any(w > 0):
         raise AllZeroWeights("every pheromone^alpha * heuristic^beta weight is zero")
     return w
@@ -246,7 +251,7 @@ class SelectionReport:
 
     def to_json(self) -> str:
         payload = dict(self.__dict__)
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
 
     def csv_row(self) -> str:
         return (

@@ -29,7 +29,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def write(path, text):
-    path.write_text(text)
+    # a lone surrogate such as "\udcff" is written as the raw byte 0xff
+    path.write_text(text, errors="surrogateescape")
     return path
 
 
@@ -319,6 +320,19 @@ class TestSelect:
                      "--out", str(out)]) == 2
         assert not (out / "report.json").exists()
         assert "entries must be finite" in capsys.readouterr().err
+
+    def test_overflowing_aco_weights_are_exit_2(self, tmp_path, capsys):
+        # the pheromone of the 0.9 candidate passes 1, and its 1000th power
+        # overflows: this once wrote NaN probabilities and exited 0
+        write(tmp_path / "pool.json", json.dumps({"candidates": [
+            {"name": "a", "stub_score": 0.5}, {"name": "b", "stub_score": 0.9}]}))
+        cfg = write(tmp_path / "c.ini", "[aco]\npool = pool.json\nalpha = 1e3\n")
+        out = tmp_path / "run"
+        assert main(["select", "--config", str(cfg), "--strategy", "aco",
+                     "--out", str(out)]) == 2
+        assert not (out / "report.json").exists()
+        assert capsys.readouterr().err.startswith(
+            "error: pheromone^alpha * heuristic^beta is not finite for alpha 1000.0, beta 2.0")
 
     @pytest.mark.parametrize("key, value", [("stub_score", "0.5"), ("stub_score", True),
                                             ("learning_rate", "0.1"), ("learning_rate", True)])
@@ -614,6 +628,43 @@ def test_evaluate_outputs_pinned(tmp_path, inputs):
     assert digests == GOLDEN_EVALUATE[inputs]
 
 
+def run_evaluate(directory, out):
+    """Exit code, stdout and output files of evaluate on directory's inputs."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        rc = main(["evaluate", "--predictions", str(directory / "preds.csv"),
+                   "--labels", str(directory / "labels.csv"), "--out", str(out)])
+    return rc, stdout.getvalue(), {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+class TestEvaluateReaders:
+    """Clean files are read by numpy's C parser alone; any other file goes
+    through `_read_csv_table` and gives the same outputs."""
+
+    @pytest.mark.parametrize("with_probs", [True, False], ids=["probabilities", "pred-only"])
+    def test_clean_files_skip_the_cell_reader(self, tmp_path, monkeypatch, with_probs):
+        write_eval_inputs(tmp_path, with_probs)
+
+        def cell_reader(path):
+            raise AssertionError(f"_read_csv_table read {path}")
+
+        monkeypatch.setattr(cli, "_read_csv_table", cell_reader)
+        assert run_evaluate(tmp_path, tmp_path / "run")[0] == 0
+
+    def test_whitespace_line_takes_the_cell_reader(self, tmp_path, monkeypatch):
+        write_eval_inputs(tmp_path, with_probs=True)
+        fast = run_evaluate(tmp_path, tmp_path / "fast")
+        preds = tmp_path / "preds.csv"
+        lines = preds.read_text().split("\n")
+        preds.write_text("\n".join(lines[:100] + [" \t"] + lines[100:]))
+        read = []
+        cell_reader = cli._read_csv_table
+        monkeypatch.setattr(cli, "_read_csv_table",
+                            lambda path: read.append(Path(path).name) or cell_reader(path))
+        assert run_evaluate(tmp_path, tmp_path / "fallback") == fast
+        assert fast[0] == 0 and read == ["preds.csv", "labels.csv"]
+
+
 class TestEvaluate:
     def test_perfect_predictions(self, tmp_path):
         write(tmp_path / "preds.csv", "pred\n0\n1\n2\n")
@@ -657,12 +708,22 @@ class TestEvaluate:
                      "--out", str(tmp_path / "run")]) != 0
 
 
+# cells on which numpy's C parser and int()/float() may disagree: digits
+# and whitespace that int() or float() reads and numpy rejects, ids only
+# float() reads, notations of either, quotes, comments, control bytes and
+# "\udcff", which is written as the byte 0xff that no UTF-8 reader decodes
+ODD_CELLS = ["1_0", "0_0.5", "１", "٣", " 1 ", "+1", "-0", "1.0", "1e2", "Infinity", "-nan",
+             "0x10", '"1"', "1#2", "1\t", "0\t.5", "\x00", "\udcff"]
+# cells that numpy reads and int()/float() reject: numpy takes the
+# separators 0x1c-0x1f for whitespace and "①" or "二" for digits
+NUMPY_ONLY_CELLS = ["①", "1二", "1\x1c", "\x1d1", "0.5\x1e", "\x1f0.5"]
 # cells of a predictions or labels file: class ids (small, huge, out of
 # int64), probabilities, and what the reader must reject
 EVAL_CELLS = (st.integers(-2, 6).map(str)
               | st.sampled_from(["10000000", "99999999999999999999", "", "x", "1.5", "nan",
                                  "inf", "0.5", "1e400"])
-              | st.floats(0.0, 1.0).map(repr))
+              | st.floats(0.0, 1.0).map(repr)
+              | st.sampled_from(ODD_CELLS + NUMPY_ONLY_CELLS))
 EVAL_ROWS = st.lists(st.lists(EVAL_CELLS, min_size=1, max_size=4).map(",".join), max_size=6)
 PRED_HEADERS = st.sampled_from(["pred", "pred,p0,p1", "pred,p0,p1,p2", "pred,p1", "pred,p0",
                                 "label", "p0,pred", ""])
@@ -674,19 +735,30 @@ BLANK_LINES = st.sampled_from(["", " ", "\t", "  \t "])
 @st.composite
 def eval_files(draw, headers):
     """File bytes: a header from `headers`, data rows as wide as it, and
-    blank lines anywhere, with \\n, \\r\\n or \\r line ends. The cells of
-    half the files parse: class ids first, then probabilities."""
+    blank lines anywhere, the header's place included, with \\n, \\r\\n or
+    \\r line ends. The cells of a third of the files parse: class ids
+    first, then probabilities; another third is such a file with one odd
+    cell. Two such files of a test case have the same number of rows.
+    Files without blank lines are the most common."""
     header = draw(headers)
     width = header.count(",") + 1
-    if draw(st.booleans()):
-        cells = [st.integers(0, 3).map(str)] + [st.floats(0.0, 1.0).map(repr)] * (width - 1)
-    else:
+    kind = draw(st.sampled_from(["parse", "odd", "any"]))
+    if kind == "any":
+        n_rows = draw(st.integers(1, 6))
         cells = [EVAL_CELLS] * width
-    lines = [header, *draw(st.lists(st.tuples(*cells).map(",".join), min_size=1, max_size=6))]
-    for _ in range(draw(st.integers(0, 3))):
+    else:
+        n_rows = draw(st.shared(st.integers(1, 6), key="eval_rows"))
+        cells = [st.integers(0, 3).map(str)] + [st.floats(0.0, 1.0).map(repr)] * (width - 1)
+    rows = draw(st.lists(st.tuples(*cells).map(list), min_size=n_rows, max_size=n_rows))
+    if kind == "odd":
+        odd = st.sampled_from(ODD_CELLS) | st.sampled_from(NUMPY_ONLY_CELLS)
+        rows[draw(st.integers(0, n_rows - 1))][draw(st.integers(0, width - 1))] = draw(odd)
+    lines = [header, *map(",".join, rows)]
+    for _ in range(draw(st.just(0) | st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))), draw(BLANK_LINES))
     end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
-    return (end.join(lines) + draw(st.sampled_from(["", end]))).encode()
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    return text.encode("utf-8", "surrogateescape")
 
 
 def _parsed(read, *paths):
@@ -726,6 +798,17 @@ class TestEvaluateInputs:
         paths = (base / "parse_preds.csv", base / "parse_labels.csv")
         want = _parsed(ref.evaluate_inputs, *paths)
         assert _parsed(cli._evaluate_inputs, *paths) == want
+
+    @pytest.mark.parametrize("cell", ODD_CELLS + NUMPY_ONLY_CELLS)
+    @pytest.mark.parametrize("column", ["pred", "p1", "label"])
+    def test_odd_cell_gives_the_row_readers_result(self, tmp_path, cell, column):
+        rows = {"pred": [["pred", "p0", "p1"], ["0", "0.25", "0.75"], ["1", "0.5", "0.5"]],
+                "label": [["label"], ["0"], ["1"]]}
+        edited = rows["label" if column == "label" else "pred"]
+        edited[2][edited[0].index(column)] = cell
+        paths = [write(tmp_path / f"{name}s.csv", "".join(",".join(r) + "\n" for r in rows[name]))
+                 for name in ("pred", "label")]
+        assert _parsed(cli._evaluate_inputs, *paths) == _parsed(ref.evaluate_inputs, *paths)
 
     @pytest.mark.parametrize("pred_text, label_text, name, message", [
         ("pred\n0\n1,1\n", "label\n0\n1\n", "preds.csv", "data row 2 has 2 cells, header has 1"),

@@ -1,5 +1,6 @@
 """Tests for the distillation loss, its analytic gradient, and training."""
 
+import dataclasses
 import math
 import re
 
@@ -176,6 +177,13 @@ class TestDistillTrain:
         _, r2 = distill_train(teacher, student, ds, cfg)
         assert r1.to_json() == r2.to_json()
         assert '"seed": 3' in r1.to_json()
+
+    def test_report_json_refuses_nan(self):
+        ds, teacher, student = self.make_setup(34)
+        cfg = KdConfig(ConstantPolicy(2.0), train=tinynet.TrainConfig(epochs=1, seed=3))
+        report = distill_train(teacher, student, ds, cfg)[1]
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            dataclasses.replace(report, temp_mean=float("nan")).to_json()
 
 
 class TestDistillTrainChecksItsInputsOnce:

@@ -5,6 +5,7 @@ The probability triple [0.305, 0.424, 0.271] and the pheromone update
 and hand-evaluated update arithmetic.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -19,6 +20,7 @@ from antdistill.errors import (
     EmptyRun,
     InvalidRho,
     InvalidShape,
+    NonFiniteWeights,
     ParseError,
     PoolTooSmall,
 )
@@ -71,6 +73,13 @@ class TestSelectionProbabilities:
         state = PheromoneState(np.array([1.0, 1.0]), np.array([0.0, 0.0]))
         with pytest.raises(AllZeroWeights):
             selection_probabilities(state, 1.0, 2.0)
+
+    @pytest.mark.parametrize("heuristic", [1.0, 0.0], ids=["inf", "inf-times-zero"])
+    def test_overflowing_weight_is_named_error(self, heuristic):
+        # 10^400 overflows to inf; times a heuristic^beta of 0 it is NaN
+        state = PheromoneState(np.array([10.0, 1.0]), np.array([heuristic, 1.0]))
+        with pytest.raises(NonFiniteWeights, match="is not finite for alpha 400.0, beta 1.0"):
+            selection_probabilities(state, 400.0, 1.0)
 
 
 class TestAntSelect:
@@ -151,6 +160,12 @@ class TestRunAco:
         a = run_aco(pool, AcoConfig(seed=11))
         b = run_aco(pool, AcoConfig(seed=11))
         assert a.to_json() == b.to_json()
+
+    def test_report_json_refuses_nan(self):
+        rep = dataclasses.replace(run_aco(stub_pool([0.3, 0.7]), AcoConfig()),
+                                  best_score=float("nan"))
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            rep.to_json()
 
     def test_pair_mode_counts_below_grid(self):
         scores = list(np.linspace(0.3, 0.8, 15)) + [0.95]
