@@ -139,15 +139,18 @@ def cmd_select(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _test_metrics(model: tinynet.MlpModel, dataset: tinynet.SyntheticDataset):
+def _test_report(model: tinynet.MlpModel, dataset: tinynet.SyntheticDataset):
+    """(class report, logits, labels) of model on the test split."""
     idx = dataset.indices("test")
     logits = tinynet.forward_batch(model, dataset.features[idx])
-    probs = numerics.softmax_rows(logits)
-    preds = np.argmax(logits, axis=1)
     labels = dataset.labels[idx]
-    cm = metrics.confusion(preds, labels, dataset.n_classes)
-    rep = metrics.class_report(cm)
-    roc, pr = metrics.micro_curves(probs, labels)
+    cm = metrics.confusion(np.argmax(logits, axis=1), labels, dataset.n_classes)
+    return metrics.class_report(cm), logits, labels
+
+
+def _test_metrics(model: tinynet.MlpModel, dataset: tinynet.SyntheticDataset):
+    rep, logits, labels = _test_report(model, dataset)
+    roc, pr = metrics.micro_curves(numerics.softmax_rows(logits), labels)
     return rep, roc, pr
 
 
@@ -201,7 +204,7 @@ def cmd_distill(args) -> int:
                     for kind in ("gaussian", "salt_pepper", "uniform")] + [("clean", clean)]
         arms = [(tag, train_student(variant, context)[0], variant) for tag, variant in variants]
     if args.ablation:
-        rows = [_metrics_row(tag, _test_metrics(model, dataset)[0])
+        rows = [_metrics_row(tag, _test_report(model, dataset)[0])
                 for tag, model, dataset in arms]
         (out / "ablation.csv").write_text(ABLATION_HEADER + "\n" + "\n".join(rows) + "\n")
         print(f"wrote {out / 'ablation.csv'} ({len(rows)} rows)")
@@ -259,19 +262,46 @@ def _is_pred_header(header: list[str]) -> bool:
     return header[:1] == ["pred"] and header[1:] == [f"p{j}" for j in range(len(header) - 1)]
 
 
+class _NotPlain(ValueError):
+    """A byte that numpy's C parser reads otherwise than int() and float()."""
+
+
+# numpy reads the separators 0x1c-0x1f as whitespace and any Unicode
+# digit as a digit, where int() and float() reject both
+_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+class _PlainBytes(io.BufferedIOBase):
+    """A buffered binary file's bytes as they are read, raising _NotPlain at
+    a byte outside ASCII or a separator 0x1c-0x1f. The file is checked one
+    read at a time, so no copy of all of it is ever held."""
+
+    def __init__(self, buffered):
+        self._buffered = buffered
+
+    def readable(self) -> bool:
+        return True
+
+    def read(self, size=-1) -> bytes:
+        return self._checked(self._buffered.read(size))
+
+    def read1(self, size=-1) -> bytes:
+        return self._checked(self._buffered.read1(size))
+
+    @staticmethod
+    def _checked(chunk: bytes) -> bytes:
+        if not chunk.isascii() or any(sep in chunk for sep in _SEPARATORS):
+            raise _NotPlain("a byte outside ASCII or a separator 0x1c-0x1f")
+        return chunk
+
+
 def _loadtxt_table(path, header_ok):
     """(ids, probabilities) of a CSV file read by numpy's C parser: the
     first column as int64, the others as an (n, width - 1) float64 array.
-    None for a header that fails header_ok, for no data rows, and for a
-    file with a byte outside ASCII or one of the separators 0x1c-0x1f:
-    numpy reads those separators as whitespace and any Unicode digit as a
-    digit, where int() and float() reject both."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.isascii() or any(sep in data for sep in (b"\x1c", b"\x1d", b"\x1e", b"\x1f")):
-        return None
-    # decoded as open(path) in _read_csv_table decodes it
-    with io.TextIOWrapper(io.BytesIO(data)) as fh:
+    None for a header that fails header_ok and for no data rows; _NotPlain
+    for a file with a byte outside ASCII or a separator 0x1c-0x1f."""
+    # plain ASCII decodes as open(path) in _read_csv_table decodes it
+    with open(path, "rb") as raw, io.TextIOWrapper(_PlainBytes(raw), encoding="ascii") as fh:
         header = fh.readline().removesuffix("\n").split(",")
         if not header_ok(header):
             return None

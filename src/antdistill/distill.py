@@ -8,11 +8,12 @@ temperature-scaled KL term between teacher and student distributions:
 
 with per-sample (T, w) supplied by a temperature policy. The teacher is
 frozen throughout; gradients flow only into the student. One row kernel
-computes the loss and its gradient from the blend's per-row constants
-1 - w, w * T^2 and w * T: distill_train computes them once per training
-run and hands the kernel to sgd_fit, kd_loss_rows computes them per call,
-and kd_loss and kd_loss_grad validate one sample and then call the kernel
-on a batch of one.
+computes the loss and its gradient from per-row targets that do not
+depend on the student (_kd_targets): the teacher's probabilities and
+their floored log, the one-hot labels, the divisors (1, T) and the
+blend's weights. distill_train builds them once per training run and
+hands the kernel to sgd_fit; kd_loss and kd_loss_grad validate one
+sample, build them for it and call the kernel on a batch of one.
 """
 
 from __future__ import annotations
@@ -48,23 +49,44 @@ class LossBreakdown:
     total: float
 
 
-def _kd_weights(temperatures, weights):
-    """The blend's per-row constants (1 - w, w * T^2, w * T)."""
+def _kd_targets(teacher_probs, labels, temperatures, weights):
+    """The kernel's per-row targets, which do not depend on the student:
+
+    - the subtrahends (onehot(label), p_t) of the two softmaxes' gradients
+      as an (n, 2, C) array, p_t being _kl_target's teacher probabilities;
+    - the teacher's half of the KL, log(max(p_t, EPS));
+    - the labels as a mask;
+    - the divisors (1, T) of the two student softmaxes as an (n, 2, 1) array;
+    - the gradient weights (1 - w, w * T) as an (n, 2, 1) array;
+    - the loss weights -(1 - w) and w * T^2 as (n, 1) columns.
+    """
+    mask, one_hot = tinynet._one_hot(labels, teacher_probs.shape[1])
+    p_t, log_p_t = numerics._kl_target(teacher_probs)
+    w, t = weights[:, None], temperatures[:, None]
     # float_power is libm's pow, as a Python float's temperature**2 is; ** on an
     # array squares, which can differ from pow in the last bit
-    return 1.0 - weights, weights * np.float_power(temperatures, 2), weights * temperatures
+    return (np.stack([one_hot, p_t], axis=1), log_p_t, mask,
+            np.stack([np.ones_like(t), t], axis=1), np.stack([1.0 - w, w * t], axis=1),
+            -(1.0 - w), w * np.float_power(t, 2))
 
 
-def _kd_rows(student_logits, teacher_probs, labels, temperatures, ce_weight, kl_weight,
-             grad_weight):
-    """(total, grad, ce, kl) of each row; the three weights are _kd_weights's,
-    the other inputs kd_loss_rows's."""
-    ce, dce = tinynet.cross_entropy_rows(student_logits, labels)
-    ps = numerics.softmax_rows(student_logits, temperatures)
-    kl = numerics.kl_divergence_rows(teacher_probs, ps)
-    total = ce_weight * ce + kl_weight * kl
-    grad = ce_weight[:, None] * dce + grad_weight[:, None] * (ps - teacher_probs)
-    return total, grad, ce, kl
+def _kd_rows(student_logits, subtrahends, teacher_log, mask, divisors, grad_weights,
+             neg_ce_weight, kl_weight):
+    """(total, grad, -ce, kl) of each row, -ce and kl as (n, 1) columns; the
+    inputs after the (n, C) student logits are _kd_targets's.
+
+    The softmax at T = 1 and the one at T run as one (n, 2, C) softmax, and
+    so do their logs and gradients. -(1 - w) times -ce is (1 - w) * ce,
+    bit for bit.
+    """
+    q = numerics._softmax(student_logits[:, None, :] / divisors)
+    log_q = numerics._log_floor(q)
+    neg_ce = log_q[:, 0][mask][:, None]
+    kl = numerics._kl_rows(subtrahends[:, 1], teacher_log, log_q[:, 1])
+    total = neg_ce_weight * neg_ce + kl_weight * kl
+    grads = q - subtrahends  # (p1 - onehot, p_s - p_t)
+    grads *= grad_weights
+    return total.ravel(), grads[:, 0] + grads[:, 1], neg_ce, kl
 
 
 def _kd_loss_rows(*rows):
@@ -83,34 +105,23 @@ def _kd_one(student_logits, teacher_logits, true_class, temperature, weight):
         raise IndexOutOfRange(f"class {c} out of range for {s.shape[0]} classes")
     temps = np.array([numerics._check_temperature(temperature)])
     weights = np.array([_check_unit("weight", weight)])
-    return _kd_rows(s[None, :], numerics.softmax_rows(t[None, :], temps), np.array([c]), temps,
-                    *_kd_weights(temps, weights))
+    return _kd_rows(s[None, :], *_kd_targets(numerics.softmax_rows(t[None, :], temps),
+                                             np.array([c]), temps, weights))
 
 
 def kd_loss(student_logits, teacher_logits, true_class: int, temperature: float,
             weight: float) -> LossBreakdown:
     """Loss breakdown for one sample; teacher logits are constants."""
-    total, _, ce, kl = _kd_one(student_logits, teacher_logits, true_class, temperature, weight)
-    return LossBreakdown(float(ce[0]), float(kl[0]), float(temperature), float(weight),
-                         float(total[0]))
+    total, _, neg_ce, kl = _kd_one(student_logits, teacher_logits, true_class, temperature,
+                                   weight)
+    return LossBreakdown(float(-neg_ce[0, 0]), float(kl[0, 0]), float(temperature),
+                         float(weight), float(total[0]))
 
 
 def kd_loss_grad(student_logits, teacher_logits, true_class: int, temperature: float,
                  weight: float) -> np.ndarray:
     """d(total)/d(student_logits) = (1-w)(p1 - y) + w*T*(p_s - p_t)."""
     return _kd_one(student_logits, teacher_logits, true_class, temperature, weight)[1][0]
-
-
-def kd_loss_rows(student_logits: np.ndarray, teacher_probs: np.ndarray, labels: np.ndarray,
-                 temperatures: np.ndarray, weights: np.ndarray):
-    """Distillation batch loss: (per-row kd_loss(...).total, per-row kd_loss_grad),
-    for (n, C) student logits.
-
-    teacher_probs holds each row's teacher softmax at its own temperature,
-    softmax_rows(teacher_logits, temperatures). Inputs are not validated.
-    """
-    return _kd_loss_rows(student_logits, teacher_probs, labels, temperatures,
-                         *_kd_weights(temperatures, weights))
 
 
 @dataclass
@@ -152,8 +163,8 @@ def distill_train(teacher: tinynet.MlpModel, student: tinynet.MlpModel,
         dataset.class_complexity[dataset.labels],
         base_weight=cfg.t_base,
     )
-    teacher_probs = numerics.softmax_rows(teacher_logits, temps)
-    targets = (teacher_probs, dataset.labels, temps, *_kd_weights(temps, weights))
+    targets = _kd_targets(numerics.softmax_rows(teacher_logits, temps), dataset.labels, temps,
+                          weights)
     trained, history = tinynet.sgd_fit(student, dataset, cfg.train, _kd_loss_rows, targets)
     train_temps = temps[dataset.indices("train")]
     report = DistillReport(

@@ -11,6 +11,12 @@ and `normalized_entropy` validate, then call them. `metrics` checks a
 whole probability matrix at once with the `as_distribution` checks and
 tolerance (`_DIST_TOL`), and passes the first bad row to
 `as_distribution` for its error.
+
+The training kernels in `tinynet` and `distill` use the private pieces
+these forms are built from: `_softmax` along the last axis of any
+array, the floored log `_log_floor`, and the KL split in two, the half
+that depends only on p (`_kl_target`, computed once per training run)
+and the row sums against log q (`_kl_rows`).
 """
 
 from __future__ import annotations
@@ -77,19 +83,44 @@ def softmax_rows(logits: np.ndarray, temperature=None) -> np.ndarray:
     temperature is one scalar or one value per row; None means 1, and
     skips the division, which at 1 changes no bit.
     """
-    if temperature is None:
-        s = logits
-    else:
+    if temperature is not None:
         t = np.asarray(temperature, dtype=np.float64)
-        s = logits / (t[:, None] if t.ndim else t)
-    e = np.exp(s - s.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+        logits = logits / (t[:, None] if t.ndim else t)
+    return _softmax(logits)
+
+
+def _softmax(s: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis of s, via max-subtraction; s is left alone.
+    The ufuncs' reduce, not ndarray.max/sum: the same reductions, without
+    their Python wrappers."""
+    e = s - np.maximum.reduce(s, axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
+
+
+def _log_floor(p: np.ndarray) -> np.ndarray:
+    """log(max(p, EPS)), elementwise."""
+    return np.log(np.maximum(p, EPS))
+
+
+def _kl_target(p: np.ndarray):
+    """(p with every entry that is not > 0 set to 0, its _log_floor): the
+    half of KL(p || q) that does not depend on q."""
+    p = np.where(p > 0.0, p, 0.0)
+    return p, _log_floor(p)
+
+
+def _kl_rows(p: np.ndarray, log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
+    """KL(p_i || q_i) of each row as an (n, 1) column, from _kl_target(p)
+    and _log_floor(q). A term with p = 0 is +-0, which leaves the sum of a
+    row that holds a positive p unchanged, bit for bit."""
+    return np.add.reduce(p * (log_p - log_q), axis=-1, keepdims=True)
 
 
 def kl_divergence_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """KL(p_i || q_i) of each row pair of two (n, C) probability matrices."""
-    terms = np.where(p > 0.0, p * (np.log(np.maximum(p, EPS)) - np.log(np.maximum(q, EPS))), 0.0)
-    return terms.sum(axis=1)
+    return _kl_rows(*_kl_target(p), _log_floor(q))[:, 0]
 
 
 def normalized_entropy_rows(p: np.ndarray) -> np.ndarray:

@@ -189,29 +189,34 @@ class AcoConfig:
         _check_finite(self, InvalidShape)
 
 
-def _preference_weights(state: PheromoneState, alpha: float, beta: float) -> np.ndarray:
+def _preference_weights(state: PheromoneState, alpha: float, beta: float):
+    """(weights pheromone^alpha * heuristic^beta, their sum)."""
     with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf * 0
         w = state.pheromone**alpha * state.heuristic**beta
+        total = float(w.sum())
     if not np.isfinite(w).all():
         raise NonFiniteWeights(f"pheromone^alpha * heuristic^beta is not finite for alpha "
                                f"{alpha!r}, beta {beta!r}: {w.tolist()}")
     if not np.any(w > 0):
         raise AllZeroWeights("every pheromone^alpha * heuristic^beta weight is zero")
-    return w
+    if not math.isfinite(total):
+        raise NonFiniteWeights(f"pheromone^alpha * heuristic^beta weights sum to {total!r} for "
+                               f"alpha {alpha!r}, beta {beta!r}: {w.tolist()}")
+    return w, total
 
 
 def selection_probabilities(state: PheromoneState, alpha: float, beta: float) -> np.ndarray:
     """P_m = pheromone^alpha * heuristic^beta, normalized over candidates."""
-    w = _preference_weights(state, alpha, beta)
-    return w / w.sum()
+    w, total = _preference_weights(state, alpha, beta)
+    return w / total
 
 
 def ant_select(state: PheromoneState, cfg: AcoConfig, rng: np.random.Generator) -> int:
     """One ant's pick: greedy argmax with probability q0, else roulette wheel."""
-    w = _preference_weights(state, cfg.alpha, cfg.beta)
+    w, total = _preference_weights(state, cfg.alpha, cfg.beta)
     if cfg.q0 > 0.0 and rng.random() < cfg.q0:
         return int(np.argmax(w))
-    p = w / w.sum()
+    p = w / total
     return int(np.searchsorted(np.cumsum(p), rng.random(), side="right").clip(0, p.size - 1))
 
 

@@ -110,43 +110,74 @@ def _flat_copy(model: MlpModel):
     return MlpModel(list(model.layer_dims), *_flat_views(model.layer_dims, vector)), vector
 
 
-def _forward_batch(model: MlpModel, x: np.ndarray):
-    """Returns (logits, inputs per layer)."""
+def _check_features(model: MlpModel, x: np.ndarray) -> None:
     if x.ndim != 2 or x.shape[1] != model.input_dim:
         raise ShapeMismatch(f"expected (n, {model.input_dim}) features, got {x.shape}")
+
+
+def _layers(model: MlpModel):
+    """(weights, transposed weights, biases) of model, all views of its arrays."""
+    return model.weights, [w.T for w in model.weights], model.biases
+
+
+def _forward(layers, x: np.ndarray):
+    """Returns (logits, inputs per layer) for unchecked features x."""
+    _, weights_t, biases = layers
     acts = []
     a = x
-    last = len(model.weights) - 1
-    for k, (w, b) in enumerate(zip(model.weights, model.biases)):
+    last = len(biases) - 1
+    for k, (w_t, b) in enumerate(zip(weights_t, biases)):
         acts.append(a)
-        z = a @ w.T + b
-        a = z if k == last else np.maximum(z, 0.0)
+        a = a @ w_t
+        a += b
+        if k < last:
+            np.maximum(a, 0.0, out=a)
     return a, acts
 
 
 def forward_batch(model: MlpModel, x) -> np.ndarray:
     """Logits for an (n, input_dim) feature matrix."""
     x = np.asarray(x, dtype=np.float64)
-    logits, _ = _forward_batch(model, x)
-    return logits
+    _check_features(model, x)
+    return _forward(_layers(model), x)[0]
 
 
-def _backward(model: MlpModel, acts, dlogits, grads_w, grads_b) -> None:
+def _backward(weights, acts, dlogits, grads_w, grads_b) -> None:
     """Reverse-mode gradients given d(loss)/d(logits) per row, written into
     grads_w and grads_b; a ReLU passes gradient where its output, and so
     its input, is positive."""
     delta = dlogits
-    for k in range(len(model.weights) - 1, -1, -1):
+    for k in range(len(weights) - 1, -1, -1):
         np.matmul(delta.T, acts[k], out=grads_w[k])
         np.add.reduce(delta, axis=0, out=grads_b[k])
         if k > 0:
-            delta = (delta @ model.weights[k]) * (acts[k] > 0.0)
+            delta = delta @ weights[k]
+            delta *= acts[k] > 0.0
+
+
+def _step(layers, x, loss_rows, targets, tally, grads):
+    """One mini-batch: the forward pass, loss_rows(logits, *targets), then
+    tally(per-row losses), which may raise, then the backward pass of the
+    mean loss into the gradient views grads = (weights, biases). Returns
+    what tally returned."""
+    logits, acts = _forward(layers, x)
+    losses, dlogits = loss_rows(logits, *targets)
+    tallied = tally(losses)
+    _backward(layers[0], acts, dlogits / x.shape[0], *grads)
+    return tallied
 
 
 def _check_targets(targets, n_rows: int) -> None:
     if any(np.shape(t)[:1] != (n_rows,) for t in targets):
         raise ShapeMismatch(f"every target must have {n_rows} rows, got shapes "
                             f"{[np.shape(t) for t in targets]}")
+
+
+def _batch_total(losses) -> float:
+    total = float(np.sum(losses))
+    if not np.isfinite(total):
+        raise NonFiniteLoss(f"batch loss is {total!r}")
+    return total
 
 
 def loss_gradients(model: MlpModel, batch, loss_rows, targets):
@@ -161,25 +192,36 @@ def loss_gradients(model: MlpModel, batch, loss_rows, targets):
     if x.ndim != 2 or x.shape[0] == 0:
         raise ShapeMismatch(f"batch must be a nonempty 2-D matrix, got shape {x.shape}")
     _check_targets(targets, x.shape[0])
-    logits, acts = _forward_batch(model, x)
-    losses, dlogits = loss_rows(logits, *targets)
-    total = float(np.sum(losses))
-    if not np.isfinite(total):
-        raise NonFiniteLoss(f"batch loss is {total!r}")
+    _check_features(model, x)
     grads = np.empty(sum(w.size + b.size for w, b in zip(model.weights, model.biases)))
     gw, gb = _flat_views(model.layer_dims, grads)
-    _backward(model, acts, dlogits / x.shape[0], gw, gb)
+    total = _step(_layers(model), x, loss_rows, targets, _batch_total, (gw, gb))
     return total / x.shape[0], gw, gb
+
+
+def _one_hot(labels: np.ndarray, n_classes: int):
+    """(mask, one-hot float matrix) of labels, each (n, n_classes); a label
+    outside [0, n_classes) gives an all-zero row."""
+    mask = labels[:, None] == np.arange(n_classes)
+    return mask, mask.astype(np.float64)
+
+
+def _cross_entropy_rows(logits, mask, one_hot):
+    """cross_entropy_rows with the labels as _one_hot's two matrices: the
+    loss_rows train_supervised gives sgd_fit."""
+    p = numerics._softmax(logits)
+    losses = -numerics._log_floor(p)[mask]
+    p -= one_hot
+    return losses, p
 
 
 def cross_entropy_rows(logits: np.ndarray, labels: np.ndarray):
     """Supervised batch loss: per-row cross_entropy(label, stable_softmax(row))
     and its gradient softmax(row) - onehot(label), bit for bit."""
-    p = numerics.softmax_rows(logits)
-    rows = np.arange(labels.shape[0])
-    losses = -np.log(np.maximum(p[rows, labels], numerics.EPS))
-    p[rows, labels] -= 1.0
-    return losses, p
+    if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
+        # a one-hot row with no label would drop its loss and misalign the rest
+        raise IndexOutOfRange(f"labels outside [0, {logits.shape[1]})")
+    return _cross_entropy_rows(logits, *_one_hot(labels, logits.shape[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +414,10 @@ def sgd_fit(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig, loss_r
     those gathers, for (per-row losses, dloss/dlogits) of its (b, C)
     logits. The caller's model is left untouched: training runs on a copy
     whose weights and biases are views of one parameter vector, and each
-    mini-batch updates that vector with one subtraction.
+    mini-batch updates that vector with one subtraction. A non-finite
+    training loss, or parameters that are not finite at the end of an
+    epoch, raise NonFiniteLoss; numpy's overflow warnings on the way there
+    are silenced.
     """
     train_idx = dataset.indices("train")
     val_idx = dataset.indices("val")
@@ -380,37 +425,49 @@ def sgd_fit(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig, loss_r
     if labels.min() < 0 or labels.max() >= model.n_classes:
         raise IndexOutOfRange(f"train labels outside [0, {model.n_classes})")
     _check_targets(targets, dataset.n_samples)
+    _check_features(model, dataset.features)
     model, params = _flat_copy(model)
+    layers = _layers(model)
     grads = np.empty_like(params)
-    grads_w, grads_b = _flat_views(model.layer_dims, grads)
+    grad_views = _flat_views(model.layer_dims, grads)
     val_x, val_y = dataset.features[val_idx], dataset.labels[val_idx]
     rng = np.random.default_rng(cfg.seed)
     history = TrainHistory()
-    for _ in range(cfg.epochs):
-        order = train_idx[rng.permutation(train_idx.size)]
-        x = dataset.features[order]
-        columns = [t[order] for t in targets]
-        loss_sum = 0.0
-        for start in range(0, order.size, cfg.batch_size):
-            stop = start + cfg.batch_size
-            logits, acts = _forward_batch(model, x[start:stop])
-            losses, dlogits = loss_rows(logits, *[c[start:stop] for c in columns])
-            # one row at a time, in batch order, so that train_loss does not
-            # depend on the order in which numpy would sum
-            for loss in losses.tolist():
-                loss_sum += loss
-            if not math.isfinite(loss_sum):
-                raise NonFiniteLoss(f"training loss became {loss_sum!r}")
-            _backward(model, acts, dlogits / logits.shape[0], grads_w, grads_b)
-            params -= cfg.learning_rate * grads
-        history.train_loss.append(loss_sum / order.size)
-        history.val_accuracy.append(accuracy(model, val_x, val_y))
+    loss_sum = 0.0
+
+    def tally(losses):
+        # one row at a time, in batch order, so that train_loss does not
+        # depend on the order in which numpy would sum
+        nonlocal loss_sum
+        for loss in losses.tolist():
+            loss_sum += loss
+        if not math.isfinite(loss_sum):
+            raise NonFiniteLoss(f"training loss became {loss_sum!r}")
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            order = train_idx[rng.permutation(train_idx.size)]
+            # np.take copies the rows that fancy indexing would, in a third
+            # of its time on these 2-D and 3-D arrays
+            x = np.take(dataset.features, order, axis=0)
+            columns = [np.take(t, order, axis=0) for t in targets]
+            loss_sum = 0.0
+            for start in range(0, order.size, cfg.batch_size):
+                stop = start + cfg.batch_size
+                _step(layers, x[start:stop], loss_rows, [c[start:stop] for c in columns],
+                      tally, grad_views)
+                params -= cfg.learning_rate * grads
+            if not np.isfinite(params).all():
+                raise NonFiniteLoss("training left non-finite parameters")
+            history.train_loss.append(loss_sum / order.size)
+            history.val_accuracy.append(accuracy(model, val_x, val_y))
     return model, history
 
 
 def train_supervised(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig):
     """Cross-entropy SGD on the train split; returns (model, history)."""
-    return sgd_fit(model, dataset, cfg, cross_entropy_rows, (dataset.labels,))
+    return sgd_fit(model, dataset, cfg, _cross_entropy_rows,
+                   _one_hot(dataset.labels, model.n_classes))
 
 
 # ---------------------------------------------------------------------------

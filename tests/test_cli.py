@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -334,6 +335,39 @@ class TestSelect:
         assert capsys.readouterr().err.startswith(
             "error: pheromone^alpha * heuristic^beta is not finite for alpha 1000.0, beta 2.0")
 
+    def test_overflowing_aco_weight_sum_is_exit_2_without_a_warning(self, tmp_path, capsys):
+        # each weight is 10^308, finite, and their sum overflows: this once
+        # warned, wrote all-zero probabilities and exited 0
+        write(tmp_path / "pool.json", json.dumps({"candidates": [
+            {"name": "a", "stub_score": 0.5}, {"name": "b", "stub_score": 0.9}]}))
+        cfg = write(tmp_path / "c.ini", "[aco]\npool = pool.json\nalpha = 308\nbeta = 0\n"
+                    "rho = 0.9\ninit_pheromone = 10,10\ninit_heuristic = 1,1\n")
+        out = tmp_path / "run"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["select", "--config", str(cfg), "--strategy", "aco",
+                         "--out", str(out)]) == 2
+        assert caught == []
+        assert not (out / "report.json").exists()
+        assert capsys.readouterr().err == (
+            "error: pheromone^alpha * heuristic^beta weights sum to inf for alpha 308.0, "
+            "beta 0.0: [1e+308, 1e+308]\n")
+
+    def test_diverging_learning_rate_is_exit_2_without_a_warning(self, tmp_path, capsys):
+        # this once printed numpy's overflow and invalid-value warnings first
+        write(tmp_path / "pool.json", json.dumps({"candidates": [
+            {"name": name, "hidden_dims": [4], "learning_rate": 1e300, "epochs": 2}
+            for name in ("a", "b")]}))
+        cfg = write(tmp_path / "c.ini",
+                    "[data]\nsamples = 60\nclasses = 2\ndim = 3\ncomplexity = 0.0\nseed = 1\n\n"
+                    "[aco]\npool = pool.json\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["select", "--config", str(cfg), "--strategy", "aco",
+                         "--out", str(tmp_path / "run")]) == 2
+        assert caught == []
+        assert capsys.readouterr().err == "error: training loss became nan\n"
+
     @pytest.mark.parametrize("key, value", [("stub_score", "0.5"), ("stub_score", True),
                                             ("learning_rate", "0.1"), ("learning_rate", True)])
     def test_non_number_float_field_is_exit_2_before_any_training(
@@ -402,15 +436,18 @@ class TestDistill:
         ]
         assert all(float(r[1]) >= 0.90 for r in rows)
 
-    def test_table11_row_tags(self, tmp_path):
+    def test_table11_row_tags(self, tmp_path, monkeypatch):
         cfg = write(tmp_path / "c.ini", DISTILL_CONFIG.replace(
             "seed = 3\n\n[policy]", "seed = 3\nnoise_level = 0.5\n\n[policy]"
         ))
         out = tmp_path / "run"
+        curves = []
+        monkeypatch.setattr(cli.metrics, "micro_curves", lambda *a: curves.append(a))
         assert main(["distill", "--config", str(cfg), "--ablation", "table11",
                      "--out", str(out)]) == 0
         _, rows = read_rows(out / "ablation.csv")
         assert [r[0] for r in rows] == ["gaussian", "salt_pepper", "uniform", "clean"]
+        assert curves == []  # ablation rows print no curve
 
     @pytest.mark.parametrize("policy", ["variant = constant\ntemperature = inf",
                                         "variant = uncertainty_linear\nscale = inf",
@@ -809,6 +846,24 @@ class TestEvaluateInputs:
         paths = [write(tmp_path / f"{name}s.csv", "".join(",".join(r) + "\n" for r in rows[name]))
                  for name in ("pred", "label")]
         assert _parsed(cli._evaluate_inputs, *paths) == _parsed(ref.evaluate_inputs, *paths)
+
+    @pytest.mark.parametrize("cell", NUMPY_ONLY_CELLS)
+    @pytest.mark.parametrize("column", ["pred", "p1", "label"])
+    def test_odd_cell_far_into_a_large_file(self, tmp_path, cell, column):
+        # numpy's parser reads the file in pieces, and each piece is checked:
+        # an odd cell in the last of 20,000 rows, several reads into either
+        # file, still sends the files to the int()/float() reader
+        n = 20_000
+        rows = {"pred": [["pred", "p0", "p1"]] + [[str(i % 2), "0.25", "0.75"] for i in range(n)],
+                "label": [["label"]] + [[str(i % 2)] for i in range(n)]}
+        edited = rows["label" if column == "label" else "pred"]
+        edited[n][edited[0].index(column)] = cell
+        paths = [write(tmp_path / f"{name}s.csv", "".join(",".join(r) + "\n" for r in rows[name]))
+                 for name in ("pred", "label")]
+        assert min(path.stat().st_size for path in paths) > 4 * io.DEFAULT_BUFFER_SIZE
+        want = _parsed(ref.evaluate_inputs, *paths)
+        assert isinstance(want[0], type)  # the int()/float() reader rejects the cell
+        assert _parsed(cli._evaluate_inputs, *paths) == want
 
     @pytest.mark.parametrize("pred_text, label_text, name, message", [
         ("pred\n0\n1,1\n", "label\n0\n1\n", "preds.csv", "data row 2 has 2 cells, header has 1"),

@@ -1,9 +1,10 @@
 """The batched kernels and the one-sample functions against independent
 references.
 
-Training calls only the batch forms: `numerics.softmax_rows`,
-`tinynet.cross_entropy_rows`, `distill.kd_loss_rows` and
-`temperature.apply_policy_rows`. The public one-sample functions
+Training calls only the batch forms: `numerics.softmax_rows`, the
+cross-entropy kernel behind `tinynet.cross_entropy_rows`, the
+distillation kernel on the per-row targets `distill._kd_targets` builds,
+and `temperature.apply_policy_rows`. The public one-sample functions
 validate their input and call the same kernels on a batch of one.
 `scalar_reference` keeps an independent one-sample implementation of
 each; every batch row and every one-sample call must equal it bit for
@@ -21,7 +22,7 @@ from hypothesis.extra import numpy as hnp
 
 import scalar_reference as ref
 from antdistill import metrics, numerics, tinynet
-from antdistill.distill import kd_loss, kd_loss_grad, kd_loss_rows
+from antdistill.distill import _kd_loss_rows, _kd_targets, kd_loss, kd_loss_grad
 from antdistill.errors import (
     IndexOutOfRange,
     InvalidPolicyParameters,
@@ -96,6 +97,17 @@ class TestCrossEntropyRows:
             assert losses[i] == numerics.cross_entropy(int(labels[i]), p)
             assert np.array_equal(grad[i], p - onehot)
 
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_outside_the_classes_is_named_error(self, label):
+        with pytest.raises(IndexOutOfRange, match=r"^labels outside \[0, 3\)$"):
+            tinynet.cross_entropy_rows(np.zeros((2, 3)), np.array([0, label]))
+
+
+def kd_loss_rows(student_logits, teacher_probs, labels, temperatures, weights):
+    """The distillation kernel on targets built as distill_train builds them."""
+    return _kd_loss_rows(student_logits,
+                         *_kd_targets(teacher_probs, labels, temperatures, weights))
+
 
 class TestKdLossRows:
     @settings(max_examples=300, deadline=None)
@@ -143,6 +155,66 @@ class TestKdLossRows:
         kd = kd_loss_rows(z, numerics.softmax_rows(teacher), labels, ones, np.zeros(16))
         ce = tinynet.cross_entropy_rows(z, labels)
         assert np.array_equal(kd[0], ce[0]) and np.array_equal(kd[1], ce[1])
+
+
+# logit scales that, with small temperatures, drive softmax entries to exactly 0
+LOGIT_SCALES = st.sampled_from([1.0, 10.0, 60.0, 300.0])
+
+
+@st.composite
+def extreme_batches(draw):
+    """(student logits, teacher logits, labels, temperatures, weights) of one
+    batch with up to 39 rows and 11 classes, logit scales up to 300, and
+    weights of exactly 0 and 1 among the drawn ones."""
+    n = draw(st.integers(1, 39))
+    c = draw(st.integers(2, 11))
+    unit = st.floats(-1.0, 1.0)
+    return (
+        draw(hnp.arrays(np.float64, (n, c), elements=unit)) * draw(LOGIT_SCALES),
+        draw(hnp.arrays(np.float64, (n, c), elements=unit)) * draw(LOGIT_SCALES),
+        draw(hnp.arrays(np.int64, n, elements=st.integers(0, c - 1))),
+        draw(hnp.arrays(np.float64, n, elements=st.floats(0.05, 8.0))),
+        draw(hnp.arrays(np.float64, n, elements=st.sampled_from([0.0, 1.0]) | UNIT)),
+    )
+
+
+def bits(arrays):
+    """dtype, shape and bytes of each array: tobytes() tells -0.0 from 0.0."""
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+class TestTrainingKernels:
+    """The loss kernels sgd_fit calls, on the targets that train_supervised
+    and distill_train build, equal the reference loop's kernels bit for bit,
+    sign bits included."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(batch=extreme_batches())
+    def test_cross_entropy_equals_the_reference(self, batch):
+        z, _, labels, _, _ = batch
+        want = bits(ref._cross_entropy_rows(z, labels))
+        assert bits(tinynet.cross_entropy_rows(z, labels)) == want
+        assert bits(tinynet._cross_entropy_rows(z, *tinynet._one_hot(labels, z.shape[1]))) == want
+
+    @settings(max_examples=500, deadline=None)
+    @given(batch=extreme_batches())
+    def test_distillation_equals_the_reference(self, batch):
+        z, teacher, labels, temps, weights = batch
+        pt = numerics.softmax_rows(teacher, temps)
+        assert (bits(kd_loss_rows(z, pt, labels, temps, weights))
+                == bits(ref._kd_rows(z, pt, labels, temps, weights)))
+
+    def test_exact_zero_teacher_probabilities(self):
+        rng = np.random.default_rng(5)
+        n, c = 3000, 7
+        z, teacher = rng.uniform(-1.0, 1.0, size=(2, n, c)) * 300.0
+        labels = rng.integers(0, c, n)
+        temps = rng.uniform(0.05, 8.0, n)
+        weights = rng.choice([0.0, 1.0, 0.3], n)
+        pt = numerics.softmax_rows(teacher, temps)
+        assert np.count_nonzero(pt == 0.0) > 500
+        assert (bits(kd_loss_rows(z, pt, labels, temps, weights))
+                == bits(ref._kd_rows(z, pt, labels, temps, weights)))
 
 
 def policies():

@@ -81,6 +81,17 @@ class TestSelectionProbabilities:
         with pytest.raises(NonFiniteWeights, match="is not finite for alpha 400.0, beta 1.0"):
             selection_probabilities(state, 400.0, 1.0)
 
+    def test_overflowing_weight_sum_is_named_error(self):
+        # each weight is 1e308, and their sum overflows
+        state = PheromoneState(np.array([10.0, 10.0]), np.array([1.0, 1.0]))
+        message = r"^pheromone\^alpha \* heuristic\^beta weights sum to inf for alpha 308.0, "
+        with pytest.raises(NonFiniteWeights, match=message):
+            selection_probabilities(state, 308.0, 1.0)
+        for q0 in (0.0, 1.0):
+            with pytest.raises(NonFiniteWeights, match=message):
+                ant_select(state, AcoConfig(alpha=308.0, beta=1.0, q0=q0),
+                           np.random.default_rng(0))
+
 
 class TestAntSelect:
     def test_pure_exploitation_takes_argmax(self):

@@ -118,7 +118,7 @@ class TestLossGradients:
         loss = ce_loss(labels, 4)
 
         def batch_loss(model):
-            logits, _ = tinynet._forward_batch(model, x)
+            logits = tinynet.forward_batch(model, x)
             return float(np.mean(loss(logits, np.arange(6))[0]))
 
         _, gw, gb = tinynet.loss_gradients(m, x, loss, (np.arange(6),))
@@ -333,6 +333,22 @@ class TestTrainSupervised:
         with pytest.raises(NonFiniteLoss, match="^training loss became nan$"):
             tinynet.sgd_fit(m, ds, tinynet.TrainConfig(epochs=1), nan_loss, ())
 
+    def test_diverging_learning_rate_raises_without_a_warning(self):
+        # pytest turns a warning into an error, which would come first
+        ds = small_dataset(seed=3)
+        m = tinynet.init_mlp([4, 8, 3], seed=0)
+        with pytest.raises(NonFiniteLoss, match="^training loss became nan$"):
+            tinynet.train_supervised(m, ds, tinynet.TrainConfig(epochs=2, learning_rate=1e300))
+
+    def test_overflowing_last_update_raises(self):
+        # one batch: its loss is finite, and the update it makes overflows
+        ds = tinynet.generate_synthetic(60, 2, 3, 0.0, seed=1)
+        ds.features *= 1000.0
+        m = tinynet.init_mlp([3, 2], seed=0)
+        cfg = tinynet.TrainConfig(epochs=1, batch_size=100, learning_rate=1e306)
+        with pytest.raises(NonFiniteLoss, match="^training left non-finite parameters$"):
+            tinynet.train_supervised(m, ds, cfg)
+
     def test_missing_split_raises(self):
         ds = small_dataset(seed=11)
         ds.split[ds.split == "val"] = "train"
@@ -383,16 +399,23 @@ class TestParameterVector:
 @st.composite
 def training_runs(draw):
     """(policy or None, teacher, student, dataset, train config, t_base) of
-    one small training run; policy None means supervised training."""
+    one small training run; policy None means supervised training.
+
+    Up to 10 classes: numpy sums a row of 8 or more in another order. The
+    teacher's weights are scaled by up to 300, which with temperatures down
+    to 0.05 makes teacher probabilities of exactly 0.
+    """
     seed = draw(st.integers(0, 2**32 - 1))
-    c, d = draw(st.integers(2, 4)), draw(st.integers(2, 5))
-    ds = tinynet.generate_synthetic(draw(st.integers(10 * c, 60)), c, d,
+    c, d = draw(st.integers(2, 10)), draw(st.integers(2, 5))
+    ds = tinynet.generate_synthetic(draw(st.integers(10 * c, 10 * c + 40)), c, d,
                                     draw(st.floats(0.0, 1.0)), seed)
     ds = tinynet.inject_noise(ds, "gaussian", draw(st.sampled_from([0.0, 0.5, 1.0])), seed,
                               fraction=0.5)
     hidden = draw(st.lists(st.integers(1, 8), max_size=2))
     student = tinynet.init_mlp([d, *hidden, c], seed)
     teacher = tinynet.init_mlp([d, 6, c], seed + 1)
+    scale = draw(st.sampled_from([1.0, 30.0, 300.0]))
+    teacher.weights = [w * scale for w in teacher.weights]
     rows = ds.indices("train").size
     cfg = tinynet.TrainConfig(
         epochs=draw(st.integers(1, 4)),
