@@ -148,12 +148,6 @@ def _test_report(model: tinynet.MlpModel, dataset: tinynet.SyntheticDataset):
     return metrics.class_report(cm), logits, labels
 
 
-def _test_metrics(model: tinynet.MlpModel, dataset: tinynet.SyntheticDataset):
-    rep, logits, labels = _test_report(model, dataset)
-    roc, pr = metrics.micro_curves(numerics.softmax_rows(logits), labels)
-    return rep, roc, pr
-
-
 def _metrics_row(tag: str, rep: metrics.ClassReport) -> str:
     return (
         f"{tag},{rep.accuracy!r},{rep.macro_f1!r},{rep.macro_recall!r},{rep.macro_precision!r}"
@@ -211,7 +205,8 @@ def cmd_distill(args) -> int:
         return 0
 
     trained, report = train_student(experiment, policy)
-    rep, roc, pr = _test_metrics(trained, experiment)
+    rep, logits, labels = _test_report(trained, experiment)
+    roc, pr = metrics.micro_curves(numerics.softmax_rows(logits), labels)
     (out / "distill_report.json").write_text(report.to_json() + "\n")
     (out / "metrics.csv").write_text(metrics.report_csv(rep))
     (out / "summary.csv").write_text(metrics.summary_csv(rep, roc, pr))
@@ -502,7 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a numeric fault raises FloatingPointError, an ArithmeticError
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except VerificationFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

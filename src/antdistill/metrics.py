@@ -66,39 +66,34 @@ class ClassReport:
     micro_f1: float
 
 
-def _safe_div(num: float, den: float) -> tuple[float, bool]:
-    return (num / den, False) if den > 0 else (0.0, True)
+def _ratio(num, den):
+    """(num / den, 0 where den is not > 0; the mask of those undefined entries)."""
+    defined = den > 0
+    return np.divide(num, den, out=np.zeros(np.shape(den)), where=defined), ~defined
 
 
 def class_report(cm: ConfusionMatrix) -> ClassReport:
     """One-vs-rest per-class metrics plus macro and micro averages."""
     if cm.total == 0:
         raise EmptyMatrix("confusion matrix has no samples")
-    c = cm.n_classes
     counts = cm.counts
     tp = np.diag(counts).astype(np.float64)
     fp = counts.sum(axis=0) - tp
     fn = counts.sum(axis=1) - tp
+    precision, undefined_p = _ratio(tp, tp + fp)
+    recall, undefined_r = _ratio(tp, tp + fn)
+    f1, undefined_f1 = _ratio(2 * precision * recall, precision + recall)
 
-    precision = np.zeros(c)
-    recall = np.zeros(c)
-    f1 = np.zeros(c)
-    undefined = np.zeros(c, dtype=bool)
-    for k in range(c):
-        precision[k], u1 = _safe_div(tp[k], tp[k] + fp[k])
-        recall[k], u2 = _safe_div(tp[k], tp[k] + fn[k])
-        f1[k], u3 = _safe_div(2 * precision[k] * recall[k], precision[k] + recall[k])
-        undefined[k] = u1 or u2 or u3
-
-    accuracy = float(tp.sum() / cm.total)
-    micro_p, _ = _safe_div(tp.sum(), tp.sum() + fp.sum())
-    micro_r, _ = _safe_div(tp.sum(), tp.sum() + fn.sum())
-    micro_f1, _ = _safe_div(2 * micro_p * micro_r, micro_p + micro_r)
+    tp_sum = tp.sum()
+    accuracy = float(tp_sum / cm.total)
+    micro_p = _ratio(tp_sum, tp_sum + fp.sum())[0]
+    micro_r = _ratio(tp_sum, tp_sum + fn.sum())[0]
+    micro_f1 = _ratio(2 * micro_p * micro_r, micro_p + micro_r)[0]
     return ClassReport(
         precision=precision,
         recall=recall,
         f1=f1,
-        undefined=undefined,
+        undefined=undefined_p | undefined_r | undefined_f1,
         accuracy=accuracy,
         macro_precision=float(precision.mean()),
         macro_recall=float(recall.mean()),

@@ -4,13 +4,13 @@ All functions are pure. The public 1-D kernels validate their inputs:
 logit vectors may be any finite reals; probability vectors must lie in
 [0, 1] and sum to 1 (validated to 1e-6). Logs inside KL and
 cross-entropy are floored at EPS so exactly-zero probabilities from
-extreme logits stay finite. The `*_rows` forms compute softmax, KL and
+extreme logits stay finite. The two `*_rows` forms compute softmax and
 normalized entropy for (n, C) rows, unvalidated, because their callers
 check inputs once, at the boundary; `stable_softmax`, `kl_divergence`
-and `normalized_entropy` validate, then call them. `metrics` checks a
-whole probability matrix at once with the `as_distribution` checks and
-tolerance (`_DIST_TOL`), and passes the first bad row to
-`as_distribution` for its error.
+and `normalized_entropy` validate, then call them or the KL kernels
+below on a batch of one. `metrics` checks a whole probability matrix at
+once with the `as_distribution` checks and tolerance (`_DIST_TOL`), and
+passes the first bad row to `as_distribution` for its error.
 
 The training kernels in `tinynet` and `distill` use the private pieces
 these forms are built from: `_softmax` along the last axis of any
@@ -118,11 +118,6 @@ def _kl_rows(p: np.ndarray, log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
     return np.add.reduce(p * (log_p - log_q), axis=-1, keepdims=True)
 
 
-def kl_divergence_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """KL(p_i || q_i) of each row pair of two (n, C) probability matrices."""
-    return _kl_rows(*_kl_target(p), _log_floor(q))[:, 0]
-
-
 def normalized_entropy_rows(p: np.ndarray) -> np.ndarray:
     """Normalized entropy of each row of an (n, C) probability matrix."""
     u = -np.where(p > 0.0, p * np.log(np.maximum(p, EPS)), 0.0).sum(axis=1) / np.log(p.shape[1])
@@ -136,7 +131,7 @@ def kl_divergence(p, q) -> float:
     q = as_distribution(q)
     if p.shape != q.shape:
         raise LengthMismatch(f"length {p.shape[0]} vs {q.shape[0]}")
-    return float(kl_divergence_rows(p[None, :], q[None, :])[0])
+    return float(_kl_rows(*_kl_target(p[None]), _log_floor(q[None]))[0, 0])
 
 
 def cross_entropy(target, predicted) -> float:

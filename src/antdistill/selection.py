@@ -112,7 +112,7 @@ def load_pool(path, dataset=None) -> CandidatePool:
     with open(path) as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParseError(f"{path}: {exc}") from exc
     entries = raw.get("candidates") if isinstance(raw, dict) else raw
     if not isinstance(entries, list):

@@ -155,29 +155,20 @@ def _backward(weights, acts, dlogits, grads_w, grads_b) -> None:
             delta *= acts[k] > 0.0
 
 
-def _step(layers, x, loss_rows, targets, tally, grads):
+def _step(layers, x, loss_rows, targets, grads):
     """One mini-batch: the forward pass, loss_rows(logits, *targets), then
-    tally(per-row losses), which may raise, then the backward pass of the
-    mean loss into the gradient views grads = (weights, biases). Returns
-    what tally returned."""
+    the backward pass of the mean loss into the gradient views
+    grads = (weights, biases). Returns the per-row losses."""
     logits, acts = _forward(layers, x)
     losses, dlogits = loss_rows(logits, *targets)
-    tallied = tally(losses)
     _backward(layers[0], acts, dlogits / x.shape[0], *grads)
-    return tallied
+    return losses
 
 
 def _check_targets(targets, n_rows: int) -> None:
     if any(np.shape(t)[:1] != (n_rows,) for t in targets):
         raise ShapeMismatch(f"every target must have {n_rows} rows, got shapes "
                             f"{[np.shape(t) for t in targets]}")
-
-
-def _batch_total(losses) -> float:
-    total = float(np.sum(losses))
-    if not np.isfinite(total):
-        raise NonFiniteLoss(f"batch loss is {total!r}")
-    return total
 
 
 def loss_gradients(model: MlpModel, batch, loss_rows, targets):
@@ -195,7 +186,9 @@ def loss_gradients(model: MlpModel, batch, loss_rows, targets):
     _check_features(model, x)
     grads = np.empty(sum(w.size + b.size for w, b in zip(model.weights, model.biases)))
     gw, gb = _flat_views(model.layer_dims, grads)
-    total = _step(_layers(model), x, loss_rows, targets, _batch_total, (gw, gb))
+    total = float(np.sum(_step(_layers(model), x, loss_rows, targets, (gw, gb))))
+    if not np.isfinite(total):
+        raise NonFiniteLoss(f"batch loss is {total!r}")
     return total / x.shape[0], gw, gb
 
 
@@ -207,21 +200,13 @@ def _one_hot(labels: np.ndarray, n_classes: int):
 
 
 def _cross_entropy_rows(logits, mask, one_hot):
-    """cross_entropy_rows with the labels as _one_hot's two matrices: the
-    loss_rows train_supervised gives sgd_fit."""
+    """Per-row cross_entropy(label, stable_softmax(row)) and its gradient
+    softmax(row) - onehot(label), bit for bit, with the labels as _one_hot's
+    two matrices: the loss_rows train_supervised gives sgd_fit."""
     p = numerics._softmax(logits)
     losses = -numerics._log_floor(p)[mask]
     p -= one_hot
     return losses, p
-
-
-def cross_entropy_rows(logits: np.ndarray, labels: np.ndarray):
-    """Supervised batch loss: per-row cross_entropy(label, stable_softmax(row))
-    and its gradient softmax(row) - onehot(label), bit for bit."""
-    if labels.size and (labels.min() < 0 or labels.max() >= logits.shape[1]):
-        # a one-hot row with no label would drop its loss and misalign the rest
-        raise IndexOutOfRange(f"labels outside [0, {logits.shape[1]})")
-    return _cross_entropy_rows(logits, *_one_hot(labels, logits.shape[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -433,17 +418,6 @@ def sgd_fit(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig, loss_r
     val_x, val_y = dataset.features[val_idx], dataset.labels[val_idx]
     rng = np.random.default_rng(cfg.seed)
     history = TrainHistory()
-    loss_sum = 0.0
-
-    def tally(losses):
-        # one row at a time, in batch order, so that train_loss does not
-        # depend on the order in which numpy would sum
-        nonlocal loss_sum
-        for loss in losses.tolist():
-            loss_sum += loss
-        if not math.isfinite(loss_sum):
-            raise NonFiniteLoss(f"training loss became {loss_sum!r}")
-
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.epochs):
             order = train_idx[rng.permutation(train_idx.size)]
@@ -454,13 +428,20 @@ def sgd_fit(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig, loss_r
             loss_sum = 0.0
             for start in range(0, order.size, cfg.batch_size):
                 stop = start + cfg.batch_size
-                _step(layers, x[start:stop], loss_rows, [c[start:stop] for c in columns],
-                      tally, grad_views)
+                losses = _step(layers, x[start:stop], loss_rows,
+                               [c[start:stop] for c in columns], grad_views)
+                # one row at a time, in batch order, so that train_loss does
+                # not depend on the order in which numpy would sum
+                for loss in losses.tolist():
+                    loss_sum += loss
+                if not math.isfinite(loss_sum):
+                    raise NonFiniteLoss(f"training loss became {loss_sum!r}")
                 params -= cfg.learning_rate * grads
             if not np.isfinite(params).all():
                 raise NonFiniteLoss("training left non-finite parameters")
             history.train_loss.append(loss_sum / order.size)
-            history.val_accuracy.append(accuracy(model, val_x, val_y))
+            val_pred = np.argmax(_forward(layers, val_x)[0], axis=1)
+            history.val_accuracy.append(float(np.mean(val_pred == val_y)))
     return model, history
 
 

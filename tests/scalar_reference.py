@@ -126,7 +126,9 @@ def apply_policy(policy, ctx: ContextFeatures, base_weight: float = 0.5) -> Poli
 def _read_csv_table(path) -> tuple[list[str], list[list[str]]]:
     try:
         with open(path) as fh:
-            lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+            # the whole text at once, so that a decode error names its
+            # position in the file, as cli's reader does
+            lines = [ln for ln in fh.read().split("\n") if ln.strip()]
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if not lines:

@@ -368,6 +368,28 @@ class TestSelect:
         assert caught == []
         assert capsys.readouterr().err == "error: training loss became nan\n"
 
+    def test_overflowing_pso_step_is_exit_2_without_a_warning(self, tmp_path, capsys):
+        # the velocity update overflows: this once warned and exited 0
+        worked_example_pool(tmp_path)
+        cfg = write(tmp_path / "c.ini", "[pso]\npool = pool.json\ninertia = 1e308\n"
+                    "n_particles = 4\nn_iterations = 5\nseed = 1\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["select", "--config", str(cfg), "--strategy", "pso",
+                         "--out", str(tmp_path / "run")]) == 2
+        assert caught == []
+        assert capsys.readouterr().err == "error: overflow encountered in multiply\n"
+
+    def test_undecodable_pool_is_exit_2_naming_the_file(self, tmp_path, capsys):
+        pool = tmp_path / "pool.json"
+        pool.write_bytes(b'{"candidates": [{"name": "\xff", "stub_score": 0.5}]}')
+        cfg = write(tmp_path / "c.ini", "[grid]\npool = pool.json\n")
+        assert main(["select", "--config", str(cfg), "--strategy", "grid",
+                     "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {pool}: 'utf-8' codec can't decode byte 0xff in position 26: "
+            "invalid start byte\n")
+
     @pytest.mark.parametrize("key, value", [("stub_score", "0.5"), ("stub_score", True),
                                             ("learning_rate", "0.1"), ("learning_rate", True)])
     def test_non_number_float_field_is_exit_2_before_any_training(
@@ -458,6 +480,20 @@ class TestDistill:
         assert main(["distill", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
         assert fits == []
         assert "must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("policy, message", [
+        ("variant = constant\ntemperature = 1e-320", "overflow encountered in divide"),
+        ("variant = uncertainty_linear\nscale = 1e308", "overflow encountered in float_power"),
+    ], ids=["constant", "uncertainty_linear"])
+    def test_overflowing_policy_is_exit_2_without_a_warning(self, tmp_path, capsys, policy,
+                                                            message):
+        # this once printed numpy's warnings, then "training loss became nan"
+        cfg = write(tmp_path / "c.ini", DISTILL_CONFIG.replace("variant = rule_based", policy))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["distill", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert caught == []
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("setting, value, message", [
         ("learning_rate", "inf", "learning_rate must be finite, got inf"),
@@ -847,12 +883,14 @@ class TestEvaluateInputs:
                  for name in ("pred", "label")]
         assert _parsed(cli._evaluate_inputs, *paths) == _parsed(ref.evaluate_inputs, *paths)
 
-    @pytest.mark.parametrize("cell", NUMPY_ONLY_CELLS)
+    @pytest.mark.parametrize("cell", NUMPY_ONLY_CELLS + ["\udcff"])
     @pytest.mark.parametrize("column", ["pred", "p1", "label"])
     def test_odd_cell_far_into_a_large_file(self, tmp_path, cell, column):
         # numpy's parser reads the file in pieces, and each piece is checked:
         # an odd cell in the last of 20,000 rows, several reads into either
-        # file, still sends the files to the int()/float() reader
+        # file, still sends the files to the int()/float() reader; a byte
+        # 0xff there is a decode error that both readers place at the same
+        # position in the file
         n = 20_000
         rows = {"pred": [["pred", "p0", "p1"]] + [[str(i % 2), "0.25", "0.75"] for i in range(n)],
                 "label": [["label"]] + [[str(i % 2)] for i in range(n)]}

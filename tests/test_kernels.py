@@ -2,7 +2,7 @@
 references.
 
 Training calls only the batch forms: `numerics.softmax_rows`, the
-cross-entropy kernel behind `tinynet.cross_entropy_rows`, the
+cross-entropy kernel `tinynet._cross_entropy_rows`, the
 distillation kernel on the per-row targets `distill._kd_targets` builds,
 and `temperature.apply_policy_rows`. The public one-sample functions
 validate their input and call the same kernels on a batch of one.
@@ -84,23 +84,23 @@ class TestSoftmaxRows:
         assert np.array_equal(numerics.softmax_rows(z), numerics.softmax_rows(z, 1.0))
 
 
+def cross_entropy_rows(logits, labels):
+    """The cross-entropy kernel on targets built as train_supervised builds them."""
+    return tinynet._cross_entropy_rows(logits, *tinynet._one_hot(labels, logits.shape[1]))
+
+
 class TestCrossEntropyRows:
     @settings(max_examples=200, deadline=None)
     @given(batch=batches())
     def test_rows_equal_cross_entropy_and_its_gradient(self, batch):
         z, _, labels, _, _ = batch
-        losses, grad = tinynet.cross_entropy_rows(z, labels)
+        losses, grad = cross_entropy_rows(z, labels)
         for i in range(z.shape[0]):
             p = ref.stable_softmax(z[i], 1.0)
             onehot = np.zeros(z.shape[1])
             onehot[labels[i]] = 1.0
             assert losses[i] == numerics.cross_entropy(int(labels[i]), p)
             assert np.array_equal(grad[i], p - onehot)
-
-    @pytest.mark.parametrize("label", [-1, 3])
-    def test_label_outside_the_classes_is_named_error(self, label):
-        with pytest.raises(IndexOutOfRange, match=r"^labels outside \[0, 3\)$"):
-            tinynet.cross_entropy_rows(np.zeros((2, 3)), np.array([0, label]))
 
 
 def kd_loss_rows(student_logits, teacher_probs, labels, temperatures, weights):
@@ -116,7 +116,7 @@ class TestKdLossRows:
         z, teacher, labels, temps, weights = batch
         pt, ps = numerics.softmax_rows(teacher, temps), numerics.softmax_rows(z, temps)
         losses, grad = kd_loss_rows(z, pt, labels, temps, weights)
-        kl = numerics.kl_divergence_rows(pt, ps)
+        kl = numerics._kl_rows(*numerics._kl_target(pt), numerics._log_floor(ps))[:, 0]
         for i in range(z.shape[0]):
             args = (z[i], teacher[i], int(labels[i]), temps[i], weights[i])
             want = ref.kd_loss(*args)
@@ -153,7 +153,7 @@ class TestKdLossRows:
         labels = rng.integers(0, 5, 16)
         ones = np.ones(16)
         kd = kd_loss_rows(z, numerics.softmax_rows(teacher), labels, ones, np.zeros(16))
-        ce = tinynet.cross_entropy_rows(z, labels)
+        ce = cross_entropy_rows(z, labels)
         assert np.array_equal(kd[0], ce[0]) and np.array_equal(kd[1], ce[1])
 
 
@@ -193,8 +193,7 @@ class TestTrainingKernels:
     def test_cross_entropy_equals_the_reference(self, batch):
         z, _, labels, _, _ = batch
         want = bits(ref._cross_entropy_rows(z, labels))
-        assert bits(tinynet.cross_entropy_rows(z, labels)) == want
-        assert bits(tinynet._cross_entropy_rows(z, *tinynet._one_hot(labels, z.shape[1]))) == want
+        assert bits(cross_entropy_rows(z, labels)) == want
 
     @settings(max_examples=500, deadline=None)
     @given(batch=extreme_batches())

@@ -360,8 +360,8 @@ class TestTrainSupervised:
         ds = small_dataset(seed=3)
         m = tinynet.init_mlp([4, 8, 3], seed=0)
         with pytest.raises(ShapeMismatch, match="every target must have 300 rows"):
-            tinynet.sgd_fit(m, ds, tinynet.TrainConfig(epochs=1), tinynet.cross_entropy_rows,
-                            (ds.labels[:-1],))
+            tinynet.sgd_fit(m, ds, tinynet.TrainConfig(epochs=1),
+                            tinynet._cross_entropy_rows, tinynet._one_hot(ds.labels[:-1], 3))
 
 
 def model_arrays(model):
