@@ -39,19 +39,17 @@ from .temperature import (
 )
 
 
-def _prepare_out(cfg: RunConfig | None, override: str | None) -> Path:
+def _prepare_out(cfg: RunConfig, override: str | None) -> Path:
+    """The run directory, made, with a copy of the config in it."""
     if override:
         out = Path(override)
-    elif cfg is not None and cfg.has("out"):
+    elif cfg.has("out"):
         out = cfg.resolve(cfg.get("out", "dir"))
     else:
         raise ConfigParseError("no output directory: pass --out or add an [out] section")
     out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _copy_config(cfg: RunConfig, out: Path) -> None:
     shutil.copyfile(cfg.path, out / "config.ini")
+    return out
 
 
 def _build_dataset(cfg: RunConfig) -> tuple[tinynet.SyntheticDataset, tinynet.SyntheticDataset]:
@@ -80,7 +78,6 @@ def _build_dataset(cfg: RunConfig) -> tuple[tinynet.SyntheticDataset, tinynet.Sy
 def cmd_gen_data(args) -> int:
     cfg = load_config(args.config)
     out = _prepare_out(cfg, args.out)
-    _copy_config(cfg, out)
     _, dataset = _build_dataset(cfg)
     tinynet.save_dataset(dataset, out / "dataset.csv")
     counts = {s: dataset.indices(s).size for s in tinynet.SPLITS}
@@ -123,9 +120,9 @@ def cmd_select(args) -> int:
                      **{k: v for k, v in options.items() if k not in vars(strategy_cfg)})
 
     out = _prepare_out(cfg, args.out)
-    _copy_config(cfg, out)
-    (out / "report.json").write_text(report.to_json() + "\n")
-    (out / "report.csv").write_text(selection.CSV_HEADER + "\n" + report.csv_row() + "\n")
+    (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+    (out / "report.csv").write_text(selection.CSV_HEADER + "\n" + report.csv_row() + "\n",
+                                    encoding="utf-8")
     print(
         f"{strategy}: best={report.best_name} score={report.best_score:.6f} "
         f"unique_evaluations={report.unique_evaluations} "
@@ -160,7 +157,6 @@ ABLATION_HEADER = "approach,accuracy,macro_f1,macro_recall,macro_precision"
 def cmd_distill(args) -> int:
     cfg = load_config(args.config)
     out = _prepare_out(cfg, args.out)
-    _copy_config(cfg, out)
     clean, experiment = _build_dataset(cfg)
     kd = cfg.section("kd")
     train_cfg = from_section(tinynet.TrainConfig, kd)
@@ -200,16 +196,17 @@ def cmd_distill(args) -> int:
     if args.ablation:
         rows = [_metrics_row(tag, _test_report(model, dataset)[0])
                 for tag, model, dataset in arms]
-        (out / "ablation.csv").write_text(ABLATION_HEADER + "\n" + "\n".join(rows) + "\n")
+        (out / "ablation.csv").write_text(ABLATION_HEADER + "\n" + "\n".join(rows) + "\n",
+                                          encoding="utf-8")
         print(f"wrote {out / 'ablation.csv'} ({len(rows)} rows)")
         return 0
 
     trained, report = train_student(experiment, policy)
     rep, logits, labels = _test_report(trained, experiment)
     roc, pr = metrics.micro_curves(numerics.softmax_rows(logits), labels)
-    (out / "distill_report.json").write_text(report.to_json() + "\n")
-    (out / "metrics.csv").write_text(metrics.report_csv(rep))
-    (out / "summary.csv").write_text(metrics.summary_csv(rep, roc, pr))
+    (out / "distill_report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+    (out / "metrics.csv").write_text(metrics.report_csv(rep), encoding="utf-8")
+    (out / "summary.csv").write_text(metrics.summary_csv(rep, roc, pr), encoding="utf-8")
     print(
         f"distilled student: test_accuracy={rep.accuracy:.6f} "
         f"val_accuracy={report.final_val_accuracy:.6f}"
@@ -231,7 +228,7 @@ def _read_csv_table(path) -> tuple[list[str], int, list[str]]:
     file; blank lines are skipped, and every data row must have as many
     cells as the header."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
@@ -269,16 +266,14 @@ _SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 class _PlainBytes(io.BufferedIOBase):
     """A buffered binary file's bytes as they are read, raising _NotPlain at
     a byte outside ASCII or a separator 0x1c-0x1f. The file is checked one
-    read at a time, so no copy of all of it is ever held."""
+    read at a time, so no copy of all of it is ever held. numpy and
+    TextIOWrapper read it only through read1."""
 
     def __init__(self, buffered):
         self._buffered = buffered
 
     def readable(self) -> bool:
         return True
-
-    def read(self, size=-1) -> bytes:
-        return self._checked(self._buffered.read(size))
 
     def read1(self, size=-1) -> bytes:
         return self._checked(self._buffered.read1(size))
@@ -295,7 +290,7 @@ def _loadtxt_table(path, header_ok):
     first column as int64, the others as an (n, width - 1) float64 array.
     None for a header that fails header_ok and for no data rows; _NotPlain
     for a file with a byte outside ASCII or a separator 0x1c-0x1f."""
-    # plain ASCII decodes as open(path) in _read_csv_table decodes it
+    # ASCII decodes as the UTF-8 that _read_csv_table reads
     with open(path, "rb") as raw, io.TextIOWrapper(_PlainBytes(raw), encoding="ascii") as fh:
         header = fh.readline().removesuffix("\n").split(",")
         if not header_ok(header):
@@ -377,8 +372,8 @@ def cmd_evaluate(args) -> int:
 
     out = Path(args.out) if args.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
-    (out / "metrics.csv").write_text(metrics.report_csv(rep))
-    (out / "summary.csv").write_text(metrics.summary_csv(rep, roc, pr))
+    (out / "metrics.csv").write_text(metrics.report_csv(rep), encoding="utf-8")
+    (out / "summary.csv").write_text(metrics.summary_csv(rep, roc, pr), encoding="utf-8")
     print(f"accuracy={rep.accuracy:.6f} samples={cm.total}")
     return 0
 
@@ -425,10 +420,7 @@ def run_example_checks() -> list[tuple[str, bool, str]]:
     for name, computed, reference, tol in checks:
         comp = np.atleast_1d(np.asarray(computed, dtype=np.float64))
         ref = np.atleast_1d(np.asarray(reference, dtype=np.float64))
-        if tol == 0.0:
-            ok = bool(np.all(comp == ref))
-        else:
-            ok = bool(np.all(np.abs(comp - ref) <= tol))
+        ok = bool(np.all(np.abs(comp - ref) <= tol))
         detail = f"computed={_fmt(computed)} reference={_fmt(reference)} tol={tol:g}"
         results.append((name, ok, detail))
     return results
@@ -446,7 +438,7 @@ def cmd_repro_examples(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "repro_examples.txt").write_text(text)
+        (out / "repro_examples.txt").write_text(text, encoding="utf-8")
     if n_ok != len(results):
         raise VerificationFailed(f"{len(results) - n_ok} worked-example checks deviated")
     return 0
@@ -503,7 +495,7 @@ def main(argv=None) -> int:
     except VerificationFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, IndexError, ArithmeticError, OSError) as exc:
+    except (ValueError, IndexError, ArithmeticError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -121,9 +121,10 @@ class RunConfig:
 
 def load_config(path) -> RunConfig:
     path = Path(path)
-    parser = configparser.ConfigParser(interpolation=None)
+    # no section header can be empty, so [DEFAULT] is an ordinary, unknown section
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read config {path}: {exc}") from exc

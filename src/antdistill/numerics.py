@@ -4,13 +4,14 @@ All functions are pure. The public 1-D kernels validate their inputs:
 logit vectors may be any finite reals; probability vectors must lie in
 [0, 1] and sum to 1 (validated to 1e-6). Logs inside KL and
 cross-entropy are floored at EPS so exactly-zero probabilities from
-extreme logits stay finite. The two `*_rows` forms compute softmax and
-normalized entropy for (n, C) rows, unvalidated, because their callers
-check inputs once, at the boundary; `stable_softmax`, `kl_divergence`
-and `normalized_entropy` validate, then call them or the KL kernels
-below on a batch of one. `metrics` checks a whole probability matrix at
-once with the `as_distribution` checks and tolerance (`_DIST_TOL`), and
-passes the first bad row to `as_distribution` for its error.
+extreme logits stay finite. The two `*_rows` forms compute softmax (at
+a temperature that defaults to 1) and normalized entropy for (n, C)
+rows, unvalidated, because their callers check inputs once, at the
+boundary; `stable_softmax`, `kl_divergence` and `normalized_entropy`
+validate, then call them or the KL kernels below on a batch of one.
+`metrics` checks a whole probability matrix at once with the
+`as_distribution` checks and tolerance (`_DIST_TOL`), and passes the
+first bad row to `as_distribution` for its error.
 
 The training kernels in `tinynet` and `distill` use the private pieces
 these forms are built from: `_softmax` along the last axis of any
@@ -77,16 +78,12 @@ def stable_softmax(logits, temperature: float = 1.0) -> np.ndarray:
     return softmax_rows(z[None, :], t)[0]
 
 
-def softmax_rows(logits: np.ndarray, temperature=None) -> np.ndarray:
-    """Softmax of each row of an (n, C) matrix, via max-subtraction.
-
-    temperature is one scalar or one value per row; None means 1, and
-    skips the division, which at 1 changes no bit.
-    """
-    if temperature is not None:
-        t = np.asarray(temperature, dtype=np.float64)
-        logits = logits / (t[:, None] if t.ndim else t)
-    return _softmax(logits)
+def softmax_rows(logits: np.ndarray, temperature=1.0) -> np.ndarray:
+    """Softmax of each row of an (n, C) matrix divided by temperature, via
+    max-subtraction. temperature is one scalar or one value per row, and
+    defaults to 1."""
+    t = np.asarray(temperature, dtype=np.float64)
+    return _softmax(logits / (t[:, None] if t.ndim else t))
 
 
 def _softmax(s: np.ndarray) -> np.ndarray:

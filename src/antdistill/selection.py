@@ -107,9 +107,14 @@ def _json_float(value, key: str) -> float:
     return float(value)
 
 
+_STUB_KEYS = {"name", "stub_score"}
+_MLP_KEYS = {"name", "hidden_dims", "learning_rate", "epochs"}
+
+
 def load_pool(path, dataset=None) -> CandidatePool:
-    """Pool definition file: JSON list of {name, stub_score | hidden_dims+lr+epochs}."""
-    with open(path) as fh:
+    """Pool definition file: JSON list of {name, stub_score | hidden_dims+lr+epochs};
+    an entry with any other key is a ParseError."""
+    with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -124,6 +129,10 @@ def load_pool(path, dataset=None) -> CandidatePool:
         name = e.get("name", f"candidate-{i}")
         if not isinstance(name, str):
             raise ParseError(f"{path}: candidate {i} has a non-string name")
+        keys = _STUB_KEYS if "stub_score" in e else _MLP_KEYS
+        extra = sorted(set(e) - keys)
+        if extra:
+            raise ParseError(f"{path}: candidate {name!r}: key {extra[0]!r} not in {sorted(keys)}")
         try:
             if "stub_score" in e:
                 fields = {"stub_score": _json_float(e["stub_score"], "stub_score")}

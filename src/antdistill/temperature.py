@@ -129,7 +129,7 @@ def compute_context(teacher_logits, sample_noise: float, sample_class_complexity
         noise_level=float(sample_noise),
         teacher_confidence=float(probs.max()),
         disease_complexity=float(sample_class_complexity),
-        uncertainty=numerics.normalized_entropy(probs),
+        uncertainty=float(numerics.normalized_entropy_rows(probs[None, :])[0]),
     )
 
 

@@ -468,13 +468,13 @@ def save_dataset(dataset: SyntheticDataset, path) -> None:
         row = [dataset.split[i], str(int(dataset.labels[i])), repr(float(dataset.noise_level[i]))]
         row.extend(repr(float(v)) for v in dataset.features[i])
         lines.append(",".join(row))
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def load_dataset(path) -> SyntheticDataset:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = [ln.rstrip("\n") for ln in fh]
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc

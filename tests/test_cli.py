@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line harness."""
 
 import argparse
+import codecs
 import contextlib
 import dataclasses
 import hashlib
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -91,6 +93,16 @@ class TestConfigParsing:
             load_config(cfg)
         assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
         assert "latin1.ini" in capsys.readouterr().err
+
+    def test_default_section_is_an_unknown_section(self, tmp_path, capsys):
+        # configparser would copy [DEFAULT] keys into every section: this
+        # once made a seed-3 dataset, and with an [out] section it named
+        # [out] as the section holding 'seed'
+        cfg = write(tmp_path / "c.ini", "[DEFAULT]\nseed = 3\n\n" + DATA_SECTION)
+        out = tmp_path / "run"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {cfg}: unknown section [DEFAULT]\n"
+        assert not (out / "dataset.csv").exists()
 
     def test_readme_config_reference_loads(self, tmp_path):
         # every documented key is accepted and parses to its value
@@ -379,6 +391,19 @@ class TestSelect:
                          "--out", str(tmp_path / "run")]) == 2
         assert caught == []
         assert capsys.readouterr().err == "error: overflow encountered in multiply\n"
+
+    def test_unallocatable_swarm_is_exit_2(self, tmp_path, capsys):
+        # 2^56 particles ask numpy for 512 PiB, more than a 64-bit Linux
+        # process can map, so the allocation fails at once: this once ended
+        # in a MemoryError traceback and exit 1
+        worked_example_pool(tmp_path)
+        cfg = write(tmp_path / "c.ini", f"[pso]\npool = pool.json\nn_particles = {2**56}\n")
+        out = tmp_path / "run"
+        assert main(["select", "--config", str(cfg), "--strategy", "pso",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+        assert not (out / "report.json").exists()
 
     def test_undecodable_pool_is_exit_2_naming_the_file(self, tmp_path, capsys):
         pool = tmp_path / "pool.json"
@@ -1019,3 +1044,210 @@ def test_parser_options_are_the_readme_usage_options():
                         if opt not in ("-h", "--help")}
               for command, sub in subparsers.choices.items()}
     assert parsed == documented
+
+
+# runs each argv list of the JSON in sys.argv[1] through cli.main in one
+# process; an exception that escapes main, such as a warning raised as an
+# error, stands in for its exit code
+CHILD_RUNNER = """\
+import json, locale, sys, warnings
+from antdistill.cli import main
+codes = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        codes.append(main(argv))
+    except Exception as exc:
+        codes.append(repr(exc))
+with warnings.catch_warnings():  # it warns under -X warn_default_encoding
+    warnings.simplefilter("ignore", EncodingWarning)
+    encoding = locale.getpreferredencoding(False)
+print(json.dumps([encoding, codes]))
+"""
+
+
+def run_child(flags, env, commands):
+    """(preferred encoding, one exit code per command) of commands run in a
+    child Python started with flags and env added to this one's."""
+    src = str(Path(antdistill.__file__).resolve().parents[1])
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, *flags, "-c", CHILD_RUNNER, json.dumps(commands)],
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+    encoding, codes = json.loads(proc.stdout.decode("ascii").splitlines()[-1])
+    return encoding, codes
+
+
+def encoding_inputs(directory):
+    """argv lists of gen-data, select, distill --ablation table11, evaluate
+    (on a pair that numpy reads, a pair that the fallback reader reads,
+    and a pair with a no-break space) and repro-examples, with their
+    input files written as UTF-8 in directory. Every non-ASCII name
+    stays out of stdout, whose encoding is the terminal's."""
+    d = directory
+    (d / "c.ini").write_bytes(
+        "[data]\n; température\nsamples = 60\nclasses = 2\ndim = 3\ncomplexity = 0.0\n"
+        "seed = 1\n\n[grid]\npool = pool.json\n\n[kd]\nepochs = 1\nteacher_hidden = 4\n"
+        "student_hidden = 3\n".encode())
+    (d / "pool.json").write_bytes(json.dumps({"candidates": [
+        {"name": "modèle", "stub_score": 0.4}, {"name": "best", "stub_score": 0.9}]},
+        ensure_ascii=False).encode())
+    (d / "labels.csv").write_bytes(b"label\n0\n1\n")
+    pairs = {"clean": "0,0.75,0.25\n", "fallback": "0,0.75,0.25\n \n",
+             "nbsp": "0, 0.75,0.25\n"}
+    commands = [["gen-data", "--config", str(d / "c.ini"), "--out", str(d / "gen")],
+                ["select", "--config", str(d / "c.ini"), "--strategy", "grid",
+                 "--out", str(d / "select")],
+                ["distill", "--config", str(d / "c.ini"), "--ablation", "table11",
+                 "--out", str(d / "distill")],
+                ["repro-examples", "--out", str(d / "repro")]]
+    for name, first_row in pairs.items():
+        (d / f"{name}.csv").write_bytes(f"pred,p0,p1\n{first_row}1,0.125,0.875\n".encode())
+        commands.append(["evaluate", "--predictions", str(d / f"{name}.csv"),
+                         "--labels", str(d / "labels.csv"), "--out", str(d / name)])
+    return commands
+
+
+class TestEncoding:
+    def test_non_utf8_locale_reads_and_writes_utf8(self, tmp_path):
+        # in an ASCII locale, a config comment, a pool name and a no-break
+        # space in an evaluate input each once ended in a decode error
+        encoding, codes = run_child(
+            ["-X", "utf8=0"], {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+            encoding_inputs(tmp_path))
+        if codecs.lookup(encoding).name == "utf-8":
+            pytest.skip(f"the C locale's preferred encoding is {encoding} here, so the "
+                        "locale's encoding and UTF-8 read the same")
+        assert codes == [0] * len(codes)
+
+    def test_no_file_is_opened_with_the_locale_encoding(self, tmp_path):
+        # every command opened at least one file without an encoding
+        _, codes = run_child(["-X", "warn_default_encoding", "-W", "error::EncodingWarning"],
+                             {}, encoding_inputs(tmp_path))
+        assert codes == [0] * len(codes)
+
+
+# the gate's search, policy and training values: 0, negatives, the
+# float64 extremes, a subnormal and the non-finite values beside ordinary ones
+GATE_FLOATS = st.sampled_from(["0", "-1", "-1e308", "1e308", "1e-320", "nan", "inf", "-inf",
+                               "0.5", "2"])
+GATE_COUNTS = st.integers(1, 3)
+GATE_OPTIONS = {
+    "aco": {"alpha": GATE_FLOATS, "beta": GATE_FLOATS, "rho": GATE_FLOATS, "q0": GATE_FLOATS,
+            "n_ants": GATE_COUNTS, "n_iterations": GATE_COUNTS, "seed": st.integers(0, 3),
+            "pair_mode": st.booleans()},
+    "pso": {"inertia": GATE_FLOATS, "c1": GATE_FLOATS, "c2": GATE_FLOATS,
+            "n_particles": GATE_COUNTS, "n_iterations": GATE_COUNTS, "seed": st.integers(0, 3)},
+    "random": {"n_picks": GATE_COUNTS, "seed": st.integers(0, 3)},
+    "grid": {"pair_mode": st.booleans()},
+}
+GATE_ERRORS = (*(v for v in vars(antdistill.errors).values()
+                 if isinstance(v, type) and issubclass(v, Exception)),
+               FloatingPointError, MemoryError)
+
+
+def ini(sections) -> str:
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items()) + "\n"
+                   for name, keys in sections.items())
+
+
+@st.composite
+def gate_data(draw) -> dict:
+    return {"samples": draw(st.integers(30, 60)), "classes": draw(st.integers(2, 3)), "dim": 3,
+            "complexity": "0.2", "noise_kind": "uniform",
+            "noise_level": draw(st.sampled_from(["0", "0.3", "1"])), "seed": draw(GATE_COUNTS)}
+
+
+@st.composite
+def gate_select_runs(draw):
+    """(config text, pool, argv tail) of a select run on a stub or a tiny MLP pool."""
+    strategy = draw(st.sampled_from(sorted(GATE_OPTIONS)))
+    options = draw(st.fixed_dictionaries({}, optional=GATE_OPTIONS[strategy]))
+    n = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        pool = [{"name": f"s{i}", "stub_score": draw(st.sampled_from([0.0, 0.3, 0.9, 1.0]))}
+                for i in range(n)]
+    else:
+        pool = [{"name": f"m{i}", "hidden_dims": draw(st.sampled_from([[2], [3, 2]])),
+                 "epochs": draw(GATE_COUNTS),
+                 "learning_rate": draw(st.sampled_from([0.0, 0.05, 0.5, 1e-320, 1e308]))}
+                for i in range(n)]
+    text = ini({"data": draw(gate_data()), strategy: {"pool": "pool.json", **options}})
+    return text, pool, ["select", "--strategy", strategy]
+
+
+@st.composite
+def gate_distill_runs(draw):
+    """(config text, None, argv tail) of a plain, table10 or table11 distill run."""
+    variant = draw(st.sampled_from(sorted(POLICIES)))
+    policy = draw(st.fixed_dictionaries(
+        {}, optional={f.name: GATE_FLOATS for f in dataclasses.fields(POLICIES[variant])}))
+    kd = draw(st.fixed_dictionaries(
+        {"epochs": GATE_COUNTS, "teacher_hidden": st.just(4), "student_hidden": st.just(3)},
+        optional={"t_base": GATE_FLOATS, "learning_rate": GATE_FLOATS,
+                  "batch_size": st.sampled_from([1, 8, 32])}))
+    text = ini({"data": draw(gate_data()), "policy": {"variant": variant, **policy}, "kd": kd})
+    ablation = draw(st.sampled_from([[], ["--ablation", "table10"], ["--ablation", "table11"]]))
+    return text, None, ["distill", *ablation]
+
+
+def non_finite_cells(text: str) -> list[str]:
+    return [c for c in re.split(r"[,\n]", text)
+            if c.strip().lower().lstrip("+-") in ("nan", "inf", "infinity")]
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} in a JSON report")
+
+
+class TestCliGate:
+    """Any search, policy or training value ends in one of two outcomes:
+    exit 0 with finite outputs, or exit 2 with one error line from a named
+    error, a numeric fault or a failed allocation; never a warning."""
+
+    def check(self, directory, text, pool, argv_tail):
+        cfg = directory / "c.ini"
+        cfg.write_text(text, encoding="utf-8")
+        if pool is not None:
+            (directory / "pool.json").write_text(json.dumps({"candidates": pool}),
+                                                 encoding="utf-8")
+        command = "cmd_" + argv_tail[0].replace("-", "_")
+        run, raised = getattr(cli, command), []
+
+        def recorded(args):
+            try:
+                return run(args)
+            except Exception as exc:
+                raised.append(exc)
+                raise
+
+        out = directory / "run"
+        stderr = io.StringIO()
+        with mock.patch.object(cli, command, recorded), \
+                warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = main([*argv_tail, "--config", str(cfg), "--out", str(out)])
+        assert caught == []
+        if code == 0:
+            for path in out.iterdir():
+                report = path.read_text(encoding="utf-8")
+                if path.suffix == ".json":
+                    json.loads(report, parse_constant=reject_constant)
+                elif path.suffix == ".csv":
+                    assert non_finite_cells(report) == [], path.name
+        else:
+            assert code == 2
+            err = stderr.getvalue()
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert len(raised) == 1 and isinstance(raised[0], GATE_ERRORS), raised
+
+    @settings(max_examples=200, deadline=None)
+    @given(run=gate_select_runs())
+    def test_select(self, tmp_path_factory, run):
+        self.check(tmp_path_factory.mktemp("gate"), *run)
+
+    @settings(max_examples=150, deadline=None)
+    @given(run=gate_distill_runs())
+    def test_distill(self, tmp_path_factory, run):
+        self.check(tmp_path_factory.mktemp("gate"), *run)

@@ -8,6 +8,7 @@ and hand-evaluated update arithmetic.
 import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -419,11 +420,26 @@ class TestLoadPoolInputs:
         {"candidates": [{"name": "a", "hidden_dims": [True]}]},
         {"candidates": [{"name": "a", "hidden_dims": ["3"]}]},
         {"candidates": [{"name": "a", "hidden_dims": [4], "epochs": 2.7}]},
+        {"candidates": [{"name": "a", "hidden_dims": [4], "epoch": 1, "learning_rte": 0.5}]},
+        {"candidates": [{"name": "b", "stub_scor": 0.5, "hidden_dims": [2]}]},
+        {"candidates": [{"name": "c", "stub_score": 0.5, "hidden_dims": [2]}]},
     ])
     def test_malformed_entry_is_parse_error(self, tmp_path, doc):
         path = tmp_path / "pool.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError):
+            selection.load_pool(path)
+
+    @pytest.mark.parametrize("entry, key", [
+        ({"name": "a", "hidden_dims": [4], "epochs": 1, "learning_rte": 0.5}, "learning_rte"),
+        ({"name": "a", "stub_score": 0.5, "hidden_dims": [2]}, "hidden_dims"),
+    ])
+    def test_key_of_another_kind_is_named(self, tmp_path, entry, key):
+        # a misspelled key once fell back to its default, and a misspelled
+        # stub_score made the entry an MLP
+        path = tmp_path / "pool.json"
+        path.write_text(json.dumps({"candidates": [entry]}))
+        with pytest.raises(ParseError, match=re.escape(f"{path}: candidate 'a': key '{key}'")):
             selection.load_pool(path)
 
     @settings(max_examples=300, deadline=None)
