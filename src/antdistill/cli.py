@@ -501,6 +501,9 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
+    # stdout's encoding is the locale's, which may not spell a name read from
+    # the user's files; escape such characters, as stderr already does
+    sys.stdout.reconfigure(errors="backslashreplace")
     raise SystemExit(main())
 
 

@@ -7,13 +7,16 @@ temperature-scaled KL term between teacher and student distributions:
     total = (1 - w) * ce + w * T^2 * kl
 
 with per-sample (T, w) supplied by a temperature policy. The teacher is
-frozen throughout; gradients flow only into the student. One row kernel
-computes the loss and its gradient from per-row targets that do not
-depend on the student (_kd_targets): the teacher's probabilities and
-their floored log, the one-hot labels, the divisors (1, T) and the
-blend's weights. distill_train builds them once per training run and
-hands the kernel to sgd_fit; kd_loss and kd_loss_grad validate one
-sample, build them for it and call the kernel on a batch of one.
+frozen throughout; gradients flow only into the student. The loss is a
+pair of row kernels on per-row targets that do not depend on the
+student (_kd_targets): the teacher's probabilities and their floored
+log, the one-hot labels, the divisors (1, T) and the blend's weights.
+The gradient half returns the student's two softmaxes and the gradient;
+the loss half turns those softmaxes into the blended loss. distill_train
+builds the targets once per training run and hands the pair to sgd_fit,
+which calls the loss half once per epoch; kd_loss and kd_loss_grad
+validate one sample, build its targets and call the halves they need on
+a batch of one.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ class LossBreakdown:
 
 
 def _kd_targets(teacher_probs, labels, temperatures, weights):
-    """The kernel's per-row targets, which do not depend on the student:
+    """The loss pair's per-row targets, which do not depend on the student:
 
     - the subtrahends (onehot(label), p_t) of the two softmaxes' gradients
       as an (n, 2, C) array, p_t being _kl_target's teacher probabilities;
@@ -70,32 +73,41 @@ def _kd_targets(teacher_probs, labels, temperatures, weights):
             -(1.0 - w), w * np.float_power(t, 2))
 
 
-def _kd_rows(student_logits, subtrahends, teacher_log, mask, divisors, grad_weights,
-             neg_ce_weight, kl_weight):
-    """(total, grad, -ce, kl) of each row, -ce and kl as (n, 1) columns; the
-    inputs after the (n, C) student logits are _kd_targets's.
+def _kd_grad_rows(student_logits, subtrahends, _teacher_log, _mask, divisors, grad_weights,
+                  *_loss_weights):
+    """(q, grad) of each row: the gradient half of the distillation loss.
+    The inputs after the (n, C) student logits are _kd_targets's.
 
-    The softmax at T = 1 and the one at T run as one (n, 2, C) softmax, and
-    so do their logs and gradients. -(1 - w) times -ce is (1 - w) * ce,
-    bit for bit.
+    The softmax at T = 1 and the one at T run as one (n, 2, C) softmax,
+    returned as q, and so do their gradients.
     """
     q = numerics._softmax(student_logits[:, None, :] / divisors)
-    log_q = numerics._log_floor(q)
-    neg_ce = log_q[:, 0][mask][:, None]
-    kl = numerics._kl_rows(subtrahends[:, 1], teacher_log, log_q[:, 1])
-    total = neg_ce_weight * neg_ce + kl_weight * kl
     grads = q - subtrahends  # (p1 - onehot, p_s - p_t)
     grads *= grad_weights
-    return total.ravel(), grads[:, 0] + grads[:, 1], neg_ce, kl
+    return q, grads[:, 0] + grads[:, 1]
 
 
-def _kd_loss_rows(*rows):
-    """_kd_rows's (total, grad): the loss_rows distill_train gives sgd_fit."""
-    return _kd_rows(*rows)[:2]
+def _kd_terms(q, subtrahends, teacher_log, mask):
+    """(-ce, kl) of each row of _kd_grad_rows's q, as (n, 1) columns."""
+    log_q = numerics._log_floor(q)
+    return (log_q[:, 0][mask][:, None],
+            numerics._kl_rows(subtrahends[:, 1], teacher_log, log_q[:, 1]))
+
+
+def _kd_loss_rows(q, subtrahends, teacher_log, mask, _divisors, _grad_weights, neg_ce_weight,
+                  kl_weight):
+    """The total of each row of _kd_grad_rows's q: the loss half of the
+    distillation loss. -(1 - w) times -ce is (1 - w) * ce, bit for bit."""
+    neg_ce, kl = _kd_terms(q, subtrahends, teacher_log, mask)
+    return (neg_ce_weight * neg_ce + kl_weight * kl).ravel()
+
+
+# the loss pair distill_train gives sgd_fit
+_KD_LOSS = (_kd_grad_rows, _kd_loss_rows)
 
 
 def _kd_one(student_logits, teacher_logits, true_class, temperature, weight):
-    """The kernel's outputs for one validated sample."""
+    """(q, grad) of one validated sample, and its targets."""
     s = numerics.as_logits(student_logits)
     t = numerics.as_logits(teacher_logits)
     if s.shape != t.shape:
@@ -105,23 +117,24 @@ def _kd_one(student_logits, teacher_logits, true_class, temperature, weight):
         raise IndexOutOfRange(f"class {c} out of range for {s.shape[0]} classes")
     temps = np.array([numerics._check_temperature(temperature)])
     weights = np.array([_check_unit("weight", weight)])
-    return _kd_rows(s[None, :], *_kd_targets(numerics.softmax_rows(t[None, :], temps),
-                                             np.array([c]), temps, weights))
+    targets = _kd_targets(numerics.softmax_rows(t[None, :], temps), np.array([c]), temps,
+                          weights)
+    return _kd_grad_rows(s[None, :], *targets), targets
 
 
 def kd_loss(student_logits, teacher_logits, true_class: int, temperature: float,
             weight: float) -> LossBreakdown:
     """Loss breakdown for one sample; teacher logits are constants."""
-    total, _, neg_ce, kl = _kd_one(student_logits, teacher_logits, true_class, temperature,
-                                   weight)
+    (q, _), targets = _kd_one(student_logits, teacher_logits, true_class, temperature, weight)
+    neg_ce, kl = _kd_terms(q, *targets[:3])
     return LossBreakdown(float(-neg_ce[0, 0]), float(kl[0, 0]), float(temperature),
-                         float(weight), float(total[0]))
+                         float(weight), float(_kd_loss_rows(q, *targets)[0]))
 
 
 def kd_loss_grad(student_logits, teacher_logits, true_class: int, temperature: float,
                  weight: float) -> np.ndarray:
     """d(total)/d(student_logits) = (1-w)(p1 - y) + w*T*(p_s - p_t)."""
-    return _kd_one(student_logits, teacher_logits, true_class, temperature, weight)[1][0]
+    return _kd_one(student_logits, teacher_logits, true_class, temperature, weight)[0][1][0]
 
 
 @dataclass
@@ -165,7 +178,7 @@ def distill_train(teacher: tinynet.MlpModel, student: tinynet.MlpModel,
     )
     targets = _kd_targets(numerics.softmax_rows(teacher_logits, temps), dataset.labels, temps,
                           weights)
-    trained, history = tinynet.sgd_fit(student, dataset, cfg.train, _kd_loss_rows, targets)
+    trained, history = tinynet.sgd_fit(student, dataset, cfg.train, _KD_LOSS, targets)
     train_temps = temps[dataset.indices("train")]
     report = DistillReport(
         seed=cfg.train.seed,

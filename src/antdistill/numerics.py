@@ -13,11 +13,13 @@ validate, then call them or the KL kernels below on a batch of one.
 `as_distribution` checks and tolerance (`_DIST_TOL`), and passes the
 first bad row to `as_distribution` for its error.
 
-The training kernels in `tinynet` and `distill` use the private pieces
-these forms are built from: `_softmax` along the last axis of any
-array, the floored log `_log_floor`, and the KL split in two, the half
-that depends only on p (`_kl_target`, computed once per training run)
-and the row sums against log q (`_kl_rows`).
+The training loss pairs in `tinynet` and `distill` use the private
+pieces these forms are built from: `_softmax` along the last axis of
+any array, in each pair's gradient half, once per mini-batch; the
+floored log `_log_floor` and the KL split in two, in each loss half,
+once per epoch on every row's probabilities: the half that depends
+only on p (`_kl_target`, computed once per training run) and the row
+sums against log q (`_kl_rows`).
 """
 
 from __future__ import annotations

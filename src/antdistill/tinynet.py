@@ -8,6 +8,11 @@ noise corruptions (gaussian / salt_pepper / uniform) applied on top.
 Every stochastic operation takes an explicit seed and draws from a
 fresh numpy Generator, so all artifacts are reproducible byte for byte.
 derive_seed turns a tuple of integers into such a seed.
+
+A training loss is a pair of row kernels: a gradient half, called on
+every mini-batch, that returns the probabilities and d(loss)/d(logits),
+and a loss half that turns probabilities into per-row losses. sgd_fit
+calls the loss half once per epoch, on every row's probabilities.
 """
 
 from __future__ import annotations
@@ -128,7 +133,7 @@ def _forward(layers, x: np.ndarray):
     last = len(biases) - 1
     for k, (w_t, b) in enumerate(zip(weights_t, biases)):
         acts.append(a)
-        a = a @ w_t
+        a = np.dot(a, w_t)
         a += b
         if k < last:
             np.maximum(a, 0.0, out=a)
@@ -145,24 +150,26 @@ def forward_batch(model: MlpModel, x) -> np.ndarray:
 def _backward(weights, acts, dlogits, grads_w, grads_b) -> None:
     """Reverse-mode gradients given d(loss)/d(logits) per row, written into
     grads_w and grads_b; a ReLU passes gradient where its output, and so
-    its input, is positive."""
+    its input, is positive. np.dot calls the same BLAS product as @ for
+    2-D operands, without the overhead of matmul's generalized ufunc."""
     delta = dlogits
     for k in range(len(weights) - 1, -1, -1):
-        np.matmul(delta.T, acts[k], out=grads_w[k])
+        np.dot(delta.T, acts[k], out=grads_w[k])
         np.add.reduce(delta, axis=0, out=grads_b[k])
         if k > 0:
-            delta = delta @ weights[k]
+            delta = np.dot(delta, weights[k])
             delta *= acts[k] > 0.0
 
 
-def _step(layers, x, loss_rows, targets, grads):
-    """One mini-batch: the forward pass, loss_rows(logits, *targets), then
+def _step(layers, x, grad_rows, targets, grads):
+    """One mini-batch: the forward pass, grad_rows(logits, *targets), then
     the backward pass of the mean loss into the gradient views
-    grads = (weights, biases). Returns the per-row losses."""
+    grads = (weights, biases). Returns the probabilities grad_rows gave,
+    which the loss half of the pair turns into per-row losses."""
     logits, acts = _forward(layers, x)
-    losses, dlogits = loss_rows(logits, *targets)
+    probs, dlogits = grad_rows(logits, *targets)
     _backward(layers[0], acts, dlogits / x.shape[0], *grads)
-    return losses
+    return probs
 
 
 def _check_targets(targets, n_rows: int) -> None:
@@ -171,22 +178,25 @@ def _check_targets(targets, n_rows: int) -> None:
                             f"{[np.shape(t) for t in targets]}")
 
 
-def loss_gradients(model: MlpModel, batch, loss_rows, targets):
+def loss_gradients(model: MlpModel, batch, loss, targets):
     """Gradients of the mean batch loss w.r.t. every weight and bias.
 
-    targets is a tuple of arrays indexed by batch row, and
-    loss_rows(logits, *targets) must return (per-row losses, dloss/dlogits)
-    for the (n, C) logits of the batch; the gradient it returns is treated
-    as exact.
+    targets is a tuple of arrays indexed by batch row, and loss is a pair
+    (grad_rows, loss_rows) of functions on the batch's (n, C) logits:
+    grad_rows(logits, *targets) returns (probabilities, dloss/dlogits),
+    and loss_rows(probabilities, *targets) the per-row losses. The
+    gradient is treated as exact.
     """
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise ShapeMismatch(f"batch must be a nonempty 2-D matrix, got shape {x.shape}")
     _check_targets(targets, x.shape[0])
     _check_features(model, x)
+    grad_rows, loss_rows = loss
     grads = np.empty(sum(w.size + b.size for w, b in zip(model.weights, model.biases)))
     gw, gb = _flat_views(model.layer_dims, grads)
-    total = float(np.sum(_step(_layers(model), x, loss_rows, targets, (gw, gb))))
+    probs = _step(_layers(model), x, grad_rows, targets, (gw, gb))
+    total = float(np.sum(loss_rows(probs, *targets)))
     if not np.isfinite(total):
         raise NonFiniteLoss(f"batch loss is {total!r}")
     return total / x.shape[0], gw, gb
@@ -199,14 +209,21 @@ def _one_hot(labels: np.ndarray, n_classes: int):
     return mask, mask.astype(np.float64)
 
 
-def _cross_entropy_rows(logits, mask, one_hot):
-    """Per-row cross_entropy(label, stable_softmax(row)) and its gradient
-    softmax(row) - onehot(label), bit for bit, with the labels as _one_hot's
-    two matrices: the loss_rows train_supervised gives sgd_fit."""
+def _ce_grad_rows(logits, _mask, one_hot):
+    """(softmax(row), softmax(row) - onehot(label)) of each row, with the
+    labels as _one_hot's two matrices: the gradient half of cross-entropy."""
     p = numerics._softmax(logits)
-    losses = -numerics._log_floor(p)[mask]
-    p -= one_hot
-    return losses, p
+    return p, p - one_hot
+
+
+def _ce_loss_rows(p, mask, _one_hot):
+    """cross_entropy(label, p) of each softmax row p, bit for bit: the loss
+    half of cross-entropy."""
+    return -numerics._log_floor(p)[mask]
+
+
+# the loss pair train_supervised gives sgd_fit
+_CROSS_ENTROPY = (_ce_grad_rows, _ce_loss_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -390,19 +407,25 @@ def accuracy(model: MlpModel, features, labels) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
-def sgd_fit(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig, loss_rows, targets):
+def sgd_fit(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig, loss, targets):
     """Shared SGD loop over the train split; returns (model, history).
 
-    targets is a tuple of arrays indexed by dataset row. Each epoch gathers
-    the features and every target in the epoch's shuffled order once; each
-    mini-batch then calls loss_rows(logits, *target rows), with views of
-    those gathers, for (per-row losses, dloss/dlogits) of its (b, C)
-    logits. The caller's model is left untouched: training runs on a copy
-    whose weights and biases are views of one parameter vector, and each
-    mini-batch updates that vector with one subtraction. A non-finite
-    training loss, or parameters that are not finite at the end of an
-    epoch, raise NonFiniteLoss; numpy's overflow warnings on the way there
-    are silenced.
+    targets is a tuple of arrays indexed by dataset row, and loss the pair
+    (grad_rows, loss_rows) that loss_gradients describes. Each epoch
+    gathers the features and every target in the epoch's shuffled order
+    once; each mini-batch then calls grad_rows(logits, *target rows), with
+    views of those gathers, and keeps the probabilities it returns in one
+    epoch-sized array. The gradient needs only them, so the losses wait
+    for the end of the epoch: one loss_rows call on the whole array gives
+    every row's loss, which are added one at a time in batch order.
+
+    The caller's model is left untouched: training runs on a copy whose
+    weights and biases are views of one parameter vector, and each
+    mini-batch updates that vector with one subtraction. At the end of an
+    epoch, a training loss that became non-finite after some batch raises
+    NonFiniteLoss with the sum after that batch, and then so do parameters
+    that are not finite; numpy's overflow warnings on the way there are
+    silenced.
     """
     train_idx = dataset.indices("train")
     val_idx = dataset.indices("val")
@@ -411,6 +434,7 @@ def sgd_fit(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig, loss_r
         raise IndexOutOfRange(f"train labels outside [0, {model.n_classes})")
     _check_targets(targets, dataset.n_samples)
     _check_features(model, dataset.features)
+    grad_rows, loss_rows = loss
     model, params = _flat_copy(model)
     layers = _layers(model)
     grads = np.empty_like(params)
@@ -418,6 +442,7 @@ def sgd_fit(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig, loss_r
     val_x, val_y = dataset.features[val_idx], dataset.labels[val_idx]
     rng = np.random.default_rng(cfg.seed)
     history = TrainHistory()
+    epoch_probs = None
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.epochs):
             order = train_idx[rng.permutation(train_idx.size)]
@@ -425,18 +450,23 @@ def sgd_fit(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig, loss_r
             # of its time on these 2-D and 3-D arrays
             x = np.take(dataset.features, order, axis=0)
             columns = [np.take(t, order, axis=0) for t in targets]
-            loss_sum = 0.0
             for start in range(0, order.size, cfg.batch_size):
                 stop = start + cfg.batch_size
-                losses = _step(layers, x[start:stop], loss_rows,
-                               [c[start:stop] for c in columns], grad_views)
+                probs = _step(layers, x[start:stop], grad_rows,
+                              [c[start:stop] for c in columns], grad_views)
+                if epoch_probs is None:
+                    epoch_probs = np.empty((order.size, *probs.shape[1:]))
+                epoch_probs[start:stop] = probs
+                params -= cfg.learning_rate * grads
+            losses = loss_rows(epoch_probs, *columns).tolist()
+            loss_sum = 0.0
+            for start in range(0, order.size, cfg.batch_size):
                 # one row at a time, in batch order, so that train_loss does
                 # not depend on the order in which numpy would sum
-                for loss in losses.tolist():
-                    loss_sum += loss
+                for loss_value in losses[start : start + cfg.batch_size]:
+                    loss_sum += loss_value
                 if not math.isfinite(loss_sum):
                     raise NonFiniteLoss(f"training loss became {loss_sum!r}")
-                params -= cfg.learning_rate * grads
             if not np.isfinite(params).all():
                 raise NonFiniteLoss("training left non-finite parameters")
             history.train_loss.append(loss_sum / order.size)
@@ -447,8 +477,7 @@ def sgd_fit(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig, loss_r
 
 def train_supervised(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig):
     """Cross-entropy SGD on the train split; returns (model, history)."""
-    return sgd_fit(model, dataset, cfg, _cross_entropy_rows,
-                   _one_hot(dataset.labels, model.n_classes))
+    return sgd_fit(model, dataset, cfg, _CROSS_ENTROPY, _one_hot(dataset.labels, model.n_classes))
 
 
 # ---------------------------------------------------------------------------

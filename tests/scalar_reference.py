@@ -12,7 +12,8 @@ another rather than the library's versions.
 The file also keeps the row-by-row `evaluate` input reader and the
 stable-sort threshold sweep, as the references of the flat-cell reader
 in `cli` and of `metrics._threshold_groups`, and the SGD loop that
-indexed the dataset per mini-batch, called a per-batch loss closure and
+indexed the dataset per mini-batch, called a per-batch loss closure for
+both the losses and the gradient, tallied the losses batch by batch and
 updated each weight and bias array on its own, as the reference of
 `tinynet.sgd_fit`, with its supervised and distillation losses.
 """
@@ -214,7 +215,12 @@ def _accuracy(model, features, labels) -> float:
 
 def sgd_fit(model, dataset, cfg, batch_loss):
     """batch_loss(logits, idx) -> (per-row losses, dloss/dlogits) for the
-    (b, C) logits of the dataset rows idx; returns (model, history)."""
+    (b, C) logits of the dataset rows idx; returns (model, history).
+
+    A training loss that is not finite after a batch raises NonFiniteLoss
+    before that batch's update, and so do parameters that are not finite
+    at the end of an epoch; numpy's overflow warnings are silenced.
+    """
     train_idx = dataset.indices("train")
     val_idx = dataset.indices("val")
     labels = dataset.labels[train_idx]
@@ -223,26 +229,29 @@ def sgd_fit(model, dataset, cfg, batch_loss):
     model = model.copy()
     rng = np.random.default_rng(cfg.seed)
     history = tinynet.TrainHistory()
-    for _ in range(cfg.epochs):
-        order = train_idx[rng.permutation(train_idx.size)]
-        loss_sum = 0.0
-        for start in range(0, order.size, cfg.batch_size):
-            batch_idx = order[start : start + cfg.batch_size]
-            x = dataset.features[batch_idx]
-            logits, acts = _forward_batch(model, x)
-            losses, dlogits = batch_loss(logits, batch_idx)
-            for loss in losses.tolist():
-                loss_sum += loss
-            if not np.isfinite(loss_sum):
-                raise NonFiniteLoss(f"training loss became {loss_sum!r}")
-            gw, gb = _backward(model, acts, dlogits / batch_idx.size)
-            for k in range(len(model.weights)):
-                model.weights[k] -= cfg.learning_rate * gw[k]
-                model.biases[k] -= cfg.learning_rate * gb[k]
-        history.train_loss.append(loss_sum / order.size)
-        history.val_accuracy.append(
-            _accuracy(model, dataset.features[val_idx], dataset.labels[val_idx])
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(cfg.epochs):
+            order = train_idx[rng.permutation(train_idx.size)]
+            loss_sum = 0.0
+            for start in range(0, order.size, cfg.batch_size):
+                batch_idx = order[start : start + cfg.batch_size]
+                x = dataset.features[batch_idx]
+                logits, acts = _forward_batch(model, x)
+                losses, dlogits = batch_loss(logits, batch_idx)
+                for loss in losses.tolist():
+                    loss_sum += loss
+                if not np.isfinite(loss_sum):
+                    raise NonFiniteLoss(f"training loss became {loss_sum!r}")
+                gw, gb = _backward(model, acts, dlogits / batch_idx.size)
+                for k in range(len(model.weights)):
+                    model.weights[k] -= cfg.learning_rate * gw[k]
+                    model.biases[k] -= cfg.learning_rate * gb[k]
+            if not all(np.isfinite(a).all() for a in model.weights + model.biases):
+                raise NonFiniteLoss("training left non-finite parameters")
+            history.train_loss.append(loss_sum / order.size)
+            history.val_accuracy.append(
+                _accuracy(model, dataset.features[val_idx], dataset.labels[val_idx])
+            )
     return model, history
 
 

@@ -118,9 +118,12 @@ def test_criterion_03_gradient_correctness():
         onehot[labels[i]] = 1.0
         return numerics.cross_entropy(int(labels[i]), p), p - onehot
 
-    def rows_loss(logits, idx):
-        rows = [sample_loss(logits[j], i) for j, i in enumerate(idx)]
-        return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+    # the loss pair: its probabilities are the logits themselves
+    rows_loss = (
+        lambda logits, idx: (logits, np.array([sample_loss(logits[j], i)[1]
+                                               for j, i in enumerate(idx)])),
+        lambda logits, idx: np.array([sample_loss(logits[j], i)[0] for j, i in enumerate(idx)]),
+    )
 
     def batch_loss(m):
         logits = tinynet.forward_batch(m, x)

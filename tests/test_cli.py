@@ -33,12 +33,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def write(path, text):
     # a lone surrogate such as "\udcff" is written as the raw byte 0xff
-    path.write_text(text, errors="surrogateescape")
+    path.write_text(text, encoding="utf-8", errors="surrogateescape")
     return path
 
 
 def read_rows(path):
-    lines = path.read_text().strip().split("\n")
+    lines = path.read_text(encoding="utf-8").strip().split("\n")
     return lines[0].split(","), [ln.split(",") for ln in lines[1:]]
 
 
@@ -106,7 +106,7 @@ class TestConfigParsing:
 
     def test_readme_config_reference_loads(self, tmp_path):
         # every documented key is accepted and parses to its value
-        readme = (ROOT / "README.md").read_text()
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
         block = readme.split("### Config reference\n\n```ini\n", 1)[1].split("```", 1)[0]
         cfg = load_config(write(tmp_path / "readme.ini", block))
         assert set(cfg.sections) == set(config._SCHEMA)
@@ -234,7 +234,7 @@ class TestSelect:
         out = tmp_path / "run"
         assert main(["select", "--config", str(cfg), "--strategy", "aco",
                      "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
         first = np.array(report["history"][0]["probabilities"])
         np.testing.assert_allclose(first, [0.305, 0.424, 0.271], atol=1e-3)
 
@@ -283,7 +283,7 @@ class TestSelect:
                      "--out", str(out)]) == 0
         dataset = tinynet.generate_synthetic(60, 2, 3, 0.0, seed=1)
         expected = selection.run_grid(selection.load_pool(tmp_path / "pool.json", dataset))
-        assert (out / "report.json").read_text() == expected.to_json() + "\n"
+        assert (out / "report.json").read_text(encoding="utf-8") == expected.to_json() + "\n"
         assert expected.unique_evaluations == 2
 
     def test_mlp_pool_without_data_section_is_exit_2(self, tmp_path, capsys):
@@ -468,7 +468,7 @@ class TestDistill:
         assert main(["distill", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "distill_report.json").exists()
         assert (out / "metrics.csv").exists()
-        summary = (out / "summary.csv").read_text()
+        summary = (out / "summary.csv").read_text(encoding="utf-8")
         assert "auc_micro" in summary
 
     def test_table10_four_rows_accuracies(self, tmp_path):
@@ -753,8 +753,8 @@ class TestEvaluateReaders:
         write_eval_inputs(tmp_path, with_probs=True)
         fast = run_evaluate(tmp_path, tmp_path / "fast")
         preds = tmp_path / "preds.csv"
-        lines = preds.read_text().split("\n")
-        preds.write_text("\n".join(lines[:100] + [" \t"] + lines[100:]))
+        lines = preds.read_text(encoding="utf-8").split("\n")
+        preds.write_text("\n".join(lines[:100] + [" \t"] + lines[100:]), encoding="utf-8")
         read = []
         cell_reader = cli._read_csv_table
         monkeypatch.setattr(cli, "_read_csv_table",
@@ -770,7 +770,7 @@ class TestEvaluate:
         out = tmp_path / "run"
         assert main(["evaluate", "--predictions", str(tmp_path / "preds.csv"),
                      "--labels", str(tmp_path / "labels.csv"), "--out", str(out)]) == 0
-        assert "accuracy,1.0" in (out / "summary.csv").read_text()
+        assert "accuracy,1.0" in (out / "summary.csv").read_text(encoding="utf-8")
 
     def test_hand_case_accuracy(self, tmp_path):
         write(tmp_path / "preds.csv", "pred\n0\n1\n1\n1\n")
@@ -778,7 +778,7 @@ class TestEvaluate:
         out = tmp_path / "run"
         main(["evaluate", "--predictions", str(tmp_path / "preds.csv"),
               "--labels", str(tmp_path / "labels.csv"), "--out", str(out)])
-        assert "accuracy,0.75" in (out / "summary.csv").read_text()
+        assert "accuracy,0.75" in (out / "summary.csv").read_text(encoding="utf-8")
 
     def test_missing_probs_warns_and_skips_auc(self, tmp_path, capsys):
         write(tmp_path / "preds.csv", "pred\n0\n1\n")
@@ -787,7 +787,7 @@ class TestEvaluate:
         main(["evaluate", "--predictions", str(tmp_path / "preds.csv"),
               "--labels", str(tmp_path / "labels.csv"), "--out", str(out)])
         assert "warning" in capsys.readouterr().out
-        assert "auc_micro" not in (out / "summary.csv").read_text()
+        assert "auc_micro" not in (out / "summary.csv").read_text(encoding="utf-8")
 
     def test_probs_give_auc(self, tmp_path):
         write(tmp_path / "preds.csv", "pred,p0,p1\n0,0.9,0.1\n1,0.2,0.8\n")
@@ -795,7 +795,7 @@ class TestEvaluate:
         out = tmp_path / "run"
         main(["evaluate", "--predictions", str(tmp_path / "preds.csv"),
               "--labels", str(tmp_path / "labels.csv"), "--out", str(out)])
-        text = (out / "summary.csv").read_text()
+        text = (out / "summary.csv").read_text(encoding="utf-8")
         assert "auc_micro,1.0" in text and "ap_micro,1.0" in text
 
     def test_length_mismatch_is_nonzero_exit(self, tmp_path, capsys):
@@ -1004,11 +1004,8 @@ class TestReproExamples:
         assert "FAIL" in capsys.readouterr().out
 
     def test_runs_as_module(self):
-        src = str(Path(antdistill.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
         proc = subprocess.run([sys.executable, "-m", "antdistill.cli", "repro-examples"],
-                              capture_output=True, text=True, env=env, timeout=120)
+                              capture_output=True, text=True, env=child_env(), timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert "7/7 checks passed" in proc.stdout
 
@@ -1032,7 +1029,7 @@ class TestErrorPaths:
 
 def test_parser_options_are_the_readme_usage_options():
     # no hidden knobs: each subcommand takes exactly the options its README usage line shows
-    readme = (ROOT / "README.md").read_text()
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     usage = readme.split("## Command-line harness", 1)[1].split("```bash\n", 1)[1]
     documented = {}
     for line in usage.split("```", 1)[0].splitlines():
@@ -1065,14 +1062,19 @@ print(json.dumps([encoding, codes]))
 """
 
 
+def child_env(**extra):
+    """This process's environment with extra added and the package's source
+    directory first on PYTHONPATH."""
+    src = str(Path(antdistill.__file__).resolve().parents[1])
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def run_child(flags, env, commands):
     """(preferred encoding, one exit code per command) of commands run in a
     child Python started with flags and env added to this one's."""
-    src = str(Path(antdistill.__file__).resolve().parents[1])
-    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, *flags, "-c", CHILD_RUNNER, json.dumps(commands)],
-                          capture_output=True, env=env, timeout=120)
+                          capture_output=True, env=child_env(**env), timeout=120)
     assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
     encoding, codes = json.loads(proc.stdout.decode("ascii").splitlines()[-1])
     return encoding, codes
@@ -1119,6 +1121,25 @@ class TestEncoding:
             pytest.skip(f"the C locale's preferred encoding is {encoding} here, so the "
                         "locale's encoding and UTF-8 read the same")
         assert codes == [0] * len(codes)
+
+    def test_name_the_locale_cannot_spell_is_escaped_on_stdout(self, tmp_path):
+        # select once wrote every output, then failed on printing the winner
+        env = child_env(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+        python = [sys.executable, "-X", "utf8=0"]
+        encoding = subprocess.run([*python, "-c", "import sys; print(sys.stdout.encoding)"],
+                                  capture_output=True, text=True, env=env, timeout=120)
+        if codecs.lookup(encoding.stdout.strip()).name == "utf-8":
+            pytest.skip("the C locale's stdout encoding is UTF-8 here, so it spells every name")
+        write(tmp_path / "c.ini", "[data]\nsamples = 60\nclasses = 2\ndim = 3\n"
+              "complexity = 0.0\nseed = 1\n\n[grid]\npool = pool.json\n")
+        write(tmp_path / "pool.json", json.dumps({"candidates": [
+            {"name": "modèle", "stub_score": 0.9}, {"name": "other", "stub_score": 0.4}]},
+            ensure_ascii=False))
+        proc = subprocess.run([*python, "-m", "antdistill.cli", "select", "--config",
+                               str(tmp_path / "c.ini"), "--strategy", "grid", "--out",
+                               str(tmp_path / "run")], capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+        assert b"best=mod\\xe8le " in proc.stdout
 
     def test_no_file_is_opened_with_the_locale_encoding(self, tmp_path):
         # every command opened at least one file without an encoding

@@ -2,9 +2,10 @@
 references.
 
 Training calls only the batch forms: `numerics.softmax_rows`, the
-cross-entropy kernel `tinynet._cross_entropy_rows`, the
-distillation kernel on the per-row targets `distill._kd_targets` builds,
-and `temperature.apply_policy_rows`. The public one-sample functions
+cross-entropy pair `tinynet._CROSS_ENTROPY`, the distillation pair
+`distill._KD_LOSS` on the per-row targets `distill._kd_targets` builds,
+and `temperature.apply_policy_rows`. Each pair is a gradient half and a
+loss half, tested together. The public one-sample functions
 validate their input and call the same kernels on a batch of one.
 `scalar_reference` keeps an independent one-sample implementation of
 each; every batch row and every one-sample call must equal it bit for
@@ -22,7 +23,7 @@ from hypothesis.extra import numpy as hnp
 
 import scalar_reference as ref
 from antdistill import metrics, numerics, tinynet
-from antdistill.distill import _kd_loss_rows, _kd_targets, kd_loss, kd_loss_grad
+from antdistill.distill import _KD_LOSS, _kd_targets, kd_loss, kd_loss_grad
 from antdistill.errors import (
     IndexOutOfRange,
     InvalidPolicyParameters,
@@ -84,9 +85,18 @@ class TestSoftmaxRows:
         assert np.array_equal(numerics.softmax_rows(z), numerics.softmax_rows(z, 1.0))
 
 
+def both_halves(loss, logits, targets):
+    """(per-row losses, dloss/dlogits) of a loss pair: its gradient half
+    on the logits, then its loss half on the probabilities that returns."""
+    grad_rows, loss_rows = loss
+    probs, grad = grad_rows(logits, *targets)
+    return loss_rows(probs, *targets), grad
+
+
 def cross_entropy_rows(logits, labels):
-    """The cross-entropy kernel on targets built as train_supervised builds them."""
-    return tinynet._cross_entropy_rows(logits, *tinynet._one_hot(labels, logits.shape[1]))
+    """The cross-entropy pair on targets built as train_supervised builds them."""
+    return both_halves(tinynet._CROSS_ENTROPY, logits,
+                       tinynet._one_hot(labels, logits.shape[1]))
 
 
 class TestCrossEntropyRows:
@@ -104,9 +114,9 @@ class TestCrossEntropyRows:
 
 
 def kd_loss_rows(student_logits, teacher_probs, labels, temperatures, weights):
-    """The distillation kernel on targets built as distill_train builds them."""
-    return _kd_loss_rows(student_logits,
-                         *_kd_targets(teacher_probs, labels, temperatures, weights))
+    """The distillation pair on targets built as distill_train builds them."""
+    return both_halves(_KD_LOSS, student_logits,
+                       _kd_targets(teacher_probs, labels, temperatures, weights))
 
 
 class TestKdLossRows:
@@ -184,9 +194,10 @@ def bits(arrays):
 
 
 class TestTrainingKernels:
-    """The loss kernels sgd_fit calls, on the targets that train_supervised
+    """The loss pairs sgd_fit calls, on the targets that train_supervised
     and distill_train build, equal the reference loop's kernels bit for bit,
-    sign bits included."""
+    sign bits included: the gradient half's gradient, and the loss half's
+    losses on the probabilities the gradient half returned."""
 
     @settings(max_examples=500, deadline=None)
     @given(batch=extreme_batches())

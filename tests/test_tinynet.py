@@ -1,11 +1,13 @@
 """Tests for the MLP, synthetic data, noise injection, and SGD training."""
 
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import scalar_reference as ref
 from antdistill import distill, numerics, tinynet
@@ -27,24 +29,27 @@ def small_dataset(seed=0, complexity=0.0, n=300, c=3, d=4):
 
 
 def ce_loss(labels, n_classes):
-    """Batch loss built row by row from the scalar numerics oracle; its one
-    target is each row's index into labels."""
+    """Loss pair built row by row from the scalar numerics oracle; its one
+    target is each row's index into labels, and its probabilities are the
+    logits themselves."""
     def sample_loss(logits, i):
         p = numerics.stable_softmax(logits, 1.0)
         onehot = np.zeros(n_classes)
         onehot[labels[i]] = 1.0
         return numerics.cross_entropy(int(labels[i]), p), p - onehot
 
-    def batch_loss(logits, idx):
-        rows = [sample_loss(logits[j], i) for j, i in enumerate(idx)]
-        return np.array([r[0] for r in rows]), np.array([r[1] for r in rows])
+    def grad_rows(logits, idx):
+        return logits, np.array([sample_loss(logits[j], i)[1] for j, i in enumerate(idx)])
 
-    return batch_loss
+    def loss_rows(logits, idx):
+        return np.array([sample_loss(logits[j], i)[0] for j, i in enumerate(idx)])
+
+    return grad_rows, loss_rows
 
 
-def nan_loss(logits):
-    """Batch loss whose every row is NaN."""
-    return np.full(logits.shape[0], np.nan), np.zeros_like(logits)
+# loss pair whose every row's loss is NaN
+nan_loss = (lambda logits: (logits, np.zeros_like(logits)),
+            lambda logits: np.full(logits.shape[0], np.nan))
 
 
 class TestForward:
@@ -85,9 +90,9 @@ class TestLossGradients:
     def test_constant_loss_gives_zero_gradients(self):
         m = tinynet.init_mlp([4, 6, 3], seed=2)
         x = np.random.default_rng(0).normal(size=(5, 4))
-        _, gw, gb = tinynet.loss_gradients(
-            m, x, lambda logits: (np.ones(logits.shape[0]), np.zeros_like(logits)), ()
-        )
+        constant = (lambda logits: (logits, np.zeros_like(logits)),
+                    lambda logits: np.ones(logits.shape[0]))
+        _, gw, gb = tinynet.loss_gradients(m, x, constant, ())
         assert all(np.all(g == 0) for g in gw)
         assert all(np.all(g == 0) for g in gb)
 
@@ -119,7 +124,7 @@ class TestLossGradients:
 
         def batch_loss(model):
             logits = tinynet.forward_batch(model, x)
-            return float(np.mean(loss(logits, np.arange(6))[0]))
+            return float(np.mean(loss[1](logits, np.arange(6))))
 
         _, gw, gb = tinynet.loss_gradients(m, x, loss, (np.arange(6),))
         h = 1e-5
@@ -361,7 +366,7 @@ class TestTrainSupervised:
         m = tinynet.init_mlp([4, 8, 3], seed=0)
         with pytest.raises(ShapeMismatch, match="every target must have 300 rows"):
             tinynet.sgd_fit(m, ds, tinynet.TrainConfig(epochs=1),
-                            tinynet._cross_entropy_rows, tinynet._one_hot(ds.labels[:-1], 3))
+                            tinynet._CROSS_ENTROPY, tinynet._one_hot(ds.labels[:-1], 3))
 
 
 def model_arrays(model):
@@ -441,20 +446,76 @@ def fit_outcome(fit):
             history.val_accuracy)
 
 
+def outcomes(run):
+    """fit_outcome of the library's training and of the reference loop's."""
+    policy, teacher, student, ds, cfg, t_base = run
+    if policy is None:
+        return (fit_outcome(lambda: tinynet.train_supervised(student, ds, cfg)),
+                fit_outcome(lambda: ref.train_supervised(student, ds, cfg)))
+    kd = distill.KdConfig(policy, t_base, cfg)
+    # the report's train_loss and val_accuracy are the history's
+    return (fit_outcome(lambda: distill.distill_train(teacher, student, ds, kd)),
+            fit_outcome(lambda: ref.distill_train(teacher, student, ds, kd)))
+
+
+# learning rates that make training diverge, at every order of magnitude;
+# sampled_from draws the exponents evenly, where integers() favours small ones
+DIVERGING_RATES = st.sampled_from([10.0**e for e in range(2, 301)]) | st.floats(1e2, 1e300)
+
+
 class TestSgdFitMatchesReferenceLoop:
     @settings(max_examples=300, deadline=None)
     @given(run=training_runs())
     def test_bit_for_bit(self, run):
-        policy, teacher, student, ds, cfg, t_base = run
-        if policy is None:
-            got = fit_outcome(lambda: tinynet.train_supervised(student, ds, cfg))
-            want = fit_outcome(lambda: ref.train_supervised(student, ds, cfg))
-        else:
-            kd = distill.KdConfig(policy, t_base, cfg)
-            # the report's train_loss and val_accuracy are the history's
-            got = fit_outcome(lambda: distill.distill_train(teacher, student, ds, kd))
-            want = fit_outcome(lambda: ref.distill_train(teacher, student, ds, kd))
+        got, want = outcomes(run)
         assert got == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(run=training_runs(), learning_rate=DIVERGING_RATES, batches=st.integers(2, 6))
+    def test_diverging_training_raises_the_reference_error(self, run, learning_rate, batches):
+        # sgd_fit tallies the losses at the end of an epoch; the reference
+        # raises before the update of the batch that made the sum non-finite
+        policy, teacher, student, ds, cfg, t_base = run
+        cfg = dataclasses.replace(cfg, learning_rate=learning_rate,
+                                  batch_size=max(1, -(-ds.indices("train").size // batches)))
+        got, want = outcomes((policy, teacher, student, ds, cfg, t_base))
+        assert got == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_non_finite_row_losses_raise_the_reference_error(self, data):
+        # inf and nan rows in different batches: the message is the sum
+        # after the first batch that made it non-finite, not at the epoch end
+        ds = small_dataset(seed=data.draw(st.integers(0, 99)), n=60)
+        values = data.draw(hnp.arrays(np.float64, ds.n_samples, elements=st.sampled_from(
+            [np.inf, -np.inf, np.nan]) | st.floats(0.0, 10.0)))
+        cfg = tinynet.TrainConfig(epochs=2, batch_size=data.draw(st.integers(1, 50)),
+                                  seed=data.draw(st.integers(0, 99)))
+        model = tinynet.init_mlp([4, 3], seed=0)
+        pair = (lambda logits, v: (logits, np.zeros_like(logits)), lambda logits, v: v)
+
+        def batch_loss(logits, idx):
+            return values[idx], np.zeros_like(logits)
+
+        got = fit_outcome(lambda: tinynet.sgd_fit(model, ds, cfg, pair, (values,)))
+        want = fit_outcome(lambda: ref.sgd_fit(model, ds, cfg, batch_loss))
+        assert got == want
+
+    def test_loss_that_turns_non_finite_in_a_middle_batch(self):
+        ds = small_dataset(seed=3)
+        model = tinynet.init_mlp([4, 8, 3], seed=0)
+        cfg = tinynet.TrainConfig(epochs=2, learning_rate=1e300)
+        labels, batches = ds.labels, []
+
+        def batch_loss(logits, idx):
+            batches.append(idx.size)
+            return ref._cross_entropy_rows(logits, labels[idx])
+
+        want = fit_outcome(lambda: ref.sgd_fit(model, ds, cfg, batch_loss))
+        # the second of seven batches in the first epoch
+        assert want == repr(NonFiniteLoss("training loss became nan"))
+        assert len(batches) == 2 and ds.indices("train").size > 3 * cfg.batch_size
+        assert fit_outcome(lambda: tinynet.train_supervised(model, ds, cfg)) == want
 
 
 class TestDatasetFile:
