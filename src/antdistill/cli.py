@@ -223,139 +223,76 @@ def cmd_distill(args) -> int:
 MAX_EVAL_CLASSES = 1000
 
 
-def _read_csv_table(path) -> tuple[list[str], int, list[str]]:
-    """(header, number of data rows, data cells in file order) of a CSV
-    file; blank lines are skipped, and every data row must have as many
-    cells as the header."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    lines = [ln for ln in text.split("\n") if ln.strip()]
-    del text
-    if not lines:
-        raise ParseError(f"{path}: empty file")
-    if len(lines) == 1:
-        raise ParseError(f"{path}: header but no data rows")
-    header = lines.pop(0).split(",")
-    for i, ln in enumerate(lines):
-        if ln.count(",") != len(header) - 1:
-            raise ParseError(f"{path}: data row {i + 1} has {ln.count(',') + 1} cells, "
-                             f"header has {len(header)}")
-    n_rows = len(lines)
-    # the text, the lines and the cells are never all held at once
-    cells = ",".join(lines)
-    del lines
-    return header, n_rows, cells.split(",")
-
-
-def _is_pred_header(header: list[str]) -> bool:
-    return header[:1] == ["pred"] and header[1:] == [f"p{j}" for j in range(len(header) - 1)]
-
-
-class _NotPlain(ValueError):
-    """A byte that numpy's C parser reads otherwise than int() and float()."""
-
-
 # numpy reads the separators 0x1c-0x1f as whitespace and any Unicode
-# digit as a digit, where int() and float() reject both
+# digit as a digit, so the input rule leaves them out
 _SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 class _PlainBytes(io.BufferedIOBase):
-    """A buffered binary file's bytes as they are read, raising _NotPlain at
-    a byte outside ASCII or a separator 0x1c-0x1f. The file is checked one
-    read at a time, so no copy of all of it is ever held. numpy and
-    TextIOWrapper read it only through read1."""
+    """A buffered binary file's bytes as they are read, raising a ParseError
+    that names the file at a byte outside ASCII or a separator 0x1c-0x1f.
+    The file is checked one read at a time, so no copy of all of it is ever
+    held. TextIOWrapper reads it only through read1."""
 
-    def __init__(self, buffered):
+    def __init__(self, buffered, path):
         self._buffered = buffered
+        self._path = path
+        self._offset = 0
 
     def readable(self) -> bool:
         return True
 
     def read1(self, size=-1) -> bytes:
-        return self._checked(self._buffered.read1(size))
-
-    @staticmethod
-    def _checked(chunk: bytes) -> bytes:
+        chunk = self._buffered.read1(size)
         if not chunk.isascii() or any(sep in chunk for sep in _SEPARATORS):
-            raise _NotPlain("a byte outside ASCII or a separator 0x1c-0x1f")
+            at = next(i for i, b in enumerate(chunk) if b > 0x7f or 0x1c <= b <= 0x1f)
+            raise ParseError(f"{self._path}: byte {self._offset + at} is {chunk[at]:#04x}, "
+                             "outside ASCII or a separator 0x1c-0x1f")
+        self._offset += len(chunk)
         return chunk
 
 
-def _loadtxt_table(path, header_ok):
-    """(ids, probabilities) of a CSV file read by numpy's C parser: the
-    first column as int64, the others as an (n, width - 1) float64 array.
-    None for a header that fails header_ok and for no data rows; _NotPlain
-    for a file with a byte outside ASCII or a separator 0x1c-0x1f."""
-    # ASCII decodes as the UTF-8 that _read_csv_table reads
-    with open(path, "rb") as raw, io.TextIOWrapper(_PlainBytes(raw), encoding="ascii") as fh:
-        header = fh.readline().removesuffix("\n").split(",")
-        if not header_ok(header):
-            return None
-        rows = np.loadtxt(fh, dtype=[("id", np.int64), ("p", np.float64, (len(header) - 1,))],
-                          delimiter=",", comments=None, ndmin=1)
-    # copies are C-contiguous, as the int()/float() reader's arrays are
-    return (rows["id"].copy(), rows["p"].copy()) if len(rows) else None
-
-
-def _loadtxt_inputs(pred_path, label_path):
-    """(preds, labels, probs or None) read by numpy's C parser, or None
-    when _evaluate_inputs must read the files with int() and float(). On
-    the files _loadtxt_table reads, numpy rejects whitespace-only lines
-    and every cell that int() or float() rejects or reads otherwise, so
-    both readers give the same arrays."""
+def _read_table(path, expected_header, header_ok):
+    """(ids, probabilities) of an evaluate input file read by numpy's C
+    parser: the header from line 1, then the first column as int64 and the
+    others as an (n, width - 1) float64 array. Every failure is a
+    ParseError whose message starts with the path."""
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", UserWarning)  # loadtxt: "input contained no data"
-            pred = _loadtxt_table(pred_path, _is_pred_header)
-            label = _loadtxt_table(label_path, lambda header: header == ["label"])
-    except (OSError, ValueError, UserWarning):
-        return None
-    if pred is None or label is None or len(pred[0]) != len(label[0]):
-        return None
-    (preds, probs), (labels, _) = pred, label
-    return preds, labels, probs if probs.shape[1] else None
+        with open(path, "rb") as raw, \
+                io.TextIOWrapper(_PlainBytes(raw, path), encoding="ascii") as fh:
+            header = fh.readline().removesuffix("\n").split(",")
+            if not header_ok(header):
+                raise ParseError(f"{path}: expected header {expected_header}, got {header}")
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+                rows = np.loadtxt(
+                    fh, dtype=[("id", np.int64), ("p", np.float64, (len(header) - 1,))],
+                    delimiter=",", comments=None, ndmin=1)
+    except ParseError:
+        raise
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # a bad cell, or a row wider or narrower than the header
+        raise ParseError(f"{path}: {exc}") from exc
+    if not len(rows):
+        raise ParseError(f"{path}: header but no data rows")
+    # contiguous copies for the metric sweeps
+    return rows["id"].copy(), rows["p"].copy()
 
 
 def _evaluate_inputs(pred_path, label_path):
     """(preds, labels, probs or None) as arrays from a predictions file and
     a labels file."""
-    arrays = _loadtxt_inputs(pred_path, label_path)
-    if arrays is not None:
-        return arrays
-    header_p, n_rows, cells_p = _read_csv_table(pred_path)
-    header_l, n_labels, cells_l = _read_csv_table(label_path)
-    if header_l != ["label"]:
-        raise ParseError(f"{label_path}: expected header 'label', got {header_l}")
-    if not _is_pred_header(header_p):
-        raise ParseError(f"{pred_path}: expected header 'pred[,p0,p1,...]', got {header_p}")
-    width = len(header_p)
-    if n_rows != n_labels:
-        raise ParseError(f"{pred_path} has {n_rows} data rows, {label_path} has {n_labels}")
-    # pred ids, then labels, then probabilities row by row: the first bad
-    # cell in that order is the one the error names. Every id is parsed
-    # before any is stored, so a bad cell is reported ahead of an int64
-    # overflow in an earlier one
-    try:
-        preds = np.array(list(map(int, cells_p[::width])), dtype=np.int64)
-        labels = np.array(list(map(int, cells_l)), dtype=np.int64)
-        probs = None
-        if width > 1:
-            del cells_p[::width]
-            probs = np.fromiter(map(float, cells_p), dtype=np.float64, count=len(cells_p))
-            probs = probs.reshape(n_rows, width - 1)
-    except ValueError as exc:
-        raise ParseError(f"bad cell value: {exc}") from exc
-    return preds, labels, probs
+    preds, probs = _read_table(pred_path, "'pred[,p0,p1,...]'", lambda header: (
+        header[:1] == ["pred"] and header[1:] == [f"p{j}" for j in range(len(header) - 1)]))
+    labels, _ = _read_table(label_path, "'label'", lambda header: header == ["label"])
+    if len(preds) != len(labels):
+        raise ParseError(f"{pred_path} has {len(preds)} data rows, {label_path} has "
+                         f"{len(labels)}")
+    return preds, labels, probs if probs.shape[1] else None
 
 
 def cmd_evaluate(args) -> int:
-    # when _evaluate_inputs falls back to the int()/float() reader, its cell
-    # strings take about ten times the memory of the arrays; they are freed
-    # when it returns
     preds, labels, probs = _evaluate_inputs(args.predictions, args.labels)
     n_classes = (
         probs.shape[1] if probs is not None else int(max(preds.max(), labels.max())) + 1

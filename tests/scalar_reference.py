@@ -144,7 +144,7 @@ def _read_csv_table(path) -> tuple[list[str], list[list[str]]]:
 
 def evaluate_inputs(pred_path, label_path):
     """(preds, labels, probs or None) of the `evaluate` input files, read
-    one row list at a time; the header and row-count checks match `cli`'s."""
+    one row list at a time; the header and row-count messages match `cli`'s."""
     header_p, rows_p = _read_csv_table(pred_path)
     header_l, rows_l = _read_csv_table(label_path)
     if header_l != ["label"]:
