@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import io
 import math
+import re
 import shutil
 import sys
 import warnings
@@ -26,11 +27,12 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, numerics, selection, tinynet
-from .config import RunConfig, build_policy, from_section, load_config
+from .config import DataConfig, NetConfig, RunConfig, load_config
 from .distill import KdConfig, distill_train
 from .errors import ConfigParseError, ParseError, VerificationFailed
 from .selection import AcoConfig, PsoConfig
 from .temperature import (
+    POLICIES,
     ConstantPolicy,
     ContextFeatures,
     RuleBasedPolicy,
@@ -44,7 +46,7 @@ def _prepare_out(cfg: RunConfig, override: str | None) -> Path:
     if override:
         out = Path(override)
     elif cfg.has("out"):
-        out = cfg.resolve(cfg.get("out", "dir"))
+        out = cfg.resolve("out", "dir")
     else:
         raise ConfigParseError("no output directory: pass --out or add an [out] section")
     out.mkdir(parents=True, exist_ok=True)
@@ -54,20 +56,13 @@ def _prepare_out(cfg: RunConfig, override: str | None) -> Path:
 
 def _build_dataset(cfg: RunConfig) -> tuple[tinynet.SyntheticDataset, tinynet.SyntheticDataset]:
     """Returns (clean, experiment) datasets from the [data] section."""
-    samples = cfg.get("data", "samples")
-    classes = cfg.get("data", "classes")
-    dim = cfg.get("data", "dim")
-    complexity = cfg.get("data", "complexity", default=[0.0])
-    seed = cfg.get("data", "seed", default=0)
-    comp = complexity if len(complexity) > 1 else complexity[0]
-    clean = tinynet.generate_synthetic(samples, classes, dim, comp, seed)
-    kind = cfg.get("data", "noise_kind", default="none")
-    if kind == "none":
+    data = cfg.build("data", DataConfig)
+    comp = data.complexity if len(data.complexity) > 1 else data.complexity[0]
+    clean = tinynet.generate_synthetic(data.samples, data.classes, data.dim, comp, data.seed)
+    if data.noise_kind == "none":
         return clean, clean
-    level = cfg.get("data", "noise_level", default=0.0)
-    fraction = cfg.get("data", "noise_fraction", default=1.0)
-    noisy = tinynet.inject_noise(clean, kind, level, tinynet.derive_seed(seed, 101), fraction)
-    return clean, noisy
+    return clean, tinynet.inject_noise(clean, data.noise_kind, data.noise_level,
+                                       tinynet.derive_seed(data.seed, 101), data.noise_fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -97,27 +92,19 @@ def cmd_gen_data(args) -> int:
 def cmd_select(args) -> int:
     cfg = load_config(args.config)
     strategy = args.strategy
-    options = dict(cfg.section(strategy))
-    pool_path = cfg.resolve(cfg.get(strategy, "pool"))
-    del options["pool"]
+    pool_path = cfg.resolve(strategy, "pool")
     # MLP candidates are scored by training on the [data] dataset
     dataset = _build_dataset(cfg)[1] if cfg.has("data") else None
     pool = selection.load_pool(pool_path, dataset)
 
-    # every key but pool is a keyword argument of the strategy, except the
-    # [aco]/[pso] keys that are AcoConfig/PsoConfig fields: those build its config
     run, config_cls = {
         "aco": (selection.run_aco, AcoConfig),
         "random": (selection.run_random, None),
         "grid": (selection.run_grid, None),
         "pso": (selection.run_pso, PsoConfig),
     }[strategy]
-    if config_cls is None:
-        report = run(pool, **options)
-    else:
-        strategy_cfg = from_section(config_cls, options)
-        report = run(pool, strategy_cfg,
-                     **{k: v for k, v in options.items() if k not in vars(strategy_cfg)})
+    strategy_cfg = {"cfg": cfg.build(strategy, config_cls)} if config_cls else {}
+    report = cfg.build(strategy, run, pool=pool, **strategy_cfg)
 
     out = _prepare_out(cfg, args.out)
     (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
@@ -153,26 +140,29 @@ def _metrics_row(tag: str, rep: metrics.ClassReport) -> str:
 
 ABLATION_HEADER = "approach,accuracy,macro_f1,macro_recall,macro_precision"
 
+TABLE11_NOISE_LEVEL = 0.5  # of table 11's noise variants, when [data] sets no noise_level
+
 
 def cmd_distill(args) -> int:
     cfg = load_config(args.config)
     out = _prepare_out(cfg, args.out)
     clean, experiment = _build_dataset(cfg)
-    kd = cfg.section("kd")
-    train_cfg = from_section(tinynet.TrainConfig, kd)
-    policy = build_policy(cfg.section("policy")) if cfg.has("policy") else RuleBasedPolicy()
-    teacher = tinynet.init_mlp([clean.n_features, *kd.get("teacher_hidden", [32, 32]),
-                                clean.n_classes], seed=tinynet.derive_seed(train_cfg.seed, 1))
+    train_cfg = cfg.build("kd", tinynet.TrainConfig)
+    net = cfg.build("kd", NetConfig)
+    policy = (cfg.build("policy", POLICIES[cfg.sections["policy"]["variant"]])
+              if cfg.has("policy") else RuleBasedPolicy())
+    teacher = tinynet.init_mlp([clean.n_features, *net.teacher_hidden, clean.n_classes],
+                               seed=tinynet.derive_seed(train_cfg.seed, 1))
     teacher, _ = tinynet.train_supervised(teacher, clean, train_cfg)
 
     def train_student(dataset, arm_policy=None):
         """(student, report) from a fresh student on dataset: distilled under
         arm_policy, or trained on the labels alone when it is None."""
-        student = tinynet.init_mlp([dataset.n_features, *kd.get("student_hidden", [16, 16]),
-                                    dataset.n_classes], seed=tinynet.derive_seed(train_cfg.seed, 2))
+        student = tinynet.init_mlp([dataset.n_features, *net.student_hidden, dataset.n_classes],
+                                   seed=tinynet.derive_seed(train_cfg.seed, 2))
         if arm_policy is None:
             return tinynet.train_supervised(student, dataset, train_cfg)
-        kd_cfg = from_section(KdConfig, kd, policy=arm_policy, train=train_cfg)
+        kd_cfg = cfg.build("kd", KdConfig, policy=arm_policy, train=train_cfg)
         return distill_train(teacher, student, dataset, kd_cfg)
 
     # the ablations compare a constant temperature with a context-aware
@@ -188,9 +178,9 @@ def cmd_distill(args) -> int:
                                     ("student_context_aware", context))
         ]
     elif args.ablation == "table11":
-        level = cfg.get("data", "noise_level", default=0.5)
-        seed = cfg.get("data", "seed", default=0)
-        variants = [(kind, tinynet.inject_noise(clean, kind, level, tinynet.derive_seed(seed, 102)))
+        level = cfg.section("data").get("noise_level", TABLE11_NOISE_LEVEL)
+        seed = tinynet.derive_seed(cfg.build("data", DataConfig).seed, 102)
+        variants = [(kind, tinynet.inject_noise(clean, kind, level, seed))
                     for kind in ("gaussian", "salt_pepper", "uniform")] + [("clean", clean)]
         arms = [(tag, train_student(variant, context)[0], variant) for tag, variant in variants]
     if args.ablation:
@@ -252,6 +242,23 @@ class _PlainBytes(io.BufferedIOBase):
         return chunk
 
 
+# np.loadtxt numbers a bad cell's data row from 0 and a wrong-width row from
+# 1 (empty lines uncounted in both), and points the latter at its usecols
+# option; both are restated with data rows from 1
+_BAD_CELL = re.compile(r"(could not convert string .* to \w+) at row (\d+), column (\d+)\.")
+_BAD_WIDTH = re.compile(r"the dtype passed requires (\d+) columns but (\d+) were found at row "
+                        r"(\d+); use `usecols` .*")
+
+
+def _loadtxt_message(exc: ValueError) -> str:
+    """np.loadtxt's message, with one numbering of data rows."""
+    if m := _BAD_CELL.fullmatch(str(exc)):
+        return f"{m[1]} at data row {int(m[2]) + 1}, column {m[3]}"
+    if m := _BAD_WIDTH.fullmatch(str(exc)):
+        return f"data row {m[3]} has width {m[2]}, the header width {m[1]}"
+    return str(exc)
+
+
 def _read_table(path, expected_header, header_ok):
     """(ids, probabilities) of an evaluate input file read by numpy's C
     parser: the header from line 1, then the first column as int64 and the
@@ -273,7 +280,7 @@ def _read_table(path, expected_header, header_ok):
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     except ValueError as exc:  # a bad cell, or a row wider or narrower than the header
-        raise ParseError(f"{path}: {exc}") from exc
+        raise ParseError(f"{path}: {_loadtxt_message(exc)}") from exc
     if not len(rows):
         raise ParseError(f"{path}: header but no data rows")
     # contiguous copies for the metric sweeps

@@ -2,30 +2,50 @@
 
 Sections describe the dataset ([data]), the temperature policy
 ([policy]), distillation training ([kd]), selection strategies
-([aco]/[pso]/[grid]/[random]) and the output directory ([out]). Unknown
-sections or keys are hard errors naming the offender, so typos cannot
-silently fall back to defaults. All randomness is seeded from here.
+([aco]/[pso]/[grid]/[random]) and the output directory ([out]). SECTIONS
+lists the classes and functions whose parameters a section's keys are:
+a parameter's annotation gives the key's type, and its default the
+key's default. Unknown sections or keys are hard errors naming the
+offender, so typos cannot silently fall back to defaults.
+All randomness is seeded from here.
 """
 
 from __future__ import annotations
 
 import configparser
-import dataclasses
+import functools
+import inspect
 import typing
+from dataclasses import dataclass
 from pathlib import Path
 
+from .distill import KdConfig
 from .errors import ConfigParseError
-from .selection import AcoConfig, PsoConfig
+from .selection import AcoConfig, PsoConfig, run_aco, run_grid, run_random
 from .temperature import POLICIES
 from .tinynet import TrainConfig
 
 
-def _floats(s: str) -> list[float]:
-    return [float(v) for v in s.split(",")]
+@dataclass(frozen=True)
+class DataConfig:
+    """[data]: the synthetic dataset, and the noise added to it unless noise_kind is "none"."""
+
+    samples: int
+    classes: int
+    dim: int
+    complexity: tuple[float, ...] = (0.0,)  # one value for every class, or one per class
+    noise_kind: str = "none"
+    noise_level: float = 0.0
+    noise_fraction: float = 1.0
+    seed: int = 0
 
 
-def _ints(s: str) -> list[int]:
-    return [int(v) for v in s.split(",")]
+@dataclass(frozen=True)
+class NetConfig:
+    """[kd]: the hidden layer sizes of the teacher and of the student."""
+
+    teacher_hidden: tuple[int, ...] = (32, 32)
+    student_hidden: tuple[int, ...] = (16, 16)
 
 
 def _bool(s: str) -> bool:
@@ -37,57 +57,52 @@ def _bool(s: str) -> bool:
     raise ValueError(f"not a boolean: {s!r}")
 
 
-def _fields(cls) -> dict:
-    """key -> parser of every field of a config dataclass: its annotated type,
-    which must be int or float."""
-    hints = typing.get_type_hints(cls)
-    return {f.name: {int: int, float: float}[hints[f.name]] for f in dataclasses.fields(cls)}
-
-
-# keys that are dataclass fields are read from the dataclass; the rest
-# are listed here
-_SCHEMA = {
-    "data": {
-        "samples": int,
-        "classes": int,
-        "dim": int,
-        "complexity": _floats,
-        "noise_kind": str,
-        "noise_level": float,
-        "noise_fraction": float,
-        "seed": int,
-    },
-    "policy": {
-        "variant": str,
-        **{key: parse for cls in POLICIES.values() for key, parse in _fields(cls).items()},
-    },
-    "kd": {
-        "t_base": float,
-        **_fields(TrainConfig),
-        "teacher_hidden": _ints,
-        "student_hidden": _ints,
-    },
-    "aco": {
-        "pool": str,
-        **_fields(AcoConfig),
-        "pair_mode": _bool,
-        "init_pheromone": _floats,
-        "init_heuristic": _floats,
-    },
-    "pso": {"pool": str, **_fields(PsoConfig)},
-    "grid": {
-        "pool": str,
-        "pair_mode": _bool,
-    },
-    "random": {
-        "pool": str,
-        "n_picks": int,
-        "seed": int,
-    },
-    "out": {
-        "dir": str,
-    },
+# the parser of each type a key can have
+_PARSERS = {
+    int: int,
+    float: float,
+    str: str,
+    bool: _bool,
+    tuple[int, ...]: lambda s: tuple(int(v) for v in s.split(",")),
+    tuple[float, ...]: lambda s: tuple(float(v) for v in s.split(",")),
 }
+
+
+# read once per owner: every command builds its configs with them
+@functools.cache
+def _fields(owner) -> dict:
+    """key -> (type, required) of each parameter of owner that a key sets:
+    those annotated with a type in _PARSERS, or with X | None for one. The
+    caller passes the others, such as run_aco's pool and cfg."""
+    hints = typing.get_type_hints(owner)
+    fields = {}
+    for name, param in inspect.signature(owner).parameters.items():
+        hint = hints.get(name)
+        if type(None) in typing.get_args(hint):
+            (hint,) = set(typing.get_args(hint)) - {type(None)}
+        if hint in _PARSERS:
+            fields[name] = (hint, param.default is param.empty)
+    return fields
+
+
+# section -> the classes and functions whose parameters its keys are, and
+# a {key: type} dict of its keys that are not: the paths and the variant
+_POOL = {"pool": str}
+SECTIONS = {
+    "data": (DataConfig,),
+    "policy": ({"variant": str}, *POLICIES.values()),
+    "kd": (TrainConfig, KdConfig, NetConfig),
+    "aco": (_POOL, AcoConfig, run_aco),
+    "pso": (_POOL, PsoConfig),
+    "grid": (_POOL, run_grid),
+    "random": (_POOL, run_random),
+    "out": ({"dir": str},),
+}
+# section -> key -> type, derived once: every command parses a config
+_KEYS = {section: {key: hint for owner in owners for key, hint in (
+             owner.items() if isinstance(owner, dict) else
+             ((name, hint) for name, (hint, _) in _fields(owner).items()))}
+         for section, owners in SECTIONS.items()}
 
 
 class RunConfig:
@@ -100,22 +115,26 @@ class RunConfig:
     def has(self, section: str) -> bool:
         return section in self.sections
 
-    def section(self, name: str) -> dict:
+    def section(self, name: str, *required: str) -> dict:
+        """The keys of [name], which must hold each of required."""
         if name not in self.sections:
             raise ConfigParseError(f"missing required section [{name}]")
-        return self.sections[name]
+        sec = self.sections[name]
+        for key in required:
+            if key not in sec:
+                raise ConfigParseError(f"missing required key {key!r} in section [{name}]")
+        return sec
 
-    def get(self, section: str, key: str, default=None):
-        sec = self.section(section)
-        if key not in sec:
-            if default is None:
-                raise ConfigParseError(f"missing required key {key!r} in section [{section}]")
-            return default
-        return sec[key]
+    def build(self, section: str, owner, **extra):
+        """owner called with the keys of [section] that are its parameters,
+        plus extra; a parameter left out takes owner's default."""
+        fields = _fields(owner)
+        sec = self.section(section, *(name for name, (_, required) in fields.items() if required))
+        return owner(**{k: v for k, v in sec.items() if k in fields}, **extra)
 
-    def resolve(self, relpath: str) -> Path:
-        """Paths in the config are relative to the config file itself."""
-        p = Path(relpath)
+    def resolve(self, section: str, key: str) -> Path:
+        """The path [section] key names, relative to the config file unless absolute."""
+        p = Path(self.section(section, key)[key])
         return p if p.is_absolute() else self.path.parent / p
 
 
@@ -133,15 +152,15 @@ def load_config(path) -> RunConfig:
 
     sections: dict = {}
     for name in parser.sections():
-        if name not in _SCHEMA:
+        if name not in _KEYS:
             raise ConfigParseError(f"{path}: unknown section [{name}]")
-        schema = _SCHEMA[name]
+        keys = _KEYS[name]
         parsed = {}
         for key, raw in parser.items(name):
-            if key not in schema:
+            if key not in keys:
                 raise ConfigParseError(f"{path}: unknown key {key!r} in section [{name}]")
             try:
-                parsed[key] = schema[key](raw)
+                parsed[key] = _PARSERS[keys[key]](raw)
             except ValueError as exc:
                 raise ConfigParseError(
                     f"{path}: bad value for {key!r} in [{name}]: {exc}"
@@ -166,15 +185,3 @@ def _check_policy_keys(section: dict, path) -> None:
         raise ConfigParseError(
             f"{path}: keys {sorted(extra)} not valid for policy variant {variant!r}"
         )
-
-
-def from_section(cls, section: dict, **extra):
-    """A cls built from the keys of section that are its fields, plus extra;
-    the fields left out take cls's defaults."""
-    names = {f.name for f in dataclasses.fields(cls)}
-    return cls(**{k: v for k, v in section.items() if k in names}, **extra)
-
-
-def build_policy(section: dict):
-    """[policy] section -> policy object; keys left out take the class defaults."""
-    return from_section(POLICIES[section["variant"]], section)

@@ -398,7 +398,8 @@ class _Run:
 
 
 def run_aco(pool: CandidatePool, cfg: AcoConfig, pair_mode: bool = False,
-            init_pheromone=None, init_heuristic=None) -> SelectionReport:
+            init_pheromone: tuple[float, ...] | None = None,
+            init_heuristic: tuple[float, ...] | None = None) -> SelectionReport:
     """Algorithm: pheromones start at one, the heuristic comes from a cheap
     proxy pass, each iteration every ant roulette-selects and evaluates a
     candidate, then a single evaporate+deposit update is applied.
@@ -465,9 +466,9 @@ def run_random(pool: CandidatePool, n_picks: int = 1, seed: int = 0) -> Selectio
     return run.report("random", best, run.cache[best])
 
 
-def run_grid(pool: CandidatePool, pair_mode: bool = False, seed: int = 0) -> SelectionReport:
-    """Exhaustive sweep: every candidate, or every ordered pair."""
-    run = _Run(pool, seed, pair_mode)
+def run_grid(pool: CandidatePool, pair_mode: bool = False) -> SelectionReport:
+    """Exhaustive sweep, at run seed 0: every candidate, or every ordered pair."""
+    run = _Run(pool, 0, pair_mode)
     for unit in run.units:
         run.score(unit)
     best = _rank(run.cache)[0]

@@ -109,14 +109,14 @@ class TestConfigParsing:
         readme = (ROOT / "README.md").read_text(encoding="utf-8")
         block = readme.split("### Config reference\n\n```ini\n", 1)[1].split("```", 1)[0]
         cfg = load_config(write(tmp_path / "readme.ini", block))
-        assert set(cfg.sections) == set(config._SCHEMA)
+        assert set(cfg.sections) == set(config.SECTIONS)
         assert cfg.sections["data"]["samples"] == 600
-        assert cfg.sections["data"]["complexity"] == [0.3]
-        assert cfg.sections["kd"]["teacher_hidden"] == [32, 32]
+        assert cfg.sections["data"]["complexity"] == (0.3,)
+        assert cfg.sections["kd"]["teacher_hidden"] == (32, 32)
         assert cfg.sections["aco"]["pair_mode"] is False
 
     def test_schema_keys_and_parsers(self):
-        # every section's keys and the parser of each, as documented in the README
+        # every section's keys and the type each is parsed as, as documented in the README
         floats = dict.fromkeys(
             ["base_temperature", "raise_step", "lower_step", "min_temperature",
              "max_temperature", "noise_threshold", "confidence_threshold",
@@ -138,9 +138,11 @@ class TestConfigParsing:
             "random": {"pool": "str", "n_picks": "int", "seed": "int"},
             "out": {"dir": "str"},
         }
-        schema = {section: {key: parse.__name__.lstrip("_") for key, parse in keys.items()}
-                  for section, keys in config._SCHEMA.items()}
-        assert schema == expected
+        names = {int: "int", float: "float", str: "str", bool: "bool",
+                 tuple[int, ...]: "ints", tuple[float, ...]: "floats"}
+        keys = {section: {key: names[hint] for key, hint in types.items()}
+                for section, types in config._KEYS.items()}
+        assert keys == expected
 
 
 DATA_SECTION = """\
@@ -672,6 +674,49 @@ def test_select_outputs_pinned(tmp_path, run):
     assert select_digests(tmp_path, run) == GOLDEN_SELECT[run]
 
 
+SMALL_DATA = "[data]\nsamples = 120\nclasses = 3\ndim = 4\n"
+SMALL_KD = "[kd]\nepochs = 2\n"
+# (argv, a config that leaves out optional keys, the same config with each
+# of them written out at the default the README documents)
+DEFAULT_RUNS = {
+    "gen-data": (["gen-data"], SMALL_DATA,
+                 SMALL_DATA + "complexity = 0\nnoise_kind = none\nnoise_level = 0\n"
+                              "noise_fraction = 1\nseed = 0\n"),
+    # noise_level and noise_fraction change the dataset only when noise is added
+    "gen-data-level": (["gen-data"], SMALL_DATA + "noise_kind = uniform\n",
+                       SMALL_DATA + "noise_kind = uniform\nnoise_level = 0\n"),
+    "gen-data-fraction": (["gen-data"], SMALL_DATA + "noise_kind = gaussian\nnoise_level = 0.3\n",
+                          SMALL_DATA + "noise_kind = gaussian\nnoise_level = 0.3\n"
+                                       "noise_fraction = 1\n"),
+    "distill": (["distill"], SMALL_DATA + SMALL_KD,
+                SMALL_DATA + SMALL_KD + "teacher_hidden = 32,32\nstudent_hidden = 16,16\n"),
+    "table11": (["distill", "--ablation", "table11"], SMALL_DATA + SMALL_KD,
+                SMALL_DATA + "noise_level = 0.5\n" + SMALL_KD),
+    "random": (["select", "--strategy", "random"], "[random]\npool = pool.json\n",
+               "[random]\npool = pool.json\nn_picks = 1\nseed = 0\n"),
+    "grid": (["select", "--strategy", "grid"], "[grid]\npool = pool.json\n",
+             "[grid]\npool = pool.json\npair_mode = false\n"),
+}
+
+
+@pytest.mark.parametrize("run", list(DEFAULT_RUNS))
+def test_left_out_keys_take_the_documented_defaults(tmp_path, run):
+    argv, left_out, written_out = DEFAULT_RUNS[run]
+    outputs = []
+    for name, text in (("left_out", left_out), ("written_out", written_out)):
+        directory = tmp_path / name
+        directory.mkdir()
+        write(directory / "pool.json", json.dumps(STUB_POOL))
+        cfg = write(directory / "c.ini", text)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main([*argv, "--config", str(cfg), "--out", str(directory / "run")]) == 0
+        outputs.append(({p.name: p.read_bytes()
+                         for p in (directory / "run").iterdir() if p.name != "config.ini"},
+                        stdout.getvalue().replace(str(directory), "<run>")))
+    assert outputs[0] == outputs[1]
+
+
 def write_eval_inputs(directory, with_probs):
     """2,000 predictions over 10 classes, softmax scores written with repr.
 
@@ -981,15 +1026,33 @@ class TestEvaluateInputs:
     ], ids=["pred-extra", "label-extra", "probs-narrow", "probs-ragged", "probs-wide"])
     def test_row_width_differs_from_header_is_exit_2(self, tmp_path, capsys, pred_text,
                                                       label_text, name, width, cells, row):
-        # numpy's message follows the path; an empty line is not a data row,
-        # so the ragged row is data row 2
+        # an empty line is not a data row, so the ragged row is data row 2
         preds = write(tmp_path / "preds.csv", pred_text)
         labels = write(tmp_path / "labels.csv", label_text)
         assert main(["evaluate", "--predictions", str(preds), "--labels", str(labels),
                      "--out", str(tmp_path / "run")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {tmp_path / name}: ") and err.count("\n") == 1, err
-        assert f"requires {width} columns but {cells} were found at row {row};" in err
+        assert capsys.readouterr().err == (f"error: {tmp_path / name}: data row {row} has width "
+                                           f"{cells}, the header width {width}\n")
+
+    @pytest.mark.parametrize("pred_text, label_text, name, cell, dtype, row, column", [
+        ("pred,p0,p1\n0,0.75,0.25\n1,x,0.875\n", "label\n0\n1\n", "preds.csv", "x", "float64",
+         2, 2),
+        ("pred,p0,p1\n0,0.75,0.25\n\n1,0.125,\n", "label\n0\n1\n", "preds.csv", "", "float64",
+         2, 3),
+        ("pred,p0,p1\n1.5,0.75,0.25\n1,0.125,0.875\n", "label\n0\n1\n", "preds.csv", "1.5",
+         "int64", 1, 1),
+        ("pred\n0\n1\n", "label\n0\n\nz\n", "labels.csv", "z", "int64", 2, 1),
+    ], ids=["probability", "empty-after-blank-line", "prediction", "label"])
+    def test_bad_cell_is_exit_2_naming_its_data_row_and_column(
+            self, tmp_path, capsys, pred_text, label_text, name, cell, dtype, row, column):
+        # data rows are numbered from 1, as in a row-width error
+        preds = write(tmp_path / "preds.csv", pred_text)
+        labels = write(tmp_path / "labels.csv", label_text)
+        assert main(["evaluate", "--predictions", str(preds), "--labels", str(labels),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / name}: could not convert string '{cell}' to {dtype} "
+            f"at data row {row}, column {column}\n")
 
     @pytest.mark.parametrize("pred_text", ["pred\n0\n1\n", "pred,p0,p1\n0,1.0,0.0\n1,0.5,0.5\n"],
                              ids=["pred", "probabilities"])
@@ -1080,6 +1143,21 @@ class TestErrorPaths:
         assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
         assert "what" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, text, message", [
+        (["gen-data", "--out", "run"], "[data]\nclasses = 3\ndim = 4\n",
+         "missing required key 'samples' in section [data]"),
+        (["select", "--strategy", "grid", "--out", "run"], "[grid]\npair_mode = true\n",
+         "missing required key 'pool' in section [grid]"),
+        (["distill", "--out", "run"], DATA_SECTION, "missing required section [kd]"),
+        (["gen-data"], DATA_SECTION + "[out]\n", "missing required key 'dir' in section [out]"),
+    ], ids=["data-samples", "grid-pool", "kd-section", "out-dir"])
+    def test_missing_input_is_exit_2_naming_it(self, tmp_path, capsys, monkeypatch, argv, text,
+                                               message):
+        monkeypatch.chdir(tmp_path)  # --out run is relative
+        cfg = write(tmp_path / "c.ini", text)
+        assert main([*argv, "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 def test_parser_options_are_the_readme_usage_options():
     # no hidden knobs: each subcommand takes exactly the options its README usage line shows
@@ -1156,9 +1234,7 @@ def encoding_inputs(directory):
         ensure_ascii=False).encode())
     (d / "labels.csv").write_bytes(b"label\n0\n1\n")
     pairs = {"clean": ("0,0.75,0.25\n", None),
-             "whitespace": ("0,0.75,0.25\n \n", "the dtype passed requires 3 columns but 1 "
-                            "were found at row 2; use `usecols` to select a subset and avoid "
-                            "this error"),
+             "whitespace": ("0,0.75,0.25\n \n", "data row 2 has width 1, the header width 3"),
              "nbsp": ("0,\xa00.75,0.25\n", "byte 13 is 0xc2, outside ASCII or a separator "
                       "0x1c-0x1f")}
     commands = [["gen-data", "--config", str(d / "c.ini"), "--out", str(d / "gen")],
