@@ -23,7 +23,7 @@ from .distill import KdConfig
 from .errors import ConfigParseError
 from .selection import AcoConfig, PsoConfig, run_aco, run_grid, run_random
 from .temperature import POLICIES
-from .tinynet import TrainConfig
+from .tinynet import NOISE_KINDS, TrainConfig
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,11 @@ class DataConfig:
     noise_fraction: float = 1.0
     seed: int = 0
 
+    def __post_init__(self):
+        if self.noise_kind not in ("none", *NOISE_KINDS):
+            raise ConfigParseError(f"[data] noise_kind must be one of {['none', *NOISE_KINDS]}, "
+                                   f"got {self.noise_kind!r}")
+
 
 @dataclass(frozen=True)
 class NetConfig:
@@ -46,6 +51,12 @@ class NetConfig:
 
     teacher_hidden: tuple[int, ...] = (32, 32)
     student_hidden: tuple[int, ...] = (16, 16)
+
+    def __post_init__(self):
+        for key in ("teacher_hidden", "student_hidden"):
+            sizes = getattr(self, key)
+            if any(size < 1 for size in sizes):
+                raise ConfigParseError(f"[kd] {key} sizes must be >= 1, got {list(sizes)}")
 
 
 def _bool(s: str) -> bool:
@@ -170,7 +181,7 @@ def load_config(path) -> RunConfig:
         sections[name] = parsed
     cfg = RunConfig(sections, path)
     if cfg.has("policy"):
-        _check_policy_keys(cfg.sections["policy"], path)
+        _check_policy_keys(cfg.section("policy", "variant"), path)
     return cfg
 
 

@@ -58,20 +58,37 @@ def derive_seed(*parts: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MlpModel:
-    """Fully-connected net; weights[k] has shape (dims[k+1], dims[k])."""
+    """Fully-connected net held as one parameter vector.
 
-    layer_dims: list[int]
-    weights: list[np.ndarray]
-    biases: list[np.ndarray]
+    params lays the layers out in order: each layer's weights row-major,
+    then its biases. weights[k] has shape (dims[k+1], dims[k]); weights,
+    biases and the transposed weights_t are tuples of views of params, so
+    a model's arrays are written in place and never rebound.
+    """
+
+    layer_dims: tuple[int, ...]
+    params: np.ndarray
+
+    def __post_init__(self):
+        dims = self.layer_dims
+        size = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(dims, dims[1:]))
+        if np.shape(self.params) != (size,):
+            raise InvalidShape(f"params must have shape ({size},) for layer_dims {dims}, "
+                               f"got {np.shape(self.params)}")
+        weights, biases, at = [], [], 0
+        for fan_in, fan_out in zip(dims, dims[1:]):
+            weights.append(self.params[at : at + fan_out * fan_in].reshape(fan_out, fan_in))
+            at += fan_out * fan_in
+            biases.append(self.params[at : at + fan_out])
+            at += fan_out
+        object.__setattr__(self, "weights", tuple(weights))
+        object.__setattr__(self, "biases", tuple(biases))
+        object.__setattr__(self, "weights_t", tuple(w.T for w in weights))
 
     def copy(self) -> "MlpModel":
-        return MlpModel(
-            list(self.layer_dims),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-        )
+        return MlpModel(self.layer_dims, self.params.copy())
 
     @property
     def input_dim(self) -> int:
@@ -84,35 +101,15 @@ class MlpModel:
 
 def init_mlp(layer_dims, seed: int) -> MlpModel:
     """Uniform(-s, s) weights with s = sqrt(6 / (fan_in + fan_out)), zero biases."""
-    dims = [int(d) for d in layer_dims]
+    dims = tuple(int(d) for d in layer_dims)
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise InvalidShape(f"layer_dims must be >= 2 positive sizes, got {layer_dims}")
+    model = MlpModel(dims, np.zeros(sum(o * (i + 1) for i, o in zip(dims, dims[1:]))))
     rng = np.random.default_rng(seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-        s = np.sqrt(6.0 / (fan_in + fan_out))
-        weights.append(rng.uniform(-s, s, size=(fan_out, fan_in)))
-        biases.append(np.zeros(fan_out))
-    return MlpModel(dims, weights, biases)
-
-
-def _flat_views(layer_dims, vector: np.ndarray):
-    """(weights, biases) laid out layer by layer, each a view of vector."""
-    weights, biases, at = [], [], 0
-    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-        weights.append(vector[at : at + fan_out * fan_in].reshape(fan_out, fan_in))
-        at += fan_out * fan_in
-        biases.append(vector[at : at + fan_out])
-        at += fan_out
-    return weights, biases
-
-
-def _flat_copy(model: MlpModel):
-    """(copy, vector): a copy of model whose weights and biases are views
-    of one new vector."""
-    vector = np.concatenate([a.ravel() for w, b in zip(model.weights, model.biases)
-                             for a in (w, b)])
-    return MlpModel(list(model.layer_dims), *_flat_views(model.layer_dims, vector)), vector
+    for w in model.weights:  # of shape (fan_out, fan_in)
+        s = np.sqrt(6.0 / sum(w.shape))
+        w[:] = rng.uniform(-s, s, size=w.shape)
+    return model
 
 
 def _check_features(model: MlpModel, x: np.ndarray) -> None:
@@ -120,18 +117,12 @@ def _check_features(model: MlpModel, x: np.ndarray) -> None:
         raise ShapeMismatch(f"expected (n, {model.input_dim}) features, got {x.shape}")
 
 
-def _layers(model: MlpModel):
-    """(weights, transposed weights, biases) of model, all views of its arrays."""
-    return model.weights, [w.T for w in model.weights], model.biases
-
-
-def _forward(layers, x: np.ndarray):
+def _forward(model: MlpModel, x: np.ndarray):
     """Returns (logits, inputs per layer) for unchecked features x."""
-    _, weights_t, biases = layers
     acts = []
     a = x
-    last = len(biases) - 1
-    for k, (w_t, b) in enumerate(zip(weights_t, biases)):
+    last = len(model.biases) - 1
+    for k, (w_t, b) in enumerate(zip(model.weights_t, model.biases)):
         acts.append(a)
         a = np.dot(a, w_t)
         a += b
@@ -144,31 +135,31 @@ def forward_batch(model: MlpModel, x) -> np.ndarray:
     """Logits for an (n, input_dim) feature matrix."""
     x = np.asarray(x, dtype=np.float64)
     _check_features(model, x)
-    return _forward(_layers(model), x)[0]
+    return _forward(model, x)[0]
 
 
-def _backward(weights, acts, dlogits, grads_w, grads_b) -> None:
+def _backward(model: MlpModel, acts, dlogits, grads: MlpModel) -> None:
     """Reverse-mode gradients given d(loss)/d(logits) per row, written into
-    grads_w and grads_b; a ReLU passes gradient where its output, and so
+    the arrays of grads; a ReLU passes gradient where its output, and so
     its input, is positive. np.dot calls the same BLAS product as @ for
     2-D operands, without the overhead of matmul's generalized ufunc."""
     delta = dlogits
-    for k in range(len(weights) - 1, -1, -1):
-        np.dot(delta.T, acts[k], out=grads_w[k])
-        np.add.reduce(delta, axis=0, out=grads_b[k])
+    for k in range(len(model.weights) - 1, -1, -1):
+        np.dot(delta.T, acts[k], out=grads.weights[k])
+        np.add.reduce(delta, axis=0, out=grads.biases[k])
         if k > 0:
-            delta = np.dot(delta, weights[k])
+            delta = np.dot(delta, model.weights[k])
             delta *= acts[k] > 0.0
 
 
-def _step(layers, x, grad_rows, targets, grads):
+def _step(model: MlpModel, x, grad_rows, targets, grads: MlpModel):
     """One mini-batch: the forward pass, grad_rows(logits, *targets), then
-    the backward pass of the mean loss into the gradient views
-    grads = (weights, biases). Returns the probabilities grad_rows gave,
-    which the loss half of the pair turns into per-row losses."""
-    logits, acts = _forward(layers, x)
+    the backward pass of the mean loss into grads, a model of the same
+    layer_dims. Returns the probabilities grad_rows gave, which the loss
+    half of the pair turns into per-row losses."""
+    logits, acts = _forward(model, x)
     probs, dlogits = grad_rows(logits, *targets)
-    _backward(layers[0], acts, dlogits / x.shape[0], *grads)
+    _backward(model, acts, dlogits / x.shape[0], grads)
     return probs
 
 
@@ -193,13 +184,12 @@ def loss_gradients(model: MlpModel, batch, loss, targets):
     _check_targets(targets, x.shape[0])
     _check_features(model, x)
     grad_rows, loss_rows = loss
-    grads = np.empty(sum(w.size + b.size for w, b in zip(model.weights, model.biases)))
-    gw, gb = _flat_views(model.layer_dims, grads)
-    probs = _step(_layers(model), x, grad_rows, targets, (gw, gb))
+    grads = MlpModel(model.layer_dims, np.empty_like(model.params))
+    probs = _step(model, x, grad_rows, targets, grads)
     total = float(np.sum(loss_rows(probs, *targets)))
     if not np.isfinite(total):
         raise NonFiniteLoss(f"batch loss is {total!r}")
-    return total / x.shape[0], gw, gb
+    return total / x.shape[0], grads.weights, grads.biases
 
 
 def _one_hot(labels: np.ndarray, n_classes: int):
@@ -419,9 +409,9 @@ def sgd_fit(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig, loss, 
     for the end of the epoch: one loss_rows call on the whole array gives
     every row's loss, which are added one at a time in batch order.
 
-    The caller's model is left untouched: training runs on a copy whose
-    weights and biases are views of one parameter vector, and each
-    mini-batch updates that vector with one subtraction. At the end of an
+    The caller's model is left untouched: training runs on a copy, and
+    each mini-batch writes its gradients into a second model and updates
+    the copy's parameter vector with one subtraction. At the end of an
     epoch, a training loss that became non-finite after some batch raises
     NonFiniteLoss with the sum after that batch, and then so do parameters
     that are not finite; numpy's overflow warnings on the way there are
@@ -435,10 +425,9 @@ def sgd_fit(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig, loss, 
     _check_targets(targets, dataset.n_samples)
     _check_features(model, dataset.features)
     grad_rows, loss_rows = loss
-    model, params = _flat_copy(model)
-    layers = _layers(model)
-    grads = np.empty_like(params)
-    grad_views = _flat_views(model.layer_dims, grads)
+    model = model.copy()
+    params = model.params
+    grads = MlpModel(model.layer_dims, np.empty_like(params))
     val_x, val_y = dataset.features[val_idx], dataset.labels[val_idx]
     rng = np.random.default_rng(cfg.seed)
     history = TrainHistory()
@@ -452,12 +441,12 @@ def sgd_fit(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig, loss, 
             columns = [np.take(t, order, axis=0) for t in targets]
             for start in range(0, order.size, cfg.batch_size):
                 stop = start + cfg.batch_size
-                probs = _step(layers, x[start:stop], grad_rows,
-                              [c[start:stop] for c in columns], grad_views)
+                probs = _step(model, x[start:stop], grad_rows,
+                              [c[start:stop] for c in columns], grads)
                 if epoch_probs is None:
                     epoch_probs = np.empty((order.size, *probs.shape[1:]))
                 epoch_probs[start:stop] = probs
-                params -= cfg.learning_rate * grads
+                params -= cfg.learning_rate * grads.params
             losses = loss_rows(epoch_probs, *columns).tolist()
             loss_sum = 0.0
             for start in range(0, order.size, cfg.batch_size):
@@ -470,7 +459,7 @@ def sgd_fit(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig, loss, 
             if not np.isfinite(params).all():
                 raise NonFiniteLoss("training left non-finite parameters")
             history.train_loss.append(loss_sum / order.size)
-            val_pred = np.argmax(_forward(layers, val_x)[0], axis=1)
+            val_pred = np.argmax(_forward(model, val_x)[0], axis=1)
             history.val_accuracy.append(float(np.mean(val_pred == val_y)))
     return model, history
 

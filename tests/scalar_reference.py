@@ -15,7 +15,9 @@ in `cli` and of `metrics._threshold_groups`, and the SGD loop that
 indexed the dataset per mini-batch, called a per-batch loss closure for
 both the losses and the gradient, tallied the losses batch by batch and
 updated each weight and bias array on its own, as the reference of
-`tinynet.sgd_fit`, with its supervised and distillation losses.
+`tinynet.sgd_fit`, with its supervised and distillation losses, and
+the per-layer draws of `tinynet.init_mlp`, as the reference of its
+parameter vector.
 """
 
 import numpy as np
@@ -184,6 +186,17 @@ def threshold_groups(scores, hits):
     return cum_tp.astype(np.float64), cum_fp.astype(np.float64)
 
 
+def init_params(layer_dims, seed):
+    """init_mlp's parameter vector: each layer's uniform weights drawn as
+    an array of its own, then its zero biases, concatenated layer by layer."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
+        s = np.sqrt(6.0 / (fan_in + fan_out))
+        parts += [rng.uniform(-s, s, size=(fan_out, fan_in)).ravel(), np.zeros(fan_out)]
+    return np.concatenate(parts)
+
+
 def _forward_batch(model, x):
     """Returns (logits, inputs per layer)."""
     acts = []
@@ -243,9 +256,9 @@ def sgd_fit(model, dataset, cfg, batch_loss):
                 if not np.isfinite(loss_sum):
                     raise NonFiniteLoss(f"training loss became {loss_sum!r}")
                 gw, gb = _backward(model, acts, dlogits / batch_idx.size)
-                for k in range(len(model.weights)):
-                    model.weights[k] -= cfg.learning_rate * gw[k]
-                    model.biases[k] -= cfg.learning_rate * gb[k]
+                for w, b, dw, db in zip(model.weights, model.biases, gw, gb):
+                    w -= cfg.learning_rate * dw
+                    b -= cfg.learning_rate * db
             if not all(np.isfinite(a).all() for a in model.weights + model.biases):
                 raise NonFiniteLoss("training left non-finite parameters")
             history.train_loss.append(loss_sum / order.size)

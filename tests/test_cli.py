@@ -1150,13 +1150,41 @@ class TestErrorPaths:
          "missing required key 'pool' in section [grid]"),
         (["distill", "--out", "run"], DATA_SECTION, "missing required section [kd]"),
         (["gen-data"], DATA_SECTION + "[out]\n", "missing required key 'dir' in section [out]"),
-    ], ids=["data-samples", "grid-pool", "kd-section", "out-dir"])
+        (["distill", "--out", "run"], DATA_SECTION + "[policy]\ntemperature = 2.0\n[kd]\n",
+         "missing required key 'variant' in section [policy]"),
+    ], ids=["data-samples", "grid-pool", "kd-section", "out-dir", "policy-variant"])
     def test_missing_input_is_exit_2_naming_it(self, tmp_path, capsys, monkeypatch, argv, text,
                                                message):
         monkeypatch.chdir(tmp_path)  # --out run is relative
         cfg = write(tmp_path / "c.ini", text)
         assert main([*argv, "--config", str(cfg)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("argv, text, message", [
+        (["distill"], DATA_SECTION + "[kd]\nstudent_hidden = 4,-1\n",
+         "[kd] student_hidden sizes must be >= 1, got [4, -1]"),
+        (["distill", "--ablation", "table11"], DATA_SECTION + "[kd]\nteacher_hidden = 0\n",
+         "[kd] teacher_hidden sizes must be >= 1, got [0]"),
+        (["gen-data"], DATA_SECTION.replace("gaussian", "pink"),
+         "[data] noise_kind must be one of ['none', 'gaussian', 'salt_pepper', 'uniform'], "
+         "got 'pink'"),
+        (["distill"], DATA_SECTION.replace("gaussian", "none") + "[kd]\n", None),
+    ], ids=["student-hidden", "teacher-hidden", "noise-kind", "noise-kind-none"])
+    def test_bad_value_is_exit_2_naming_its_key_before_training(self, tmp_path, capsys,
+                                                                monkeypatch, argv, text, message):
+        # the config is checked where it is read: no model is trained first
+        def no_training(*args):
+            raise AssertionError("trained a model")
+
+        monkeypatch.setattr(tinynet, "sgd_fit", no_training)
+        cfg = write(tmp_path / "c.ini", text)
+        argv = [*argv, "--config", str(cfg), "--out", str(tmp_path / "run")]
+        if message is None:  # a good config gets as far as training
+            with pytest.raises(AssertionError, match="^trained a model$"):
+                main(argv)
+        else:
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_parser_options_are_the_readme_usage_options():

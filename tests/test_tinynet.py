@@ -63,8 +63,8 @@ class TestForward:
 
     def test_identity_single_layer(self):
         m = tinynet.init_mlp([3, 3], seed=0)
-        m.weights[0] = np.eye(3)
-        m.biases[0] = np.zeros(3)
+        m.weights[0][:] = np.eye(3)
+        m.biases[0][:] = np.zeros(3)
         x = np.array([0.3, -1.2, 2.5])
         np.testing.assert_allclose(tinynet.forward_batch(m, x[None])[0], x, atol=1e-15)
 
@@ -390,7 +390,7 @@ class TestParameterVector:
             assert not any(np.shares_memory(a, b) for b in model_arrays(self.model))
 
     def test_copy_of_trained_model_does_not_move_with_its_vector(self):
-        vector = self.trained.weights[0].base
+        vector = self.trained.params
         assert vector.ndim == 1 and vector.size == sum(a.size for a in model_arrays(self.trained))
         assert all(np.shares_memory(a, vector) for a in model_arrays(self.trained))
         snapshot = self.trained.copy()
@@ -399,6 +399,72 @@ class TestParameterVector:
         assert [a.tobytes() for a in model_arrays(snapshot)] == before
         assert all(not np.array_equal(a, b)
                    for a, b in zip(model_arrays(self.trained), model_arrays(snapshot)))
+
+
+class TestModelVector:
+    """A model is its parameter vector; its arrays are views of it."""
+
+    DIMS = (4, 6, 5, 3)
+    SIZE = 6 * 5 + 5 * 7 + 3 * 6
+
+    def setup_method(self):
+        self.model = tinynet.init_mlp(self.DIMS, seed=2)
+
+    def test_only_fields_are_layer_dims_and_params(self):
+        assert [f.name for f in dataclasses.fields(tinynet.MlpModel)] == ["layer_dims", "params"]
+        assert self.model.params.shape == (self.SIZE,)
+
+    def test_layout_is_each_layers_weights_row_major_then_its_biases(self):
+        m = tinynet.MlpModel(self.DIMS, np.arange(float(self.SIZE)))
+        at = 0
+        for k, (fan_in, fan_out) in enumerate(zip(self.DIMS, self.DIMS[1:])):
+            want_w = np.arange(at, at + fan_out * fan_in).reshape(fan_out, fan_in)
+            at += fan_out * fan_in
+            np.testing.assert_array_equal(m.weights[k], want_w)
+            np.testing.assert_array_equal(m.weights_t[k], want_w.T)
+            np.testing.assert_array_equal(m.biases[k], np.arange(at, at + fan_out))
+            at += fan_out
+        assert at == self.SIZE
+
+    def test_arrays_share_memory_with_params(self):
+        m = self.model
+        for arrays in (m.weights, m.biases, m.weights_t):
+            assert type(arrays) is tuple and len(arrays) == len(self.DIMS) - 1
+            assert all(np.shares_memory(a, m.params) for a in arrays)
+        m.weights[1][2, 3] = 7.0
+        assert m.params[6 * 5 + 2 * 6 + 3] == 7.0 and m.weights_t[1][3, 2] == 7.0
+        m.params[-1] = -7.0
+        assert m.biases[-1][-1] == -7.0
+
+    @pytest.mark.parametrize("name", ["layer_dims", "params", "weights", "biases", "weights_t"])
+    def test_rebinding_raises(self, name):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(self.model, name, getattr(self.model, name))
+
+    @pytest.mark.parametrize("name", ["weights", "biases", "weights_t"])
+    def test_replacing_a_layer_array_raises(self, name):
+        with pytest.raises(TypeError):
+            getattr(self.model, name)[0] = getattr(self.model, name)[0].copy()
+
+    def test_copy_shares_no_memory(self):
+        m, c = self.model, self.model.copy()
+        assert c.layer_dims == m.layer_dims and c.params.tobytes() == m.params.tobytes()
+        for a in (c.params, *c.weights, *c.biases, *c.weights_t):
+            assert not np.shares_memory(a, m.params)
+
+    @pytest.mark.parametrize("shape", [(SIZE - 1,), (SIZE + 1,), (0,), (1, SIZE), (SIZE, 1), ()])
+    def test_mis_sized_params_raise(self, shape):
+        message = f"params must have shape ({self.SIZE},) for layer_dims {self.DIMS}, got {shape}"
+        with pytest.raises(InvalidShape, match=f"^{re.escape(message)}$"):
+            tinynet.MlpModel(self.DIMS, np.zeros(shape))
+
+    @settings(max_examples=200, deadline=None)
+    @given(dims=st.lists(st.integers(1, 9), min_size=2, max_size=5),
+           seed=st.integers(0, 2**32 - 1))
+    def test_init_mlp_equals_the_per_layer_draws(self, dims, seed):
+        model = tinynet.init_mlp(dims, seed)
+        want = ref.init_params(dims, seed)
+        assert model.params.dtype == want.dtype and model.params.tobytes() == want.tobytes()
 
 
 @st.composite
@@ -420,7 +486,8 @@ def training_runs(draw):
     student = tinynet.init_mlp([d, *hidden, c], seed)
     teacher = tinynet.init_mlp([d, 6, c], seed + 1)
     scale = draw(st.sampled_from([1.0, 30.0, 300.0]))
-    teacher.weights = [w * scale for w in teacher.weights]
+    for w in teacher.weights:
+        w *= scale
     rows = ds.indices("train").size
     cfg = tinynet.TrainConfig(
         epochs=draw(st.integers(1, 4)),
