@@ -1,6 +1,6 @@
 """antdistill: ant-colony model selection + context-aware knowledge distillation."""
 
-from .distill import DistillReport, KdConfig, distill_train, kd_loss, kd_loss_grad
+from .distill import DistillReport, KdConfig, distill_arms, distill_train, kd_loss, kd_loss_grad
 from .metrics import (
     ClassReport,
     ConfusionMatrix,
@@ -46,6 +46,8 @@ from .tinynet import (
     generate_synthetic,
     init_mlp,
     inject_noise,
+    stack_datasets,
+    stack_models,
     train_supervised,
 )
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import metrics, numerics, selection, tinynet
 from .config import DataConfig, NetConfig, RunConfig, load_config
-from .distill import KdConfig, distill_train
+from .distill import KdConfig, distill_arms, distill_train
 from .errors import ConfigParseError, ParseError, VerificationFailed
 from .selection import AcoConfig, PsoConfig
 from .temperature import (
@@ -154,16 +154,16 @@ def cmd_distill(args) -> int:
     teacher = tinynet.init_mlp([clean.n_features, *net.teacher_hidden, clean.n_classes],
                                seed=tinynet.derive_seed(train_cfg.seed, 1))
     teacher, _ = tinynet.train_supervised(teacher, clean, train_cfg)
+    student = tinynet.init_mlp([clean.n_features, *net.student_hidden, clean.n_classes],
+                               seed=tinynet.derive_seed(train_cfg.seed, 2))
 
-    def train_student(dataset, arm_policy=None):
-        """(student, report) from a fresh student on dataset: distilled under
-        arm_policy, or trained on the labels alone when it is None."""
-        student = tinynet.init_mlp([dataset.n_features, *net.student_hidden, dataset.n_classes],
-                                   seed=tinynet.derive_seed(train_cfg.seed, 2))
-        if arm_policy is None:
-            return tinynet.train_supervised(student, dataset, train_cfg)
-        kd_cfg = cfg.build("kd", KdConfig, policy=arm_policy, train=train_cfg)
-        return distill_train(teacher, student, dataset, kd_cfg)
+    def kd_cfg(arm_policy):
+        return cfg.build("kd", KdConfig, policy=arm_policy, train=train_cfg)
+
+    def distilled(arms):
+        """The students of (dataset, policy) arms, distilled in lockstep."""
+        return [s for s, _ in distill_arms(
+            teacher, student, [(dataset, kd_cfg(arm_policy)) for dataset, arm_policy in arms])]
 
     # the ablations compare a constant temperature with a context-aware
     # policy: the configured one stands in for whichever it is, the
@@ -171,18 +171,18 @@ def cmd_distill(args) -> int:
     constant = policy if isinstance(policy, ConstantPolicy) else ConstantPolicy()
     context = RuleBasedPolicy() if isinstance(policy, ConstantPolicy) else policy
     if args.ablation == "table10":
-        arms = [("teacher", teacher, experiment)] + [
-            (tag, train_student(experiment, arm_policy)[0], experiment)
-            for tag, arm_policy in (("student_supervised", None),
-                                    ("student_constant_temp", constant),
-                                    ("student_context_aware", context))
-        ]
+        supervised, _ = tinynet.train_supervised(student, experiment, train_cfg)
+        models = [teacher, supervised,
+                  *distilled([(experiment, constant), (experiment, context)])]
+        tags = ["teacher", "student_supervised", "student_constant_temp", "student_context_aware"]
+        arms = [(tag, model, experiment) for tag, model in zip(tags, models)]
     elif args.ablation == "table11":
         level = cfg.section("data").get("noise_level", TABLE11_NOISE_LEVEL)
         seed = tinynet.derive_seed(cfg.build("data", DataConfig).seed, 102)
         variants = [(kind, tinynet.inject_noise(clean, kind, level, seed))
                     for kind in ("gaussian", "salt_pepper", "uniform")] + [("clean", clean)]
-        arms = [(tag, train_student(variant, context)[0], variant) for tag, variant in variants]
+        students = distilled([(variant, context) for _, variant in variants])
+        arms = [(tag, model, variant) for (tag, variant), model in zip(variants, students)]
     if args.ablation:
         rows = [_metrics_row(tag, _test_report(model, dataset)[0])
                 for tag, model, dataset in arms]
@@ -191,7 +191,7 @@ def cmd_distill(args) -> int:
         print(f"wrote {out / 'ablation.csv'} ({len(rows)} rows)")
         return 0
 
-    trained, report = train_student(experiment, policy)
+    trained, report = distill_train(teacher, student, experiment, kd_cfg(policy))
     rep, logits, labels = _test_report(trained, experiment)
     roc, pr = metrics.micro_curves(numerics.softmax_rows(logits), labels)
     (out / "distill_report.json").write_text(report.to_json() + "\n", encoding="utf-8")

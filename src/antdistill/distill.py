@@ -12,11 +12,13 @@ pair of row kernels on per-row targets that do not depend on the
 student (_kd_targets): the teacher's probabilities and their floored
 log, the one-hot labels, the divisors (1, T) and the blend's weights.
 The gradient half returns the student's two softmaxes and the gradient;
-the loss half turns those softmaxes into the blended loss. distill_train
-builds the targets once per training run and hands the pair to sgd_fit,
-which calls the loss half once per epoch; kd_loss and kd_loss_grad
-validate one sample, build its targets and call the halves they need on
-a batch of one.
+the loss half turns those softmaxes into the blended loss. The kernels
+index rows with `...`, so they take one student's (n, C) logits or a
+stack's (k, n, C). distill_arms builds each arm's targets once per
+training run and hands the pair to sgd_fit, which trains every arm in
+one loop and calls the loss half once per epoch; distill_train is its
+one-arm case. kd_loss and kd_loss_grad validate one sample, build its
+targets and call the halves they need on a batch of one.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import numerics, tinynet
-from .errors import IndexOutOfRange, InvalidPolicyParameters, LengthMismatch
+from .errors import IndexOutOfRange, InvalidPolicyParameters, LengthMismatch, ShapeMismatch
 from .temperature import TemperaturePolicy, _check_unit, apply_policy_rows, policy_descriptor
 from .temperature import compute_context  # noqa: F401  (perfbench/test_perfbench.py asserts it)
 
@@ -76,22 +78,24 @@ def _kd_targets(teacher_probs, labels, temperatures, weights):
 def _kd_grad_rows(student_logits, subtrahends, _teacher_log, _mask, divisors, grad_weights,
                   *_loss_weights):
     """(q, grad) of each row: the gradient half of the distillation loss.
-    The inputs after the (n, C) student logits are _kd_targets's.
+    The inputs after the (n, C) student logits are _kd_targets's; a stack
+    of k students passes (k, n, C) logits and targets with the same
+    leading axis.
 
     The softmax at T = 1 and the one at T run as one (n, 2, C) softmax,
     returned as q, and so do their gradients.
     """
-    q = numerics._softmax(student_logits[:, None, :] / divisors)
+    q = numerics._softmax(student_logits[..., None, :] / divisors)
     grads = q - subtrahends  # (p1 - onehot, p_s - p_t)
     grads *= grad_weights
-    return q, grads[:, 0] + grads[:, 1]
+    return q, grads[..., 0, :] + grads[..., 1, :]
 
 
 def _kd_terms(q, subtrahends, teacher_log, mask):
-    """(-ce, kl) of each row of _kd_grad_rows's q, as (n, 1) columns."""
+    """(-ce, kl) of each row of _kd_grad_rows's q, as (..., n, 1) columns."""
     log_q = numerics._log_floor(q)
-    return (log_q[:, 0][mask][:, None],
-            numerics._kl_rows(subtrahends[:, 1], teacher_log, log_q[:, 1]))
+    kl = numerics._kl_rows(subtrahends[..., 1, :], teacher_log, log_q[..., 1, :])
+    return log_q[..., 0, :][mask].reshape(kl.shape), kl
 
 
 def _kd_loss_rows(q, subtrahends, teacher_log, mask, _divisors, _grad_weights, neg_ce_weight,
@@ -154,20 +158,13 @@ class DistillReport:
         return json.dumps(asdict(self), sort_keys=True, indent=2, allow_nan=False)
 
 
-def distill_train(teacher: tinynet.MlpModel, student: tinynet.MlpModel,
-                  dataset: tinynet.SyntheticDataset, cfg: KdConfig):
-    """Distill a frozen teacher into the student; returns (student, report).
+def _policy_rows(teacher: tinynet.MlpModel, dataset: tinynet.SyntheticDataset, cfg: KdConfig):
+    """(teacher logits, temperatures, weights) of each row of one arm's dataset.
 
-    Each sample gets its own (temperature, weight) from the policy, so a
-    single batch can mix soft and hard targets. The teacher never sees
-    gradients, which makes its logits, the contexts, the policy outputs
-    and the teacher's softened targets constant across epochs; they are
-    precomputed once, with the blend's per-row constants.
+    The teacher never sees gradients, which makes its logits, the
+    contexts, the policy outputs and the teacher's softened targets
+    constant across epochs; they are computed once per training run.
     """
-    if teacher.n_classes != student.n_classes:
-        raise LengthMismatch(
-            f"student has {student.n_classes} classes, teacher {teacher.n_classes}"
-        )
     teacher_logits = tinynet.forward_batch(teacher, dataset.features)
     temps, weights = apply_policy_rows(
         cfg.policy,
@@ -176,19 +173,70 @@ def distill_train(teacher: tinynet.MlpModel, student: tinynet.MlpModel,
         dataset.class_complexity[dataset.labels],
         base_weight=cfg.t_base,
     )
-    targets = _kd_targets(numerics.softmax_rows(teacher_logits, temps), dataset.labels, temps,
-                          weights)
-    trained, history = tinynet.sgd_fit(student, dataset, cfg.train, _KD_LOSS, targets)
-    train_temps = temps[dataset.indices("train")]
-    report = DistillReport(
+    return teacher_logits, temps, weights
+
+
+def _loss_targets(policy_rows, labels):
+    """(each arm's temperatures, _kd_targets of the rows of every arm) from
+    each arm's _policy_rows; the targets are built once, row by row, for
+    all arms together."""
+    logits, temps, weights = (np.concatenate(parts) for parts in zip(*policy_rows))
+    return ([t for _, t, _ in policy_rows],
+            _kd_targets(numerics.softmax_rows(logits, temps), labels, temps, weights))
+
+
+def distill_arms(teacher: tinynet.MlpModel, student: tinynet.MlpModel, arms):
+    """Distill a frozen teacher into one copy of the student per arm, a
+    (dataset, KdConfig) pair; returns [(student, report)] in arm order.
+
+    The arms train in lockstep, as one stack in one sgd_fit call, so they
+    must share their train config (and with it the shuffle) and their
+    datasets' labels and splits; each has its own features, noise levels
+    and policy. Every (student, report) equals distill_train's on that
+    arm, bit for bit, and so does the error of a failing arm: that of the
+    lowest-numbered one. One arm trains unstacked, as distill_train does.
+    The policy runs per arm; the loss targets, built row by row, are
+    built once for the rows of all arms.
+    """
+    datasets, cfgs = [ds for ds, _ in arms], [cfg for _, cfg in arms]
+    if not arms or any(cfg.train != cfgs[0].train for cfg in cfgs):
+        raise ShapeMismatch(f"arms trained in lockstep need one train config, got "
+                            f"{[cfg.train for cfg in cfgs]}")
+    if teacher.n_classes != student.n_classes:
+        raise LengthMismatch(
+            f"student has {student.n_classes} classes, teacher {teacher.n_classes}"
+        )
+    if len(arms) == 1:
+        model, dataset = student, datasets[0]
+    else:
+        model = tinynet.stack_models([student] * len(arms))
+        dataset = tinynet.stack_datasets(datasets)
+    temps, targets = _loss_targets([_policy_rows(teacher, ds, cfg) for ds, cfg in arms],
+                                   dataset.labels)
+    trained, histories = tinynet.sgd_fit(model, dataset, cfgs[0].train, _KD_LOSS, targets)
+    if len(arms) == 1:
+        trained, histories = [trained], [histories]
+    else:
+        trained = [trained.arm(a) for a in range(len(arms))]
+    train_idx = datasets[0].indices("train")
+    return [(s, DistillReport(
         seed=cfg.train.seed,
         policy=policy_descriptor(cfg.policy),
         t_base=cfg.t_base,
         train_loss=history.train_loss,
         val_accuracy=history.val_accuracy,
-        temp_mean=float(train_temps.mean()),
-        temp_min=float(train_temps.min()),
-        temp_max=float(train_temps.max()),
+        temp_mean=float(t[train_idx].mean()),
+        temp_min=float(t[train_idx].min()),
+        temp_max=float(t[train_idx].max()),
         final_val_accuracy=history.val_accuracy[-1],
-    )
-    return trained, report
+    )) for s, history, t, cfg in zip(trained, histories, temps, cfgs)]
+
+
+def distill_train(teacher: tinynet.MlpModel, student: tinynet.MlpModel,
+                  dataset: tinynet.SyntheticDataset, cfg: KdConfig):
+    """Distill a frozen teacher into the student; returns (student, report).
+
+    Each sample gets its own (temperature, weight) from the policy, so a
+    single batch can mix soft and hard targets. distill_arms with one arm.
+    """
+    return distill_arms(teacher, student, [(dataset, cfg)])[0]

@@ -30,7 +30,8 @@ class IndexOutOfRange(IndexError):
 
 
 class ShapeMismatch(ValueError):
-    """Input shape does not conform to the model's layer dimensions."""
+    """Input shape does not conform to the model's layer dimensions, or
+    arms stacked for lockstep training differ where they must agree."""
 
 
 class NonFiniteLoss(ArithmeticError):

@@ -99,8 +99,9 @@ def _softmax(s: np.ndarray) -> np.ndarray:
 
 
 def _log_floor(p: np.ndarray) -> np.ndarray:
-    """log(max(p, EPS)), elementwise."""
-    return np.log(np.maximum(p, EPS))
+    """log(max(p, EPS)), elementwise, for an array p."""
+    floored = np.maximum(p, EPS)
+    return np.log(floored, out=floored)
 
 
 def _kl_target(p: np.ndarray):
@@ -114,7 +115,9 @@ def _kl_rows(p: np.ndarray, log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
     """KL(p_i || q_i) of each row as an (n, 1) column, from _kl_target(p)
     and _log_floor(q). A term with p = 0 is +-0, which leaves the sum of a
     row that holds a positive p unchanged, bit for bit."""
-    return np.add.reduce(p * (log_p - log_q), axis=-1, keepdims=True)
+    terms = log_p - log_q
+    terms *= p
+    return np.add.reduce(terms, axis=-1, keepdims=True)
 
 
 def normalized_entropy_rows(p: np.ndarray) -> np.ndarray:

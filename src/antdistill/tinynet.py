@@ -13,6 +13,13 @@ A training loss is a pair of row kernels: a gradient half, called on
 every mini-batch, that returns the probabilities and d(loss)/d(logits),
 and a loss half that turns probabilities into per-row losses. sgd_fit
 calls the loss half once per epoch, on every row's probabilities.
+
+sgd_fit trains one model, or k models of the same shape in lockstep:
+stack_models stacks their parameter vectors into a (k, P) matrix, and
+stack_datasets their datasets into one of k blocks of rows. Every array
+of the loop then takes a leading arm axis, so numpy's fixed per-call
+cost is paid once per mini-batch for all k arms; each arm's results are
+those of its own sgd_fit call, bit for bit.
 """
 
 from __future__ import annotations
@@ -58,37 +65,71 @@ def derive_seed(*parts: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _n_params(dims) -> int:
+    """The parameter count of layer_dims dims, which must be >= 2 positive sizes."""
+    if len(dims) < 2 or any(d < 1 for d in dims):
+        raise InvalidShape(f"layer_dims must be >= 2 positive sizes, got {dims}")
+    return sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(dims, dims[1:]))
+
+
 @dataclass(frozen=True, eq=False)
 class MlpModel:
-    """Fully-connected net held as one parameter vector.
+    """Fully-connected net held as one parameter vector, or k stacked ones.
 
     params lays the layers out in order: each layer's weights row-major,
-    then its biases. weights[k] has shape (dims[k+1], dims[k]); weights,
+    then its biases. weights[l] has shape (dims[l+1], dims[l]); weights,
     biases and the transposed weights_t are tuples of views of params, so
     a model's arrays are written in place and never rebound.
+
+    params of shape (P,) is one model; params of shape (k, P) is k models
+    of the same layer_dims, the arms, one per row. Each view then has a
+    leading k axis: weights[l] is (k, out, in) and biases[l] is (k, out).
+    row_biases are the biases shaped to add to a batch of rows, (out,) or
+    (k, 1, out), and dot is the product that applies a layer to a batch:
+    np.dot for one model, which on 2-D operands calls the same BLAS
+    product as np.matmul for less overhead, and np.matmul, over the
+    leading k axis, for a stack.
     """
 
     layer_dims: tuple[int, ...]
     params: np.ndarray
 
     def __post_init__(self):
-        dims = self.layer_dims
-        size = sum(fan_out * (fan_in + 1) for fan_in, fan_out in zip(dims, dims[1:]))
-        if np.shape(self.params) != (size,):
-            raise InvalidShape(f"params must have shape ({size},) for layer_dims {dims}, "
-                               f"got {np.shape(self.params)}")
+        dims, params = self.layer_dims, self.params
+        size = _n_params(dims)
+        if not isinstance(params, np.ndarray) or params.dtype != np.float64:
+            raise InvalidShape(f"params must be a float64 array, got "
+                               f"{getattr(params, 'dtype', type(params).__name__)}")
+        shape = params.shape
+        if not (shape == (size,) or (len(shape) == 2 and shape[0] >= 1 and shape[1] == size)):
+            raise InvalidShape(f"params must have shape ({size},) or (k >= 1, {size}) for "
+                               f"layer_dims {dims}, got {shape}")
+        lead = shape[:-1]
         weights, biases, at = [], [], 0
         for fan_in, fan_out in zip(dims, dims[1:]):
-            weights.append(self.params[at : at + fan_out * fan_in].reshape(fan_out, fan_in))
+            weights.append(params[..., at : at + fan_out * fan_in].reshape(*lead, fan_out, fan_in))
             at += fan_out * fan_in
-            biases.append(self.params[at : at + fan_out])
+            biases.append(params[..., at : at + fan_out])
             at += fan_out
         object.__setattr__(self, "weights", tuple(weights))
         object.__setattr__(self, "biases", tuple(biases))
-        object.__setattr__(self, "weights_t", tuple(w.T for w in weights))
+        object.__setattr__(self, "weights_t", tuple(w.mT for w in weights))
+        object.__setattr__(self, "row_biases",
+                           tuple(b[:, None, :] for b in biases) if lead else self.biases)
+        object.__setattr__(self, "dot", np.matmul if lead else np.dot)
 
     def copy(self) -> "MlpModel":
         return MlpModel(self.layer_dims, self.params.copy())
+
+    @property
+    def n_arms(self) -> int:
+        """k for a stack of k models, 1 for one model."""
+        return self.params.shape[0] if self.params.ndim == 2 else 1
+
+    def arm(self, a: int) -> "MlpModel":
+        """Model a of a stack as one model, on a copy of its parameters;
+        arm(0) of one model is its copy."""
+        return MlpModel(self.layer_dims, self.params.reshape(self.n_arms, -1)[a].copy())
 
     @property
     def input_dim(self) -> int:
@@ -99,17 +140,29 @@ class MlpModel:
         return self.layer_dims[-1]
 
 
+def stack_models(models) -> MlpModel:
+    """k one-arm models of the same layer_dims as one (k, P) stack, in order."""
+    models = list(models)
+    if not models or any(m.layer_dims != models[0].layer_dims for m in models):
+        raise ShapeMismatch(f"need one or more models of the same layer_dims, got "
+                            f"{[m.layer_dims for m in models]}")
+    return MlpModel(models[0].layer_dims, np.stack([m.params for m in models]))
+
+
 def init_mlp(layer_dims, seed: int) -> MlpModel:
     """Uniform(-s, s) weights with s = sqrt(6 / (fan_in + fan_out)), zero biases."""
     dims = tuple(int(d) for d in layer_dims)
-    if len(dims) < 2 or any(d < 1 for d in dims):
-        raise InvalidShape(f"layer_dims must be >= 2 positive sizes, got {layer_dims}")
-    model = MlpModel(dims, np.zeros(sum(o * (i + 1) for i, o in zip(dims, dims[1:]))))
+    model = MlpModel(dims, np.zeros(_n_params(dims)))
     rng = np.random.default_rng(seed)
     for w in model.weights:  # of shape (fan_out, fan_in)
         s = np.sqrt(6.0 / sum(w.shape))
         w[:] = rng.uniform(-s, s, size=w.shape)
     return model
+
+
+def _check_one_model(model: MlpModel) -> None:
+    if model.params.ndim != 1:
+        raise ShapeMismatch(f"expected one model, got a stack of {model.n_arms}")
 
 
 def _check_features(model: MlpModel, x: np.ndarray) -> None:
@@ -118,13 +171,15 @@ def _check_features(model: MlpModel, x: np.ndarray) -> None:
 
 
 def _forward(model: MlpModel, x: np.ndarray):
-    """Returns (logits, inputs per layer) for unchecked features x."""
+    """Returns (logits, inputs per layer) for unchecked features x: (n, d)
+    rows for one model, (k, n, d), one block of rows per arm, for a stack."""
     acts = []
     a = x
+    dot = model.dot
     last = len(model.biases) - 1
-    for k, (w_t, b) in enumerate(zip(model.weights_t, model.biases)):
+    for k, (w_t, b) in enumerate(zip(model.weights_t, model.row_biases)):
         acts.append(a)
-        a = np.dot(a, w_t)
+        a = dot(a, w_t)
         a += b
         if k < last:
             np.maximum(a, 0.0, out=a)
@@ -141,25 +196,26 @@ def forward_batch(model: MlpModel, x) -> np.ndarray:
 def _backward(model: MlpModel, acts, dlogits, grads: MlpModel) -> None:
     """Reverse-mode gradients given d(loss)/d(logits) per row, written into
     the arrays of grads; a ReLU passes gradient where its output, and so
-    its input, is positive. np.dot calls the same BLAS product as @ for
-    2-D operands, without the overhead of matmul's generalized ufunc."""
+    its input, is positive. The batch is the second-to-last axis, so one
+    code path serves one model and a stack."""
+    dot = model.dot
     delta = dlogits
     for k in range(len(model.weights) - 1, -1, -1):
-        np.dot(delta.T, acts[k], out=grads.weights[k])
-        np.add.reduce(delta, axis=0, out=grads.biases[k])
+        dot(delta.mT, acts[k], out=grads.weights[k])
+        np.add.reduce(delta, axis=-2, out=grads.biases[k])
         if k > 0:
-            delta = np.dot(delta, model.weights[k])
+            delta = dot(delta, model.weights[k])
             delta *= acts[k] > 0.0
 
 
 def _step(model: MlpModel, x, grad_rows, targets, grads: MlpModel):
     """One mini-batch: the forward pass, grad_rows(logits, *targets), then
     the backward pass of the mean loss into grads, a model of the same
-    layer_dims. Returns the probabilities grad_rows gave, which the loss
-    half of the pair turns into per-row losses."""
+    shape. Returns the probabilities grad_rows gave, which the loss half of
+    the pair turns into per-row losses."""
     logits, acts = _forward(model, x)
     probs, dlogits = grad_rows(logits, *targets)
-    _backward(model, acts, dlogits / x.shape[0], grads)
+    _backward(model, acts, dlogits / x.shape[-2], grads)
     return probs
 
 
@@ -182,6 +238,7 @@ def loss_gradients(model: MlpModel, batch, loss, targets):
     if x.ndim != 2 or x.shape[0] == 0:
         raise ShapeMismatch(f"batch must be a nonempty 2-D matrix, got shape {x.shape}")
     _check_targets(targets, x.shape[0])
+    _check_one_model(model)
     _check_features(model, x)
     grad_rows, loss_rows = loss
     grads = MlpModel(model.layer_dims, np.empty_like(model.params))
@@ -257,6 +314,46 @@ class SyntheticDataset:
             self.class_complexity.copy(),
             self.split.copy(),
         )
+
+
+def stack_datasets(datasets) -> SyntheticDataset:
+    """k datasets as one of k blocks of rows, block a holding dataset a's
+    rows: the dataset sgd_fit trains a stack of k models on. The blocks
+    may differ in features and noise levels only; labels, splits or class
+    complexities that differ raise ShapeMismatch."""
+    datasets = list(datasets)
+    if not datasets:
+        raise ShapeMismatch("need one or more datasets to stack")
+    first = datasets[0]
+    for d in datasets[1:]:
+        if d.n_features != first.n_features:
+            raise ShapeMismatch(f"stacked datasets must share their feature width, got "
+                                f"{d.n_features} and {first.n_features}")
+        if not np.array_equal(d.class_complexity, first.class_complexity):
+            raise ShapeMismatch("stacked datasets must share their class_complexity")
+    stacked = SyntheticDataset(
+        np.concatenate([d.features for d in datasets]),
+        np.concatenate([d.labels for d in datasets]),
+        np.concatenate([d.noise_level for d in datasets]),
+        first.class_complexity.copy(),
+        np.concatenate([d.split for d in datasets]),
+    )
+    _block_size(stacked, len(datasets))
+    return stacked
+
+
+def _block_size(dataset: SyntheticDataset, k: int) -> int:
+    """The rows per block of a dataset of k equal blocks that share their
+    labels and splits, as stack_datasets builds; ShapeMismatch otherwise."""
+    n = dataset.n_samples // k
+    if n * k != dataset.n_samples:
+        raise ShapeMismatch(f"a stack of {k} models needs {k} equal blocks of rows, "
+                            f"got {dataset.n_samples} rows")
+    for name in ("labels", "split"):
+        blocks = getattr(dataset, name).reshape(k, n)
+        if (blocks[1:] != blocks[0]).any():
+            raise ShapeMismatch(f"stacked datasets must share their {name}")
+    return n
 
 
 def generate_synthetic(n_samples, n_classes, input_dim, complexity, seed: int) -> SyntheticDataset:
@@ -393,12 +490,31 @@ class TrainHistory:
 
 
 def accuracy(model: MlpModel, features, labels) -> float:
+    _check_one_model(model)
     logits = forward_batch(model, features)
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
+def _epoch_loss(losses, batch_size: int, params_finite) -> float:
+    """The sum of one arm's row losses, added one row at a time in batch
+    order, so that train_loss does not depend on the order in which numpy
+    would sum. A sum that became non-finite after some batch raises
+    NonFiniteLoss with the sum after that batch, and then so do
+    parameters that are not finite."""
+    loss_sum = 0.0
+    for start in range(0, len(losses), batch_size):
+        for loss_value in losses[start : start + batch_size]:
+            loss_sum += loss_value
+        if not math.isfinite(loss_sum):
+            raise NonFiniteLoss(f"training loss became {loss_sum!r}")
+    if not params_finite:
+        raise NonFiniteLoss("training left non-finite parameters")
+    return loss_sum
+
+
 def sgd_fit(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig, loss, targets):
-    """Shared SGD loop over the train split; returns (model, history).
+    """Shared SGD loop over the train split; returns (model, history), or
+    for a stack of k models (stack, list of k histories).
 
     targets is a tuple of arrays indexed by dataset row, and loss the pair
     (grad_rows, loss_rows) that loss_gradients describes. Each epoch
@@ -409,16 +525,30 @@ def sgd_fit(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig, loss, 
     for the end of the epoch: one loss_rows call on the whole array gives
     every row's loss, which are added one at a time in batch order.
 
+    A stack of k models, the arms, trains in lockstep on a dataset of k
+    equal blocks of rows, block a for arm a, as stack_datasets builds it.
+    The arms share the shuffle and the first block's splits and labels;
+    each has its own parameters, features and target rows. Every array of
+    the loop then takes a leading arm axis, (k, b, ...), and each product
+    is one np.matmul over it; one model keeps its 2-D arrays and np.dot,
+    which costs less per call. Each arm's results equal those of its own
+    sgd_fit call on its own block, bit for bit.
+
     The caller's model is left untouched: training runs on a copy, and
     each mini-batch writes its gradients into a second model and updates
     the copy's parameter vector with one subtraction. At the end of an
     epoch, a training loss that became non-finite after some batch raises
     NonFiniteLoss with the sum after that batch, and then so do parameters
     that are not finite; numpy's overflow warnings on the way there are
-    silenced.
+    silenced. A stack raises the error that one call per arm, made in arm
+    order, would raise: that of the lowest-numbered arm that fails. Arm
+    0's error ends training at once; another arm's waits for the last
+    epoch, since an arm before it may still fail.
     """
-    train_idx = dataset.indices("train")
-    val_idx = dataset.indices("val")
+    k = model.n_arms
+    n = _block_size(dataset, k)
+    train_idx, val_idx = (idx[idx < n] for idx in (dataset.indices("train"),
+                                                   dataset.indices("val")))
     labels = dataset.labels[train_idx]
     if labels.min() < 0 or labels.max() >= model.n_classes:
         raise IndexOutOfRange(f"train labels outside [0, {model.n_classes})")
@@ -428,40 +558,59 @@ def sgd_fit(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig, loss, 
     model = model.copy()
     params = model.params
     grads = MlpModel(model.layer_dims, np.empty_like(params))
-    val_x, val_y = dataset.features[val_idx], dataset.labels[val_idx]
+    # the row axis: 0 for one model, 1 behind the arm axis of a stack
+    lead = params.shape[:-1]
+    axis = len(lead)
+    features = dataset.features.reshape(*lead, n, -1)
+    targets = [np.reshape(t, (*lead, n, *np.shape(t)[1:])) for t in targets]
+    batches = [slice(start, start + cfg.batch_size)
+               for start in range(0, train_idx.size, cfg.batch_size)]
+    if axis:
+        batches = [(slice(None), rows) for rows in batches]
+    val_x, val_y = np.take(features, val_idx, axis=axis), dataset.labels[val_idx]
+    # every epoch gathers the features and targets of its shuffled order
+    # into these arrays; np.take copies the rows that fancy indexing would,
+    # in a third of its time on these 2-D and 3-D arrays, and with mode
+    # "clip", for rows that are all in range, writes into out unbuffered
+    x = np.take(features, train_idx, axis=axis)
+    columns = [np.take(t, train_idx, axis=axis) for t in targets]
     rng = np.random.default_rng(cfg.seed)
-    history = TrainHistory()
+    histories = [TrainHistory() for _ in range(k)]
+    failures = {}  # arm -> the NonFiniteLoss its own sgd_fit call would raise
     epoch_probs = None
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.epochs):
             order = train_idx[rng.permutation(train_idx.size)]
-            # np.take copies the rows that fancy indexing would, in a third
-            # of its time on these 2-D and 3-D arrays
-            x = np.take(dataset.features, order, axis=0)
-            columns = [np.take(t, order, axis=0) for t in targets]
-            for start in range(0, order.size, cfg.batch_size):
-                stop = start + cfg.batch_size
-                probs = _step(model, x[start:stop], grad_rows,
-                              [c[start:stop] for c in columns], grads)
+            np.take(features, order, axis=axis, out=x, mode="clip")
+            for t, c in zip(targets, columns):
+                np.take(t, order, axis=axis, out=c, mode="clip")
+            for rows in batches:
+                probs = _step(model, x[rows], grad_rows, [c[rows] for c in columns], grads)
                 if epoch_probs is None:
-                    epoch_probs = np.empty((order.size, *probs.shape[1:]))
-                epoch_probs[start:stop] = probs
+                    shape = list(probs.shape)
+                    shape[axis] = order.size
+                    epoch_probs = np.empty(shape)
+                epoch_probs[rows] = probs
                 params -= cfg.learning_rate * grads.params
-            losses = loss_rows(epoch_probs, *columns).tolist()
-            loss_sum = 0.0
-            for start in range(0, order.size, cfg.batch_size):
-                # one row at a time, in batch order, so that train_loss does
-                # not depend on the order in which numpy would sum
-                for loss_value in losses[start : start + cfg.batch_size]:
-                    loss_sum += loss_value
-                if not math.isfinite(loss_sum):
-                    raise NonFiniteLoss(f"training loss became {loss_sum!r}")
-            if not np.isfinite(params).all():
-                raise NonFiniteLoss("training left non-finite parameters")
-            history.train_loss.append(loss_sum / order.size)
-            val_pred = np.argmax(_forward(model, val_x)[0], axis=1)
-            history.val_accuracy.append(float(np.mean(val_pred == val_y)))
-    return model, history
+            losses = np.reshape(loss_rows(epoch_probs, *columns), (k, -1)).tolist()
+            finite = np.isfinite(params.reshape(k, -1)).all(axis=1)
+            for arm in range(k):
+                if arm not in failures:
+                    try:
+                        loss_sum = _epoch_loss(losses[arm], cfg.batch_size, finite[arm])
+                    except NonFiniteLoss as exc:
+                        failures[arm] = exc
+                    else:
+                        histories[arm].train_loss.append(loss_sum / order.size)
+            if 0 in failures:
+                break
+            val_pred = np.argmax(_forward(model, val_x)[0], axis=-1)
+            accuracies = np.reshape(np.mean(val_pred == val_y, axis=-1), k).tolist()
+            for history, acc in zip(histories, accuracies):
+                history.val_accuracy.append(acc)
+    if failures:
+        raise failures[min(failures)]
+    return model, (histories if axis else histories[0])
 
 
 def train_supervised(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig):

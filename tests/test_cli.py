@@ -203,7 +203,8 @@ def worked_example_pool(tmp_path):
 
 @pytest.fixture
 def fits(monkeypatch):
-    """One entry per training run (tinynet.sgd_fit call) while the test runs."""
+    """One entry per tinynet.sgd_fit call while the test runs. One call may
+    train several arms in lockstep, as the ablations' students do."""
     calls = []
     real_fit = tinynet.sgd_fit
 

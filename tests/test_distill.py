@@ -8,12 +8,20 @@ import numpy as np
 import pytest
 
 from antdistill import tinynet
-from antdistill.distill import DistillReport, KdConfig, distill_train, kd_loss, kd_loss_grad
+from antdistill.distill import (
+    DistillReport,
+    KdConfig,
+    distill_arms,
+    distill_train,
+    kd_loss,
+    kd_loss_grad,
+)
 from antdistill.errors import (
     InvalidPolicyParameters,
     LengthMismatch,
     NonFiniteInput,
     NonPositiveTemperature,
+    ShapeMismatch,
 )
 from antdistill.temperature import ConstantPolicy, RuleBasedPolicy, UncertaintyLinearPolicy
 
@@ -184,6 +192,48 @@ class TestDistillTrain:
         report = distill_train(teacher, student, ds, cfg)[1]
         with pytest.raises(ValueError, match="not JSON compliant"):
             dataclasses.replace(report, temp_mean=float("nan")).to_json()
+
+
+class TestDistillArms:
+    """distill_arms trains k students in lockstep; each equals distill_train's."""
+
+    def setup_method(self):
+        self.ds, self.teacher, self.student = TestDistillTrain().make_setup(35, n=200)
+        self.train = tinynet.TrainConfig(epochs=4, batch_size=16, seed=5)
+
+    @pytest.mark.parametrize("policies", [
+        [RuleBasedPolicy()] * 4,
+        [ConstantPolicy(2.0), RuleBasedPolicy()],
+        [UncertaintyLinearPolicy(), ConstantPolicy(0.5), RuleBasedPolicy(base_weight=0.2)],
+        [RuleBasedPolicy()],
+    ])
+    def test_each_arm_equals_its_own_distill_train(self, policies):
+        kinds = ["gaussian", "salt_pepper", "uniform"]
+        arms = [(self.ds if a == 3 else tinynet.inject_noise(self.ds, kinds[a], 0.5, seed=a),
+                 KdConfig(policy, 0.5, self.train)) for a, policy in enumerate(policies)]
+        got = distill_arms(self.teacher, self.student, arms)
+        assert len(got) == len(arms)
+        for (model, report), (ds, cfg) in zip(got, arms):
+            want_model, want_report = distill_train(self.teacher, self.student, ds, cfg)
+            assert model.params.shape == want_model.params.shape
+            assert model.params.tobytes() == want_model.params.tobytes()
+            assert report.to_json() == want_report.to_json()
+
+    def test_arms_need_one_train_config(self):
+        other = dataclasses.replace(self.train, seed=6)
+        arms = [(self.ds, KdConfig(RuleBasedPolicy(), 0.5, train))
+                for train in (self.train, other)]
+        with pytest.raises(ShapeMismatch, match="^arms trained in lockstep need one train config"):
+            distill_arms(self.teacher, self.student, arms)
+        with pytest.raises(ShapeMismatch, match="^arms trained in lockstep need one train config"):
+            distill_arms(self.teacher, self.student, [])
+
+    def test_arms_need_one_split(self):
+        other = self.ds.copy()
+        other.split[:] = other.split[::-1]
+        arms = [(ds, KdConfig(RuleBasedPolicy(), 0.5, self.train)) for ds in (self.ds, other)]
+        with pytest.raises(ShapeMismatch, match="^stacked datasets must share their"):
+            distill_arms(self.teacher, self.student, arms)
 
 
 class TestDistillTrainChecksItsInputsOnce:

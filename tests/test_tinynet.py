@@ -452,11 +452,29 @@ class TestModelVector:
         for a in (c.params, *c.weights, *c.biases, *c.weights_t):
             assert not np.shares_memory(a, m.params)
 
-    @pytest.mark.parametrize("shape", [(SIZE - 1,), (SIZE + 1,), (0,), (1, SIZE), (SIZE, 1), ()])
+    @pytest.mark.parametrize("shape", [(SIZE - 1,), (SIZE + 1,), (0,), (0, SIZE), (SIZE, 1), (),
+                                       (2, 1, SIZE), (2, SIZE + 1)])
     def test_mis_sized_params_raise(self, shape):
-        message = f"params must have shape ({self.SIZE},) for layer_dims {self.DIMS}, got {shape}"
+        message = (f"params must have shape ({self.SIZE},) or (k >= 1, {self.SIZE}) for "
+                   f"layer_dims {self.DIMS}, got {shape}")
         with pytest.raises(InvalidShape, match=f"^{re.escape(message)}$"):
             tinynet.MlpModel(self.DIMS, np.zeros(shape))
+
+    @pytest.mark.parametrize("dims", [(3, 0, 2), (3,), (), (3, -1, 2), (0, 2)])
+    def test_impossible_layer_dims_raise(self, dims):
+        # (3, 0, 2) fits 2 parameters and (3,) fits 0
+        size = sum(o * (i + 1) for i, o in zip(dims, dims[1:]))
+        message = f"layer_dims must be >= 2 positive sizes, got {dims}"
+        with pytest.raises(InvalidShape, match=f"^{re.escape(message)}$"):
+            tinynet.MlpModel(dims, np.zeros(max(size, 0)))
+
+    @pytest.mark.parametrize("params, name", [
+        (np.zeros(SIZE, dtype=np.int64), "int64"), (np.zeros(SIZE, dtype=np.float32), "float32"),
+        (np.zeros(SIZE, dtype=bool), "bool"), ([0.0] * SIZE, "list")])
+    def test_params_that_are_not_float64_raise(self, params, name):
+        message = f"params must be a float64 array, got {name}"
+        with pytest.raises(InvalidShape, match=f"^{re.escape(message)}$"):
+            tinynet.MlpModel(self.DIMS, params)
 
     @settings(max_examples=200, deadline=None)
     @given(dims=st.lists(st.integers(1, 9), min_size=2, max_size=5),
@@ -465,6 +483,134 @@ class TestModelVector:
         model = tinynet.init_mlp(dims, seed)
         want = ref.init_params(dims, seed)
         assert model.params.dtype == want.dtype and model.params.tobytes() == want.tobytes()
+
+
+class TestStackedModel:
+    """A (k, P) params is a stack of k models, one per row: the arms."""
+
+    DIMS = TestModelVector.DIMS
+    SIZE = TestModelVector.SIZE
+
+    def setup_method(self):
+        self.models = [tinynet.init_mlp(self.DIMS, seed=s) for s in (2, 3, 4)]
+        self.stack = tinynet.stack_models(self.models)
+
+    def test_views_take_a_leading_arm_axis(self):
+        stack = self.stack
+        assert stack.params.shape == (3, self.SIZE) and stack.n_arms == 3
+        for k, (fan_in, fan_out) in enumerate(zip(self.DIMS, self.DIMS[1:])):
+            assert stack.weights[k].shape == (3, fan_out, fan_in)
+            assert stack.weights_t[k].shape == (3, fan_in, fan_out)
+            assert stack.biases[k].shape == (3, fan_out)
+            for a, model in enumerate(self.models):
+                assert stack.weights[k][a].tobytes() == model.weights[k].tobytes()
+                assert stack.biases[k][a].tobytes() == model.biases[k].tobytes()
+        for arrays in (stack.weights, stack.biases, stack.weights_t, stack.row_biases):
+            assert all(np.shares_memory(a, stack.params) for a in arrays)
+        stack.weights[1][2, 3, 4] = 7.0
+        assert stack.params[2, 6 * 5 + 3 * 6 + 4] == 7.0
+
+    def test_one_row_stack_is_accepted(self):
+        stack = tinynet.stack_models(self.models[:1])
+        assert stack.params.shape == (1, self.SIZE) and stack.n_arms == 1
+        assert self.models[0].n_arms == 1
+
+    @pytest.mark.parametrize("a", [0, 1, 2, -1])
+    def test_arm_gives_back_that_models_parameters(self, a):
+        arm = self.stack.arm(a)
+        assert arm.layer_dims == self.DIMS and arm.params.shape == (self.SIZE,)
+        assert arm.params.tobytes() == self.models[a].params.tobytes()
+        assert arm.params.tobytes() == self.stack.params[a].tobytes()
+        assert not np.shares_memory(arm.params, self.stack.params)
+
+    def test_arm_of_one_model_is_its_copy(self):
+        model = self.models[0]
+        arm = model.arm(0)
+        assert arm.params.tobytes() == model.params.tobytes()
+        assert not np.shares_memory(arm.params, model.params)
+
+    @settings(max_examples=100, deadline=None)
+    @given(dims=st.lists(st.integers(1, 9), min_size=2, max_size=5),
+           k=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    def test_stacking_then_taking_each_arm_back_is_bit_exact(self, dims, k, seed):
+        models = [tinynet.init_mlp(dims, seed + a) for a in range(k)]
+        stack = tinynet.stack_models(models)
+        for a, model in enumerate(models):
+            assert stack.arm(a).params.tobytes() == model.params.tobytes()
+
+    def test_one_model_functions_reject_a_stack(self):
+        ds = small_dataset(seed=1, n=60)
+        stack = tinynet.stack_models([tinynet.init_mlp([4, 5, 3], seed=0)] * 2)
+        with pytest.raises(ShapeMismatch, match="^expected one model, got a stack of 2$"):
+            tinynet.accuracy(stack, ds.features, ds.labels)
+        with pytest.raises(ShapeMismatch, match="^expected one model, got a stack of 2$"):
+            tinynet.loss_gradients(stack, ds.features[:5], tinynet._CROSS_ENTROPY,
+                                   tinynet._one_hot(ds.labels[:5], 3))
+
+    def test_models_of_other_layer_dims_do_not_stack(self):
+        with pytest.raises(ShapeMismatch, match="same layer_dims"):
+            tinynet.stack_models([self.models[0], tinynet.init_mlp([4, 3], seed=0)])
+        with pytest.raises(ShapeMismatch, match="same layer_dims"):
+            tinynet.stack_models([])
+
+
+class TestStackedDataset:
+    def setup_method(self):
+        self.ds = small_dataset(seed=5, n=60)
+        self.noisy = tinynet.inject_noise(self.ds, "gaussian", 0.5, seed=6)
+
+    def test_blocks_in_order(self):
+        stacked = tinynet.stack_datasets([self.noisy, self.ds])
+        n = self.ds.n_samples
+        assert stacked.n_samples == 2 * n
+        np.testing.assert_array_equal(stacked.features[:n], self.noisy.features)
+        np.testing.assert_array_equal(stacked.features[n:], self.ds.features)
+        np.testing.assert_array_equal(stacked.noise_level[:n], self.noisy.noise_level)
+        np.testing.assert_array_equal(stacked.labels, np.tile(self.ds.labels, 2))
+        np.testing.assert_array_equal(stacked.split, np.tile(self.ds.split, 2))
+        np.testing.assert_array_equal(stacked.class_complexity, self.ds.class_complexity)
+
+    @pytest.mark.parametrize("name", ["labels", "split", "class_complexity"])
+    def test_blocks_that_differ_in_labels_splits_or_complexity_raise(self, name):
+        other = self.ds.copy()
+        if name == "labels":
+            other.labels[0] = (other.labels[0] + 1) % self.ds.n_classes
+        elif name == "split":
+            other.split[0] = "test" if other.split[0] != "test" else "train"
+        else:
+            other.class_complexity[0] += 0.25
+        with pytest.raises(ShapeMismatch, match=f"^stacked datasets must share their {name}$"):
+            tinynet.stack_datasets([self.ds, other])
+
+    def test_blocks_of_other_feature_width_or_none_raise(self):
+        with pytest.raises(ShapeMismatch, match="feature width"):
+            tinynet.stack_datasets([self.ds, small_dataset(seed=5, n=60, d=5)])
+        with pytest.raises(ShapeMismatch, match="one or more datasets"):
+            tinynet.stack_datasets([])
+
+    @pytest.mark.parametrize("name", ["labels", "split"])
+    def test_sgd_fit_rejects_blocks_that_differ_in_labels_or_splits(self, name):
+        other = self.ds.copy()
+        if name == "labels":
+            other.labels[0] = (other.labels[0] + 1) % self.ds.n_classes
+        else:
+            other.split[0] = "test" if other.split[0] != "test" else "train"
+        # one dataset of two blocks that stack_datasets would have refused
+        two = tinynet.SyntheticDataset(*(np.concatenate([getattr(self.ds, f), getattr(other, f)])
+                                         for f in ("features", "labels", "noise_level")),
+                                       self.ds.class_complexity,
+                                       np.concatenate([self.ds.split, other.split]))
+        stack = tinynet.stack_models([tinynet.init_mlp([4, 3], seed=0)] * 2)
+        with pytest.raises(ShapeMismatch, match=f"^stacked datasets must share their {name}$"):
+            tinynet.train_supervised(stack, two, tinynet.TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("k, rows", [(2, 61), (3, 100), (4, 90)])
+    def test_sgd_fit_rejects_rows_that_are_not_k_equal_blocks(self, k, rows):
+        ds = small_dataset(seed=1, n=rows)
+        stack = tinynet.stack_models([tinynet.init_mlp([4, 3], seed=0)] * k)
+        with pytest.raises(ShapeMismatch, match=f"^a stack of {k} models needs {k} equal blocks "
+                                                f"of rows, got {rows} rows$"):
+            tinynet.train_supervised(stack, ds, tinynet.TrainConfig(epochs=1))
 
 
 @st.composite
@@ -583,6 +729,128 @@ class TestSgdFitMatchesReferenceLoop:
         assert want == repr(NonFiniteLoss("training loss became nan"))
         assert len(batches) == 2 and ds.indices("train").size > 3 * cfg.batch_size
         assert fit_outcome(lambda: tinynet.train_supervised(model, ds, cfg)) == want
+
+
+POLICIES = (st.builds(ConstantPolicy, st.floats(0.05, 20.0))
+            | st.builds(UncertaintyLinearPolicy, st.floats(0.0, 10.0))
+            | st.builds(RuleBasedPolicy, base_temperature=st.floats(1.0, 8.0),
+                        base_weight=st.floats(0.0, 0.9)))
+
+
+@st.composite
+def lockstep_runs(draw, arms=st.integers(1, 4)):
+    """(loss pair, student, k datasets, train config, k target tuples) of k
+    arms that may train as one stack: the arms share labels, splits, the
+    student's init and the train config; each has its own noise variant
+    of the features and its own targets. The loss is cross-entropy, or
+    distillation from one teacher under a policy drawn per arm."""
+    policy, teacher, student, ds, cfg, t_base = draw(training_runs())
+    datasets = [tinynet.inject_noise(ds, draw(st.sampled_from(tinynet.NOISE_KINDS)),
+                                     draw(st.sampled_from([0.0, 0.3, 1.0])), cfg.seed + a,
+                                     fraction=draw(st.sampled_from([0.5, 1.0])))
+                for a in range(draw(arms))]
+    if policy is None:
+        targets = [tinynet._one_hot(d.labels, d.n_classes) for d in datasets]
+        return tinynet._CROSS_ENTROPY, student, datasets, cfg, targets
+    targets = [distill._loss_targets([distill._policy_rows(teacher, d, distill.KdConfig(
+                   draw(POLICIES) if a else policy, t_base, cfg))], d.labels)[1]
+               for a, d in enumerate(datasets)]
+    return distill._KD_LOSS, student, datasets, cfg, targets
+
+
+def arm_outcome(model, history):
+    """(weights and biases, train_loss and val_accuracy) of one arm, as bytes."""
+    return ([a.tobytes() for a in model_arrays(model)],
+            np.array(history.train_loss).tobytes(), np.array(history.val_accuracy).tobytes())
+
+
+def lockstep_outcomes(run):
+    """(each arm's arm_outcome from one sgd_fit call on the stack, the same
+    from one sgd_fit call per arm), or the NonFiniteLoss raised; the calls
+    per arm stop at the first that raises, as a loop over them would."""
+    loss, student, datasets, cfg, targets = run
+    try:
+        stack, histories = tinynet.sgd_fit(
+            tinynet.stack_models([student] * len(datasets)), tinynet.stack_datasets(datasets),
+            cfg, loss, [np.concatenate(parts) for parts in zip(*targets)])
+        got = [arm_outcome(stack.arm(a), h) for a, h in enumerate(histories)]
+    except NonFiniteLoss as exc:
+        got = repr(exc)
+    want = []
+    for d, t in zip(datasets, targets):
+        try:
+            want.append(arm_outcome(*tinynet.sgd_fit(student, d, cfg, loss, t)))
+        except NonFiniteLoss as exc:
+            want = repr(exc)
+            break
+    return got, want
+
+
+class TestLockstepEqualsSequentialRuns:
+    """One sgd_fit call on a stack of k arms equals k calls, one per arm, bit
+    for bit; this holds only while np.matmul over the stack rounds as np.dot
+    does on each arm, so it is run under more than one BLAS kernel."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(run=lockstep_runs())
+    def test_bit_for_bit(self, run):
+        got, want = lockstep_outcomes(run)
+        assert got == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(run=lockstep_runs(arms=st.sampled_from([2, 3])), learning_rate=DIVERGING_RATES,
+           batches=st.integers(2, 6))
+    def test_diverging_training_raises_the_sequential_error(self, run, learning_rate, batches):
+        loss, student, datasets, cfg, targets = run
+        cfg = dataclasses.replace(cfg, learning_rate=learning_rate,
+                                  batch_size=max(1, -(-datasets[0].indices("train").size
+                                                      // batches)))
+        got, want = lockstep_outcomes((loss, student, datasets, cfg, targets))
+        assert got == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_non_finite_row_losses_raise_the_lowest_failing_arms_error(self, data):
+        # each arm's row losses are its own target, inf and nan in some
+        # rows of some arms: a later arm may fail in an earlier epoch
+        ds = small_dataset(seed=data.draw(st.integers(0, 99)), n=60)
+        k = data.draw(st.integers(1, 4))
+        finite = st.floats(0.0, 10.0)
+        targets = [(data.draw(hnp.arrays(np.float64, ds.n_samples, elements=data.draw(
+            st.sampled_from([finite, finite | st.sampled_from([np.inf, -np.inf, np.nan])])))),)
+            for _ in range(k)]
+        cfg = tinynet.TrainConfig(epochs=data.draw(st.integers(1, 3)),
+                                  batch_size=data.draw(st.integers(1, 50)),
+                                  seed=data.draw(st.integers(0, 99)))
+        pair = (lambda logits, v: (logits, np.zeros_like(logits)), lambda logits, v: v)
+        got, want = lockstep_outcomes((pair, tinynet.init_mlp([4, 3], seed=0), [ds] * k, cfg,
+                                       targets))
+        assert got == want
+
+    def test_an_arm_after_the_first_that_fails_raises_after_the_last_epoch(self):
+        ds = small_dataset(seed=2, n=60)
+        values = np.ones(ds.n_samples)
+        pair = (lambda logits, v: (logits, np.zeros_like(logits)), lambda logits, v: v)
+        epochs = []
+
+        def counted(logits, v):
+            epochs.append(1)
+            return v
+
+        bad = values.copy()
+        bad[ds.indices("train")[0]] = np.inf
+        cfg = tinynet.TrainConfig(epochs=3, batch_size=8)
+        with pytest.raises(NonFiniteLoss, match="^training loss became inf$"):
+            tinynet.sgd_fit(tinynet.stack_models([tinynet.init_mlp([4, 3], seed=0)] * 2),
+                            tinynet.stack_datasets([ds, ds]), cfg, (pair[0], counted),
+                            [np.concatenate([values, bad])])
+        assert len(epochs) == 3
+        epochs.clear()
+        with pytest.raises(NonFiniteLoss, match="^training loss became inf$"):
+            tinynet.sgd_fit(tinynet.stack_models([tinynet.init_mlp([4, 3], seed=0)] * 2),
+                            tinynet.stack_datasets([ds, ds]), cfg, (pair[0], counted),
+                            [np.concatenate([bad, values])])
+        assert len(epochs) == 1
 
 
 class TestDatasetFile:
