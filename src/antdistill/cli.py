@@ -16,12 +16,10 @@ next to its reports.
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import math
-import re
 import shutil
 import sys
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -50,7 +48,9 @@ def _prepare_out(cfg: RunConfig, override: str | None) -> Path:
     else:
         raise ConfigParseError("no output directory: pass --out or add an [out] section")
     out.mkdir(parents=True, exist_ok=True)
-    shutil.copyfile(cfg.path, out / "config.ini")
+    # a rerun from the run directory reads the copy it would write
+    with contextlib.suppress(shutil.SameFileError):
+        shutil.copyfile(cfg.path, out / "config.ini")
     return out
 
 
@@ -213,86 +213,18 @@ def cmd_distill(args) -> int:
 MAX_EVAL_CLASSES = 1000
 
 
-# numpy reads the separators 0x1c-0x1f as whitespace and any Unicode
-# digit as a digit, so the input rule leaves them out
-_SEPARATORS = (b"\x1c", b"\x1d", b"\x1e", b"\x1f")
-
-
-class _PlainBytes(io.BufferedIOBase):
-    """A buffered binary file's bytes as they are read, raising a ParseError
-    that names the file at a byte outside ASCII or a separator 0x1c-0x1f.
-    The file is checked one read at a time, so no copy of all of it is ever
-    held. TextIOWrapper reads it only through read1."""
-
-    def __init__(self, buffered, path):
-        self._buffered = buffered
-        self._path = path
-        self._offset = 0
-
-    def readable(self) -> bool:
-        return True
-
-    def read1(self, size=-1) -> bytes:
-        chunk = self._buffered.read1(size)
-        if not chunk.isascii() or any(sep in chunk for sep in _SEPARATORS):
-            at = next(i for i, b in enumerate(chunk) if b > 0x7f or 0x1c <= b <= 0x1f)
-            raise ParseError(f"{self._path}: byte {self._offset + at} is {chunk[at]:#04x}, "
-                             "outside ASCII or a separator 0x1c-0x1f")
-        self._offset += len(chunk)
-        return chunk
-
-
-# np.loadtxt numbers a bad cell's data row from 0 and a wrong-width row from
-# 1 (empty lines uncounted in both), and points the latter at its usecols
-# option; both are restated with data rows from 1
-_BAD_CELL = re.compile(r"(could not convert string .* to \w+) at row (\d+), column (\d+)\.")
-_BAD_WIDTH = re.compile(r"the dtype passed requires (\d+) columns but (\d+) were found at row "
-                        r"(\d+); use `usecols` .*")
-
-
-def _loadtxt_message(exc: ValueError) -> str:
-    """np.loadtxt's message, with one numbering of data rows."""
-    if m := _BAD_CELL.fullmatch(str(exc)):
-        return f"{m[1]} at data row {int(m[2]) + 1}, column {m[3]}"
-    if m := _BAD_WIDTH.fullmatch(str(exc)):
-        return f"data row {m[3]} has width {m[2]}, the header width {m[1]}"
-    return str(exc)
-
-
-def _read_table(path, expected_header, header_ok):
-    """(ids, probabilities) of an evaluate input file read by numpy's C
-    parser: the header from line 1, then the first column as int64 and the
-    others as an (n, width - 1) float64 array. Every failure is a
-    ParseError whose message starts with the path."""
-    try:
-        with open(path, "rb") as raw, \
-                io.TextIOWrapper(_PlainBytes(raw, path), encoding="ascii") as fh:
-            header = fh.readline().removesuffix("\n").split(",")
-            if not header_ok(header):
-                raise ParseError(f"{path}: expected header {expected_header}, got {header}")
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
-                rows = np.loadtxt(
-                    fh, dtype=[("id", np.int64), ("p", np.float64, (len(header) - 1,))],
-                    delimiter=",", comments=None, ndmin=1)
-    except ParseError:
-        raise
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from exc
-    except ValueError as exc:  # a bad cell, or a row wider or narrower than the header
-        raise ParseError(f"{path}: {_loadtxt_message(exc)}") from exc
-    if not len(rows):
-        raise ParseError(f"{path}: header but no data rows")
-    # contiguous copies for the metric sweeps
-    return rows["id"].copy(), rows["p"].copy()
+def _evaluate_fields(header):
+    """The fields of an evaluate input file's rows: a class id, then probabilities."""
+    return [("id", np.int64), ("p", np.float64, (len(header) - 1,))]
 
 
 def _evaluate_inputs(pred_path, label_path):
     """(preds, labels, probs or None) as arrays from a predictions file and
     a labels file."""
-    preds, probs = _read_table(pred_path, "'pred[,p0,p1,...]'", lambda header: (
-        header[:1] == ["pred"] and header[1:] == [f"p{j}" for j in range(len(header) - 1)]))
-    labels, _ = _read_table(label_path, "'label'", lambda header: header == ["label"])
+    _, (preds, probs) = tinynet._read_table(pred_path, 0, "'pred[,p0,p1,...]'", lambda header: (
+        header == ["pred", *(f"p{j}" for j in range(len(header) - 1))]), _evaluate_fields)
+    _, (labels, _) = tinynet._read_table(label_path, 0, "'label'",
+                                         lambda header: header == ["label"], _evaluate_fields)
     if len(preds) != len(labels):
         raise ParseError(f"{pred_path} has {len(preds)} data rows, {label_path} has "
                          f"{len(labels)}")

@@ -43,6 +43,9 @@ class DataConfig:
         if self.noise_kind not in ("none", *NOISE_KINDS):
             raise ConfigParseError(f"[data] noise_kind must be one of {['none', *NOISE_KINDS]}, "
                                    f"got {self.noise_kind!r}")
+        if len(self.complexity) not in (1, self.classes):
+            raise ConfigParseError(f"[data] complexity must have 1 or {self.classes} entries, "
+                                   f"got {len(self.complexity)}")
 
 
 @dataclass(frozen=True)

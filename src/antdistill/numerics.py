@@ -122,7 +122,7 @@ def _kl_rows(p: np.ndarray, log_p: np.ndarray, log_q: np.ndarray) -> np.ndarray:
 
 def normalized_entropy_rows(p: np.ndarray) -> np.ndarray:
     """Normalized entropy of each row of an (n, C) probability matrix."""
-    u = -np.where(p > 0.0, p * np.log(np.maximum(p, EPS)), 0.0).sum(axis=1) / np.log(p.shape[1])
+    u = -np.where(p > 0.0, p * _log_floor(p), 0.0).sum(axis=1) / np.log(p.shape[1])
     u = np.where(u > 0.0, u, 0.0)  # max(0, u), not np.clip: a one-hot row's -0.0 reads 0.0
     return np.where(u < 1.0, u, 1.0)
 
@@ -147,7 +147,7 @@ def cross_entropy(target, predicted) -> float:
     p = as_distribution(target)
     if p.shape != q.shape:
         raise LengthMismatch(f"length {p.shape[0]} vs {q.shape[0]}")
-    return float(-(p * np.log(np.maximum(q, EPS))).sum())
+    return float(-(p * _log_floor(q)).sum())
 
 
 def normalized_entropy(p) -> float:

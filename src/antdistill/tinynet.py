@@ -24,7 +24,10 @@ those of its own sgd_fit call, bit for bit.
 
 from __future__ import annotations
 
+import io
 import math
+import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -628,9 +631,8 @@ def save_dataset(dataset: SyntheticDataset, path) -> None:
 
     Floats are written with repr() so the round-trip is bit-exact.
     """
-    d = dataset.n_features
-    lines = ["# class_complexity=" + ",".join(repr(float(c)) for c in dataset.class_complexity)]
-    lines.append("split,label,noise_level," + ",".join(f"f{j}" for j in range(d)))
+    lines = ["# class_complexity=" + ",".join(repr(float(c)) for c in dataset.class_complexity),
+             "split,label,noise_level," + ",".join(f"f{j}" for j in range(dataset.n_features))]
     for i in range(dataset.n_samples):
         row = [dataset.split[i], str(int(dataset.labels[i])), repr(float(dataset.noise_level[i]))]
         row.extend(repr(float(v)) for v in dataset.features[i])
@@ -639,48 +641,110 @@ def save_dataset(dataset: SyntheticDataset, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+# numpy reads the separators 0x1c-0x1f as whitespace and any Unicode
+# digit as a digit, so the input rule leaves them out; it leaves out NUL
+# too, which a string cell would lose from its end
+_SEPARATORS = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+class _PlainBytes(io.BufferedIOBase):
+    """A buffered binary file's bytes as they are read, raising a ValueError
+    at a byte outside ASCII, a NUL or a separator 0x1c-0x1f. The file is
+    checked one read at a time, so no copy of all of it is ever held.
+    TextIOWrapper reads it only through read1."""
+
+    def __init__(self, buffered):
+        self._buffered = buffered
+        self._offset = 0
+
+    def readable(self) -> bool:
+        return True
+
+    def read1(self, size=-1) -> bytes:
+        chunk = self._buffered.read1(size)
+        if not chunk.isascii() or any(sep in chunk for sep in _SEPARATORS):
+            at = next(i for i, b in enumerate(chunk) if b > 0x7f or b == 0 or 0x1c <= b <= 0x1f)
+            rule = "a NUL" if chunk[at] == 0 else "outside ASCII or a separator 0x1c-0x1f"
+            raise ValueError(f"byte {self._offset + at} is {chunk[at]:#04x}, {rule}")
+        self._offset += len(chunk)
+        return chunk
+
+
+# np.loadtxt numbers a bad cell's data row from 0 and a wrong-width row from
+# 1 (empty lines uncounted in both), and points the latter at its usecols
+# option; both are restated with data rows from 1
+_BAD_CELL = re.compile(r"(could not convert string .* to \w+) at row (\d+), column (\d+)\.")
+_BAD_WIDTH = re.compile(r"the dtype passed requires (\d+) columns but (\d+) were found at row "
+                        r"(\d+); use `usecols` .*")
+
+
+def _loadtxt_message(exc: ValueError) -> str:
+    """np.loadtxt's message, with one numbering of data rows."""
+    if m := _BAD_CELL.fullmatch(str(exc)):
+        return f"{m[1]} at data row {int(m[2]) + 1}, column {m[3]}"
+    if m := _BAD_WIDTH.fullmatch(str(exc)):
+        return f"data row {m[3]} has width {m[2]}, the header width {m[1]}"
+    return str(exc)
+
+
+def _loadtxt(lines, dtype):
+    """np.loadtxt of comma-separated lines, a file or a list; empty ones are skipped."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+
+
+def _read_table(path, n_preamble: int, expected_header: str, header_ok, dtype):
+    """(preamble, columns) of a CSV file under the ASCII input rule, read
+    by numpy's C parser: n_preamble lines, as strings, then the header,
+    which must pass header_ok, then the data rows, parsed as a structured
+    array of dtype(header) and returned as a contiguous array per field.
+    Every failure is a ParseError whose message starts with the path."""
+    try:
+        with open(path, "rb") as raw, \
+                io.TextIOWrapper(_PlainBytes(raw), encoding="ascii") as fh:
+            preamble = [fh.readline().removesuffix("\n") for _ in range(n_preamble)]
+            header = fh.readline().removesuffix("\n").split(",")
+            if not header_ok(header):
+                raise ValueError(f"expected header {expected_header}, got {header}")
+            rows = _loadtxt(fh, dtype(header))
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # a byte outside the rule, the header, a cell or a row's width
+        raise ParseError(f"{path}: {_loadtxt_message(exc)}") from exc
+    if not len(rows):
+        raise ParseError(f"{path}: header but no data rows")
+    return preamble, [rows[name].copy() for name in rows.dtype.names]
+
+
 def load_dataset(path) -> SyntheticDataset:
+    """The dataset of a file save_dataset wrote, read under the ASCII input
+    rule; every malformed or out-of-range value is a ParseError."""
+    # a split cell is read one character wider than the widest split, so
+    # that a longer one is never cut down to a valid name
+    (comment,), (split, labels, noise, features) = _read_table(
+        path, 1, "'split,label,noise_level,f0[,f1,...]'", lambda header: header == [
+            "split", "label", "noise_level", *(f"f{j}" for j in range(len(header) - 3))],
+        lambda header: [("split", "<U6"), ("label", np.int64), ("noise_level", np.float64),
+                        ("features", np.float64, (len(header) - 3,))])
+    if features.shape[1] < 1:
+        raise ParseError(f"{path}: no feature columns")
+    prefix, _, values = comment.partition("=")
+    if prefix != "# class_complexity":
+        raise ParseError(f"{path}: line 1 is not a '# class_complexity=...' comment")
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = [ln.rstrip("\n") for ln in fh]
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if len(lines) < 3 or not lines[0].startswith("# class_complexity="):
-        raise ParseError(f"{path}: missing class_complexity comment or data rows")
-    try:
-        comp = np.array([float(v) for v in lines[0].split("=", 1)[1].split(",")])
-        if comp.shape[0] < 2:
-            raise ValueError(f"class_complexity has {comp.shape[0]} entry, need >= 2 classes")
-        header = lines[1].split(",")
-        d = len(header) - 3
-        if header != ["split", "label", "noise_level"] + [f"f{j}" for j in range(d)]:
-            raise ValueError("bad header")
-        if d < 1:
-            raise ValueError("no feature columns")
-        splits, labels, noise, feats = [], [], [], []
-        for ln in lines[2:]:
-            if not ln:
-                continue
-            cells = ln.split(",")
-            if len(cells) != d + 3 or cells[0] not in SPLITS:
-                raise ValueError(f"bad row {ln!r}")
-            splits.append(cells[0])
-            labels.append(int(cells[1]))
-            noise.append(float(cells[2]))
-            feats.append([float(v) for v in cells[3:]])
+        comp = _loadtxt([values], np.float64)
     except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    if not labels:
-        raise ParseError(f"{path}: no data rows")
-    if min(labels) < 0 or max(labels) >= comp.shape[0]:
+        raise ParseError(f"{path}: class_complexity {values!r} is not a list of numbers") from exc
+    if comp.shape[0] < 2:
+        raise ParseError(f"{path}: class_complexity has {comp.shape[0]} entry, need >= 2 classes")
+    if not (known := np.isin(split, SPLITS)).all():
+        raise ParseError(f"{path}: data row {np.argmin(known) + 1} has a split other than {SPLITS}")
+    if labels.min() < 0 or labels.max() >= comp.shape[0]:
         raise ParseError(f"{path}: label outside [0, {comp.shape[0]})")
-    features, noise_arr = np.array(feats), np.array(noise)
     if not np.all(np.isfinite(features)):
         raise ParseError(f"{path}: features contain NaN or Inf")
-    for name, values in (("noise_level", noise_arr), ("class_complexity", comp)):
+    for name, values in (("noise_level", noise), ("class_complexity", comp)):
         if not np.all((values >= 0.0) & (values <= 1.0)):
             raise ParseError(f"{path}: {name} outside [0, 1]")
-    return SyntheticDataset(
-        features, np.array(labels, dtype=np.int64), noise_arr, comp,
-        np.array(splits, dtype="<U5"),
-    )
+    return SyntheticDataset(features, labels, noise, comp, split.astype("<U5"))

@@ -9,9 +9,11 @@ library's validators (`as_logits`, `as_distribution`,
 `_check_temperature`, `_check_unit`) and `cross_entropy`, and call one
 another rather than the library's versions.
 
-The file also keeps the row-by-row `evaluate` input reader and the
-stable-sort threshold sweep, as the references of the flat-cell reader
-in `cli` and of `metrics._threshold_groups`, and the SGD loop that
+The file also keeps the row-by-row readers of the `evaluate` input
+files and of the dataset file, which parse each cell with int() or
+float(), as the references of `tinynet._read_table`, which reads both
+kinds of file; the stable-sort threshold sweep, as the reference of
+`metrics._threshold_groups`; and the SGD loop that
 indexed the dataset per mini-batch, called a per-batch loss closure for
 both the losses and the gradient, tallied the losses batch by batch and
 updated each weight and bias array on its own, as the reference of
@@ -130,7 +132,7 @@ def _read_csv_table(path) -> tuple[list[str], list[list[str]]]:
     try:
         with open(path, encoding="utf-8") as fh:
             # the whole text at once, so that a decode error names its
-            # position in the file, as cli's reader does
+            # position in the file, as the library's reader does
             lines = [ln for ln in fh.read().split("\n") if ln.strip()]
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
@@ -172,6 +174,54 @@ def evaluate_inputs(pred_path, label_path):
     except (ValueError, IndexError) as exc:
         raise ParseError(f"bad cell value: {exc}") from exc
     return preds, labels, probs
+
+
+def load_dataset(path) -> tinynet.SyntheticDataset:
+    """A dataset file read line by line, each cell by int() or float()."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.rstrip("\n") for ln in fh]
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    if len(lines) < 3 or not lines[0].startswith("# class_complexity="):
+        raise ParseError(f"{path}: missing class_complexity comment or data rows")
+    try:
+        comp = np.array([float(v) for v in lines[0].split("=", 1)[1].split(",")])
+        if comp.shape[0] < 2:
+            raise ValueError(f"class_complexity has {comp.shape[0]} entry, need >= 2 classes")
+        header = lines[1].split(",")
+        d = len(header) - 3
+        if header != ["split", "label", "noise_level"] + [f"f{j}" for j in range(d)]:
+            raise ValueError("bad header")
+        if d < 1:
+            raise ValueError("no feature columns")
+        splits, labels, noise, feats = [], [], [], []
+        for ln in lines[2:]:
+            if not ln:
+                continue
+            cells = ln.split(",")
+            if len(cells) != d + 3 or cells[0] not in tinynet.SPLITS:
+                raise ValueError(f"bad row {ln!r}")
+            splits.append(cells[0])
+            labels.append(int(cells[1]))
+            noise.append(float(cells[2]))
+            feats.append([float(v) for v in cells[3:]])
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    if not labels:
+        raise ParseError(f"{path}: no data rows")
+    if min(labels) < 0 or max(labels) >= comp.shape[0]:
+        raise ParseError(f"{path}: label outside [0, {comp.shape[0]})")
+    features, noise_arr = np.array(feats), np.array(noise)
+    if not np.all(np.isfinite(features)):
+        raise ParseError(f"{path}: features contain NaN or Inf")
+    for name, values in (("noise_level", noise_arr), ("class_complexity", comp)):
+        if not np.all((values >= 0.0) & (values <= 1.0)):
+            raise ParseError(f"{path}: {name} outside [0, 1]")
+    return tinynet.SyntheticDataset(
+        features, np.array(labels, dtype=np.int64), noise_arr, comp,
+        np.array(splits, dtype="<U5"),
+    )
 
 
 def threshold_groups(scores, hits):

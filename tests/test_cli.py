@@ -1170,7 +1170,13 @@ class TestErrorPaths:
          "[data] noise_kind must be one of ['none', 'gaussian', 'salt_pepper', 'uniform'], "
          "got 'pink'"),
         (["distill"], DATA_SECTION.replace("gaussian", "none") + "[kd]\n", None),
-    ], ids=["student-hidden", "teacher-hidden", "noise-kind", "noise-kind-none"])
+        (["gen-data"], DATA_SECTION.replace("complexity = 0.0", "complexity = 0.1,0.2"),
+         "[data] complexity must have 1 or 3 entries, got 2"),
+        (["distill", "--ablation", "table11"],
+         DATA_SECTION.replace("complexity = 0.0", "complexity = 0.1,0.2,0.3,0.4") + "[kd]\n",
+         "[data] complexity must have 1 or 3 entries, got 4"),
+    ], ids=["student-hidden", "teacher-hidden", "noise-kind", "noise-kind-none",
+            "complexity-count", "complexity-count-table11"])
     def test_bad_value_is_exit_2_naming_its_key_before_training(self, tmp_path, capsys,
                                                                 monkeypatch, argv, text, message):
         # the config is checked where it is read: no model is trained first
@@ -1186,6 +1192,24 @@ class TestErrorPaths:
         else:
             assert main(argv) == 2
             assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["gen-data"], DATA_SECTION),
+    (["distill"], DISTILL_CONFIG),
+    (["select", "--strategy", "grid"], None),
+], ids=["gen-data", "distill", "select"])
+def test_rerun_from_the_run_directory_is_byte_identical(tmp_path, argv, text):
+    # the rerun reads the run directory's copy of the config, which is the
+    # file it would copy the config to
+    if text is None:
+        pool = write(tmp_path / "pool.json", json.dumps(MLP_POOL))
+        text = SELECT_DATA + f"[grid]\npool = {pool}\n"
+    run = tmp_path / "run"
+    assert main([*argv, "--config", str(write(tmp_path / "c.ini", text)), "--out", str(run)]) == 0
+    first = {path.name: path.read_bytes() for path in run.iterdir()}
+    assert main([*argv, "--config", str(run / "config.ini"), "--out", str(run)]) == 0
+    assert {path.name: path.read_bytes() for path in run.iterdir()} == first
 
 
 def test_parser_options_are_the_readme_usage_options():

@@ -888,6 +888,60 @@ ROWS = st.lists(st.sampled_from(["train", "val", "test", "dev"]).flatmap(
 COMPLEXITY = st.lists(CELLS, min_size=1, max_size=3).map(lambda c: ",".join(c))
 
 
+# cells inside the ASCII input rule on which numpy's C parser and
+# int()/float() may disagree, and split cells that are no split's name,
+# some longer than any
+ODD_DATASET_CELLS = [" 1 ", "+1", "-0", "1.0", "1e2", "Infinity", "-nan", "0x10", '"1"', "1#2",
+                     "1\t", "0\t.5", "\x0c1", "", "99999999999999999999", "trainx", "trainxyz",
+                     " train", "train ", "dev"]
+
+
+@st.composite
+def dataset_files(draw):
+    """Dataset file bytes inside the ASCII input rule: a class_complexity
+    comment, a header and rows as wide as it, with empty lines anywhere
+    after the header and \\n, \\r\\n or \\r line ends. The cells of a
+    third of the files all parse; another third is such a file with one
+    odd cell, in the comment or in a row; the rest have cells of any kind
+    and may have a header of another width."""
+    n_classes, d = draw(st.integers(2, 3)), draw(st.integers(1, 3))
+    n_rows = draw(st.integers(1, 4))
+    unit = st.floats(0.0, 1.0).map(repr)
+    complexity = draw(st.lists(unit, min_size=n_classes, max_size=n_classes))
+    rows = [[draw(st.sampled_from(tinynet.SPLITS)), str(draw(st.integers(0, n_classes - 1))),
+             draw(unit), *draw(st.lists(st.floats(-1e3, 1e3).map(repr), min_size=d, max_size=d))]
+            for _ in range(n_rows)]
+    kind = draw(st.sampled_from(["parse", "odd", "any"]))
+    odd = st.sampled_from(ODD_DATASET_CELLS)
+    if kind == "odd":
+        cells = [(complexity, i) for i in range(n_classes)] + [
+            (row, j) for row in rows for j in range(d + 3)]
+        row, j = draw(st.sampled_from(cells))
+        row[j] = draw(odd)
+    elif kind == "any":
+        complexity = draw(st.lists(CELLS | odd, min_size=1, max_size=3))
+        rows = [[draw(st.sampled_from(tinynet.SPLITS) | odd),
+                 *draw(st.lists(CELLS | odd, max_size=5))] for _ in range(n_rows)]
+        d = draw(st.integers(-1, 3))
+    header = ",".join(["split", "label", "noise_level", *(f"f{j}" for j in range(d))][:d + 3])
+    lines = ["# class_complexity=" + ",".join(complexity), header, *map(",".join, rows)]
+    for _ in range(draw(st.just(0) | st.integers(0, 3))):
+        lines.insert(draw(st.integers(2, len(lines))), "")
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return (end.join(lines) + draw(st.sampled_from(["", end]))).encode("ascii")
+
+
+def read_dataset(load, path):
+    """A loader's dataset as (dtype, shape, bytes) of each array, or the type
+    and message of the error it raises."""
+    try:
+        ds = load(path)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+    return [(a.dtype, a.shape, a.tobytes()) for a in (
+        ds.features, ds.labels, ds.noise_level, ds.class_complexity, ds.split)]
+
+
 class TestDatasetFileInputs:
     @pytest.mark.parametrize("row", [
         "train,0,0.0,nan,1.0", "train,0,0.0,1.0,inf", "val,1,0.0,-inf,1.0",
@@ -929,6 +983,52 @@ class TestDatasetFileInputs:
         path = tmp_path / "d.csv"
         path.write_text(DATASET_HEAD + "\n\n")
         with pytest.raises(ParseError):
+            tinynet.load_dataset(path)
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=dataset_files())
+    def test_reader_equals_the_row_reader(self, tmp_path_factory, data):
+        # the reader gives scalar_reference's arrays bit for bit, or a
+        # ParseError where the reference raises, on files inside the rule
+        path = tmp_path_factory.getbasetemp() / "oracle_dataset.csv"
+        path.write_bytes(data)
+        want = read_dataset(ref.load_dataset, path)
+        got = read_dataset(tinynet.load_dataset, path)
+        if isinstance(want, tuple):
+            assert got[0] is ParseError, (got, want)
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize("column, cell", [
+        ("label", "\u0661"), ("f1", "\uff11"), ("label", "1\x1f"), ("noise_level", "0.5\x1c"),
+        ("f0", "1_0"), ("complexity", "0_0.5"),
+    ], ids=["arabic-indic-digit", "fullwidth-digit", "separator-0x1f", "separator-0x1c",
+            "digit-separator", "digit-separator-in-comment"])
+    def test_cell_outside_the_rule_is_a_parse_error(self, tmp_path, column, cell):
+        # int() and float() read the digits outside ASCII and the `_`
+        # separators, numpy's parser the separators 0x1c-0x1f as whitespace
+        header = ["split", "label", "noise_level", "f0", "f1"]
+        row = ["train", "1", "0.0", "0.5", "0.5"]
+        complexity = "0.5,0.25"
+        if column == "complexity":
+            complexity = "0.5," + cell
+        else:
+            row[header.index(column)] = cell
+        path = tmp_path / "d.csv"
+        path.write_text(f"# class_complexity={complexity}\n{','.join(header)}\n"
+                        f"test,0,0.0,1,2\n{','.join(row)}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: "):
+            tinynet.load_dataset(path)
+
+    @pytest.mark.parametrize("split, message", [
+        ("trainx", "data row 2 has a split other than ('train', 'val', 'test')"),
+        ("trainxyz", "data row 2 has a split other than ('train', 'val', 'test')"),
+        ("train\x00", "byte 83 is 0x00, a NUL"),
+    ])
+    def test_split_is_not_cut_down_to_a_valid_name(self, tmp_path, split, message):
+        path = tmp_path / "d.csv"
+        path.write_text(DATASET_HEAD + "train,1,0.0,0.5,0.5\n" + split + ",0,0.0,1,2\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
             tinynet.load_dataset(path)
 
     @settings(max_examples=300, deadline=None)
