@@ -54,15 +54,15 @@ def _prepare_out(cfg: RunConfig, override: str | None) -> Path:
     return out
 
 
-def _build_dataset(cfg: RunConfig) -> tuple[tinynet.SyntheticDataset, tinynet.SyntheticDataset]:
-    """Returns (clean, experiment) datasets from the [data] section."""
+def _build_dataset(cfg: RunConfig):
+    """Returns the (clean, experiment) datasets of the [data] section, and its DataConfig."""
     data = cfg.build("data", DataConfig)
     comp = data.complexity if len(data.complexity) > 1 else data.complexity[0]
     clean = tinynet.generate_synthetic(data.samples, data.classes, data.dim, comp, data.seed)
-    if data.noise_kind == "none":
-        return clean, clean
-    return clean, tinynet.inject_noise(clean, data.noise_kind, data.noise_level,
-                                       tinynet.derive_seed(data.seed, 101), data.noise_fraction)
+    experiment = clean if data.noise_kind == "none" else tinynet.inject_noise(
+        clean, data.noise_kind, data.noise_level, tinynet.derive_seed(data.seed, 101),
+        data.noise_fraction)
+    return clean, experiment, data
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +73,7 @@ def _build_dataset(cfg: RunConfig) -> tuple[tinynet.SyntheticDataset, tinynet.Sy
 def cmd_gen_data(args) -> int:
     cfg = load_config(args.config)
     out = _prepare_out(cfg, args.out)
-    _, dataset = _build_dataset(cfg)
+    _, dataset, _ = _build_dataset(cfg)
     tinynet.save_dataset(dataset, out / "dataset.csv")
     counts = {s: dataset.indices(s).size for s in tinynet.SPLITS}
     print(
@@ -146,7 +146,7 @@ TABLE11_NOISE_LEVEL = 0.5  # of table 11's noise variants, when [data] sets no n
 def cmd_distill(args) -> int:
     cfg = load_config(args.config)
     out = _prepare_out(cfg, args.out)
-    clean, experiment = _build_dataset(cfg)
+    clean, experiment, data = _build_dataset(cfg)
     train_cfg = cfg.build("kd", tinynet.TrainConfig)
     net = cfg.build("kd", NetConfig)
     policy = (cfg.build("policy", POLICIES[cfg.sections["policy"]["variant"]])
@@ -160,47 +160,44 @@ def cmd_distill(args) -> int:
     def kd_cfg(arm_policy):
         return cfg.build("kd", KdConfig, policy=arm_policy, train=train_cfg)
 
-    def distilled(arms):
-        """The students of (dataset, policy) arms, distilled in lockstep."""
-        return [s for s, _ in distill_arms(
-            teacher, student, [(dataset, kd_cfg(arm_policy)) for dataset, arm_policy in arms])]
+    if not args.ablation:
+        trained, report = distill_train(teacher, student, experiment, kd_cfg(policy))
+        rep, logits, labels = _test_report(trained, experiment)
+        roc, pr = metrics.micro_curves(numerics.softmax_rows(logits), labels)
+        (out / "distill_report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+        (out / "metrics.csv").write_text(metrics.report_csv(rep), encoding="utf-8")
+        (out / "summary.csv").write_text(metrics.summary_csv(rep, roc, pr), encoding="utf-8")
+        print(f"distilled student: test_accuracy={rep.accuracy:.6f} "
+              f"val_accuracy={report.final_val_accuracy:.6f}")
+        return 0
 
     # the ablations compare a constant temperature with a context-aware
     # policy: the configured one stands in for whichever it is, the
-    # defaults of its class for the other
+    # defaults of its class for the other. An ablation is a list of (tag,
+    # dataset, KdConfig) arms, whose students train as one stack
     constant = policy if isinstance(policy, ConstantPolicy) else ConstantPolicy()
     context = RuleBasedPolicy() if isinstance(policy, ConstantPolicy) else policy
     if args.ablation == "table10":
-        supervised, _ = tinynet.train_supervised(student, experiment, train_cfg)
-        models = [teacher, supervised,
-                  *distilled([(experiment, constant), (experiment, context)])]
-        tags = ["teacher", "student_supervised", "student_constant_temp", "student_context_aware"]
-        arms = [(tag, model, experiment) for tag, model in zip(tags, models)]
-    elif args.ablation == "table11":
+        # supervised training is distillation at weight 0: this arm's
+        # student is the cross-entropy one, bit for bit
+        supervised = KdConfig(ConstantPolicy(1.0), t_base=0.0, train=train_cfg)
+        rows = [("teacher", teacher, experiment)]
+        arms = [("student_supervised", experiment, supervised),
+                ("student_constant_temp", experiment, kd_cfg(constant)),
+                ("student_context_aware", experiment, kd_cfg(context))]
+    else:
         level = cfg.section("data").get("noise_level", TABLE11_NOISE_LEVEL)
-        seed = tinynet.derive_seed(cfg.build("data", DataConfig).seed, 102)
+        seed = tinynet.derive_seed(data.seed, 102)
+        rows = []
         variants = [(kind, tinynet.inject_noise(clean, kind, level, seed))
                     for kind in ("gaussian", "salt_pepper", "uniform")] + [("clean", clean)]
-        students = distilled([(variant, context) for _, variant in variants])
-        arms = [(tag, model, variant) for (tag, variant), model in zip(variants, students)]
-    if args.ablation:
-        rows = [_metrics_row(tag, _test_report(model, dataset)[0])
-                for tag, model, dataset in arms]
-        (out / "ablation.csv").write_text(ABLATION_HEADER + "\n" + "\n".join(rows) + "\n",
-                                          encoding="utf-8")
-        print(f"wrote {out / 'ablation.csv'} ({len(rows)} rows)")
-        return 0
-
-    trained, report = distill_train(teacher, student, experiment, kd_cfg(policy))
-    rep, logits, labels = _test_report(trained, experiment)
-    roc, pr = metrics.micro_curves(numerics.softmax_rows(logits), labels)
-    (out / "distill_report.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    (out / "metrics.csv").write_text(metrics.report_csv(rep), encoding="utf-8")
-    (out / "summary.csv").write_text(metrics.summary_csv(rep, roc, pr), encoding="utf-8")
-    print(
-        f"distilled student: test_accuracy={rep.accuracy:.6f} "
-        f"val_accuracy={report.final_val_accuracy:.6f}"
-    )
+        arms = [(tag, variant, kd_cfg(context)) for tag, variant in variants]
+    students = distill_arms(teacher, student, [(dataset, kd) for _, dataset, kd in arms])
+    rows += [(tag, model, dataset) for (tag, dataset, _), (model, _) in zip(arms, students)]
+    lines = [_metrics_row(tag, _test_report(model, dataset)[0]) for tag, model, dataset in rows]
+    (out / "ablation.csv").write_text(ABLATION_HEADER + "\n" + "\n".join(lines) + "\n",
+                                      encoding="utf-8")
+    print(f"wrote {out / 'ablation.csv'} ({len(lines)} rows)")
     return 0
 
 

@@ -113,12 +113,14 @@ _MLP_KEYS = {"name", "hidden_dims", "learning_rate", "epochs"}
 
 def load_pool(path, dataset=None) -> CandidatePool:
     """Pool definition file: JSON list of {name, stub_score | hidden_dims+lr+epochs};
-    an entry with any other key is a ParseError."""
-    with open(path, encoding="utf-8") as fh:
-        try:
+    a file it cannot read, or an entry with any other key, is a ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ParseError(f"{path}: {exc}") from exc
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"{path}: {exc}") from exc
     entries = raw.get("candidates") if isinstance(raw, dict) else raw
     if not isinstance(entries, list):
         raise ParseError(f"{path}: expected a list of candidates")

@@ -203,14 +203,14 @@ def worked_example_pool(tmp_path):
 
 @pytest.fixture
 def fits(monkeypatch):
-    """One entry per tinynet.sgd_fit call while the test runs. One call may
-    train several arms in lockstep, as the ablations' students do."""
+    """The number of arms of each tinynet.sgd_fit call while the test runs.
+    One call may train several arms in lockstep, as the ablations' students do."""
     calls = []
     real_fit = tinynet.sgd_fit
 
-    def counted_fit(*args, **kwargs):
-        calls.append(1)
-        return real_fit(*args, **kwargs)
+    def counted_fit(model, *args, **kwargs):
+        calls.append(model.n_arms)
+        return real_fit(model, *args, **kwargs)
 
     monkeypatch.setattr(tinynet, "sgd_fit", counted_fit)
     return calls
@@ -434,6 +434,15 @@ class TestSelect:
         assert fits == []
         assert f"'b': {key} must be a number, got {value!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("pool, reason", [("missing.json", "No such file or directory"),
+                                              ("pools", "Is a directory")])
+    def test_unreadable_pool_is_exit_2_naming_it(self, tmp_path, capsys, pool, reason):
+        (tmp_path / "pools").mkdir()
+        cfg = write(tmp_path / "c.ini", f"[grid]\npool = {pool}\n")
+        assert main(["select", "--config", str(cfg), "--strategy", "grid",
+                     "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / pool}: cannot read: {reason}\n"
+
     @pytest.mark.parametrize("candidates", [[1, 2], [{"name": "a", "hidden_dims": 5}]])
     def test_malformed_pool_is_exit_2(self, tmp_path, candidates):
         write(tmp_path / "pool.json", json.dumps({"candidates": candidates}))
@@ -499,6 +508,13 @@ class TestDistill:
         assert [r[0] for r in rows] == ["gaussian", "salt_pepper", "uniform", "clean"]
         assert curves == []  # ablation rows print no curve
 
+    @pytest.mark.parametrize("ablation, arms", [("table10", 3), ("table11", 4)])
+    def test_ablation_trains_the_teacher_then_one_stack(self, tmp_path, fits, ablation, arms):
+        cfg = write(tmp_path / "c.ini", DISTILL_CONFIG)
+        assert main(["distill", "--config", str(cfg), "--ablation", ablation,
+                     "--out", str(tmp_path / "run")]) == 0
+        assert fits == [1, arms]
+
     @pytest.mark.parametrize("policy", ["variant = constant\ntemperature = inf",
                                         "variant = uncertainty_linear\nscale = inf",
                                         "variant = rule_based\nraise_step = nan"])
@@ -541,7 +557,8 @@ class TestDistill:
 
     def test_weight_zero_constant_matches_supervised_bit_for_bit(self, tmp_path):
         # with t_base = 0 the constant-temperature distilled row must equal
-        # the supervised row exactly
+        # the supervised row exactly: both are weight-0 arms, and
+        # tests/test_distill.py holds a weight-0 arm to cross-entropy training
         cfg_text = DISTILL_CONFIG.replace("t_base = 0.5", "t_base = 0.0").replace(
             "variant = rule_based", "variant = constant\ntemperature = 1.0"
         )

@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from antdistill import tinynet
 from antdistill.distill import (
@@ -234,6 +236,55 @@ class TestDistillArms:
         arms = [(ds, KdConfig(RuleBasedPolicy(), 0.5, self.train)) for ds in (self.ds, other)]
         with pytest.raises(ShapeMismatch, match="^stacked datasets must share their"):
             distill_arms(self.teacher, self.student, arms)
+
+
+@st.composite
+def weight_zero_runs(draw):
+    """(teacher, student, dataset, a noisy copy of it, train config, T) of
+    one small training run. The teacher's weights are scaled by up to 300,
+    as tests/test_tinynet.py's training runs do: at weight 0 it must not
+    matter."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    c, d = draw(st.integers(2, 10)), draw(st.integers(2, 5))
+    ds = tinynet.generate_synthetic(draw(st.integers(10 * c, 10 * c + 40)), c, d,
+                                    draw(st.floats(0.0, 1.0)), seed)
+    noisy = tinynet.inject_noise(ds, draw(st.sampled_from(["gaussian", "salt_pepper", "uniform"])),
+                                 draw(st.floats(0.0, 1.0)), seed, fraction=0.5)
+    student = tinynet.init_mlp([d, *draw(st.lists(st.integers(1, 8), max_size=2)), c], seed)
+    teacher = tinynet.init_mlp([d, 6, c], seed + 1)
+    scale = draw(st.sampled_from([1.0, 30.0, 300.0]))
+    for w in teacher.weights:
+        w *= scale
+    rows = ds.indices("train").size
+    train = tinynet.TrainConfig(
+        epochs=draw(st.integers(1, 4)),
+        batch_size=draw(st.sampled_from([1, rows - 1, rows, rows + 3]) | st.integers(1, rows + 5)),
+        learning_rate=draw(st.floats(0.0, 0.5)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+    return teacher, student, ds, noisy, train, draw(st.floats(0.05, 20.0))
+
+
+class TestWeightZeroArmIsSupervisedTraining:
+    """Supervised training is distillation at weight 0: a constant-temperature
+    arm with t_base = 0 trains the cross-entropy student bit for bit, alone
+    or as arm 0 of a stack, as distill --ablation table10's supervised arm
+    does. The stack holds only while np.matmul over it rounds as np.dot does
+    on one model, so this runs under more than one BLAS kernel."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(run=weight_zero_runs())
+    def test_bit_for_bit(self, run):
+        teacher, student, ds, noisy, train, temperature = run
+        want, history = tinynet.train_supervised(student, ds, train)
+        arm = (ds, KdConfig(ConstantPolicy(temperature), t_base=0.0, train=train))
+        rule = (noisy, KdConfig(RuleBasedPolicy(), train=train))
+        for arms in ([arm], [arm, rule]):
+            got, report = distill_arms(teacher, student, arms)[0]
+            assert got.params.tobytes() == want.params.tobytes()
+            assert np.array(report.train_loss).tobytes() == np.array(history.train_loss).tobytes()
+            assert (np.array(report.val_accuracy).tobytes()
+                    == np.array(history.val_accuracy).tobytes())
 
 
 class TestDistillTrainChecksItsInputsOnce:

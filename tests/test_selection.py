@@ -312,6 +312,14 @@ class TestMlpBackedPool:
         with pytest.raises(ParseError):
             selection.load_pool(bad)
 
+    @pytest.mark.parametrize("name, reason", [("missing.json", "No such file or directory"),
+                                              ("pools", "Is a directory")])
+    def test_unreadable_pool_file_is_parse_error_naming_it(self, tmp_path, name, reason):
+        (tmp_path / "pools").mkdir()
+        path = tmp_path / name
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: cannot read: {reason}')}$"):
+            selection.load_pool(path)
+
 
 class TestMixedPool:
     def mixed_pool(self):
