@@ -6,7 +6,8 @@ T = 2 versus a context-aware T = 1 + 2 * U with uncertainty U = 0.3.
 
 import numpy as np
 
-from antdistill import normalized_entropy, stable_softmax
+from antdistill import stable_softmax
+from antdistill.numerics import normalized_entropy_rows
 from antdistill.temperature import ContextFeatures, UncertaintyLinearPolicy, apply_policy
 
 z = np.array([2.0, 0.5, -1.0])
@@ -14,7 +15,8 @@ print("teacher logits:", z)
 
 for t in (1.0, 1.6, 2.0, 4.0, 8.0):
     p = stable_softmax(z, t)
-    print(f"  T={t:<4}  probs={np.round(p, 4)}  normalized entropy={normalized_entropy(p):.4f}")
+    u = normalized_entropy_rows(p[None])[0]
+    print(f"  T={t:<4}  probs={np.round(p, 4)}  normalized entropy={u:.4f}")
 
 print()
 print("uncertainty-linear policy: T = 1 + scale * U")

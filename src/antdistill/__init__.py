@@ -1,6 +1,6 @@
 """antdistill: ant-colony model selection + context-aware knowledge distillation."""
 
-from .distill import DistillReport, KdConfig, distill_arms, distill_train, kd_loss, kd_loss_grad
+from .distill import DistillReport, KdConfig, distill_arms, distill_train, kd_loss
 from .metrics import (
     ClassReport,
     ConfusionMatrix,
@@ -8,12 +8,7 @@ from .metrics import (
     confusion,
     micro_curves,
 )
-from .numerics import (
-    cross_entropy,
-    kl_divergence,
-    normalized_entropy,
-    stable_softmax,
-)
+from .numerics import stable_softmax
 from .selection import (
     AcoConfig,
     Candidate,

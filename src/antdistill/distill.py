@@ -17,8 +17,8 @@ index rows with `...`, so they take one student's (n, C) logits or a
 stack's (k, n, C). distill_arms builds each arm's targets once per
 training run and hands the pair to sgd_fit, which trains every arm in
 one loop and calls the loss half once per epoch; distill_train is its
-one-arm case. kd_loss and kd_loss_grad validate one sample, build its
-targets and call the halves they need on a batch of one.
+one-arm case. kd_loss validates one sample, builds its targets and
+calls both halves on a batch of one.
 """
 
 from __future__ import annotations
@@ -110,8 +110,9 @@ def _kd_loss_rows(q, subtrahends, teacher_log, mask, _divisors, _grad_weights, n
 _KD_LOSS = (_kd_grad_rows, _kd_loss_rows)
 
 
-def _kd_one(student_logits, teacher_logits, true_class, temperature, weight):
-    """(q, grad) of one validated sample, and its targets."""
+def kd_loss(student_logits, teacher_logits, true_class: int, temperature: float,
+            weight: float) -> LossBreakdown:
+    """Loss breakdown for one sample; teacher logits are constants."""
     s = numerics.as_logits(student_logits)
     t = numerics.as_logits(teacher_logits)
     if s.shape != t.shape:
@@ -123,22 +124,10 @@ def _kd_one(student_logits, teacher_logits, true_class, temperature, weight):
     weights = np.array([_check_unit("weight", weight)])
     targets = _kd_targets(numerics.softmax_rows(t[None, :], temps), np.array([c]), temps,
                           weights)
-    return _kd_grad_rows(s[None, :], *targets), targets
-
-
-def kd_loss(student_logits, teacher_logits, true_class: int, temperature: float,
-            weight: float) -> LossBreakdown:
-    """Loss breakdown for one sample; teacher logits are constants."""
-    (q, _), targets = _kd_one(student_logits, teacher_logits, true_class, temperature, weight)
+    q, _ = _kd_grad_rows(s[None, :], *targets)
     neg_ce, kl = _kd_terms(q, *targets[:3])
     return LossBreakdown(float(-neg_ce[0, 0]), float(kl[0, 0]), float(temperature),
                          float(weight), float(_kd_loss_rows(q, *targets)[0]))
-
-
-def kd_loss_grad(student_logits, teacher_logits, true_class: int, temperature: float,
-                 weight: float) -> np.ndarray:
-    """d(total)/d(student_logits) = (1-w)(p1 - y) + w*T*(p_s - p_t)."""
-    return _kd_one(student_logits, teacher_logits, true_class, temperature, weight)[0][1][0]
 
 
 @dataclass

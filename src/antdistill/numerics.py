@@ -1,14 +1,14 @@
 """Numerically stable probability kernels.
 
-All functions are pure. The public 1-D kernels validate their inputs:
-logit vectors may be any finite reals; probability vectors must lie in
-[0, 1] and sum to 1 (validated to 1e-6). Logs inside KL and
-cross-entropy are floored at EPS so exactly-zero probabilities from
-extreme logits stay finite. The two `*_rows` forms compute softmax (at
-a temperature that defaults to 1) and normalized entropy for (n, C)
-rows, unvalidated, because their callers check inputs once, at the
-boundary; `stable_softmax`, `kl_divergence` and `normalized_entropy`
-validate, then call them or the KL kernels below on a batch of one.
+All functions are pure. The validators check 1-D inputs: logit vectors
+(`as_logits`) may be any finite reals; probability vectors
+(`as_distribution`) must lie in [0, 1] and sum to 1 (validated to
+1e-6). Logs inside KL and cross-entropy are floored at EPS so
+exactly-zero probabilities from extreme logits stay finite. The two
+`*_rows` forms compute softmax (at a temperature that defaults to 1)
+and normalized entropy for (n, C) rows, unvalidated, because their
+callers check inputs once, at the boundary; `stable_softmax` validates
+one logit vector, then calls `softmax_rows` on a batch of one.
 `metrics` checks a whole probability matrix at once with the
 `as_distribution` checks and tolerance (`_DIST_TOL`), and passes the
 first bad row to `as_distribution` for its error.
@@ -26,14 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    IndexOutOfRange,
-    InvalidDistribution,
-    InvalidShape,
-    LengthMismatch,
-    NonFiniteInput,
-    NonPositiveTemperature,
-)
+from .errors import InvalidDistribution, InvalidShape, NonFiniteInput, NonPositiveTemperature
 
 EPS = 1e-12
 _DIST_TOL = 1e-6
@@ -125,32 +118,3 @@ def normalized_entropy_rows(p: np.ndarray) -> np.ndarray:
     u = -np.where(p > 0.0, p * _log_floor(p), 0.0).sum(axis=1) / np.log(p.shape[1])
     u = np.where(u > 0.0, u, 0.0)  # max(0, u), not np.clip: a one-hot row's -0.0 reads 0.0
     return np.where(u < 1.0, u, 1.0)
-
-
-def kl_divergence(p, q) -> float:
-    """Kullback-Leibler divergence sum(p * ln(p/q)), terms with p=0 drop out."""
-    p = as_distribution(p)
-    q = as_distribution(q)
-    if p.shape != q.shape:
-        raise LengthMismatch(f"length {p.shape[0]} vs {q.shape[0]}")
-    return float(_kl_rows(*_kl_target(p[None]), _log_floor(q[None]))[0, 0])
-
-
-def cross_entropy(target, predicted) -> float:
-    """-sum(target * ln(predicted)); target is a distribution or a class index."""
-    q = as_distribution(predicted)
-    if isinstance(target, (int, np.integer)):
-        c = int(target)
-        if c < 0 or c >= q.shape[0]:
-            raise IndexOutOfRange(f"class {c} out of range for {q.shape[0]} classes")
-        return float(-np.log(max(q[c], EPS)))
-    p = as_distribution(target)
-    if p.shape != q.shape:
-        raise LengthMismatch(f"length {p.shape[0]} vs {q.shape[0]}")
-    return float(-(p * _log_floor(q)).sum())
-
-
-def normalized_entropy(p) -> float:
-    """Shannon entropy scaled to [0, 1]: 0 for one-hot, 1 for uniform."""
-    p = as_distribution(p)
-    return float(normalized_entropy_rows(p[None, :])[0])

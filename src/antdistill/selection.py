@@ -113,7 +113,8 @@ _MLP_KEYS = {"name", "hidden_dims", "learning_rate", "epochs"}
 
 def load_pool(path, dataset=None) -> CandidatePool:
     """Pool definition file: JSON list of {name, stub_score | hidden_dims+lr+epochs};
-    a file it cannot read, or an entry with any other key, is a ParseError."""
+    a file it cannot read, or an entry with any other key or a bad value, is a
+    ParseError that names the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -140,18 +141,22 @@ def load_pool(path, dataset=None) -> CandidatePool:
                 fields = {"stub_score": _json_float(e["stub_score"], "stub_score")}
             else:
                 dims = e["hidden_dims"]
-                epochs = e.get("epochs", 10)
                 if not isinstance(dims, list) or not all(map(_is_json_int, dims)):
                     raise TypeError(f"hidden_dims must be a list of integers, got {dims!r}")
-                if not _is_json_int(epochs):
-                    raise TypeError(f"epochs must be an integer, got {epochs!r}")
-                lr = _json_float(e.get("learning_rate", 0.05), "learning_rate")
-                fields = {"profile": MlpProfile(tuple(dims), lr, epochs)}
+                # only the keys the entry gives: MlpProfile states the defaults
+                given = {}
+                if "epochs" in e:
+                    if not _is_json_int(e["epochs"]):
+                        raise TypeError(f"epochs must be an integer, got {e['epochs']!r}")
+                    given["epochs"] = e["epochs"]
+                if "learning_rate" in e:
+                    given["learning_rate"] = _json_float(e["learning_rate"], "learning_rate")
+                fields = {"profile": MlpProfile(tuple(dims), **given)}
+            candidates.append(Candidate(i, name, **fields))
         except KeyError as exc:
             raise ParseError(f"{path}: candidate {name!r} missing {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
             raise ParseError(f"{path}: candidate {name!r}: {exc}") from exc
-        candidates.append(Candidate(i, name, **fields))
     return CandidatePool(candidates, dataset)
 
 

@@ -228,30 +228,6 @@ def _check_targets(targets, n_rows: int) -> None:
                             f"{[np.shape(t) for t in targets]}")
 
 
-def loss_gradients(model: MlpModel, batch, loss, targets):
-    """Gradients of the mean batch loss w.r.t. every weight and bias.
-
-    targets is a tuple of arrays indexed by batch row, and loss is a pair
-    (grad_rows, loss_rows) of functions on the batch's (n, C) logits:
-    grad_rows(logits, *targets) returns (probabilities, dloss/dlogits),
-    and loss_rows(probabilities, *targets) the per-row losses. The
-    gradient is treated as exact.
-    """
-    x = np.asarray(batch, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ShapeMismatch(f"batch must be a nonempty 2-D matrix, got shape {x.shape}")
-    _check_targets(targets, x.shape[0])
-    _check_one_model(model)
-    _check_features(model, x)
-    grad_rows, loss_rows = loss
-    grads = MlpModel(model.layer_dims, np.empty_like(model.params))
-    probs = _step(model, x, grad_rows, targets, grads)
-    total = float(np.sum(loss_rows(probs, *targets)))
-    if not np.isfinite(total):
-        raise NonFiniteLoss(f"batch loss is {total!r}")
-    return total / x.shape[0], grads.weights, grads.biases
-
-
 def _one_hot(labels: np.ndarray, n_classes: int):
     """(mask, one-hot float matrix) of labels, each (n, n_classes); a label
     outside [0, n_classes) gives an all-zero row."""
@@ -267,8 +243,8 @@ def _ce_grad_rows(logits, _mask, one_hot):
 
 
 def _ce_loss_rows(p, mask, _one_hot):
-    """cross_entropy(label, p) of each softmax row p, bit for bit: the loss
-    half of cross-entropy."""
+    """-log(max(p[label], EPS)) of each softmax row p: the loss half of
+    cross-entropy."""
     return -numerics._log_floor(p)[mask]
 
 
@@ -519,14 +495,17 @@ def sgd_fit(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig, loss, 
     """Shared SGD loop over the train split; returns (model, history), or
     for a stack of k models (stack, list of k histories).
 
-    targets is a tuple of arrays indexed by dataset row, and loss the pair
-    (grad_rows, loss_rows) that loss_gradients describes. Each epoch
-    gathers the features and every target in the epoch's shuffled order
-    once; each mini-batch then calls grad_rows(logits, *target rows), with
-    views of those gathers, and keeps the probabilities it returns in one
-    epoch-sized array. The gradient needs only them, so the losses wait
-    for the end of the epoch: one loss_rows call on the whole array gives
-    every row's loss, which are added one at a time in batch order.
+    targets is a tuple of arrays indexed by dataset row, and loss is a pair
+    (grad_rows, loss_rows) of functions on a batch's (n, C) logits:
+    grad_rows(logits, *targets) returns (probabilities, dloss/dlogits), the
+    gradient treated as exact, and loss_rows(probabilities, *targets) the
+    per-row losses. Each epoch gathers the features and every target in
+    the epoch's shuffled order once; each mini-batch then calls
+    grad_rows(logits, *target rows), with views of those gathers, and
+    keeps the probabilities it returns in one epoch-sized array. The
+    gradient needs only them, so the losses wait for the end of the
+    epoch: one loss_rows call on the whole array gives every row's loss,
+    which are added one at a time in batch order.
 
     A stack of k models, the arms, trains in lockstep on a dataset of k
     equal blocks of rows, block a for arm a, as stack_datasets builds it.

@@ -1,13 +1,16 @@
 """Independent one-sample implementations of the library's formulas.
 
-In `antdistill` each formula has one implementation, a row kernel, and
-the public one-sample functions validate their input and call it on a
-batch of one. The functions here compute the same values one sample at
-a time, with the same checks and errors, and the property tests in
-`test_kernels.py` hold the library to them bit for bit. They reuse the
-library's validators (`as_logits`, `as_distribution`,
-`_check_temperature`, `_check_unit`) and `cross_entropy`, and call one
-another rather than the library's versions.
+In `antdistill` each formula has one implementation, a row kernel; the
+public one-sample functions (`stable_softmax`, `kd_loss`,
+`compute_context`, `apply_policy`) validate their input and call the
+kernels on a batch of one. The functions here compute the same values
+one sample at a time, and the property tests in `test_kernels.py` hold
+every kernel row and every one-sample call to them bit for bit, and the
+one-sample functions to their checks and errors. The KL, the
+cross-entropy, the normalized entropy and the KD gradient are stated
+only here as one-sample functions. They reuse the library's validators
+(`as_logits`, `as_distribution`, `_check_temperature`, `_check_unit`)
+and call one another rather than the library's versions.
 
 The file also keeps the row-by-row readers of the `evaluate` input
 files and of the dataset file, which parse each cell with int() or
@@ -53,6 +56,14 @@ def stable_softmax(logits, temperature: float = 1.0) -> np.ndarray:
     return e / e.sum()
 
 
+def cross_entropy(true_class: int, q) -> float:
+    q = numerics.as_distribution(q)
+    c = int(true_class)
+    if c < 0 or c >= q.shape[0]:
+        raise IndexOutOfRange(f"class {c} out of range for {q.shape[0]} classes")
+    return float(-np.log(max(q[c], EPS)))
+
+
 def kl_divergence(p, q) -> float:
     p = numerics.as_distribution(p)
     q = numerics.as_distribution(q)
@@ -74,7 +85,7 @@ def kd_loss(student_logits, teacher_logits, true_class: int, temperature: float,
     t = numerics.as_logits(teacher_logits)
     if s.shape != t.shape:
         raise LengthMismatch(f"student has {s.shape[0]} logits, teacher {t.shape[0]}")
-    ce = numerics.cross_entropy(int(true_class), stable_softmax(s, 1.0))
+    ce = cross_entropy(true_class, stable_softmax(s, 1.0))
     kl = kl_divergence(stable_softmax(t, temperature), stable_softmax(s, temperature))
     total = (1.0 - weight) * ce + weight * temperature**2 * kl
     return LossBreakdown(ce, kl, float(temperature), float(weight), total)

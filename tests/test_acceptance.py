@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import scalar_reference as ref
 from antdistill import numerics, selection, tinynet
 from antdistill.cli import main, run_example_checks
-from antdistill.distill import KdConfig, distill_train, kd_loss, kd_loss_grad
+from antdistill.distill import _KD_LOSS, KdConfig, _kd_targets, distill_train, kd_loss
 from antdistill.metrics import ConfusionMatrix, class_report, confusion, micro_curves
 from antdistill.selection import AcoConfig, run_aco, run_grid, run_random, stub_pool
 from antdistill.temperature import ConstantPolicy, RuleBasedPolicy
@@ -68,16 +69,17 @@ def test_criterion_02_numerics_property_suite(seed):
         assert np.argmax(p) == np.argmax(z)
         shift = float(rng.uniform(-1e3, 1e3))
         assert np.max(np.abs(numerics.stable_softmax(z + shift, t) - p)) < 1e-12
-        e1 = numerics.normalized_entropy(numerics.stable_softmax(z, t))
-        e2 = numerics.normalized_entropy(numerics.stable_softmax(z, t * 2))
+        e1, e2 = numerics.normalized_entropy_rows(numerics.softmax_rows(np.array([z, z]),
+                                                                        np.array([t, t * 2])))
         assert e2 >= e1 - 1e-12
         assert np.max(np.abs(numerics.stable_softmax(z, 1e6) - 1.0 / c)) < 1e-3
     for _ in range(1000):
         c = int(rng.integers(2, 8))
         p = rng.dirichlet(np.ones(c))
         q = rng.dirichlet(np.ones(c))
-        assert numerics.kl_divergence(p, q) >= 0.0
-        assert numerics.kl_divergence(p, p) < 1e-12
+        target = numerics._kl_target(p[None])
+        assert numerics._kl_rows(*target, numerics._log_floor(q[None]))[0, 0] >= 0.0
+        assert numerics._kl_rows(*target, numerics._log_floor(p[None]))[0, 0] < 1e-12
     elapsed = time.time() - start
     assert elapsed < 10.0
     announce(2, True, f"softmax/KL properties hold (seed {seed}, {elapsed:.2f}s)")
@@ -87,7 +89,8 @@ def test_criterion_03_gradient_correctness():
     start = time.time()
     h = 1e-5
 
-    # distillation loss wrt student logits, 100 random instances
+    # distillation loss wrt student logits, 100 random instances: the
+    # gradient half of the loss pair training runs, on distill's targets
     rng = np.random.default_rng(7)
     worst_kd = 0.0
     for _ in range(100):
@@ -97,7 +100,10 @@ def test_criterion_03_gradient_correctness():
         temp = float(rng.uniform(0.3, 6))
         w = float(rng.random())
         y = int(rng.integers(0, c))
-        g = kd_loss_grad(s, tvec, y, temp, w)
+        temps, weights = np.array([temp]), np.array([w])
+        targets = _kd_targets(numerics.softmax_rows(tvec[None], temps), np.array([y]), temps,
+                              weights)
+        g = _KD_LOSS[0](s[None], *targets)[1][0]
         for j in range(c):
             up, down = s.copy(), s.copy()
             up[j] += h
@@ -107,29 +113,29 @@ def test_criterion_03_gradient_correctness():
             worst_kd = max(worst_kd, abs(g[j] - fd) / max(abs(g[j]), abs(fd), 1e-8))
     assert worst_kd < 1e-4
 
-    # MLP backprop wrt parameters, 100 random probes
+    # MLP backprop wrt parameters, 100 random probes: one sgd_fit mini-batch
+    # step into a gradient model
     model = tinynet.init_mlp([5, 8, 6, 4], seed=3)
     x = rng.normal(size=(6, 5))
     labels = rng.integers(0, 4, size=6)
 
     def sample_loss(logits, i):
-        p = numerics.stable_softmax(logits, 1.0)
+        p = ref.stable_softmax(logits, 1.0)
         onehot = np.zeros(4)
         onehot[labels[i]] = 1.0
-        return numerics.cross_entropy(int(labels[i]), p), p - onehot
+        return ref.cross_entropy(int(labels[i]), p), p - onehot
 
-    # the loss pair: its probabilities are the logits themselves
-    rows_loss = (
-        lambda logits, idx: (logits, np.array([sample_loss(logits[j], i)[1]
-                                               for j, i in enumerate(idx)])),
-        lambda logits, idx: np.array([sample_loss(logits[j], i)[0] for j, i in enumerate(idx)]),
-    )
+    # the gradient half of a loss pair: its probabilities are the logits themselves
+    def grad_rows(logits, idx):
+        return logits, np.array([sample_loss(logits[j], i)[1] for j, i in enumerate(idx)])
 
     def batch_loss(m):
         logits = tinynet.forward_batch(m, x)
         return float(np.mean([sample_loss(logits[i], i)[0] for i in range(6)]))
 
-    _, gw, gb = tinynet.loss_gradients(model, x, rows_loss, (np.arange(6),))
+    grads = tinynet.MlpModel(model.layer_dims, np.empty_like(model.params))
+    tinynet._step(model, x, grad_rows, (np.arange(6),), grads)
+    gw, gb = grads.weights, grads.biases
     worst_mlp = 0.0
     for _ in range(100):
         k = int(rng.integers(0, len(model.weights)))

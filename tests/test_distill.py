@@ -9,14 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from antdistill import tinynet
+from antdistill import numerics, tinynet
 from antdistill.distill import (
+    _KD_LOSS,
     DistillReport,
     KdConfig,
+    _kd_targets,
     distill_arms,
     distill_train,
     kd_loss,
-    kd_loss_grad,
 )
 from antdistill.errors import (
     InvalidPolicyParameters,
@@ -32,6 +33,15 @@ def naive_softmax(z, t):
     e = [math.exp(v / t) for v in z]
     s = sum(e)
     return [x / s for x in e]
+
+
+def kd_loss_grad(student_logits, teacher_logits, true_class, temperature, weight):
+    """d(total)/d(student logits) of one sample, from the gradient half of
+    the loss pair that training runs, on the targets distill_arms builds."""
+    temps, weights = np.array([temperature]), np.array([weight])
+    teacher_probs = numerics.softmax_rows(np.array([teacher_logits]), temps)
+    targets = _kd_targets(teacher_probs, np.array([true_class]), temps, weights)
+    return _KD_LOSS[0](np.array([student_logits], dtype=np.float64), *targets)[1][0]
 
 
 class TestKdLoss:
@@ -81,12 +91,18 @@ class TestKdLoss:
         with pytest.raises(NonPositiveTemperature):
             kd_loss([1.0, 2.0], [1.0, 2.0], 0, 0.0, 0.5)
 
-    @pytest.mark.parametrize("fn", [kd_loss, kd_loss_grad])
     @pytest.mark.parametrize("weight", [math.nan, -0.1, 1.5, 7.0])
-    def test_weight_outside_unit_interval_rejected(self, fn, weight):
+    def test_weight_outside_unit_interval_rejected(self, weight):
         message = re.escape(f"weight must lie in [0, 1], got {weight!r}")
         with pytest.raises(InvalidPolicyParameters, match=f"^{message}$"):
-            fn([1.0, 2.0], [2.0, 1.0], 0, 2.0, weight)
+            kd_loss([1.0, 2.0], [2.0, 1.0], 0, 2.0, weight)
+
+    @pytest.mark.parametrize("t_base", [math.nan, -0.1, 1.5, 7.0])
+    def test_run_weight_outside_unit_interval_rejected(self, t_base):
+        # the training path's weight: KdConfig.t_base, checked at the config
+        message = re.escape(f"t_base must lie in [0, 1], got {t_base!r}")
+        with pytest.raises(InvalidPolicyParameters, match=f"^{message}$"):
+            KdConfig(ConstantPolicy(2.0), t_base=t_base)
 
 
 class TestKdLossGrad:
@@ -123,6 +139,27 @@ class TestKdLossGrad:
                 rel = abs(g[j] - fd) / max(abs(g[j]), abs(fd), 1e-8)
                 worst = max(worst, rel)
         assert worst < 1e-4
+
+    @pytest.mark.parametrize("weight", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("temperature", [0.25, 1.0, 8.0])
+    def test_finite_difference_at_the_blend_corners(self, temperature, weight):
+        # w = 0 is cross-entropy alone, w = 1 the T^2-scaled KL alone
+        s = np.array([0.4, -1.1, 2.0, 0.3])
+        t = np.array([1.5, 0.2, -0.7, 0.9])
+        h = 1e-5
+        grads = []
+        for y in range(4):
+            g = kd_loss_grad(s, t, y, temperature, weight)
+            for j in range(4):
+                up, down = s.copy(), s.copy()
+                up[j] += h
+                down[j] -= h
+                fd = (kd_loss(up, t, y, temperature, weight).total
+                      - kd_loss(down, t, y, temperature, weight).total) / (2 * h)
+                assert abs(g[j] - fd) / max(abs(g[j]), abs(fd), 1e-8) < 1e-4
+            grads.append(g)
+        if weight == 1.0:  # the label drops out of the gradient, bit for bit
+            assert all(np.array_equal(g, grads[0]) for g in grads)
 
 
 class TestDistillTrain:

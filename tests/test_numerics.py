@@ -11,12 +11,11 @@ import math
 import numpy as np
 import pytest
 
-from antdistill import numerics
+import scalar_reference as ref
+from antdistill import numerics, tinynet
 from antdistill.errors import (
-    IndexOutOfRange,
     InvalidDistribution,
     InvalidShape,
-    LengthMismatch,
     NonFiniteInput,
     NonPositiveTemperature,
 )
@@ -36,6 +35,25 @@ def naive_softmax(z, t):
 
 def naive_entropy(p):
     return -sum(x * math.log(x) for x in p if x > 0.0)
+
+
+def kl_divergence(p, q) -> float:
+    """KL(p || q) by the kernels the distillation loss half runs."""
+    p, q = np.asarray([p], dtype=np.float64), np.asarray([q], dtype=np.float64)
+    return float(numerics._kl_rows(*numerics._kl_target(p), numerics._log_floor(q))[0, 0])
+
+
+def cross_entropy(true_class, logits) -> float:
+    """Cross-entropy of softmax(logits) at true_class, by both halves of the
+    supervised loss pair."""
+    grad_rows, loss_rows = tinynet._CROSS_ENTROPY
+    targets = tinynet._one_hot(np.array([true_class]), len(logits))
+    p, _ = grad_rows(np.asarray([logits], dtype=np.float64), *targets)
+    return float(loss_rows(p, *targets)[0])
+
+
+def normalized_entropy(p) -> float:
+    return float(numerics.normalized_entropy_rows(np.asarray([p], dtype=np.float64))[0])
 
 
 class TestStableSoftmax:
@@ -96,7 +114,7 @@ class TestStableSoftmax:
         for _ in range(100):
             z = rng.uniform(-10, 10, size=6)
             temps = [0.25, 0.5, 1.0, 2.0, 4.0, 16.0]
-            ents = [numerics.normalized_entropy(numerics.stable_softmax(z, t)) for t in temps]
+            ents = [normalized_entropy(numerics.stable_softmax(z, t)) for t in temps]
             assert all(b >= a - 1e-12 for a, b in zip(ents, ents[1:]))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -120,18 +138,32 @@ class TestStableSoftmax:
             numerics.stable_softmax([1.0], 1.0)
 
 
+class TestAsDistribution:
+    @pytest.mark.parametrize("p, error", [
+        ([0.5], InvalidShape),
+        ([[0.5, 0.5]], InvalidShape),
+        ([0.5, 0.6], InvalidDistribution),
+        ([0.7, 0.7], InvalidDistribution),
+        ([1.2, -0.2], InvalidDistribution),
+        ([np.nan, 1.0], InvalidDistribution),
+    ])
+    def test_errors(self, p, error):
+        with pytest.raises(error):
+            numerics.as_distribution(p)
+
+
 class TestKlDivergence:
     def test_identical_is_zero(self):
-        assert numerics.kl_divergence([0.5, 0.5], [0.5, 0.5]) == 0.0
+        assert kl_divergence([0.5, 0.5], [0.5, 0.5]) == 0.0
 
     def test_onehot_vs_uniform(self):
-        assert abs(numerics.kl_divergence([1.0, 0.0], [0.5, 0.5]) - math.log(2)) < 1e-6
+        assert abs(kl_divergence([1.0, 0.0], [0.5, 0.5]) - math.log(2)) < 1e-6
 
     def test_matches_direct_sum_oracle(self):
         p = [0.59, 0.28, 0.13]
         q = [0.33, 0.33, 0.34]
         oracle = sum(pi * math.log(pi / qi) for pi, qi in zip(p, q))
-        got = numerics.kl_divergence(p, q)
+        got = kl_divergence(p, q)
         assert got > 0
         assert abs(got - oracle) < 1e-9
 
@@ -141,51 +173,69 @@ class TestKlDivergence:
             c = rng.integers(2, 10)
             p = rng.dirichlet(np.ones(c))
             q = rng.dirichlet(np.ones(c))
-            assert numerics.kl_divergence(p, q) >= 0.0
-            assert numerics.kl_divergence(p, p) < 1e-12
+            assert kl_divergence(p, q) >= 0.0
+            assert kl_divergence(p, p) < 1e-12
 
-    def test_errors(self):
-        with pytest.raises(LengthMismatch):
-            numerics.kl_divergence([0.5, 0.5], [0.3, 0.3, 0.4])
-        with pytest.raises(InvalidDistribution):
-            numerics.kl_divergence([0.9, 0.9], [0.5, 0.5])
+    @pytest.mark.parametrize("p, q", [
+        ([0.5, 0.5], [0.5, 0.5]),
+        ([1.0, 0.0], [0.5, 0.5]),
+        ([0.5, 0.5], [1.0, 0.0]),  # a zero q is floored at EPS
+        ([1.0, 0.0, 0.0], [0.0, 0.0, 1.0]),
+        ([0.0, 1.0], [0.0, 1.0]),
+        ([0.59, 0.28, 0.13], [0.33, 0.33, 0.34]),
+    ])
+    def test_edge_pairs_equal_the_reference(self, p, q):
+        got = kl_divergence(p, q)
+        assert got == ref.kl_divergence(p, q)
+        assert got >= 0.0
 
 
 class TestCrossEntropy:
     def test_confident_correct_is_near_zero(self):
         eps = 1e-9
-        assert numerics.cross_entropy(0, [1.0 - eps, eps]) < 1e-8
+        assert cross_entropy(0, np.log([1.0 - eps, eps])) < 1e-8
 
     def test_onehot_uniform(self):
-        assert abs(numerics.cross_entropy(1, [0.5, 0.5]) - math.log(2)) < 1e-12
+        assert abs(cross_entropy(1, [0.0, 0.0]) - math.log(2)) < 1e-12
 
-    def test_soft_target_uniform(self):
-        assert abs(numerics.cross_entropy([0.5, 0.5], [0.5, 0.5]) - math.log(2)) < 1e-12
-
-    def test_errors(self):
-        with pytest.raises(IndexOutOfRange):
-            numerics.cross_entropy(2, [0.5, 0.5])
-        with pytest.raises(LengthMismatch):
-            numerics.cross_entropy([0.5, 0.5], [0.3, 0.3, 0.4])
+    @pytest.mark.parametrize("true_class, logits", [
+        (1, [0.0, 0.0]),
+        (1, [1000.0, -1000.0]),  # the class's probability is 0, floored at EPS
+        (0, [1000.0, -1000.0]),
+        (2, [2.0, 0.5, -1.0]),
+        (0, [-30.0, 30.0, 0.0]),
+    ])
+    def test_edge_logits_equal_the_reference(self, true_class, logits):
+        want = ref.cross_entropy(true_class, ref.stable_softmax(logits, 1.0))
+        assert cross_entropy(true_class, logits) == want
+        assert 0.0 <= want <= -math.log(numerics.EPS)
 
 
 class TestNormalizedEntropy:
     def test_onehot_is_zero(self):
         # +0.0, though the negated sum of zero terms is -0.0
-        value = numerics.normalized_entropy([1.0, 0.0, 0.0])
-        assert value == 0.0 and math.copysign(1.0, value) == 1.0
         rows = numerics.normalized_entropy_rows(np.eye(3))
         assert np.all(rows == 0.0) and not np.any(np.signbit(rows))
 
     def test_uniform_is_one(self):
         for c in (2, 3, 7):
-            assert abs(numerics.normalized_entropy(np.full(c, 1.0 / c)) - 1.0) < 1e-12
+            assert abs(normalized_entropy(np.full(c, 1.0 / c)) - 1.0) < 1e-12
 
     def test_matches_direct_sum_oracle(self):
         p = [0.59, 0.28, 0.13]
         oracle = naive_entropy(p) / math.log(3)
-        assert abs(numerics.normalized_entropy(p) - oracle) < 1e-9
+        assert abs(normalized_entropy(p) - oracle) < 1e-9
 
-    def test_invalid_distribution(self):
-        with pytest.raises(InvalidDistribution):
-            numerics.normalized_entropy([0.7, 0.7])
+    @pytest.mark.parametrize("p", [
+        [1.0, 0.0, 0.0],
+        [0.5, 0.5],
+        [1 / 3, 1 / 3, 1 / 3],
+        [1 / 7] * 7,
+        [0.5, 0.5, 0.0],
+        [1.0 - 1e-15, 1e-15],
+        [0.59, 0.28, 0.13],
+    ])
+    def test_edge_rows_equal_the_reference(self, p):
+        got = normalized_entropy(p)
+        assert got == ref.normalized_entropy(p)
+        assert 0.0 <= got <= 1.0

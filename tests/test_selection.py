@@ -431,11 +431,22 @@ class TestLoadPoolInputs:
         {"candidates": [{"name": "a", "hidden_dims": [4], "epoch": 1, "learning_rte": 0.5}]},
         {"candidates": [{"name": "b", "stub_scor": 0.5, "hidden_dims": [2]}]},
         {"candidates": [{"name": "c", "stub_score": 0.5, "hidden_dims": [2]}]},
+        {"candidates": [{"name": "a", "stub_score": 1.5}]},
+        {"candidates": [{"name": "a", "stub_score": -0.1}]},
+        {"candidates": [{"name": "a", "stub_score": float("nan")}]},
     ])
     def test_malformed_entry_is_parse_error(self, tmp_path, doc):
         path = tmp_path / "pool.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError):
+            selection.load_pool(path)
+
+    @pytest.mark.parametrize("score", [1.5, -0.1, float("nan")])
+    def test_stub_score_outside_unit_interval_names_file_and_candidate(self, tmp_path, score):
+        path = tmp_path / "pool.json"
+        path.write_text(json.dumps({"candidates": [{"name": "a", "stub_score": score}]}))
+        message = f"{path}: candidate 'a': stub_score must lie in [0, 1], got {score}"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             selection.load_pool(path)
 
     @pytest.mark.parametrize("entry, key", [

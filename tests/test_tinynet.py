@@ -29,14 +29,14 @@ def small_dataset(seed=0, complexity=0.0, n=300, c=3, d=4):
 
 
 def ce_loss(labels, n_classes):
-    """Loss pair built row by row from the scalar numerics oracle; its one
-    target is each row's index into labels, and its probabilities are the
-    logits themselves."""
+    """Loss pair built row by row from the scalar reference; its one target
+    is each row's index into labels, and its probabilities are the logits
+    themselves."""
     def sample_loss(logits, i):
-        p = numerics.stable_softmax(logits, 1.0)
+        p = ref.stable_softmax(logits, 1.0)
         onehot = np.zeros(n_classes)
         onehot[labels[i]] = 1.0
-        return numerics.cross_entropy(int(labels[i]), p), p - onehot
+        return ref.cross_entropy(int(labels[i]), p), p - onehot
 
     def grad_rows(logits, idx):
         return logits, np.array([sample_loss(logits[j], i)[1] for j, i in enumerate(idx)])
@@ -86,32 +86,33 @@ class TestForward:
             tinynet.forward_batch(m, np.ones((1, 5)))
 
 
+def step_gradients(model, x, loss, targets):
+    """(mean batch loss, gradient model) of one sgd_fit mini-batch: the
+    forward pass, the gradient half and the backward pass of tinynet._step,
+    then the loss half on the probabilities it returned."""
+    grads = tinynet.MlpModel(model.layer_dims, np.empty_like(model.params))
+    probs = tinynet._step(model, x, loss[0], targets, grads)
+    return float(np.mean(loss[1](probs, *targets))), grads
+
+
 class TestLossGradients:
     def test_constant_loss_gives_zero_gradients(self):
         m = tinynet.init_mlp([4, 6, 3], seed=2)
         x = np.random.default_rng(0).normal(size=(5, 4))
         constant = (lambda logits: (logits, np.zeros_like(logits)),
                     lambda logits: np.ones(logits.shape[0]))
-        _, gw, gb = tinynet.loss_gradients(m, x, constant, ())
-        assert all(np.all(g == 0) for g in gw)
-        assert all(np.all(g == 0) for g in gb)
-
-    def test_nan_batch_loss_raises(self):
-        m = tinynet.init_mlp([4, 6, 3], seed=2)
-        x = np.random.default_rng(0).normal(size=(5, 4))
-        with pytest.raises(NonFiniteLoss, match="^batch loss is nan$"):
-            tinynet.loss_gradients(m, x, nan_loss, ())
+        _, grads = step_gradients(m, x, constant, ())
+        assert np.all(grads.params == 0)
 
     def test_duplicated_sample_equals_single(self):
         m = tinynet.init_mlp([4, 6, 3], seed=2)
         rng = np.random.default_rng(1)
         x = rng.normal(size=(1, 4))
-        labels = np.array([1])
         loss = ce_loss(np.array([1, 1, 1, 1]), 3)
-        l1, gw1, gb1 = tinynet.loss_gradients(m, x, loss, (np.arange(1),))
-        lk, gwk, gbk = tinynet.loss_gradients(m, np.repeat(x, 4, axis=0), loss, (np.arange(4),))
+        l1, g1 = step_gradients(m, x, loss, (np.arange(1),))
+        lk, gk = step_gradients(m, np.repeat(x, 4, axis=0), loss, (np.arange(4),))
         assert abs(l1 - lk) < 1e-12
-        for a, b in zip(gw1, gwk):
+        for a, b in zip(g1.weights, gk.weights):
             np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_finite_difference_agreement(self):
@@ -126,7 +127,8 @@ class TestLossGradients:
             logits = tinynet.forward_batch(model, x)
             return float(np.mean(loss[1](logits, np.arange(6))))
 
-        _, gw, gb = tinynet.loss_gradients(m, x, loss, (np.arange(6),))
+        _, grads = step_gradients(m, x, loss, (np.arange(6),))
+        gw, gb = grads.weights, grads.biases
         h = 1e-5
         worst = 0.0
         for _ in range(100):
@@ -543,9 +545,6 @@ class TestStackedModel:
         stack = tinynet.stack_models([tinynet.init_mlp([4, 5, 3], seed=0)] * 2)
         with pytest.raises(ShapeMismatch, match="^expected one model, got a stack of 2$"):
             tinynet.accuracy(stack, ds.features, ds.labels)
-        with pytest.raises(ShapeMismatch, match="^expected one model, got a stack of 2$"):
-            tinynet.loss_gradients(stack, ds.features[:5], tinynet._CROSS_ENTROPY,
-                                   tinynet._one_hot(ds.labels[:5], 3))
 
     def test_models_of_other_layer_dims_do_not_stack(self):
         with pytest.raises(ShapeMismatch, match="same layer_dims"):
