@@ -27,7 +27,7 @@ import numpy as np
 from . import metrics, numerics, selection, tinynet
 from .config import DataConfig, NetConfig, RunConfig, load_config
 from .distill import KdConfig, distill_arms, distill_train
-from .errors import ConfigParseError, ParseError, VerificationFailed
+from .errors import ConfigParseError, InvalidDistribution, ParseError, VerificationFailed
 from .selection import AcoConfig, PsoConfig
 from .temperature import (
     POLICIES,
@@ -235,11 +235,19 @@ def cmd_evaluate(args) -> int:
     )
     if n_classes > MAX_EVAL_CLASSES:
         raise ParseError(f"{n_classes} classes; evaluate takes at most {MAX_EVAL_CLASSES}")
+    for path, ids in ((args.predictions, preds), (args.labels, labels)):
+        if (bad := (ids < 0) | (ids >= n_classes)).any():
+            raise ParseError(f"{path}: data row {np.argmax(bad) + 1}: class index outside "
+                             f"[0, {n_classes})")
     cm = metrics.confusion(preds, labels, n_classes)
     rep = metrics.class_report(cm)
     roc = pr = None
     if probs is not None:
-        roc, pr = metrics.micro_curves(probs, labels)
+        try:
+            roc, pr = metrics.micro_curves(probs, labels)
+        except InvalidDistribution as exc:  # a valid matrix is checked once, in micro_curves
+            raise ParseError(f"{args.predictions}: data row "
+                             f"{metrics._first_bad_row(probs) + 1}: {exc}") from None
     else:
         print("warning: no probability columns, skipping AUC/AP")
 

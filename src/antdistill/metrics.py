@@ -109,14 +109,14 @@ def class_report(cm: ConfusionMatrix) -> ClassReport:
 # ---------------------------------------------------------------------------
 
 
-def _check_rows(p: np.ndarray) -> None:
-    """`as_distribution` on every row of a C-contiguous (n, C) matrix at once.
+def _first_bad_row(p: np.ndarray):
+    """The index of the first row of a C-contiguous (n, C) matrix that
+    `as_distribution` rejects, or None.
 
-    The mask applies its checks and tolerance to all rows in one pass; the
-    first bad row then goes through `as_distribution`, which raises the
-    error the row-by-row loop would. C order matters: on a Fortran-ordered
-    matrix `sum(axis=1)` adds in another order than a row's own `sum()`,
-    and can differ from it in the last bit.
+    The mask applies its checks and tolerance to all rows in one pass. C
+    order matters: on a Fortran-ordered matrix `sum(axis=1)` adds in
+    another order than a row's own `sum()`, and can differ from it in the
+    last bit.
     """
     with np.errstate(invalid="ignore"):  # inf - inf in a row sum
         bad = (
@@ -126,8 +126,7 @@ def _check_rows(p: np.ndarray) -> None:
             | (p > 1.0 + _DIST_TOL).any(axis=1)
             | (np.abs(p.sum(axis=1) - 1.0) > _DIST_TOL)
         )
-    if bad.any():
-        as_distribution(p[np.argmax(bad)])
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 def _flatten_ovr(probabilities, labels):
@@ -139,7 +138,8 @@ def _flatten_ovr(probabilities, labels):
     if p.shape[0] < 2:
         raise InvalidShape("need at least 2 samples")
     p = np.ascontiguousarray(p)
-    _check_rows(p)
+    if (row := _first_bad_row(p)) is not None:
+        as_distribution(p[row])  # raises the error a row-by-row check would
     if y.min() < 0 or y.max() >= p.shape[1]:
         raise IndexOutOfRange(f"label outside [0, {p.shape[1]})")
     scores = p.ravel()

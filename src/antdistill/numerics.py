@@ -51,8 +51,8 @@ def as_distribution(values) -> np.ndarray:
         raise InvalidDistribution("distribution contains NaN or Inf")
     if np.any(p < -_DIST_TOL) or np.any(p > 1.0 + _DIST_TOL):
         raise InvalidDistribution("distribution entries outside [0, 1]")
-    if abs(float(p.sum()) - 1.0) > _DIST_TOL:
-        raise InvalidDistribution(f"distribution sums to {p.sum()!r}, not 1")
+    if abs((total := float(p.sum())) - 1.0) > _DIST_TOL:
+        raise InvalidDistribution(f"distribution sums to {total!r}, not 1")
     return p
 
 

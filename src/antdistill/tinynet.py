@@ -12,7 +12,8 @@ derive_seed turns a tuple of integers into such a seed.
 A training loss is a pair of row kernels: a gradient half, called on
 every mini-batch, that returns the probabilities and d(loss)/d(logits),
 and a loss half that turns probabilities into per-row losses. sgd_fit
-calls the loss half once per epoch, on every row's probabilities.
+calls the loss half once per epoch, on every row's probabilities, and
+sums each arm's row losses with one cumulative sum.
 
 sgd_fit trains one model, or k models of the same shape in lockstep:
 stack_models stacks their parameter vectors into a (k, P) matrix, and
@@ -474,23 +475,6 @@ def accuracy(model: MlpModel, features, labels) -> float:
     return float(np.mean(np.argmax(logits, axis=1) == labels))
 
 
-def _epoch_loss(losses, batch_size: int, params_finite) -> float:
-    """The sum of one arm's row losses, added one row at a time in batch
-    order, so that train_loss does not depend on the order in which numpy
-    would sum. A sum that became non-finite after some batch raises
-    NonFiniteLoss with the sum after that batch, and then so do
-    parameters that are not finite."""
-    loss_sum = 0.0
-    for start in range(0, len(losses), batch_size):
-        for loss_value in losses[start : start + batch_size]:
-            loss_sum += loss_value
-        if not math.isfinite(loss_sum):
-            raise NonFiniteLoss(f"training loss became {loss_sum!r}")
-    if not params_finite:
-        raise NonFiniteLoss("training left non-finite parameters")
-    return loss_sum
-
-
 def sgd_fit(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig, loss, targets):
     """Shared SGD loop over the train split; returns (model, history), or
     for a stack of k models (stack, list of k histories).
@@ -502,10 +486,11 @@ def sgd_fit(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig, loss, 
     per-row losses. Each epoch gathers the features and every target in
     the epoch's shuffled order once; each mini-batch then calls
     grad_rows(logits, *target rows), with views of those gathers, and
-    keeps the probabilities it returns in one epoch-sized array. The
-    gradient needs only them, so the losses wait for the end of the
-    epoch: one loss_rows call on the whole array gives every row's loss,
-    which are added one at a time in batch order.
+    keeps the probabilities it returns in a list. The gradient needs only
+    them, so the losses wait for the end of the epoch: one loss_rows call
+    on the concatenated probabilities gives every row's loss, and one
+    cumulative sum over each arm's rows, from 0.0 in batch order, adds
+    them as a loop would.
 
     A stack of k models, the arms, trains in lockstep on a dataset of k
     equal blocks of rows, block a for arm a, as stack_datasets builds it.
@@ -547,6 +532,7 @@ def sgd_fit(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig, loss, 
     targets = [np.reshape(t, (*lead, n, *np.shape(t)[1:])) for t in targets]
     batches = [slice(start, start + cfg.batch_size)
                for start in range(0, train_idx.size, cfg.batch_size)]
+    ends = [min(rows.stop, train_idx.size) - 1 for rows in batches]  # each batch's last row
     if axis:
         batches = [(slice(None), rows) for rows in batches]
     val_x, val_y = np.take(features, val_idx, axis=axis), dataset.labels[val_idx]
@@ -557,41 +543,37 @@ def sgd_fit(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig, loss, 
     x = np.take(features, train_idx, axis=axis)
     columns = [np.take(t, train_idx, axis=axis) for t in targets]
     rng = np.random.default_rng(cfg.seed)
-    histories = [TrainHistory() for _ in range(k)]
+    train_loss, val_accuracy = [], []  # one (k,) row per epoch
     failures = {}  # arm -> the NonFiniteLoss its own sgd_fit call would raise
-    epoch_probs = None
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(cfg.epochs):
             order = train_idx[rng.permutation(train_idx.size)]
             np.take(features, order, axis=axis, out=x, mode="clip")
             for t, c in zip(targets, columns):
                 np.take(t, order, axis=axis, out=c, mode="clip")
+            probs = []
             for rows in batches:
-                probs = _step(model, x[rows], grad_rows, [c[rows] for c in columns], grads)
-                if epoch_probs is None:
-                    shape = list(probs.shape)
-                    shape[axis] = order.size
-                    epoch_probs = np.empty(shape)
-                epoch_probs[rows] = probs
+                probs.append(_step(model, x[rows], grad_rows, [c[rows] for c in columns], grads))
                 params -= cfg.learning_rate * grads.params
-            losses = np.reshape(loss_rows(epoch_probs, *columns), (k, -1)).tolist()
-            finite = np.isfinite(params.reshape(k, -1)).all(axis=1)
-            for arm in range(k):
-                if arm not in failures:
-                    try:
-                        loss_sum = _epoch_loss(losses[arm], cfg.batch_size, finite[arm])
-                    except NonFiniteLoss as exc:
-                        failures[arm] = exc
-                    else:
-                        histories[arm].train_loss.append(loss_sum / order.size)
+            losses = np.reshape(loss_rows(np.concatenate(probs, axis=axis), *columns), (k, -1))
+            # each arm's running sum at each batch's end, added in batch order;
+            # + 0.0 starts it from 0.0, as a loop does: -0.0 + 0.0 is 0.0
+            sums = (np.cumsum(losses, axis=1) + 0.0)[:, ends]
+            bad = ~np.isfinite(sums)  # a sum stays non-finite once it is
+            broken = ~np.isfinite(params.reshape(k, -1)).all(axis=1)
+            for arm in np.flatnonzero(bad[:, -1] | broken):
+                failures.setdefault(int(arm), NonFiniteLoss(
+                    f"training loss became {float(sums[arm, bad[arm].argmax()])!r}"
+                    if bad[arm, -1] else "training left non-finite parameters"))
             if 0 in failures:
                 break
+            train_loss.append(sums[:, -1] / order.size)
             val_pred = np.argmax(_forward(model, val_x)[0], axis=-1)
-            accuracies = np.reshape(np.mean(val_pred == val_y, axis=-1), k).tolist()
-            for history, acc in zip(histories, accuracies):
-                history.val_accuracy.append(acc)
+            val_accuracy.append(np.reshape(np.mean(val_pred == val_y, axis=-1), k))
     if failures:
         raise failures[min(failures)]
+    histories = [TrainHistory(*arm) for arm in zip(np.transpose(train_loss).tolist(),
+                                                    np.transpose(val_accuracy).tolist())]
     return model, (histories if axis else histories[0])
 
 

@@ -1072,6 +1072,27 @@ class TestEvaluateInputs:
             f"error: {tmp_path / name}: could not convert string '{cell}' to {dtype} "
             f"at data row {row}, column {column}\n")
 
+    @pytest.mark.parametrize("pred_text, label_text, name, message", [
+        ("pred,p0,p1\n0,1.0,0.0\n1,0.5,0.6\n", "label\n0\n1\n", "preds.csv",
+         "distribution sums to 1.1, not 1"),
+        ("pred,p0,p1\n0,1.0,0.0\n\n1,nan,0.5\n", "label\n0\n1\n", "preds.csv",
+         "distribution contains NaN or Inf"),
+        ("pred,p0,p1\n0,1.0,0.0\n1,1.5,-0.5\n", "label\n0\n1\n", "preds.csv",
+         "distribution entries outside [0, 1]"),
+        ("pred,p0,p1\n0,1.0,0.0\n2,0.5,0.5\n", "label\n0\n1\n", "preds.csv",
+         "class index outside [0, 2)"),
+        ("pred\n0\n1\n", "label\n0\n\n-1\n", "labels.csv", "class index outside [0, 2)"),
+    ], ids=["probability-sum", "probability-nan", "probability-range", "prediction-id",
+            "label-id"])
+    def test_bad_value_is_exit_2_naming_its_file_and_data_row(
+            self, tmp_path, capsys, pred_text, label_text, name, message):
+        # an empty line is not a data row, so each bad value is in data row 2
+        preds = write(tmp_path / "preds.csv", pred_text)
+        labels = write(tmp_path / "labels.csv", label_text)
+        assert main(["evaluate", "--predictions", str(preds), "--labels", str(labels),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == f"error: {tmp_path / name}: data row 2: {message}\n"
+
     @pytest.mark.parametrize("pred_text", ["pred\n0\n1\n", "pred,p0,p1\n0,1.0,0.0\n1,0.5,0.5\n"],
                              ids=["pred", "probabilities"])
     def test_row_count_mismatch_names_both_files(self, tmp_path, capsys, pred_text):

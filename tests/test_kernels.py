@@ -312,27 +312,33 @@ PUBLIC = {
 }
 Z = [1.0, 2.0, 0.5]
 CTX = ContextFeatures(0.2, 0.6, 0.7, 0.3)
-BAD_LOGITS = [[1.0], [[1.0, 2.0]], [], [np.nan, 1.0], [np.inf, 0.0]]
-BAD_TEMPERATURES = [0.0, -1.0, np.nan]
+# each bad input by the label its test ids carry
+BAD_LOGITS = {"one-logit": [1.0], "matrix": [[1.0, 2.0]], "empty": [], "nan": [np.nan, 1.0],
+              "inf": [np.inf, 0.0]}
+BAD_TEMPERATURES = {"t-zero": 0.0, "t-negative": -1.0, "t-nan": np.nan}
+BAD_CONTEXTS = {"noise-1.5": (1.5, 0.3), "noise--0.1": (-0.1, 0.3), "noise-nan": (np.nan, 0.3),
+                "complexity-1.5": (0.2, 1.5), "complexity--0.5": (0.2, -0.5)}
+# (function name, label of the bad input, args); the two name each case,
+# so that adding or removing one renames no other
 INVALID_CALLS = (
-    [("stable_softmax", (z,)) for z in BAD_LOGITS]
-    + [("stable_softmax", (Z, t)) for t in BAD_TEMPERATURES]
-    + [("kd_loss", (z, Z, 0, 2.0, 0.5)) for z in BAD_LOGITS]
-    + [("kd_loss", (Z, z, 0, 2.0, 0.5)) for z in BAD_LOGITS]
-    + [("kd_loss", (Z, Z[:2], 0, 2.0, 0.5))]
-    + [("kd_loss", (Z, Z, 0, t, 0.5)) for t in BAD_TEMPERATURES]
-    + [("kd_loss", (Z, Z, c, 2.0, 0.5)) for c in (-1, 3)]
-    + [("compute_context", (z, 0.2, 0.3)) for z in BAD_LOGITS]
-    + [("compute_context", (Z, noise, complexity)) for noise, complexity in (
-        (1.5, 0.3), (-0.1, 0.3), (np.nan, 0.3), (0.2, 1.5), (0.2, -0.5))]
-    + [("apply_policy", (policy, CTX, w))
+    [("stable_softmax", label, (z,)) for label, z in BAD_LOGITS.items()]
+    + [("stable_softmax", label, (Z, t)) for label, t in BAD_TEMPERATURES.items()]
+    + [("kd_loss", f"student-{label}", (z, Z, 0, 2.0, 0.5)) for label, z in BAD_LOGITS.items()]
+    + [("kd_loss", f"teacher-{label}", (Z, z, 0, 2.0, 0.5)) for label, z in BAD_LOGITS.items()]
+    + [("kd_loss", "lengths-differ", (Z, Z[:2], 0, 2.0, 0.5))]
+    + [("kd_loss", label, (Z, Z, 0, t, 0.5)) for label, t in BAD_TEMPERATURES.items()]
+    + [("kd_loss", f"class-{c}", (Z, Z, c, 2.0, 0.5)) for c in (-1, 3)]
+    + [("compute_context", label, (z, 0.2, 0.3)) for label, z in BAD_LOGITS.items()]
+    + [("compute_context", label, (Z, *context)) for label, context in BAD_CONTEXTS.items()]
+    + [("apply_policy", f"{type(policy).__name__}-weight-{w}", (policy, CTX, w))
        for policy in POLICY_DEFAULTS for w in (1.2, -0.2, np.nan)]
-    + [("apply_policy", (object(), CTX))]
+    + [("apply_policy", "not-a-policy", (object(), CTX))]
 )
 
 
 class TestOneSampleFunctions:
-    @pytest.mark.parametrize("name, args", INVALID_CALLS)
+    @pytest.mark.parametrize("name, args", [
+        pytest.param(name, args, id=f"{name}-{label}") for name, label, args in INVALID_CALLS])
     def test_invalid_input_raises_as_the_reference(self, name, args):
         want = _outcome(getattr(ref, name), *args)
         assert want is not None

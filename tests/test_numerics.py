@@ -151,6 +151,12 @@ class TestAsDistribution:
         with pytest.raises(error):
             numerics.as_distribution(p)
 
+    def test_bad_sum_is_printed_as_a_plain_float(self):
+        with pytest.raises(InvalidDistribution) as info:
+            numerics.as_distribution([0.5, 0.6])
+        assert "np.float64(" not in str(info.value)
+        assert str(info.value) == "distribution sums to 1.1, not 1"
+
 
 class TestKlDivergence:
     def test_identical_is_zero(self):

@@ -693,6 +693,19 @@ class TestSgdFitMatchesReferenceLoop:
         got, want = outcomes((policy, teacher, student, ds, cfg, t_base))
         assert got == want
 
+    @staticmethod
+    def row_loss_outcomes(values, ds, cfg):
+        """fit_outcome of sgd_fit and of the reference loop, as reprs, when
+        every row's loss is its entry of values: repr tells -0.0 from 0.0."""
+        model = tinynet.init_mlp([4, 3], seed=0)
+        pair = (lambda logits, v: (logits, np.zeros_like(logits)), lambda logits, v: v)
+
+        def batch_loss(logits, idx):
+            return values[idx], np.zeros_like(logits)
+
+        return (repr(fit_outcome(lambda: tinynet.sgd_fit(model, ds, cfg, pair, (values,)))),
+                repr(fit_outcome(lambda: ref.sgd_fit(model, ds, cfg, batch_loss))))
+
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_non_finite_row_losses_raise_the_reference_error(self, data):
@@ -700,18 +713,15 @@ class TestSgdFitMatchesReferenceLoop:
         # after the first batch that made it non-finite, not at the epoch end
         ds = small_dataset(seed=data.draw(st.integers(0, 99)), n=60)
         values = data.draw(hnp.arrays(np.float64, ds.n_samples, elements=st.sampled_from(
-            [np.inf, -np.inf, np.nan]) | st.floats(0.0, 10.0)))
+            [np.inf, -np.inf, np.nan, -0.0]) | st.floats(0.0, 10.0)))
         cfg = tinynet.TrainConfig(epochs=2, batch_size=data.draw(st.integers(1, 50)),
                                   seed=data.draw(st.integers(0, 99)))
-        model = tinynet.init_mlp([4, 3], seed=0)
-        pair = (lambda logits, v: (logits, np.zeros_like(logits)), lambda logits, v: v)
-
-        def batch_loss(logits, idx):
-            return values[idx], np.zeros_like(logits)
-
-        got = fit_outcome(lambda: tinynet.sgd_fit(model, ds, cfg, pair, (values,)))
-        want = fit_outcome(lambda: ref.sgd_fit(model, ds, cfg, batch_loss))
+        got, want = self.row_loss_outcomes(values, ds, cfg)
         assert got == want
+        # the reference starts each epoch's sum at 0.0, so rows that all
+        # lose -0.0 give a train_loss of 0.0, not -0.0
+        got, want = self.row_loss_outcomes(np.full(ds.n_samples, -0.0), ds, cfg)
+        assert got == want and "[0.0, 0.0]" in want
 
     def test_loss_that_turns_non_finite_in_a_middle_batch(self):
         ds = small_dataset(seed=3)
