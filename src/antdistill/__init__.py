@@ -6,7 +6,7 @@ from .metrics import (
     ConfusionMatrix,
     class_report,
     confusion,
-    micro_curves,
+    micro_auc_ap,
 )
 from .numerics import stable_softmax
 from .selection import (

@@ -25,10 +25,15 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, numerics, selection, tinynet
-from .config import DataConfig, NetConfig, RunConfig, load_config
+from .config import STRATEGIES, DataConfig, NetConfig, RunConfig, load_config
 from .distill import KdConfig, distill_arms, distill_train
-from .errors import ConfigParseError, InvalidDistribution, ParseError, VerificationFailed
-from .selection import AcoConfig, PsoConfig
+from .errors import (
+    ConfigParseError,
+    InvalidDistribution,
+    InvalidShape,
+    ParseError,
+    VerificationFailed,
+)
 from .temperature import (
     POLICIES,
     ConstantPolicy,
@@ -97,12 +102,7 @@ def cmd_select(args) -> int:
     dataset = _build_dataset(cfg)[1] if cfg.has("data") else None
     pool = selection.load_pool(pool_path, dataset)
 
-    run, config_cls = {
-        "aco": (selection.run_aco, AcoConfig),
-        "random": (selection.run_random, None),
-        "grid": (selection.run_grid, None),
-        "pso": (selection.run_pso, PsoConfig),
-    }[strategy]
+    run, config_cls = STRATEGIES[strategy]
     strategy_cfg = {"cfg": cfg.build(strategy, config_cls)} if config_cls else {}
     report = cfg.build(strategy, run, pool=pool, **strategy_cfg)
 
@@ -163,10 +163,10 @@ def cmd_distill(args) -> int:
     if not args.ablation:
         trained, report = distill_train(teacher, student, experiment, kd_cfg(policy))
         rep, logits, labels = _test_report(trained, experiment)
-        roc, pr = metrics.micro_curves(numerics.softmax_rows(logits), labels)
+        micro = metrics.micro_auc_ap(numerics.softmax_rows(logits), labels)
         (out / "distill_report.json").write_text(report.to_json() + "\n", encoding="utf-8")
         (out / "metrics.csv").write_text(metrics.report_csv(rep), encoding="utf-8")
-        (out / "summary.csv").write_text(metrics.summary_csv(rep, roc, pr), encoding="utf-8")
+        (out / "summary.csv").write_text(metrics.summary_csv(rep, micro), encoding="utf-8")
         print(f"distilled student: test_accuracy={rep.accuracy:.6f} "
               f"val_accuracy={report.final_val_accuracy:.6f}")
         return 0
@@ -239,22 +239,22 @@ def cmd_evaluate(args) -> int:
         if (bad := (ids < 0) | (ids >= n_classes)).any():
             raise ParseError(f"{path}: data row {np.argmax(bad) + 1}: class index outside "
                              f"[0, {n_classes})")
-    cm = metrics.confusion(preds, labels, n_classes)
-    rep = metrics.class_report(cm)
-    roc = pr = None
-    if probs is not None:
-        try:
-            roc, pr = metrics.micro_curves(probs, labels)
-        except InvalidDistribution as exc:  # a valid matrix is checked once, in micro_curves
-            raise ParseError(f"{args.predictions}: data row "
-                             f"{metrics._first_bad_row(probs) + 1}: {exc}") from None
-    else:
+    try:
+        cm = metrics.confusion(preds, labels, n_classes)
+        rep = metrics.class_report(cm)
+        micro = metrics.micro_auc_ap(probs, labels) if probs is not None else None
+    except InvalidShape as exc:  # one class, or one data row with probabilities
+        raise ParseError(f"{args.predictions}: {exc}") from None
+    except InvalidDistribution as exc:  # a valid matrix is checked once, in micro_auc_ap
+        raise ParseError(f"{args.predictions}: data row "
+                         f"{metrics._first_bad_row(probs) + 1}: {exc}") from None
+    if micro is None:
         print("warning: no probability columns, skipping AUC/AP")
 
     out = Path(args.out) if args.out else Path(".")
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.csv").write_text(metrics.report_csv(rep), encoding="utf-8")
-    (out / "summary.csv").write_text(metrics.summary_csv(rep, roc, pr), encoding="utf-8")
+    (out / "summary.csv").write_text(metrics.summary_csv(rep, micro), encoding="utf-8")
     print(f"accuracy={rep.accuracy:.6f} samples={cm.total}")
     return 0
 
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="run a model-selection strategy")
     p.add_argument("--config", required=True)
-    p.add_argument("--strategy", required=True, choices=["aco", "random", "grid", "pso"])
+    p.add_argument("--strategy", required=True, choices=list(STRATEGIES))
     p.add_argument("--out", help="output directory (overrides [out] dir)")
     p.set_defaults(func=cmd_select)
 

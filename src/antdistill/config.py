@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .distill import KdConfig
 from .errors import ConfigParseError
-from .selection import AcoConfig, PsoConfig, run_aco, run_grid, run_random
+from .selection import AcoConfig, PsoConfig, run_aco, run_grid, run_pso, run_random
 from .temperature import POLICIES
 from .tinynet import NOISE_KINDS, TrainConfig
 
@@ -99,17 +99,21 @@ def _fields(owner) -> dict:
     return fields
 
 
+# `select --strategy` name -> (its run function, its config class or
+# None), in the order the option lists them; each has a section of its name
+STRATEGIES = {
+    "aco": (run_aco, AcoConfig),
+    "random": (run_random, None),
+    "grid": (run_grid, None),
+    "pso": (run_pso, PsoConfig),
+}
 # section -> the classes and functions whose parameters its keys are, and
 # a {key: type} dict of its keys that are not: the paths and the variant
-_POOL = {"pool": str}
 SECTIONS = {
     "data": (DataConfig,),
     "policy": ({"variant": str}, *POLICIES.values()),
     "kd": (TrainConfig, KdConfig, NetConfig),
-    "aco": (_POOL, AcoConfig, run_aco),
-    "pso": (_POOL, PsoConfig),
-    "grid": (_POOL, run_grid),
-    "random": (_POOL, run_random),
+    **{name: ({"pool": str}, *filter(None, owners)) for name, owners in STRATEGIES.items()},
     "out": ({"dir": str},),
 }
 # section -> key -> type, derived once: every command parses a config

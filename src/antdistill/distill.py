@@ -144,7 +144,11 @@ class DistillReport:
     final_val_accuracy: float
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2, allow_nan=False)
+        """The report as JSON, with each train_loss at 12 significant digits:
+        OpenBLAS kernels round the training products differently, which
+        moves only a loss's last digits in every kernel tried."""
+        fields = asdict(self) | {"train_loss": [float(f"{v:.12g}") for v in self.train_loss]}
+        return json.dumps(fields, sort_keys=True, indent=2, allow_nan=False)
 
 
 def _policy_rows(teacher: tinynet.MlpModel, dataset: tinynet.SyntheticDataset, cfg: KdConfig):

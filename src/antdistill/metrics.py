@@ -2,8 +2,9 @@
 and micro-averaged one-vs-rest ROC-AUC / average precision.
 
 Zero denominators never produce NaN: the metric is reported as 0 and the
-class is flagged undefined, so exported CSVs stay numeric. Curve sweeps
-process tied scores as a single threshold group.
+class is flagged undefined, so exported CSVs stay numeric. AUC and AP
+are two numbers from one sweep (`micro_auc_ap`), which processes tied
+scores as a single threshold group; no curve points are kept.
 """
 
 from __future__ import annotations
@@ -105,7 +106,7 @@ def class_report(cm: ConfusionMatrix) -> ClassReport:
 
 
 # ---------------------------------------------------------------------------
-# ranking curves (micro-averaged one-vs-rest)
+# AUC and AP (micro-averaged one-vs-rest)
 # ---------------------------------------------------------------------------
 
 
@@ -165,41 +166,19 @@ def _threshold_groups(scores, hits):
     return cum_tp.astype(np.float64), cum_fp.astype(np.float64)
 
 
-@dataclass(frozen=True)
-class RocCurve:
-    auc: float
-    fpr: np.ndarray
-    tpr: np.ndarray
+def micro_auc_ap(probabilities, labels) -> tuple[float, float]:
+    """(ROC-AUC, average precision), micro-averaged one-vs-rest: every
+    (sample, class) pair flattened, validated once and swept once for both.
 
-
-@dataclass(frozen=True)
-class PrCurve:
-    average_precision: float
-    recall: np.ndarray
-    precision: np.ndarray
-
-
-def _roc_curve(cum_tp, cum_fp, n_pos: int, n_neg: int) -> RocCurve:
-    tpr = np.concatenate(([0.0], cum_tp / n_pos))
-    fpr = np.concatenate(([0.0], cum_fp / n_neg))
-    auc = float(np.trapezoid(tpr, fpr))
-    return RocCurve(auc, fpr, tpr)
-
-
-def _pr_curve(cum_tp, cum_fp, n_pos: int) -> PrCurve:
-    recall = cum_tp / n_pos
-    precision = cum_tp / (cum_tp + cum_fp)
-    deltas = np.diff(np.concatenate(([0.0], recall)))
-    ap = float((deltas * precision).sum())
-    return PrCurve(ap, recall, precision)
-
-
-def micro_curves(probabilities, labels) -> tuple[RocCurve, PrCurve]:
-    """Micro-averaged one-vs-rest ROC and PR curves: every (sample, class)
-    pair flattened, validated once and swept once for both curves."""
+    AUC is the trapezoid area under (FPR, TPR); AP sums precision times
+    each step of recall, which is TPR.
+    """
     scores, hits, n_pos, n_neg = _flatten_ovr(probabilities, labels)
     cum_tp, cum_fp = _threshold_groups(scores, hits)
-    return _roc_curve(cum_tp, cum_fp, n_pos, n_neg), _pr_curve(cum_tp, cum_fp, n_pos)
+    tpr = np.concatenate(([0.0], cum_tp / n_pos))
+    auc = float(np.trapezoid(tpr, np.concatenate(([0.0], cum_fp / n_neg))))
+    ap = float((np.diff(tpr) * (cum_tp / (cum_tp + cum_fp))).sum())
+    return auc, ap
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +203,9 @@ def report_csv(report: ClassReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def summary_csv(report: ClassReport, roc: RocCurve | None = None,
-                pr: PrCurve | None = None) -> str:
-    """Key-value CSV with accuracy and, when available, AUC / AP."""
+def summary_csv(report: ClassReport, micro: tuple[float, float] | None = None) -> str:
+    """Key-value CSV with accuracy and, when given, micro_auc_ap's (AUC, AP)."""
     lines = ["key,value", f"accuracy,{report.accuracy!r}"]
-    if roc is not None:
-        lines.append(f"auc_micro,{roc.auc!r}")
-    if pr is not None:
-        lines.append(f"ap_micro,{pr.average_precision!r}")
+    if micro is not None:
+        lines += [f"auc_micro,{micro[0]!r}", f"ap_micro,{micro[1]!r}"]
     return "\n".join(lines) + "\n"

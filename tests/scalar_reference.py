@@ -16,7 +16,8 @@ The file also keeps the row-by-row readers of the `evaluate` input
 files and of the dataset file, which parse each cell with int() or
 float(), as the references of `tinynet._read_table`, which reads both
 kinds of file; the stable-sort threshold sweep, as the reference of
-`metrics._threshold_groups`; and the SGD loop that
+`metrics._threshold_groups`, and the ROC and PR curves built from it, as
+the reference of `metrics.micro_auc_ap`; and the SGD loop that
 indexed the dataset per mini-batch, called a per-batch loss closure for
 both the losses and the gradient, tallied the losses batch by batch and
 updated each weight and bias array on its own, as the reference of
@@ -245,6 +246,19 @@ def threshold_groups(scores, hits):
     cum_tp = np.cumsum(h)[ends]
     cum_fp = np.cumsum(~h)[ends]
     return cum_tp.astype(np.float64), cum_fp.astype(np.float64)
+
+
+def auc_ap(cum_tp, cum_fp, n_pos, n_neg):
+    """(ROC-AUC, average precision) from a sweep's cumulative counts, each
+    from its own curve: the trapezoid area under (FPR, TPR), and precision
+    summed over the steps of recall."""
+    tpr = np.concatenate(([0.0], cum_tp / n_pos))
+    fpr = np.concatenate(([0.0], cum_fp / n_neg))
+    auc = float(np.trapezoid(tpr, fpr))
+    recall = cum_tp / n_pos
+    precision = cum_tp / (cum_tp + cum_fp)
+    deltas = np.diff(np.concatenate(([0.0], recall)))
+    return auc, float((deltas * precision).sum())
 
 
 def init_params(layer_dims, seed):

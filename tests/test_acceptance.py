@@ -17,7 +17,7 @@ import scalar_reference as ref
 from antdistill import numerics, selection, tinynet
 from antdistill.cli import main, run_example_checks
 from antdistill.distill import _KD_LOSS, KdConfig, _kd_targets, distill_train, kd_loss
-from antdistill.metrics import ConfusionMatrix, class_report, confusion, micro_curves
+from antdistill.metrics import ConfusionMatrix, class_report, confusion, micro_auc_ap
 from antdistill.selection import AcoConfig, run_aco, run_grid, run_random, stub_pool
 from antdistill.temperature import ConstantPolicy, RuleBasedPolicy
 
@@ -319,7 +319,7 @@ def test_criterion_09_metrics_oracle_equivalence():
             probs = np.round(probs, 1)
             probs /= probs.sum(axis=1, keepdims=True)
         labels = rng.integers(0, c, size=n)
-        got = micro_curves(probs, labels)[0].auc
+        got = micro_auc_ap(probs, labels)[0]
         # exhaustive pairwise oracle
         scores = probs.ravel()
         hits = np.zeros(probs.shape, dtype=bool)

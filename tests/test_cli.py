@@ -500,13 +500,13 @@ class TestDistill:
             "seed = 3\n\n[policy]", "seed = 3\nnoise_level = 0.5\n\n[policy]"
         ))
         out = tmp_path / "run"
-        curves = []
-        monkeypatch.setattr(cli.metrics, "micro_curves", lambda *a: curves.append(a))
+        sweeps = []
+        monkeypatch.setattr(cli.metrics, "micro_auc_ap", lambda *a: sweeps.append(a))
         assert main(["distill", "--config", str(cfg), "--ablation", "table11",
                      "--out", str(out)]) == 0
         _, rows = read_rows(out / "ablation.csv")
         assert [r[0] for r in rows] == ["gaussian", "salt_pepper", "uniform", "clean"]
-        assert curves == []  # ablation rows print no curve
+        assert sweeps == []  # ablation rows print no AUC or AP
 
     @pytest.mark.parametrize("ablation, arms", [("table10", 3), ("table11", 4)])
     def test_ablation_trains_the_teacher_then_one_stack(self, tmp_path, fits, ablation, arms):
@@ -573,7 +573,8 @@ class TestDistill:
 # the README config; the sha256 of every output file was recorded before
 # training moved to batched loss kernels, which must not change a byte.
 # distill_report.json was re-recorded when its temp_mean/min/max became one
-# number each instead of one per epoch
+# number each instead of one per epoch, and again when its train_loss was
+# written at 12 significant digits, where every OpenBLAS kernel tried agrees
 README_CONFIG = """\
 [data]
 samples = 600
@@ -599,7 +600,7 @@ student_hidden = 16,16
 """
 GOLDEN_DISTILL = {
     None: {
-        "distill_report.json": "45037bc73bc0671ee07d8ab84782c0d0105cecf7aedb99cc6b4ef4196c431c78",
+        "distill_report.json": "e0f3ac86ca58da29c9c84f67c9dfbb170fcd9a5980e0d0d6bc2f98156e586e74",
         "metrics.csv": "b5c6855ff4202c658f903b1e9aae118ffba5d5b421e230cc3d9f3709faad8bfa",
         "summary.csv": "1d93858a8c3dad294ca410b0f4f27e2588c28a291b241d5d3199b46e47ec49e0",
     },
@@ -1092,6 +1093,19 @@ class TestEvaluateInputs:
         assert main(["evaluate", "--predictions", str(preds), "--labels", str(labels),
                      "--out", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err == f"error: {tmp_path / name}: data row 2: {message}\n"
+
+    @pytest.mark.parametrize("pred_text, label_text, message", [
+        ("pred,p0\n0,1.0\n0,1.0\n", "label\n0\n0\n", "need at least 2 classes"),
+        ("pred\n0\n0\n", "label\n0\n0\n", "need at least 2 classes"),
+        ("pred,p0,p1\n0,1.0,0.0\n", "label\n0\n", "need at least 2 samples"),
+    ], ids=["one-probability-column", "ids-all-0", "one-row-with-probabilities"])
+    def test_too_few_classes_or_samples_is_exit_2_naming_the_predictions_file(
+            self, tmp_path, capsys, pred_text, label_text, message):
+        preds = write(tmp_path / "preds.csv", pred_text)
+        labels = write(tmp_path / "labels.csv", label_text)
+        assert main(["evaluate", "--predictions", str(preds), "--labels", str(labels),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == f"error: {preds}: {message}\n"
 
     @pytest.mark.parametrize("pred_text", ["pred\n0\n1\n", "pred,p0,p1\n0,1.0,0.0\n1,0.5,0.5\n"],
                              ids=["pred", "probabilities"])

@@ -1,6 +1,7 @@
 """Tests for the distillation loss, its analytic gradient, and training."""
 
 import dataclasses
+import json
 import math
 import re
 
@@ -225,6 +226,17 @@ class TestDistillTrain:
         assert r1.to_json() == r2.to_json()
         assert '"seed": 3' in r1.to_json()
 
+    def test_report_json_writes_each_train_loss_at_12_significant_digits(self):
+        # only the file rounds: the report keeps each loss as trained
+        ds, teacher, student = self.make_setup(34)
+        cfg = KdConfig(ConstantPolicy(2.0), train=tinynet.TrainConfig(epochs=3, seed=3))
+        report = distill_train(teacher, student, ds, cfg)[1]
+        exact = list(report.train_loss)
+        rounded = [float(f"{v:.12g}") for v in exact]
+        assert rounded != exact
+        assert json.loads(report.to_json()) == dataclasses.asdict(report) | {"train_loss": rounded}
+        assert report.train_loss == exact
+
     def test_report_json_refuses_nan(self):
         ds, teacher, student = self.make_setup(34)
         cfg = KdConfig(ConstantPolicy(2.0), train=tinynet.TrainConfig(epochs=1, seed=3))
@@ -256,7 +268,7 @@ class TestDistillArms:
             want_model, want_report = distill_train(self.teacher, self.student, ds, cfg)
             assert model.params.shape == want_model.params.shape
             assert model.params.tobytes() == want_model.params.tobytes()
-            assert report.to_json() == want_report.to_json()
+            assert report == want_report
 
     def test_arms_need_one_train_config(self):
         other = dataclasses.replace(self.train, seed=6)

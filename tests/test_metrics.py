@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import scalar_reference as ref
 from antdistill import metrics
 from antdistill.errors import (
     EmptyMatrix,
@@ -15,7 +16,7 @@ from antdistill.metrics import (
     ConfusionMatrix,
     class_report,
     confusion,
-    micro_curves,
+    micro_auc_ap,
     report_csv,
     summary_csv,
 )
@@ -136,16 +137,16 @@ class TestRocAuc:
     def test_perfect_ranking(self):
         probs = np.array([[0.9, 0.1], [0.8, 0.2], [0.1, 0.9], [0.2, 0.8]])
         labels = [0, 0, 1, 1]
-        assert abs(micro_curves(probs, labels)[0].auc - 1.0) < 1e-12
+        assert abs(micro_auc_ap(probs, labels)[0] - 1.0) < 1e-12
 
     def test_constant_scores_give_half(self):
         probs = np.full((4, 2), 0.5)
-        assert abs(micro_curves(probs, [0, 1, 0, 1])[0].auc - 0.5) < 1e-12
+        assert abs(micro_auc_ap(probs, [0, 1, 0, 1])[0] - 0.5) < 1e-12
 
     def test_four_sample_hand_case_vs_pairwise_oracle(self):
         probs = np.array([[0.7, 0.3], [0.4, 0.6], [0.5, 0.5], [0.3, 0.7]])
         labels = [0, 0, 1, 1]
-        got = micro_curves(probs, labels)[0].auc
+        got = micro_auc_ap(probs, labels)[0]
         scores, hits = flatten(probs, labels)
         assert abs(got - brute_force_auc(scores, hits)) < 1e-9
 
@@ -159,7 +160,7 @@ class TestRocAuc:
                 probs = np.round(probs, 1)
                 probs = probs / probs.sum(axis=1, keepdims=True)
             labels = rng.integers(0, c, size=n)
-            got = micro_curves(probs, labels)[0].auc
+            got = micro_auc_ap(probs, labels)[0]
             scores, hits = flatten(probs, labels)
             assert abs(got - brute_force_auc(scores, hits)) < 1e-9
 
@@ -171,14 +172,14 @@ class TestRocAuc:
         hits = np.asarray(hits)
         n_pos = int(hits.sum())
 
-        def auc(s):
+        def auc_ap(s):
             groups = metrics._threshold_groups(s, hits)
-            return metrics._roc_curve(*groups, n_pos, hits.size - n_pos).auc
+            return ref.auc_ap(*groups, n_pos, hits.size - n_pos)
 
-        base = auc(np.asarray(scores))
-        assert abs(base - micro_curves(probs, labels)[0].auc) < 1e-12
+        base = auc_ap(np.asarray(scores))
+        assert [v.hex() for v in micro_auc_ap(probs, labels)] == [v.hex() for v in base]
         for transform in (lambda s: s * 10.0, np.exp):
-            assert abs(auc(transform(np.asarray(scores))) - base) < 1e-12
+            assert np.allclose(auc_ap(transform(np.asarray(scores))), base, rtol=0, atol=1e-12)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(4)
@@ -186,19 +187,19 @@ class TestRocAuc:
         labels = rng.integers(0, 3, size=15)
         perm = rng.permutation(15)
         assert abs(
-            micro_curves(probs, labels)[0].auc - micro_curves(probs[perm], labels[perm])[0].auc
+            micro_auc_ap(probs, labels)[0] - micro_auc_ap(probs[perm], labels[perm])[0]
         ) < 1e-12
 
 
 class TestAveragePrecision:
     def test_perfect_ranking(self):
         probs = np.array([[0.9, 0.1], [0.1, 0.9]])
-        assert abs(micro_curves(probs, [0, 1])[1].average_precision - 1.0) < 1e-12
+        assert abs(micro_auc_ap(probs, [0, 1])[1] - 1.0) < 1e-12
 
     def test_four_sample_hand_case_vs_sweep_oracle(self):
         probs = np.array([[0.7, 0.3], [0.4, 0.6], [0.5, 0.5], [0.3, 0.7]])
         labels = [0, 0, 1, 1]
-        got = micro_curves(probs, labels)[1].average_precision
+        got = micro_auc_ap(probs, labels)[1]
         scores, hits = flatten(probs, labels)
         assert abs(got - brute_force_ap(scores, hits)) < 1e-9
 
@@ -209,7 +210,7 @@ class TestAveragePrecision:
             c = int(rng.integers(2, 4))
             probs = rng.dirichlet(np.ones(c), size=n)
             labels = rng.integers(0, c, size=n)
-            got = micro_curves(probs, labels)[1].average_precision
+            got = micro_auc_ap(probs, labels)[1]
             scores, hits = flatten(probs, labels)
             assert abs(got - brute_force_ap(scores, hits)) < 1e-9
 
@@ -229,7 +230,7 @@ class TestAveragePrecision:
     ])
     def test_micro_curves_reject_bad_input(self, probs, labels, error, message):
         with pytest.raises(error, match=message):
-            micro_curves(probs, labels)
+            micro_auc_ap(probs, labels)
 
 
 class TestCsvExport:

@@ -18,7 +18,7 @@ SURFACE = {
         "SyntheticDataset", "TrainConfig", "UncertaintyLinearPolicy", "ant_select",
         "apply_policy", "class_report", "compute_context", "confusion", "distill_arms",
         "distill_train", "generate_synthetic", "init_mlp", "inject_noise", "kd_loss",
-        "micro_curves", "run_aco", "run_grid", "run_pso", "run_random",
+        "micro_auc_ap", "run_aco", "run_grid", "run_pso", "run_random",
         "selection_probabilities", "stable_softmax", "stack_datasets", "stack_models",
         "stub_pool", "train_supervised", "update_pheromones",
     ],
