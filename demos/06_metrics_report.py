@@ -17,9 +17,9 @@ from antdistill import (
 from antdistill.tinynet import forward_batch
 
 print("hand case: labels [0,0,1,1], predictions [0,1,1,1]")
-cm = confusion([0, 1, 1, 1], [0, 0, 1, 1], 2)
-print("confusion matrix:\n", cm.counts)
-rep = class_report(cm)
+counts = confusion([0, 1, 1, 1], [0, 0, 1, 1], 2)
+print("confusion matrix (rows: true class, columns: predicted):\n", counts)
+rep = class_report(counts)
 print(f"class 0: precision {rep.precision[0]:.3f} recall {rep.recall[0]:.3f} "
       f"f1 {rep.f1[0]:.4f}")
 print(f"class 1: precision {rep.precision[1]:.3f} recall {rep.recall[1]:.3f} "

@@ -3,7 +3,6 @@
 from .distill import DistillReport, KdConfig, distill_arms, distill_train, kd_loss
 from .metrics import (
     ClassReport,
-    ConfusionMatrix,
     class_report,
     confusion,
     micro_auc_ap,

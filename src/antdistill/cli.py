@@ -100,7 +100,13 @@ def cmd_select(args) -> int:
     pool_path = cfg.resolve(strategy, "pool")
     # MLP candidates are scored by training on the [data] dataset
     dataset = _build_dataset(cfg)[1] if cfg.has("data") else None
-    pool = selection.load_pool(pool_path, dataset)
+    try:
+        pool = selection.load_pool(pool_path, dataset)
+    except ParseError as exc:  # its message starts with the path
+        raise ParseError(f"[{strategy}] pool: {exc}") from None
+    except InvalidShape:  # the pool holds MLP profiles and there is no dataset
+        raise ParseError(f"[{strategy}] pool: {pool_path}: MLP profiles train on the dataset "
+                         "of a [data] section, which the config lacks") from None
 
     run, config_cls = STRATEGIES[strategy]
     strategy_cfg = {"cfg": cfg.build(strategy, config_cls)} if config_cls else {}
@@ -128,8 +134,8 @@ def _test_report(model: tinynet.MlpModel, dataset: tinynet.SyntheticDataset):
     idx = dataset.indices("test")
     logits = tinynet.forward_batch(model, dataset.features[idx])
     labels = dataset.labels[idx]
-    cm = metrics.confusion(np.argmax(logits, axis=1), labels, dataset.n_classes)
-    return metrics.class_report(cm), logits, labels
+    counts = metrics.confusion(np.argmax(logits, axis=1), labels, dataset.n_classes)
+    return metrics.class_report(counts), logits, labels
 
 
 def _metrics_row(tag: str, rep: metrics.ClassReport) -> str:
@@ -240,8 +246,7 @@ def cmd_evaluate(args) -> int:
             raise ParseError(f"{path}: data row {np.argmax(bad) + 1}: class index outside "
                              f"[0, {n_classes})")
     try:
-        cm = metrics.confusion(preds, labels, n_classes)
-        rep = metrics.class_report(cm)
+        rep = metrics.class_report(metrics.confusion(preds, labels, n_classes))
         micro = metrics.micro_auc_ap(probs, labels) if probs is not None else None
     except InvalidShape as exc:  # one class, or one data row with probabilities
         raise ParseError(f"{args.predictions}: {exc}") from None
@@ -255,7 +260,7 @@ def cmd_evaluate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.csv").write_text(metrics.report_csv(rep), encoding="utf-8")
     (out / "summary.csv").write_text(metrics.summary_csv(rep, micro), encoding="utf-8")
-    print(f"accuracy={rep.accuracy:.6f} samples={cm.total}")
+    print(f"accuracy={rep.accuracy:.6f} samples={labels.size}")
     return 0
 
 

@@ -151,33 +151,6 @@ class DistillReport:
         return json.dumps(fields, sort_keys=True, indent=2, allow_nan=False)
 
 
-def _policy_rows(teacher: tinynet.MlpModel, dataset: tinynet.SyntheticDataset, cfg: KdConfig):
-    """(teacher logits, temperatures, weights) of each row of one arm's dataset.
-
-    The teacher never sees gradients, which makes its logits, the
-    contexts, the policy outputs and the teacher's softened targets
-    constant across epochs; they are computed once per training run.
-    """
-    teacher_logits = tinynet.forward_batch(teacher, dataset.features)
-    temps, weights = apply_policy_rows(
-        cfg.policy,
-        teacher_logits,
-        dataset.noise_level,
-        dataset.class_complexity[dataset.labels],
-        base_weight=cfg.t_base,
-    )
-    return teacher_logits, temps, weights
-
-
-def _loss_targets(policy_rows, labels):
-    """(each arm's temperatures, _kd_targets of the rows of every arm) from
-    each arm's _policy_rows; the targets are built once, row by row, for
-    all arms together."""
-    logits, temps, weights = (np.concatenate(parts) for parts in zip(*policy_rows))
-    return ([t for _, t, _ in policy_rows],
-            _kd_targets(numerics.softmax_rows(logits, temps), labels, temps, weights))
-
-
 def distill_arms(teacher: tinynet.MlpModel, student: tinynet.MlpModel, arms):
     """Distill a frozen teacher into one copy of the student per arm, a
     (dataset, KdConfig) pair; returns [(student, report)] in arm order.
@@ -188,8 +161,6 @@ def distill_arms(teacher: tinynet.MlpModel, student: tinynet.MlpModel, arms):
     and policy. Every (student, report) equals distill_train's on that
     arm, bit for bit, and so does the error of a failing arm: that of the
     lowest-numbered one. One arm trains unstacked, as distill_train does.
-    The policy runs per arm; the loss targets, built row by row, are
-    built once for the rows of all arms.
     """
     datasets, cfgs = [ds for ds, _ in arms], [cfg for _, cfg in arms]
     if not arms or any(cfg.train != cfgs[0].train for cfg in cfgs):
@@ -204,8 +175,21 @@ def distill_arms(teacher: tinynet.MlpModel, student: tinynet.MlpModel, arms):
     else:
         model = tinynet.stack_models([student] * len(arms))
         dataset = tinynet.stack_datasets(datasets)
-    temps, targets = _loss_targets([_policy_rows(teacher, ds, cfg) for ds, cfg in arms],
-                                   dataset.labels)
+    # the teacher never sees gradients, which makes its logits, the
+    # contexts, the policy outputs and the loss targets constant across
+    # epochs: the policy runs once per arm, and the targets are built once,
+    # row by row, for the rows of all arms together
+    rows = []  # (teacher logits, temperatures, weights) of each arm's rows
+    for ds, cfg in arms:
+        logits = tinynet.forward_batch(teacher, ds.features)
+        rows.append((logits, *apply_policy_rows(cfg.policy, logits, ds.noise_level,
+                                                ds.class_complexity[ds.labels],
+                                                base_weight=cfg.t_base)))
+    logits, temps, weights = (np.concatenate(parts) for parts in zip(*rows))
+    targets = _kd_targets(numerics.softmax_rows(logits, temps), dataset.labels, temps, weights)
+    # training holds the targets, and each arm's temperatures for its report
+    temps = [t for _, t, _ in rows]
+    del rows, logits, weights
     trained, histories = tinynet.sgd_fit(model, dataset, cfgs[0].train, _KD_LOSS, targets)
     if len(arms) == 1:
         trained, histories = [trained], [histories]

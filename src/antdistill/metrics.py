@@ -22,22 +22,9 @@ from .errors import (
 from .numerics import _DIST_TOL, as_distribution
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    """counts[i, j] = number of samples with true class i predicted as j."""
-
-    counts: np.ndarray
-
-    @property
-    def n_classes(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def total(self) -> int:
-        return int(self.counts.sum())
-
-
-def confusion(predictions, labels, n_classes: int) -> ConfusionMatrix:
+def confusion(predictions, labels, n_classes: int) -> np.ndarray:
+    """(C, C) int64 counts: [i, j] = number of samples with true class i
+    predicted as j."""
     pred = np.asarray(predictions, dtype=np.int64)
     true = np.asarray(labels, dtype=np.int64)
     if pred.shape != true.shape or pred.ndim != 1:
@@ -49,7 +36,7 @@ def confusion(predictions, labels, n_classes: int) -> ConfusionMatrix:
         raise IndexOutOfRange(f"class index outside [0, {n_classes})")
     counts = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(counts, (true, pred), 1)
-    return ConfusionMatrix(counts)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -73,11 +60,12 @@ def _ratio(num, den):
     return np.divide(num, den, out=np.zeros(np.shape(den)), where=defined), ~defined
 
 
-def class_report(cm: ConfusionMatrix) -> ClassReport:
-    """One-vs-rest per-class metrics plus macro and micro averages."""
-    if cm.total == 0:
+def class_report(counts: np.ndarray) -> ClassReport:
+    """One-vs-rest per-class metrics plus macro and micro averages of
+    confusion's counts."""
+    total = counts.sum()
+    if total == 0:
         raise EmptyMatrix("confusion matrix has no samples")
-    counts = cm.counts
     tp = np.diag(counts).astype(np.float64)
     fp = counts.sum(axis=0) - tp
     fn = counts.sum(axis=1) - tp
@@ -86,7 +74,7 @@ def class_report(cm: ConfusionMatrix) -> ClassReport:
     f1, undefined_f1 = _ratio(2 * precision * recall, precision + recall)
 
     tp_sum = tp.sum()
-    accuracy = float(tp_sum / cm.total)
+    accuracy = float(tp_sum / total)
     micro_p = _ratio(tp_sum, tp_sum + fp.sum())[0]
     micro_r = _ratio(tp_sum, tp_sum + fn.sum())[0]
     micro_f1 = _ratio(2 * micro_p * micro_r, micro_p + micro_r)[0]

@@ -8,9 +8,10 @@ are cached per run: re-selecting a candidate is free, and reports count
 both total selections and unique evaluation units so strategies can be
 compared on evaluation budget.
 
-Counting rule: a unique evaluation unit is a candidate id (single-model
-mode) or an ordered pair (pair mode). The one-time cheap proxy pass that
-seeds the ACO heuristic vector counts toward unique evaluations.
+Counting rule: a unique evaluation unit is a candidate id, its index in
+the pool (single-model mode), or an ordered pair of ids (pair mode). The
+one-time cheap proxy pass that seeds the ACO heuristic vector counts
+toward unique evaluations.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ class MlpProfile:
 
 @dataclass
 class Candidate:
-    cid: int
     name: str
     stub_score: float | None = None
     profile: MlpProfile | None = None
@@ -91,7 +91,7 @@ class CandidatePool:
 
 def stub_pool(scores) -> CandidatePool:
     return CandidatePool(
-        [Candidate(i, f"stub-{i}", stub_score=float(s)) for i, s in enumerate(scores)]
+        [Candidate(f"stub-{i}", stub_score=float(s)) for i, s in enumerate(scores)]
     )
 
 
@@ -152,7 +152,7 @@ def load_pool(path, dataset=None) -> CandidatePool:
                 if "learning_rate" in e:
                     given["learning_rate"] = _json_float(e["learning_rate"], "learning_rate")
                 fields = {"profile": MlpProfile(tuple(dims), **given)}
-            candidates.append(Candidate(i, name, **fields))
+            candidates.append(Candidate(name, **fields))
         except KeyError as exc:
             raise ParseError(f"{path}: candidate {name!r} missing {exc}") from exc
         except (TypeError, ValueError, OverflowError) as exc:
@@ -341,12 +341,12 @@ class _Run:
             cand = self.pool.candidates[unit]
             if cand.stub_score is not None:
                 return cand.stub_score
-            _, history = _train(cand.profile, ds, self._seed(cand.cid, 0), cand.profile.epochs)
+            _, history = _train(cand.profile, ds, self._seed(unit, 0), cand.profile.epochs)
             return history.val_accuracy[-1]
         t, s = (self.pool.candidates[i] for i in unit)
         if t.stub_score is not None:
             return PAIR_STUDENT_SHARE * s.stub_score + (1 - PAIR_STUDENT_SHARE) * t.stub_score
-        seed = self._seed(t.cid, s.cid, 2)
+        seed = self._seed(*unit, 2)
         teacher, _ = _train(t.profile, ds, seed, t.profile.epochs)
         student = tinynet.init_mlp([ds.n_features, *s.profile.hidden_dims, ds.n_classes], seed + 1)
         _, report = distill.distill_train(
@@ -366,7 +366,7 @@ class _Run:
         cand = self.pool.candidates[cid]
         if cand.stub_score is not None:
             return cand.stub_score
-        seed = self._seed(cand.cid, 1)
+        seed = self._seed(cid, 1)
         work = self.pool.dataset.copy()
         rng = np.random.default_rng(seed)
         train_idx = work.indices("train")

@@ -296,7 +296,9 @@ class TestSelect:
         cfg = write(tmp_path / "c.ini", "[grid]\npool = pool.json\n")
         assert main(["select", "--config", str(cfg), "--strategy", "grid",
                      "--out", str(tmp_path / "run")]) == 2
-        assert "needs a dataset" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"error: [grid] pool: {tmp_path / 'pool.json'}: MLP profiles train on the dataset "
+            "of a [data] section, which the config lacks\n")
 
     def test_untrainable_profile_is_exit_2_before_any_training(self, tmp_path, fits, capsys):
         write(tmp_path / "pool.json", json.dumps({"candidates": [
@@ -415,7 +417,7 @@ class TestSelect:
         assert main(["select", "--config", str(cfg), "--strategy", "grid",
                      "--out", str(tmp_path / "run")]) == 2
         assert capsys.readouterr().err == (
-            f"error: {pool}: 'utf-8' codec can't decode byte 0xff in position 26: "
+            f"error: [grid] pool: {pool}: 'utf-8' codec can't decode byte 0xff in position 26: "
             "invalid start byte\n")
 
     @pytest.mark.parametrize("key, value", [("stub_score", "0.5"), ("stub_score", True),
@@ -441,14 +443,28 @@ class TestSelect:
         cfg = write(tmp_path / "c.ini", f"[grid]\npool = {pool}\n")
         assert main(["select", "--config", str(cfg), "--strategy", "grid",
                      "--out", str(tmp_path / "run")]) == 2
-        assert capsys.readouterr().err == f"error: {tmp_path / pool}: cannot read: {reason}\n"
+        assert capsys.readouterr().err == (
+            f"error: [grid] pool: {tmp_path / pool}: cannot read: {reason}\n")
 
-    @pytest.mark.parametrize("candidates", [[1, 2], [{"name": "a", "hidden_dims": 5}]])
-    def test_malformed_pool_is_exit_2(self, tmp_path, candidates):
-        write(tmp_path / "pool.json", json.dumps({"candidates": candidates}))
-        cfg = write(tmp_path / "c.ini", "[grid]\npool = pool.json\n")
-        assert main(["select", "--config", str(cfg), "--strategy", "grid",
+    # select's error is "[<strategy>] pool: ", then load_pool's own, which
+    # starts with the file's path
+    @pytest.mark.parametrize("strategy, text", [
+        ("grid", "[1, 2]"), ("aco", '[{"name": "a", "hidden_dims": 5}]'), ("pso", "not json"),
+        ("random", '{"candidates": 3}'), ("grid", '[{"name": 7, "stub_score": 0.5}]'),
+        ("aco", '[{"name": "a", "stub_score": 0.5, "epochs": 2}]'),
+        ("pso", '[{"name": "a", "stub_score": 2}]'),
+        ("random", '[{"name": "a", "hidden_dims": [0]}]'), ("grid", '[{"name": "a"}]'),
+    ])
+    def test_malformed_pool_is_exit_2(self, tmp_path, capsys, strategy, text):
+        pool = write(tmp_path / "pool.json", text)
+        with pytest.raises(ParseError) as raised:
+            selection.load_pool(pool, tinynet.generate_synthetic(60, 2, 3, 0.0, seed=1))
+        assert str(raised.value).startswith(f"{pool}: ")
+        cfg = write(tmp_path / "c.ini", "[data]\nsamples = 60\nclasses = 2\ndim = 3\n"
+                    f"complexity = 0.0\nseed = 1\n\n[{strategy}]\npool = pool.json\n")
+        assert main(["select", "--config", str(cfg), "--strategy", strategy,
                      "--out", str(tmp_path / "run")]) == 2
+        assert capsys.readouterr().err == f"error: [{strategy}] pool: {raised.value}\n"
 
 
 DISTILL_CONFIG = """\

@@ -285,8 +285,8 @@ class TestMlpBackedPool:
         ds = tinynet.generate_synthetic(120, 3, 4, 0.0, seed=0)
         pool = selection.CandidatePool(
             [
-                selection.Candidate(0, "small", profile=selection.MlpProfile((4,), 0.05, 5)),
-                selection.Candidate(1, "wide", profile=selection.MlpProfile((16,), 0.05, 5)),
+                selection.Candidate("small", profile=selection.MlpProfile((4,), 0.05, 5)),
+                selection.Candidate("wide", profile=selection.MlpProfile((16,), 0.05, 5)),
             ],
             dataset=ds,
         )
@@ -325,8 +325,8 @@ class TestMixedPool:
     def mixed_pool(self):
         return selection.CandidatePool(
             [
-                selection.Candidate(0, "stub", stub_score=0.6),
-                selection.Candidate(1, "mlp", profile=selection.MlpProfile((4,), 0.05, 2)),
+                selection.Candidate("stub", stub_score=0.6),
+                selection.Candidate("mlp", profile=selection.MlpProfile((4,), 0.05, 2)),
             ],
             dataset=tinynet.generate_synthetic(60, 2, 3, 0.0, seed=1),
         )

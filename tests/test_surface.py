@@ -12,15 +12,15 @@ import types
 
 SURFACE = {
     "antdistill": [
-        "AcoConfig", "Candidate", "CandidatePool", "ClassReport", "ConfusionMatrix",
-        "ConstantPolicy", "ContextFeatures", "DistillReport", "KdConfig", "MlpModel",
-        "PheromoneState", "PolicyOutput", "PsoConfig", "RuleBasedPolicy", "SelectionReport",
-        "SyntheticDataset", "TrainConfig", "UncertaintyLinearPolicy", "ant_select",
-        "apply_policy", "class_report", "compute_context", "confusion", "distill_arms",
-        "distill_train", "generate_synthetic", "init_mlp", "inject_noise", "kd_loss",
-        "micro_auc_ap", "run_aco", "run_grid", "run_pso", "run_random",
-        "selection_probabilities", "stable_softmax", "stack_datasets", "stack_models",
-        "stub_pool", "train_supervised", "update_pheromones",
+        "AcoConfig", "Candidate", "CandidatePool", "ClassReport", "ConstantPolicy",
+        "ContextFeatures", "DistillReport", "KdConfig", "MlpModel", "PheromoneState",
+        "PolicyOutput", "PsoConfig", "RuleBasedPolicy", "SelectionReport", "SyntheticDataset",
+        "TrainConfig", "UncertaintyLinearPolicy", "ant_select", "apply_policy",
+        "class_report", "compute_context", "confusion", "distill_arms", "distill_train",
+        "generate_synthetic", "init_mlp", "inject_noise", "kd_loss", "micro_auc_ap",
+        "run_aco", "run_grid", "run_pso", "run_random", "selection_probabilities",
+        "stable_softmax", "stack_datasets", "stack_models", "stub_pool", "train_supervised",
+        "update_pheromones",
     ],
     "antdistill.numerics": [
         "EPS", "as_distribution", "as_logits", "normalized_entropy_rows", "softmax_rows",

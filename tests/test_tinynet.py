@@ -21,7 +21,12 @@ from antdistill.errors import (
     ShapeMismatch,
     UnknownNoiseKind,
 )
-from antdistill.temperature import ConstantPolicy, RuleBasedPolicy, UncertaintyLinearPolicy
+from antdistill.temperature import (
+    ConstantPolicy,
+    RuleBasedPolicy,
+    UncertaintyLinearPolicy,
+    apply_policy_rows,
+)
 
 
 def small_dataset(seed=0, complexity=0.0, n=300, c=3, d=4):
@@ -761,9 +766,16 @@ def lockstep_runs(draw, arms=st.integers(1, 4)):
     if policy is None:
         targets = [tinynet._one_hot(d.labels, d.n_classes) for d in datasets]
         return tinynet._CROSS_ENTROPY, student, datasets, cfg, targets
-    targets = [distill._loss_targets([distill._policy_rows(teacher, d, distill.KdConfig(
-                   draw(POLICIES) if a else policy, t_base, cfg))], d.labels)[1]
-               for a, d in enumerate(datasets)]
+
+    def kd_targets(d, arm_policy):
+        logits = tinynet.forward_batch(teacher, d.features)
+        temps, weights = apply_policy_rows(arm_policy, logits, d.noise_level,
+                                           d.class_complexity[d.labels], base_weight=t_base)
+        return distill._kd_targets(numerics.softmax_rows(logits, temps), d.labels, temps,
+                                   weights)
+
+    # arm 0 keeps the run's policy; every other arm draws its own
+    targets = [kd_targets(d, draw(POLICIES) if a else policy) for a, d in enumerate(datasets)]
     return distill._KD_LOSS, student, datasets, cfg, targets
 
 
