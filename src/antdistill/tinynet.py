@@ -26,8 +26,12 @@ those of its own sgd_fit call, bit for bit.
 from __future__ import annotations
 
 import io
+import itertools
 import math
+import os
 import re
+import stat
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -609,19 +613,25 @@ _SEPARATORS = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 
 
 class _PlainBytes(io.BufferedIOBase):
-    """A buffered binary file's bytes as they are read, raising a ValueError
-    at a byte outside ASCII, a NUL or a separator 0x1c-0x1f. The file is
-    checked one read at a time, so no copy of all of it is ever held.
-    TextIOWrapper reads it only through read1."""
+    """Bytes start:stop of a buffered binary file positioned at start (to
+    its end with stop None) as they are read, raising a ValueError at a
+    byte outside ASCII, a NUL or a separator 0x1c-0x1f, named by its
+    offset in the file. The bytes are checked one read at a time, so no
+    copy of all of them is ever held. TextIOWrapper reads them only
+    through read1."""
 
-    def __init__(self, buffered):
+    def __init__(self, buffered, start=0, stop=None):
         self._buffered = buffered
-        self._offset = 0
+        self._offset = start
+        self._stop = stop
 
     def readable(self) -> bool:
         return True
 
     def read1(self, size=-1) -> bytes:
+        if self._stop is not None:
+            left = self._stop - self._offset
+            size = left if size < 0 else min(size, left)
         chunk = self._buffered.read1(size)
         if not chunk.isascii() or any(sep in chunk for sep in _SEPARATORS):
             at = next(i for i, b in enumerate(chunk) if b > 0x7f or b == 0 or 0x1c <= b <= 0x1f)
@@ -655,27 +665,117 @@ def _loadtxt(lines, dtype):
         return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
 
 
+# a regular file is parsed in up to one range of lines per usable CPU, each
+# of at least this many bytes: forking a child of a process of 80 MiB costs
+# about 2 ms, and parsing this many bytes of numbers about 14
+_RANGE_MIN = 1 << 20
+
+
+def _ranges(raw) -> list:
+    """(start, stop) byte ranges that cover the open binary file raw, each
+    but the last ending just after a \\n, and the last with stop None: one
+    per usable CPU, of at least _RANGE_MIN bytes. One range if raw is not
+    a regular file, the platform does not tell the usable CPUs (only Linux
+    does), or the process runs another thread: a forked child would find
+    the locks that thread holds held for good."""
+    st = os.fstat(raw.fileno())
+    if (not stat.S_ISREG(st.st_mode) or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return [(0, None)]
+    k = min(len(os.sched_getaffinity(0)), st.st_size // _RANGE_MIN)
+    starts = {0}
+    for i in range(1, k):
+        offset = st.st_size * i // k
+        while chunk := os.pread(raw.fileno(), 1 << 16, offset):
+            if (at := chunk.find(b"\n")) >= 0:
+                starts.add(offset + at + 1)
+                break
+            offset += len(chunk)
+    return list(itertools.pairwise([*sorted(starts - {st.st_size}), None]))
+
+
+def _fork_range(path, start, stop, dtype, inherited) -> tuple[int, int]:
+    """(read end, pid) of a forked child that parses bytes start:stop of
+    path into rows of dtype and writes them to the pipe behind that read
+    end. It exits 0 only if it wrote them all without a warning, and never
+    writes to stdout or stderr. It closes the read ends `inherited`."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid:
+        os.close(write_end)
+        return read_end, pid
+    code = 1
+    try:
+        for fd in (read_end, *inherited):
+            os.close(fd)
+        with open(path, "rb") as raw, warnings.catch_warnings(record=True) as caught, \
+                io.TextIOWrapper(_PlainBytes(raw, start, stop), encoding="ascii") as fh:
+            warnings.simplefilter("always")
+            raw.seek(start)
+            rows = _loadtxt(fh, dtype)
+        with open(write_end, "wb") as pipe:
+            pipe.write(rows.tobytes())
+        code = 1 if caught else 0
+    finally:
+        os._exit(code)
+
+
 def _read_table(path, n_preamble: int, expected_header: str, header_ok, dtype):
     """(preamble, columns) of a CSV file under the ASCII input rule, read
     by numpy's C parser: n_preamble lines, as strings, then the header,
     which must pass header_ok, then the data rows, parsed as a structured
     array of dtype(header) and returned as a contiguous array per field.
-    Every failure is a ParseError whose message starts with the path."""
+    The data rows of each range of _ranges but the first are parsed in a
+    forked child; if any range fails, the file is read again as one
+    range, so every failure is the whole-file read's: a ParseError whose
+    message starts with the path."""
+
+    def read(ranges):
+        (_, first_stop), *rest = ranges
+        raw.seek(0)
+        children = {}  # a child's read end -> its pid
+        try:
+            with io.TextIOWrapper(_PlainBytes(raw, 0, first_stop), encoding="ascii") as fh:
+                preamble = [fh.readline().removesuffix("\n") for _ in range(n_preamble)]
+                header = fh.readline().removesuffix("\n").split(",")
+                if not header_ok(header):
+                    raise ValueError(f"expected header {expected_header}, got {header}")
+                fields = dtype(header)
+                for start, stop in rest:
+                    fd, children[fd] = _fork_range(path, start, stop, fields, children)
+                parts = [_loadtxt(fh, fields)]
+            parts += [np.frombuffer(io.FileIO(fd, closefd=False).readall(), fields)
+                      for fd in children]
+        finally:  # closed first, so that no child waits on a full pipe
+            for fd in children:
+                os.close(fd)
+            statuses = [os.waitpid(pid, 0)[1] for pid in children.values()]
+        if any(statuses):
+            raise ChildProcessError(f"a range's reader ended with status {max(statuses)}")
+        return preamble, parts
+
     try:
-        with open(path, "rb") as raw, \
-                io.TextIOWrapper(_PlainBytes(raw), encoding="ascii") as fh:
-            preamble = [fh.readline().removesuffix("\n") for _ in range(n_preamble)]
-            header = fh.readline().removesuffix("\n").split(",")
-            if not header_ok(header):
-                raise ValueError(f"expected header {expected_header}, got {header}")
-            rows = _loadtxt(fh, dtype(header))
+        with open(path, "rb") as raw:
+            ranges = _ranges(raw)
+            try:
+                preamble, parts = read(ranges)
+            except (OSError, ValueError):
+                if len(ranges) == 1:
+                    raise
+                preamble, parts = read([(0, None)])
     except OSError as exc:
         raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from exc
     except ValueError as exc:  # a byte outside the rule, the header, a cell or a row's width
         raise ParseError(f"{path}: {_loadtxt_message(exc)}") from exc
-    if not len(rows):
+    if not sum(map(len, parts)):
         raise ParseError(f"{path}: header but no data rows")
-    return preamble, [rows[name].copy() for name in rows.dtype.names]
+    return preamble, [np.concatenate([part[name] for part in parts])
+                      for name in parts[0].dtype.names]
 
 
 def load_dataset(path) -> SyntheticDataset:

@@ -11,6 +11,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -1172,6 +1173,211 @@ class TestEvaluateInputs:
                      "--out", str(tmp_path / "run")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and empty in err and "no data rows" in err
+
+
+@contextlib.contextmanager
+def small_ranges(cpus=3):
+    """tinynet._read_table cuts files into ranges of at least 4 bytes, one
+    per CPU of `cpus`; yields the mock that counts the children forked."""
+    with mock.patch.object(tinynet, "_RANGE_MIN", 4), \
+            mock.patch.object(os, "sched_getaffinity", return_value=set(range(cpus))), \
+            mock.patch.object(tinynet, "_fork_range", wraps=tinynet._fork_range) as forks:
+        yield forks
+
+
+def read_split_and_whole(read, *paths, cpus=3):
+    """(result in small ranges, result as one range, (children forked,
+    reads begun in this process) for the first), each result as _parsed
+    gives it. A file read in ranges and then again as one range, after a
+    range failed, counts two reads."""
+    with small_ranges(cpus) as forks, \
+            mock.patch.object(tinynet, "_PlainBytes", wraps=tinynet._PlainBytes) as reads:
+        split = _parsed(read, *paths)
+    return split, _parsed(read, *paths), (forks.call_count, reads.call_count)
+
+
+def range_starts(path, cpus=3):
+    with small_ranges(cpus), open(path, "rb") as raw:
+        return [start for start, _ in tinynet._ranges(raw)]
+
+
+def read_preds(path):
+    """The columns of a file of id and probability columns under any header."""
+    return tinynet._read_table(path, 0, "'pred'", lambda header: True, cli._evaluate_fields)[1]
+
+
+def read_dataset(path):
+    return dataclasses.astuple(tinynet.load_dataset(path))
+
+
+def in_children(exc):
+    """A stand-in for tinynet._loadtxt that raises exc in a forked child
+    (a warning is warned), and parses as usual in this process."""
+    parent, loadtxt = os.getpid(), tinynet._loadtxt
+
+    def failing(lines, dtype):
+        if os.getpid() != parent:
+            if isinstance(exc, Warning):
+                warnings.warn(exc)
+            else:
+                raise exc
+        return loadtxt(lines, dtype)
+
+    return failing
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def lines_file(path, rows, end="\n", header="pred,p0,p1"):
+    path.write_bytes((end.join([header, *rows]) + end).encode("latin-1"))
+    return path
+
+
+PRED_ROWS = [f"{i % 2},0.25,0.75" for i in range(12)]
+
+
+class TestRangeReader:
+    # evaluate's and load_dataset's reader parses a large file in ranges of
+    # lines, one per usable CPU; forced here onto small files, it must give
+    # the one-range read's arrays bit for bit, or its error type and message
+
+    @settings(max_examples=100, deadline=None)
+    @given(pred_file=eval_files(PRED_HEADERS | st.sampled_from(["pred", "pred,p0,p1,p2"])),
+           label_file=eval_files(LABEL_HEADERS | st.just("label")))
+    def test_any_files_read_as_one_range(self, tmp_path_factory, pred_file, label_file):
+        base = tmp_path_factory.getbasetemp()
+        (base / "range_preds.csv").write_bytes(pred_file)
+        (base / "range_labels.csv").write_bytes(label_file)
+        split, whole, _ = read_split_and_whole(
+            cli._evaluate_inputs, base / "range_preds.csv", base / "range_labels.csv")
+        assert split == whole
+
+    @pytest.mark.parametrize("cell", ODD_CELLS + OUTSIDE_CELLS)
+    @pytest.mark.parametrize("column", ["pred", "p1", "label"])
+    def test_odd_cell_reads_as_one_range(self, tmp_path, cell, column):
+        paths = odd_cell_files(tmp_path, cell, column, n_rows=12)
+        split, whole, counts = read_split_and_whole(cli._evaluate_inputs, *paths)
+        assert split == whole and counts[0] > 0
+
+    def test_dataset_file_reads_as_one_range(self, tmp_path):
+        ds = tinynet.inject_noise(tinynet.generate_synthetic(40, 3, 2, 0.4, 5), "gaussian", 0.3, 6)
+        tinynet.save_dataset(ds, tmp_path / "data.csv")
+        split, whole, counts = read_split_and_whole(read_dataset, tmp_path / "data.csv")
+        assert split == whole and counts == (2, 1)
+        assert whole[0][2] == ds.features.tobytes()
+
+    @pytest.mark.parametrize("last, message", [
+        ("1,0.25,0.7\xff5", "byte {at} is 0xff, outside ASCII or a separator 0x1c-0x1f"),
+        ("1,0.25,x", "could not convert string 'x' to float64 at data row 12, column 3"),
+        ("1,0.25", "data row 12 has width 2, the header width 3"),
+    ], ids=["byte", "cell", "ragged"])
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_error_in_the_last_range_is_the_whole_files(self, tmp_path, last, message, end):
+        # empty lines are not data rows
+        path = lines_file(tmp_path / "preds.csv", PRED_ROWS[:3] + ["", ""] + PRED_ROWS[3:11]
+                          + [last], end)
+        data = path.read_bytes()
+        assert range_starts(path)[-1] < data.rindex(b"1,0.25")
+        split, whole, counts = read_split_and_whole(read_preds, path)
+        at = data.find(b"\xff")
+        assert split == whole == (ParseError, f"{path}: " + message.format(at=at))
+        assert counts == (2, 2)
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("last", ["1,0.25,0.75", "1,x,0.75"], ids=["clean", "bad-cell"])
+    def test_empty_lines_at_a_range_boundary(self, tmp_path, end, last):
+        path = lines_file(tmp_path / "preds.csv", PRED_ROWS[:6] + [""] * 16 + PRED_ROWS[6:11]
+                          + [last], end)
+        data, starts = path.read_bytes(), range_starts(path, cpus=2)
+        assert data[starts[1] - 2 * len(end):starts[1]] == end.encode() * 2
+        assert data[starts[1]:starts[1] + len(end)] == end.encode()
+        split, whole, counts = read_split_and_whole(read_preds, path, cpus=2)
+        assert split == whole and counts == (1, 1 if isinstance(whole, list) else 2)
+        assert isinstance(whole, list) or whole[1].endswith("at data row 12, column 2")
+
+    @pytest.mark.parametrize("last", ["1,0.25,0.75", "1,0.25,"], ids=["clean", "bad-cell"])
+    def test_a_range_of_only_empty_lines(self, tmp_path, last):
+        path = lines_file(tmp_path / "preds.csv", PRED_ROWS[:6] + [""] * 80 + PRED_ROWS[6:11]
+                          + [last])
+        data, starts = path.read_bytes(), range_starts(path)
+        assert data[starts[1]:starts[2]].strip(b"\n") == b""
+        split, whole, counts = read_split_and_whole(read_preds, path)
+        assert split == whole and counts == (2, 1 if isinstance(whole, list) else 2)
+        assert isinstance(whole, list) or whole[1].endswith("at data row 12, column 3")
+
+    def test_cr_line_ends_read_as_one_range(self, tmp_path):
+        path = lines_file(tmp_path / "preds.csv", PRED_ROWS, "\r")
+        assert range_starts(path) == [0]
+        split, whole, counts = read_split_and_whole(read_preds, path)
+        assert split == whole and isinstance(whole, list) and counts == (0, 1)
+
+
+class TestRangeReaderProcesses:
+    @pytest.mark.parametrize("rows", [PRED_ROWS, PRED_ROWS[:-1] + ["1,0.5"]],
+                             ids=["clean", "ragged"])
+    def test_no_child_outlives_a_read(self, tmp_path, capfd, rows):
+        path = lines_file(tmp_path / "preds.csv", rows)
+        split, whole, counts = read_split_and_whole(read_preds, path)
+        assert split == whole and counts == (2, 1 if isinstance(whole, list) else 2)
+        assert_no_child_left()
+        assert capfd.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("exc", [ValueError("in a child"), KeyboardInterrupt(),
+                                     RuntimeWarning("in a child")],
+                             ids=["error", "interrupt", "warning"])
+    def test_failing_child_gives_the_whole_files_read(self, tmp_path, capfd, exc):
+        # nothing on stdout or stderr, and the one-range read's arrays
+        path = lines_file(tmp_path / "preds.csv", PRED_ROWS)
+        with mock.patch.object(tinynet, "_loadtxt", in_children(exc)):
+            split, whole, counts = read_split_and_whole(read_preds, path)
+        assert split == whole and isinstance(whole, list) and counts == (2, 2)
+        assert_no_child_left()
+        assert capfd.readouterr() == ("", "")
+
+    def test_interrupt_in_the_parent_leaves_no_child(self, tmp_path):
+        # each child's rows overflow its pipe's buffer, so a child waits on
+        # its pipe until the read end is closed
+        path = lines_file(tmp_path / "preds.csv", PRED_ROWS * 2000)
+        parent = os.getpid()
+
+        def interrupted(lines, dtype, loadtxt=tinynet._loadtxt):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return loadtxt(lines, dtype)
+
+        with small_ranges() as forks, mock.patch.object(tinynet, "_loadtxt", interrupted), \
+                pytest.raises(KeyboardInterrupt):
+            read_preds(path)
+        assert forks.call_count == 2
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("why", ["thread", "one-cpu"])
+    def test_one_range_forks_nothing(self, tmp_path, why):
+        path = lines_file(tmp_path / "preds.csv", PRED_ROWS)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait, args=(10,))
+        with small_ranges(cpus=1 if why == "one-cpu" else 3), \
+                mock.patch.object(os, "fork", side_effect=AssertionError("forked")):
+            if why == "thread":
+                thread.start()
+            try:
+                split = _parsed(cli._evaluate_inputs, path,
+                                lines_file(tmp_path / "labels.csv", ["0"] * 12, header="label"))
+            finally:
+                stop.set()
+                if why == "thread":
+                    thread.join(10)
+        assert not thread.is_alive()
+        assert split == _parsed(cli._evaluate_inputs, path, tmp_path / "labels.csv")
+
+    def test_pipe_is_one_range(self):
+        read_end, write_end = os.pipe()
+        os.close(write_end)
+        with small_ranges(), open(read_end, "rb") as raw:
+            assert tinynet._ranges(raw) == [(0, None)]
 
 
 class TestReproExamples:
