@@ -9,16 +9,16 @@ Subcommands:
   repro-examples  recompute the built-in worked examples and verify them
 
 Every command is deterministic given its config file; reruns produce
-byte-identical outputs. Each run directory receives a copy of the config
-next to its reports.
+byte-identical outputs. A command returns (run directory or None, {file name:
+text}, stdout text); only then does main write each file whole, with a copy of
+the config as config.ini. A failed run, a deviating repro-examples too, writes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
-import shutil
+import os
 import sys
 from pathlib import Path
 
@@ -44,19 +44,11 @@ from .temperature import (
 )
 
 
-def _prepare_out(cfg: RunConfig, override: str | None) -> Path:
-    """The run directory, made, with a copy of the config in it."""
-    if override:
-        out = Path(override)
-    elif cfg.has("out"):
-        out = cfg.resolve("out", "dir")
-    else:
+def _out_dir(cfg: RunConfig, override: str | None) -> Path:
+    """The run directory: --out, else the [out] section's dir."""
+    if not (override or cfg.has("out")):
         raise ConfigParseError("no output directory: pass --out or add an [out] section")
-    out.mkdir(parents=True, exist_ok=True)
-    # a rerun from the run directory reads the copy it would write
-    with contextlib.suppress(shutil.SameFileError):
-        shutil.copyfile(cfg.path, out / "config.ini")
-    return out
+    return Path(override) if override else cfg.resolve("out", "dir")
 
 
 def _build_dataset(cfg: RunConfig):
@@ -75,18 +67,15 @@ def _build_dataset(cfg: RunConfig):
 # ---------------------------------------------------------------------------
 
 
-def cmd_gen_data(args) -> int:
+def cmd_gen_data(args) -> tuple:
     cfg = load_config(args.config)
-    out = _prepare_out(cfg, args.out)
+    out = _out_dir(cfg, args.out)
     _, dataset, _ = _build_dataset(cfg)
-    tinynet.save_dataset(dataset, out / "dataset.csv")
     counts = {s: dataset.indices(s).size for s in tinynet.SPLITS}
-    print(
+    return out, {"dataset.csv": tinynet.dataset_text(dataset)}, (
         f"wrote {out / 'dataset.csv'}: n={dataset.n_samples} classes={dataset.n_classes} "
         f"train={counts['train']} val={counts['val']} test={counts['test']} "
-        f"mean_noise={dataset.noise_level.mean():.6f}"
-    )
-    return 0
+        f"mean_noise={dataset.noise_level.mean():.6f}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +83,7 @@ def cmd_gen_data(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def cmd_select(args) -> int:
+def cmd_select(args) -> tuple:
     cfg = load_config(args.config)
     strategy = args.strategy
     pool_path = cfg.resolve(strategy, "pool")
@@ -112,16 +101,12 @@ def cmd_select(args) -> int:
     strategy_cfg = {"cfg": cfg.build(strategy, config_cls)} if config_cls else {}
     report = cfg.build(strategy, run, pool=pool, **strategy_cfg)
 
-    out = _prepare_out(cfg, args.out)
-    (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    (out / "report.csv").write_text(selection.CSV_HEADER + "\n" + report.csv_row() + "\n",
-                                    encoding="utf-8")
-    print(
+    return _out_dir(cfg, args.out), {
+        "report.json": report.to_json() + "\n",
+        "report.csv": selection.CSV_HEADER + "\n" + report.csv_row() + "\n"}, (
         f"{strategy}: best={report.best_name} score={report.best_score:.6f} "
         f"unique_evaluations={report.unique_evaluations} "
-        f"total_selections={report.total_selections}"
-    )
-    return 0
+        f"total_selections={report.total_selections}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -149,9 +134,9 @@ ABLATION_HEADER = "approach,accuracy,macro_f1,macro_recall,macro_precision"
 TABLE11_NOISE_LEVEL = 0.5  # of table 11's noise variants, when [data] sets no noise_level
 
 
-def cmd_distill(args) -> int:
+def cmd_distill(args) -> tuple:
     cfg = load_config(args.config)
-    out = _prepare_out(cfg, args.out)
+    out = _out_dir(cfg, args.out)
     clean, experiment, data = _build_dataset(cfg)
     train_cfg = cfg.build("kd", tinynet.TrainConfig)
     net = cfg.build("kd", NetConfig)
@@ -170,12 +155,11 @@ def cmd_distill(args) -> int:
         trained, report = distill_train(teacher, student, experiment, kd_cfg(policy))
         rep, logits, labels = _test_report(trained, experiment)
         micro = metrics.micro_auc_ap(numerics.softmax_rows(logits), labels)
-        (out / "distill_report.json").write_text(report.to_json() + "\n", encoding="utf-8")
-        (out / "metrics.csv").write_text(metrics.report_csv(rep), encoding="utf-8")
-        (out / "summary.csv").write_text(metrics.summary_csv(rep, micro), encoding="utf-8")
-        print(f"distilled student: test_accuracy={rep.accuracy:.6f} "
-              f"val_accuracy={report.final_val_accuracy:.6f}")
-        return 0
+        return out, {"distill_report.json": report.to_json() + "\n",
+                     "metrics.csv": metrics.report_csv(rep),
+                     "summary.csv": metrics.summary_csv(rep, micro)}, (
+            f"distilled student: test_accuracy={rep.accuracy:.6f} "
+            f"val_accuracy={report.final_val_accuracy:.6f}\n")
 
     # the ablations compare a constant temperature with a context-aware
     # policy: the configured one stands in for whichever it is, the
@@ -201,10 +185,8 @@ def cmd_distill(args) -> int:
     students = distill_arms(teacher, student, [(dataset, kd) for _, dataset, kd in arms])
     rows += [(tag, model, dataset) for (tag, dataset, _), (model, _) in zip(arms, students)]
     lines = [_metrics_row(tag, _test_report(model, dataset)[0]) for tag, model, dataset in rows]
-    (out / "ablation.csv").write_text(ABLATION_HEADER + "\n" + "\n".join(lines) + "\n",
-                                      encoding="utf-8")
-    print(f"wrote {out / 'ablation.csv'} ({len(lines)} rows)")
-    return 0
+    return out, {"ablation.csv": ABLATION_HEADER + "\n" + "\n".join(lines) + "\n"}, (
+        f"wrote {out / 'ablation.csv'} ({len(lines)} rows)\n")
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +216,7 @@ def _evaluate_inputs(pred_path, label_path):
     return preds, labels, probs if probs.shape[1] else None
 
 
-def cmd_evaluate(args) -> int:
+def cmd_evaluate(args) -> tuple:
     preds, labels, probs = _evaluate_inputs(args.predictions, args.labels)
     n_classes = (
         probs.shape[1] if probs is not None else int(max(preds.max(), labels.max())) + 1
@@ -253,15 +235,10 @@ def cmd_evaluate(args) -> int:
     except InvalidDistribution as exc:  # a valid matrix is checked once, in micro_auc_ap
         raise ParseError(f"{args.predictions}: data row "
                          f"{metrics._first_bad_row(probs) + 1}: {exc}") from None
-    if micro is None:
-        print("warning: no probability columns, skipping AUC/AP")
-
-    out = Path(args.out) if args.out else Path(".")
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "metrics.csv").write_text(metrics.report_csv(rep), encoding="utf-8")
-    (out / "summary.csv").write_text(metrics.summary_csv(rep, micro), encoding="utf-8")
-    print(f"accuracy={rep.accuracy:.6f} samples={labels.size}")
-    return 0
+    warning = "warning: no probability columns, skipping AUC/AP\n" if micro is None else ""
+    return Path(args.out or "."), {"metrics.csv": metrics.report_csv(rep),
+                                   "summary.csv": metrics.summary_csv(rep, micro)}, (
+        f"{warning}accuracy={rep.accuracy:.6f} samples={labels.size}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -312,22 +289,15 @@ def run_example_checks() -> list[tuple[str, bool, str]]:
     return results
 
 
-def cmd_repro_examples(args) -> int:
+def cmd_repro_examples(args) -> tuple:
     results = run_example_checks()
-    lines = []
-    for name, ok, detail in results:
-        lines.append(f"{'PASS' if ok else 'FAIL'}  {name:<32} {detail}")
+    lines = [f"{'PASS' if ok else 'FAIL'}  {name:<32} {detail}" for name, ok, detail in results]
     n_ok = sum(ok for _, ok, _ in results)
     lines.append(f"{n_ok}/{len(results)} checks passed")
     text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "repro_examples.txt").write_text(text, encoding="utf-8")
     if n_ok != len(results):
-        raise VerificationFailed(f"{len(results) - n_ok} worked-example checks deviated")
-    return 0
+        raise VerificationFailed(f"{len(results) - n_ok} worked-example checks deviated", text)
+    return Path(args.out) if args.out else None, {"repro_examples.txt": text}, text
 
 
 # ---------------------------------------------------------------------------
@@ -372,13 +342,40 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_files(out: Path, files: dict[str, bytes]) -> None:
+    """Writes each file into out whole: every file to a temporary name, then
+    each temporary onto its name. No temporary outlives the call."""
+    out.mkdir(parents=True, exist_ok=True)
+    temps = {}
+    try:
+        for name, data in files.items():
+            with open(out / f".{name}.{os.getpid()}.tmp", "xb") as fh:
+                temps[name] = Path(fh.name)
+                fh.write(data)
+        for name, temp in temps.items():
+            os.replace(temp, out / name)
+    except OSError as exc:  # named by its file, not by the temporary
+        raise OSError(exc.errno, exc.strerror, str(out / name)) from None
+    finally:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # a numeric fault raises FloatingPointError, an ArithmeticError
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return args.func(args)
+            out, files, stdout = args.func(args)
+        if out is not None:
+            files = {name: text.encode("utf-8") for name, text in files.items()}
+            if hasattr(args, "config"):  # the file it named, byte for byte
+                files["config.ini"] = Path(args.config).read_bytes()
+            _write_files(out, files)
+        sys.stdout.write(stdout)
+        return 0
     except VerificationFailed as exc:
+        sys.stdout.write(exc.stdout)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, IndexError, ArithmeticError, OSError, MemoryError) as exc:

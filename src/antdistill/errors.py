@@ -87,4 +87,8 @@ class ConfigParseError(ValueError):
 
 
 class VerificationFailed(RuntimeError):
-    """A built-in worked-example check deviated beyond tolerance."""
+    """A built-in worked-example check deviated beyond tolerance; stdout is the report."""
+
+    def __init__(self, message: str, stdout: str):
+        super().__init__(message)
+        self.stdout = stdout

@@ -591,8 +591,8 @@ def train_supervised(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfi
 # ---------------------------------------------------------------------------
 
 
-def save_dataset(dataset: SyntheticDataset, path) -> None:
-    """Columnar text file: complexity comment, header, one row per sample.
+def dataset_text(dataset: SyntheticDataset) -> str:
+    """The dataset file's text: complexity comment, header, one row per sample.
 
     Floats are written with repr() so the round-trip is bit-exact.
     """
@@ -602,8 +602,7 @@ def save_dataset(dataset: SyntheticDataset, path) -> None:
         row = [dataset.split[i], str(int(dataset.labels[i])), repr(float(dataset.noise_level[i]))]
         row.extend(repr(float(v)) for v in dataset.features[i])
         lines.append(",".join(row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
 # numpy reads the separators 0x1c-0x1f as whitespace and any Unicode
@@ -779,8 +778,8 @@ def _read_table(path, n_preamble: int, expected_header: str, header_ok, dtype):
 
 
 def load_dataset(path) -> SyntheticDataset:
-    """The dataset of a file save_dataset wrote, read under the ASCII input
-    rule; every malformed or out-of-range value is a ParseError."""
+    """The dataset of a file holding dataset_text's text, read under the
+    ASCII input rule; every malformed or out-of-range value is a ParseError."""
     # a split cell is read one character wider than the widest split, so
     # that a longer one is never cut down to a valid name
     (comment,), (split, labels, noise, features) = _read_table(

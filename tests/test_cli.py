@@ -1264,7 +1264,7 @@ class TestRangeReader:
 
     def test_dataset_file_reads_as_one_range(self, tmp_path):
         ds = tinynet.inject_noise(tinynet.generate_synthetic(40, 3, 2, 0.4, 5), "gaussian", 0.3, 6)
-        tinynet.save_dataset(ds, tmp_path / "data.csv")
+        (tmp_path / "data.csv").write_text(tinynet.dataset_text(ds), encoding="utf-8")
         split, whole, counts = read_split_and_whole(read_dataset, tmp_path / "data.csv")
         assert split == whole and counts == (2, 1)
         assert whole[0][2] == ds.features.tobytes()
@@ -1388,12 +1388,15 @@ class TestReproExamples:
         assert "7/7 checks passed" in out
         assert (tmp_path / "repro_examples.txt").exists()
 
-    def test_tampered_constant_fails(self, capsys, monkeypatch):
+    def test_tampered_constant_fails(self, tmp_path, capsys, monkeypatch):
         probabilities = selection.selection_probabilities
         monkeypatch.setattr(selection, "selection_probabilities",
                             lambda *args: probabilities(*args) + 0.05)
-        assert main(["repro-examples"]) == 1
-        assert "FAIL" in capsys.readouterr().out
+        assert main(["repro-examples", "--out", str(tmp_path / "run")]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL" in captured.out and "6/7 checks passed" in captured.out
+        assert captured.err == "error: 1 worked-example checks deviated\n"
+        assert not (tmp_path / "run").exists()
 
     def test_runs_as_module(self):
         proc = subprocess.run([sys.executable, "-m", "antdistill.cli", "repro-examples"],
@@ -1483,6 +1486,80 @@ def test_rerun_from_the_run_directory_is_byte_identical(tmp_path, argv, text):
     assert main([*argv, "--config", str(write(tmp_path / "c.ini", text)), "--out", str(run)]) == 0
     first = {path.name: path.read_bytes() for path in run.iterdir()}
     assert main([*argv, "--config", str(run / "config.ini"), "--out", str(run)]) == 0
+    assert {path.name: path.read_bytes() for path in run.iterdir()} == first
+
+
+def run_argv(directory, argv, name, text):
+    """argv with the inputs of one run: text is the config, or for evaluate
+    the predictions file, written to directory under name."""
+    write(directory / "pool.json", json.dumps(STUB_POOL))
+    if argv[0] == "evaluate":
+        return [*argv, "--predictions", str(write(directory / f"{name}.csv", text)),
+                "--labels", str(write(directory / "labels.csv", "label\n0\n1\n0\n"))]
+    return [*argv, "--config", str(write(directory / f"{name}.ini", text))]
+
+
+DIVERGING_DISTILL = DISTILL_CONFIG.replace("learning_rate = 0.05", "learning_rate = 1e308")
+
+
+@pytest.mark.parametrize("argv, good, bad", [
+    (["gen-data"], DATA_SECTION,
+     DATA_SECTION.replace("samples = 120", "samples = 10").replace("classes = 3", "classes = 2")),
+    (["select", "--strategy", "grid"], "[grid]\npool = pool.json\n",
+     "[grid]\npool = missing.json\n"),
+    (["distill"], DISTILL_CONFIG, DIVERGING_DISTILL),
+    (["distill", "--ablation", "table11"], DISTILL_CONFIG, DIVERGING_DISTILL),
+    (["evaluate"], "pred,p0,p1\n0,0.75,0.25\n1,0.125,0.875\n1,0.5,0.5\n",
+     "pred,p0,p1\n0,0.75,0.25\n1,0.125,x\n1,0.5,0.5\n"),
+], ids=["gen-data", "select", "distill", "distill-table11", "evaluate"])
+def test_a_failed_run_changes_nothing(tmp_path, capsys, argv, good, bad):
+    # a run directory records the run that wrote it: a failed run into it
+    # writes no file and no config copy, and a failed first run makes no directory
+    run = tmp_path / "run"
+    assert main([*run_argv(tmp_path, argv, "good", good), "--out", str(run)]) == 0
+    first = {path.name: path.read_bytes() for path in run.iterdir()}
+    capsys.readouterr()
+    for out in (run, tmp_path / "fresh"):
+        assert main([*run_argv(tmp_path, argv, "bad", bad), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+    assert {path.name: path.read_bytes() for path in run.iterdir()} == first
+    assert not (tmp_path / "fresh").exists()
+
+
+def evaluate_into(directory, out, pred_text):
+    return main(run_argv(directory, ["evaluate"], "preds", pred_text) + ["--out", str(out)])
+
+
+def test_a_failed_write_names_its_file_and_leaves_no_temporary(tmp_path, capsys):
+    run = tmp_path / "run"
+    (run / "summary.csv").mkdir(parents=True)
+    errors = []
+    for _ in range(2):
+        assert evaluate_into(tmp_path, run, "pred\n0\n1\n1\n") == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == f"error: [Errno 21] Is a directory: '{run / 'summary.csv'}'\n"
+    assert sorted(path.name for path in run.iterdir()) == ["metrics.csv", "summary.csv"]
+    assert (run / "summary.csv").is_dir()
+
+
+def test_a_failed_replace_keeps_every_file(tmp_path, capsys, monkeypatch):
+    # the files are written to temporary names first, so a failure before
+    # the first of them replaces its file leaves the old ones whole
+    run = tmp_path / "run"
+    assert evaluate_into(tmp_path, run, "pred\n0\n1\n1\n") == 0
+    first = {path.name: path.read_bytes() for path in run.iterdir()}
+    replace, calls = os.replace, []
+
+    def failing_first(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise PermissionError(13, "Permission denied", *args)
+        return replace(*args)
+
+    monkeypatch.setattr(os, "replace", failing_first)
+    assert evaluate_into(tmp_path, run, "pred\n0\n0\n1\n") == 2
+    assert capsys.readouterr().err == (
+        f"error: [Errno 13] Permission denied: '{run / 'metrics.csv'}'\n")
     assert {path.name: path.read_bytes() for path in run.iterdir()} == first
 
 

@@ -32,8 +32,8 @@ SURFACE = {
     "antdistill.tinynet": [
         "CENTER_RADIUS", "MAX_DATASET_CELLS", "MlpModel", "NOISE_KINDS", "SPLITS",
         "SPLIT_FRACTIONS", "SyntheticDataset", "TrainConfig", "TrainHistory", "accuracy",
-        "derive_seed", "forward_batch", "generate_synthetic", "init_mlp", "inject_noise",
-        "load_dataset", "save_dataset", "sgd_fit", "stack_datasets", "stack_models",
+        "dataset_text", "derive_seed", "forward_batch", "generate_synthetic", "init_mlp",
+        "inject_noise", "load_dataset", "sgd_fit", "stack_datasets", "stack_models",
         "train_supervised",
     ],
 }

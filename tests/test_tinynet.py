@@ -880,14 +880,14 @@ class TestDatasetFile:
         ds = tinynet.inject_noise(ds, "gaussian", 0.37, seed=13)
         p1 = tmp_path / "a.csv"
         p2 = tmp_path / "b.csv"
-        tinynet.save_dataset(ds, p1)
+        p1.write_text(tinynet.dataset_text(ds), encoding="utf-8")
         loaded = tinynet.load_dataset(p1)
         np.testing.assert_array_equal(loaded.features, ds.features)
         np.testing.assert_array_equal(loaded.labels, ds.labels)
         np.testing.assert_array_equal(loaded.noise_level, ds.noise_level)
         np.testing.assert_array_equal(loaded.class_complexity, ds.class_complexity)
         np.testing.assert_array_equal(loaded.split, ds.split)
-        tinynet.save_dataset(loaded, p2)
+        p2.write_text(tinynet.dataset_text(loaded), encoding="utf-8")
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_parse_errors(self, tmp_path):
