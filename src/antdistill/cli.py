@@ -12,14 +12,24 @@ Every command is deterministic given its config file; reruns produce
 byte-identical outputs. A command returns (run directory or None, {file name:
 text}, stdout text); only then does main write each file whole, with a copy of
 the config as config.ini. A failed run, a deviating repro-examples too, writes nothing.
+
+evaluate's two CSV files are the only files read here, by one reader under one
+ASCII input rule, a large file in up to one range of lines per usable CPU.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import io
+import itertools
 import math
 import os
+import re
+import stat
 import sys
+import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -198,18 +208,181 @@ def cmd_distill(args) -> tuple:
 MAX_EVAL_CLASSES = 1000
 
 
-def _evaluate_fields(header):
-    """The fields of an evaluate input file's rows: a class id, then probabilities."""
-    return [("id", np.int64), ("p", np.float64, (len(header) - 1,))]
+# numpy reads the separators 0x1c-0x1f as whitespace and any Unicode
+# digit as a digit, so the input rule leaves them out; it leaves out NUL
+# too, so that no error message prints one
+_SEPARATORS = (b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+class _PlainBytes(io.BufferedIOBase):
+    """Bytes start:stop of a buffered binary file positioned at start (to
+    its end with stop None) as they are read, raising a ValueError at a
+    byte outside ASCII, a NUL or a separator 0x1c-0x1f, named by its
+    offset in the file. The bytes are checked one read at a time, so no
+    copy of all of them is ever held. TextIOWrapper reads them only
+    through read1."""
+
+    def __init__(self, buffered, start=0, stop=None):
+        self._buffered = buffered
+        self._offset = start
+        self._stop = stop
+
+    def readable(self) -> bool:
+        return True
+
+    def read1(self, size=-1) -> bytes:
+        if self._stop is not None:
+            left = self._stop - self._offset
+            size = left if size < 0 else min(size, left)
+        chunk = self._buffered.read1(size)
+        if not chunk.isascii() or any(sep in chunk for sep in _SEPARATORS):
+            at = next(i for i, b in enumerate(chunk) if b > 0x7f or b == 0 or 0x1c <= b <= 0x1f)
+            rule = "a NUL" if chunk[at] == 0 else "outside ASCII or a separator 0x1c-0x1f"
+            raise ValueError(f"byte {self._offset + at} is {chunk[at]:#04x}, {rule}")
+        self._offset += len(chunk)
+        return chunk
+
+
+# np.loadtxt numbers a bad cell's data row from 0 and a wrong-width row from
+# 1 (empty lines uncounted in both), and points the latter at its usecols
+# option; both are restated with data rows from 1
+_BAD_CELL = re.compile(r"(could not convert string .* to \w+) at row (\d+), column (\d+)\.")
+_BAD_WIDTH = re.compile(r"the dtype passed requires (\d+) columns but (\d+) were found at row "
+                        r"(\d+); use `usecols` .*")
+
+
+def _loadtxt_message(exc: ValueError) -> str:
+    """np.loadtxt's message, with one numbering of data rows."""
+    if m := _BAD_CELL.fullmatch(str(exc)):
+        return f"{m[1]} at data row {int(m[2]) + 1}, column {m[3]}"
+    if m := _BAD_WIDTH.fullmatch(str(exc)):
+        return f"data row {m[3]} has width {m[2]}, the header width {m[1]}"
+    return str(exc)
+
+
+def _loadtxt(lines, dtype):
+    """np.loadtxt of a file of comma-separated lines; empty ones are skipped."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # "input contained no data"
+        return np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+
+
+# a regular file is parsed in up to one range of lines per usable CPU, each
+# of at least this many bytes: forking a child of a process of 80 MiB costs
+# about 2 ms, and parsing this many bytes of numbers about 14
+_RANGE_MIN = 1 << 20
+
+
+def _ranges(raw) -> list:
+    """(start, stop) byte ranges that cover the open binary file raw, each
+    but the last ending just after a \\n, and the last with stop None: one
+    per usable CPU, of at least _RANGE_MIN bytes. One range if raw is not
+    a regular file, the platform does not tell the usable CPUs (only Linux
+    does), or the process runs another thread: a forked child would find
+    the locks that thread holds held for good."""
+    st = os.fstat(raw.fileno())
+    if (not stat.S_ISREG(st.st_mode) or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return [(0, None)]
+    k = min(len(os.sched_getaffinity(0)), st.st_size // _RANGE_MIN)
+    starts = {0}
+    for i in range(1, k):
+        offset = st.st_size * i // k
+        while chunk := os.pread(raw.fileno(), 1 << 16, offset):
+            if (at := chunk.find(b"\n")) >= 0:
+                starts.add(offset + at + 1)
+                break
+            offset += len(chunk)
+    return list(itertools.pairwise([*sorted(starts - {st.st_size}), None]))
+
+
+def _fork_range(path, start, stop, dtype, inherited) -> tuple[int, int]:
+    """(read end, pid) of a forked child that parses bytes start:stop of
+    path into rows of dtype and writes them to the pipe behind that read
+    end. It exits 0 only if it wrote them all without a warning, and never
+    writes to stdout or stderr. It closes the read ends `inherited`."""
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid:
+        os.close(write_end)
+        return read_end, pid
+    code = 1
+    try:
+        for fd in (read_end, *inherited):
+            os.close(fd)
+        with open(path, "rb") as raw, warnings.catch_warnings(record=True) as caught, \
+                io.TextIOWrapper(_PlainBytes(raw, start, stop), encoding="ascii") as fh:
+            warnings.simplefilter("always")
+            raw.seek(start)
+            rows = _loadtxt(fh, dtype)
+        with open(write_end, "wb") as pipe:
+            pipe.write(rows.tobytes())
+        code = 1 if caught else 0
+    finally:
+        os._exit(code)
+
+
+def _read_table(path, expected_header: str, header_ok):
+    """The (class ids, probabilities) of an evaluate input file under the
+    ASCII input rule, read by numpy's C parser: the header, which must pass
+    header_ok, then the data rows, each a class id and one probability per
+    header column after the first. The data rows of each range of _ranges
+    but the first are parsed in a forked child; if any range fails, the
+    file is read again as one range, so every failure is the whole-file
+    read's: a ParseError whose message starts with the path."""
+
+    def read(ranges):
+        (_, first_stop), *rest = ranges
+        raw.seek(0)
+        children = {}  # a child's read end -> its pid
+        try:
+            with io.TextIOWrapper(_PlainBytes(raw, 0, first_stop), encoding="ascii") as fh:
+                header = fh.readline().removesuffix("\n").split(",")
+                if not header_ok(header):
+                    raise ValueError(f"expected header {expected_header}, got {header}")
+                fields = [("id", np.int64), ("p", np.float64, (len(header) - 1,))]
+                for start, stop in rest:
+                    fd, children[fd] = _fork_range(path, start, stop, fields, children)
+                parts = [_loadtxt(fh, fields)]
+            parts += [np.frombuffer(io.FileIO(fd, closefd=False).readall(), fields)
+                      for fd in children]
+        finally:  # closed first, so that no child waits on a full pipe
+            for fd in children:
+                os.close(fd)
+            statuses = [os.waitpid(pid, 0)[1] for pid in children.values()]
+        if any(statuses):
+            raise ChildProcessError(f"a range's reader ended with status {max(statuses)}")
+        return parts
+
+    try:
+        with open(path, "rb") as raw:
+            ranges = _ranges(raw)
+            try:
+                parts = read(ranges)
+            except (OSError, ValueError):
+                if len(ranges) == 1:
+                    raise
+                parts = read([(0, None)])
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # a byte outside the rule, the header, a cell or a row's width
+        raise ParseError(f"{path}: {_loadtxt_message(exc)}") from exc
+    if not sum(map(len, parts)):
+        raise ParseError(f"{path}: header but no data rows")
+    return [np.concatenate([part[name] for part in parts]) for name in parts[0].dtype.names]
 
 
 def _evaluate_inputs(pred_path, label_path):
     """(preds, labels, probs or None) as arrays from a predictions file and
     a labels file."""
-    _, (preds, probs) = tinynet._read_table(pred_path, 0, "'pred[,p0,p1,...]'", lambda header: (
-        header == ["pred", *(f"p{j}" for j in range(len(header) - 1))]), _evaluate_fields)
-    _, (labels, _) = tinynet._read_table(label_path, 0, "'label'",
-                                         lambda header: header == ["label"], _evaluate_fields)
+    preds, probs = _read_table(pred_path, "'pred[,p0,p1,...]'", lambda header: (
+        header == ["pred", *(f"p{j}" for j in range(len(header) - 1))]))
+    labels, _ = _read_table(label_path, "'label'", lambda header: header == ["label"])
     if len(preds) != len(labels):
         raise ParseError(f"{pred_path} has {len(preds)} data rows, {label_path} has "
                          f"{len(labels)}")
@@ -344,11 +517,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _write_files(out: Path, files: dict[str, bytes]) -> None:
     """Writes each file into out whole: every file to a temporary name, then
-    each temporary onto its name. No temporary outlives the call."""
+    each temporary onto its name. A name that is a directory fails before
+    the first replace. No temporary outlives the call."""
     out.mkdir(parents=True, exist_ok=True)
     temps = {}
     try:
         for name, data in files.items():
+            if (out / name).is_dir() and not (out / name).is_symlink():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
             with open(out / f".{name}.{os.getpid()}.tmp", "xb") as fh:
                 temps[name] = Path(fh.name)
                 fh.write(data)

@@ -12,10 +12,11 @@ only here as one-sample functions. They reuse the library's validators
 (`as_logits`, `as_distribution`, `_check_temperature`, `_check_unit`)
 and call one another rather than the library's versions.
 
-The file also keeps the row-by-row readers of the `evaluate` input
-files and of the dataset file, which parse each cell with int() or
-float(), as the references of `tinynet._read_table`, which reads both
-kinds of file; the stable-sort threshold sweep, as the reference of
+The file also keeps the row-by-row reader of the `evaluate` input
+files, which parses each cell with int() or float(), as the reference of
+`cli._read_table`; the row-by-row reader of the dataset file, the only
+reader of what `tinynet.dataset_text` writes, which the round-trip tests
+call; the stable-sort threshold sweep, as the reference of
 `metrics._threshold_groups`, and the ROC and PR curves built from it, as
 the reference of `metrics.micro_auc_ap`; and the SGD loop that
 indexed the dataset per mini-batch, called a per-batch loss closure for

@@ -162,7 +162,7 @@ class TestGenData:
     def test_writes_roundtrippable_file(self, tmp_path, capsys):
         cfg = write(tmp_path / "c.ini", DATA_SECTION)
         assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
-        ds = tinynet.load_dataset(tmp_path / "run" / "dataset.csv")
+        ds = ref.load_dataset(tmp_path / "run" / "dataset.csv")
         assert ds.n_samples == 120 and ds.n_classes == 3
         assert "mean_noise=0.5" in capsys.readouterr().out
 
@@ -1177,11 +1177,11 @@ class TestEvaluateInputs:
 
 @contextlib.contextmanager
 def small_ranges(cpus=3):
-    """tinynet._read_table cuts files into ranges of at least 4 bytes, one
-    per CPU of `cpus`; yields the mock that counts the children forked."""
-    with mock.patch.object(tinynet, "_RANGE_MIN", 4), \
+    """cli._read_table cuts files into ranges of at least 4 bytes, one per
+    CPU of `cpus`; yields the mock that counts the children forked."""
+    with mock.patch.object(cli, "_RANGE_MIN", 4), \
             mock.patch.object(os, "sched_getaffinity", return_value=set(range(cpus))), \
-            mock.patch.object(tinynet, "_fork_range", wraps=tinynet._fork_range) as forks:
+            mock.patch.object(cli, "_fork_range", wraps=cli._fork_range) as forks:
         yield forks
 
 
@@ -1191,29 +1191,25 @@ def read_split_and_whole(read, *paths, cpus=3):
     gives it. A file read in ranges and then again as one range, after a
     range failed, counts two reads."""
     with small_ranges(cpus) as forks, \
-            mock.patch.object(tinynet, "_PlainBytes", wraps=tinynet._PlainBytes) as reads:
+            mock.patch.object(cli, "_PlainBytes", wraps=cli._PlainBytes) as reads:
         split = _parsed(read, *paths)
     return split, _parsed(read, *paths), (forks.call_count, reads.call_count)
 
 
 def range_starts(path, cpus=3):
     with small_ranges(cpus), open(path, "rb") as raw:
-        return [start for start, _ in tinynet._ranges(raw)]
+        return [start for start, _ in cli._ranges(raw)]
 
 
 def read_preds(path):
     """The columns of a file of id and probability columns under any header."""
-    return tinynet._read_table(path, 0, "'pred'", lambda header: True, cli._evaluate_fields)[1]
-
-
-def read_dataset(path):
-    return dataclasses.astuple(tinynet.load_dataset(path))
+    return cli._read_table(path, "'pred'", lambda header: True)
 
 
 def in_children(exc):
-    """A stand-in for tinynet._loadtxt that raises exc in a forked child
-    (a warning is warned), and parses as usual in this process."""
-    parent, loadtxt = os.getpid(), tinynet._loadtxt
+    """A stand-in for cli._loadtxt that raises exc in a forked child (a
+    warning is warned), and parses as usual in this process."""
+    parent, loadtxt = os.getpid(), cli._loadtxt
 
     def failing(lines, dtype):
         if os.getpid() != parent:
@@ -1240,9 +1236,9 @@ PRED_ROWS = [f"{i % 2},0.25,0.75" for i in range(12)]
 
 
 class TestRangeReader:
-    # evaluate's and load_dataset's reader parses a large file in ranges of
-    # lines, one per usable CPU; forced here onto small files, it must give
-    # the one-range read's arrays bit for bit, or its error type and message
+    # evaluate's reader parses a large file in ranges of lines, one per
+    # usable CPU; forced here onto small files, it must give the one-range
+    # read's arrays bit for bit, or its error type and message
 
     @settings(max_examples=100, deadline=None)
     @given(pred_file=eval_files(PRED_HEADERS | st.sampled_from(["pred", "pred,p0,p1,p2"])),
@@ -1261,13 +1257,6 @@ class TestRangeReader:
         paths = odd_cell_files(tmp_path, cell, column, n_rows=12)
         split, whole, counts = read_split_and_whole(cli._evaluate_inputs, *paths)
         assert split == whole and counts[0] > 0
-
-    def test_dataset_file_reads_as_one_range(self, tmp_path):
-        ds = tinynet.inject_noise(tinynet.generate_synthetic(40, 3, 2, 0.4, 5), "gaussian", 0.3, 6)
-        (tmp_path / "data.csv").write_text(tinynet.dataset_text(ds), encoding="utf-8")
-        split, whole, counts = read_split_and_whole(read_dataset, tmp_path / "data.csv")
-        assert split == whole and counts == (2, 1)
-        assert whole[0][2] == ds.features.tobytes()
 
     @pytest.mark.parametrize("last, message", [
         ("1,0.25,0.7\xff5", "byte {at} is 0xff, outside ASCII or a separator 0x1c-0x1f"),
@@ -1331,7 +1320,7 @@ class TestRangeReaderProcesses:
     def test_failing_child_gives_the_whole_files_read(self, tmp_path, capfd, exc):
         # nothing on stdout or stderr, and the one-range read's arrays
         path = lines_file(tmp_path / "preds.csv", PRED_ROWS)
-        with mock.patch.object(tinynet, "_loadtxt", in_children(exc)):
+        with mock.patch.object(cli, "_loadtxt", in_children(exc)):
             split, whole, counts = read_split_and_whole(read_preds, path)
         assert split == whole and isinstance(whole, list) and counts == (2, 2)
         assert_no_child_left()
@@ -1343,12 +1332,12 @@ class TestRangeReaderProcesses:
         path = lines_file(tmp_path / "preds.csv", PRED_ROWS * 2000)
         parent = os.getpid()
 
-        def interrupted(lines, dtype, loadtxt=tinynet._loadtxt):
+        def interrupted(lines, dtype, loadtxt=cli._loadtxt):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
             return loadtxt(lines, dtype)
 
-        with small_ranges() as forks, mock.patch.object(tinynet, "_loadtxt", interrupted), \
+        with small_ranges() as forks, mock.patch.object(cli, "_loadtxt", interrupted), \
                 pytest.raises(KeyboardInterrupt):
             read_preds(path)
         assert forks.call_count == 2
@@ -1377,7 +1366,7 @@ class TestRangeReaderProcesses:
         read_end, write_end = os.pipe()
         os.close(write_end)
         with small_ranges(), open(read_end, "rb") as raw:
-            assert tinynet._ranges(raw) == [(0, None)]
+            assert cli._ranges(raw) == [(0, None)]
 
 
 class TestReproExamples:
@@ -1531,6 +1520,8 @@ def evaluate_into(directory, out, pred_text):
 
 
 def test_a_failed_write_names_its_file_and_leaves_no_temporary(tmp_path, capsys):
+    # a directory in the way of one file fails before the first replace,
+    # so every other file keeps the bytes of the last good run, or stays absent
     run = tmp_path / "run"
     (run / "summary.csv").mkdir(parents=True)
     errors = []
@@ -1538,8 +1529,26 @@ def test_a_failed_write_names_its_file_and_leaves_no_temporary(tmp_path, capsys)
         assert evaluate_into(tmp_path, run, "pred\n0\n1\n1\n") == 2
         errors.append(capsys.readouterr().err)
     assert errors[0] == errors[1] == f"error: [Errno 21] Is a directory: '{run / 'summary.csv'}'\n"
+    assert [path.name for path in run.iterdir()] == ["summary.csv"]
+    (run / "summary.csv").rmdir()
+    assert evaluate_into(tmp_path, run, "pred\n0\n1\n1\n") == 0
+    good = (run / "metrics.csv").read_bytes()
+    (run / "summary.csv").unlink()
+    (run / "summary.csv").mkdir()
+    assert evaluate_into(tmp_path, run, "pred\n0\n0\n1\n") == 2
+    assert capsys.readouterr().err == errors[0]
     assert sorted(path.name for path in run.iterdir()) == ["metrics.csv", "summary.csv"]
-    assert (run / "summary.csv").is_dir()
+    assert (run / "metrics.csv").read_bytes() == good and (run / "summary.csv").is_dir()
+
+
+def test_a_symlink_to_a_directory_is_replaced_like_a_file(tmp_path):
+    run, elsewhere = tmp_path / "run", tmp_path / "elsewhere"
+    run.mkdir()
+    elsewhere.mkdir()
+    (run / "summary.csv").symlink_to(elsewhere)
+    assert evaluate_into(tmp_path, run, "pred\n0\n1\n1\n") == 0
+    assert (run / "summary.csv").is_file() and not (run / "summary.csv").is_symlink()
+    assert not any(elsewhere.iterdir())
 
 
 def test_a_failed_replace_keeps_every_file(tmp_path, capsys, monkeypatch):

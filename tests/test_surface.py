@@ -33,8 +33,7 @@ SURFACE = {
         "CENTER_RADIUS", "MAX_DATASET_CELLS", "MlpModel", "NOISE_KINDS", "SPLITS",
         "SPLIT_FRACTIONS", "SyntheticDataset", "TrainConfig", "TrainHistory", "accuracy",
         "dataset_text", "derive_seed", "forward_batch", "generate_synthetic", "init_mlp",
-        "inject_noise", "load_dataset", "sgd_fit", "stack_datasets", "stack_models",
-        "train_supervised",
+        "inject_noise", "sgd_fit", "stack_datasets", "stack_models", "train_supervised",
     ],
 }
 
