@@ -16,7 +16,8 @@ The file also keeps the row-by-row reader of the `evaluate` input
 files, which parses each cell with int() or float(), as the reference of
 `cli._read_table`; the row-by-row reader of the dataset file, the only
 reader of what `tinynet.dataset_text` writes, which the round-trip tests
-call; the stable-sort threshold sweep, as the reference of
+call and the dataset-file tests hold to the file's rules; the
+stable-sort threshold sweep, as the reference of
 `metrics._threshold_groups`, and the ROC and PR curves built from it, as
 the reference of `metrics.micro_auc_ap`; and the SGD loop that
 indexed the dataset per mini-batch, called a per-batch loss closure for

@@ -1541,6 +1541,33 @@ def test_a_failed_write_names_its_file_and_leaves_no_temporary(tmp_path, capsys)
     assert (run / "metrics.csv").read_bytes() == good and (run / "summary.csv").is_dir()
 
 
+@pytest.mark.parametrize("argv, good", [
+    (["gen-data"], DATA_SECTION),
+    (["select", "--strategy", "grid"], "[grid]\npool = pool.json\n"),
+    (["distill"], DISTILL_CONFIG),
+    (["distill", "--ablation", "table11"], DISTILL_CONFIG),
+    (["evaluate"], "pred,p0,p1\n0,0.75,0.25\n1,0.125,0.875\n1,0.5,0.5\n"),
+], ids=["gen-data", "select", "distill", "distill-table11", "evaluate"])
+def test_a_directory_in_the_way_of_any_file_replaces_none(tmp_path, capsys, argv, good):
+    # whichever file of a run a directory stands in the way of, the run
+    # fails naming it, and every other file keeps the bytes it had
+    run = tmp_path / "run"
+    argv = [*run_argv(tmp_path, argv, "good", good), "--out", str(run)]
+    assert main(argv) == 0
+    names = sorted(path.name for path in run.iterdir())
+    capsys.readouterr()
+    for name in names:
+        for other in names:
+            (run / other).write_bytes(b"kept\n")
+        (run / name).unlink()
+        (run / name).mkdir()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{run / name}'\n"
+        (run / name).rmdir()
+        assert {path.name: path.read_bytes() for path in run.iterdir()} == {
+            other: b"kept\n" for other in names if other != name}
+        (run / name).touch()
+
 def test_a_symlink_to_a_directory_is_replaced_like_a_file(tmp_path):
     run, elsewhere = tmp_path / "run", tmp_path / "elsewhere"
     run.mkdir()

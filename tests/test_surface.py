@@ -7,7 +7,9 @@ implementation in the library, a row kernel; its independent one-sample
 version lives in `scalar_reference`, not here.
 """
 
+import ast
 import importlib
+import inspect
 import types
 
 SURFACE = {
@@ -49,3 +51,26 @@ def public_names(module) -> list[str]:
 
 def test_public_names_are_the_stated_ones():
     assert {name: public_names(importlib.import_module(name)) for name in SURFACE} == SURFACE
+
+
+def imported_modules(module) -> set[str]:
+    tree = ast.parse(inspect.getsource(module))
+    return {alias.name.split(".")[0] for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names} | {node.module.split(".")[0] for node in ast.walk(tree)
+                                        if isinstance(node, ast.ImportFrom) and node.level == 0}
+
+
+def test_tinynet_holds_no_file_reading_code():
+    # the one file reader, of evaluate's inputs, lives in cli
+    tinynet, cli = (importlib.import_module(f"antdistill.{name}") for name in ("tinynet", "cli"))
+    io_modules = {"io", "itertools", "os", "re", "stat", "threading", "warnings"}
+    assert imported_modules(tinynet) & io_modules == set()
+    assert io_modules <= imported_modules(cli)
+
+
+def test_cli_calls_no_private_tinynet_function():
+    cli = importlib.import_module("antdistill.cli")
+    used = {node.attr for node in ast.walk(ast.parse(inspect.getsource(cli)))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "tinynet"}
+    assert used and {name for name in used if name.startswith("_")} == set()

@@ -17,6 +17,7 @@ from antdistill.errors import (
     InvalidShape,
     LevelOutOfRange,
     NonFiniteLoss,
+    ParseError,
     ShapeMismatch,
     UnknownNoiseKind,
 )
@@ -889,3 +890,137 @@ class TestDatasetFile:
         np.testing.assert_array_equal(loaded.split, ds.split)
         p2.write_text(tinynet.dataset_text(loaded), encoding="utf-8")
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_parse_errors(self, tmp_path):
+        p = tmp_path / "bad.csv"
+        p.write_text("split,label\ntrain,0\n")
+        with pytest.raises(ParseError):
+            ref.load_dataset(p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_any_dataset_reads_back_bit_for_bit(self, tmp_path_factory, data):
+        # any finite features, -0.0 and subnormals too, and any noise level
+        # and class complexity in [0, 1]: the oracle reads back every array
+        # bit for bit, and what it read is written as the same bytes
+        n, c, d = data.draw(st.integers(1, 6)), data.draw(st.integers(2, 4)), data.draw(
+            st.integers(1, 3))
+        unit = st.floats(0.0, 1.0)
+        ds = tinynet.SyntheticDataset(
+            data.draw(hnp.arrays(np.float64, (n, d), elements=st.floats(allow_nan=False,
+                                                                         allow_infinity=False))),
+            data.draw(hnp.arrays(np.int64, n, elements=st.integers(0, c - 1))),
+            data.draw(hnp.arrays(np.float64, n, elements=unit)),
+            data.draw(hnp.arrays(np.float64, c, elements=unit)),
+            np.array(data.draw(st.lists(st.sampled_from(tinynet.SPLITS), min_size=n,
+                                        max_size=n)), dtype="<U5"),
+        )
+        text = tinynet.dataset_text(ds)
+        path = tmp_path_factory.getbasetemp() / "written_dataset.csv"
+        path.write_text(text, encoding="utf-8")
+        loaded = ref.load_dataset(path)
+        for got, want in zip(dataclasses.astuple(loaded), dataclasses.astuple(ds)):
+            assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+        assert tinynet.dataset_text(loaded) == text
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(tinynet.NOISE_KINDS),
+           level=st.floats(0.0, 1.0))
+    def test_every_written_cell_is_plain_ascii(self, seed, kind, level):
+        # int() and float() also read digits outside ASCII, `_` digit
+        # separators and the separators 0x1c-0x1f as whitespace; the writer
+        # writes none of them, only what every CSV reader reads alike
+        ds = tinynet.inject_noise(small_dataset(seed=seed, n=30, complexity=[0.1, 0.5, 0.9]),
+                                  kind, level, seed=seed + 1)
+        comment, header, *rows = tinynet.dataset_text(ds).split("\n")
+        assert rows.pop() == "" and header == "split,label,noise_level,f0,f1,f2,f3"
+        assert {row.split(",", 1)[0] for row in rows} <= set(tinynet.SPLITS)
+        cells = [*comment.removeprefix("# class_complexity=").split(","),
+                 *(cell for row in rows for cell in row.split(",")[1:])]
+        assert len(cells) == 3 + 30 * 6
+        plain = re.compile(r"-?\d+(\.\d+)?(e[-+]\d+)?")
+        assert [cell for cell in cells if not plain.fullmatch(cell)] == []
+
+DATASET_HEAD = "# class_complexity=0.5,0.25\nsplit,label,noise_level,f0,f1\n"
+# cells of a dataset file: valid values, and what the reader must reject
+CELLS = st.sampled_from(
+    ["0", "1", "2", "-1", "0.5", "1.5", "nan", "inf", "-inf", "1e400", "", "x", "train", "val",
+     "99999999999999999999"]
+) | st.floats().map(repr) | st.text(alphabet="0123456789.,-eEnaif# ", max_size=6)
+ROWS = st.lists(st.sampled_from(["train", "val", "test", "dev"]).flatmap(
+    lambda split: st.lists(CELLS, min_size=0, max_size=6).map(lambda c: ",".join([split, *c]))
+), max_size=5)
+COMPLEXITY = st.lists(CELLS, min_size=1, max_size=3).map(lambda c: ",".join(c))
+
+
+class TestDatasetFileInputs:
+    # the row-by-row reader in scalar_reference is the only reader of the
+    # dataset file, and the round-trip tests rest on it: it must reject a
+    # file whose values lie outside what a dataset holds
+
+    @pytest.mark.parametrize("row", [
+        "train,0,0.0,nan,1.0", "train,0,0.0,1.0,inf", "val,1,0.0,-inf,1.0",
+        "train,0,0.0,1e400,1.0", "train,0,nan,1.0,1.0", "test,1,inf,1.0,1.0",
+        "train,0,1.5,1.0,1.0", "train,0,-0.5,1.0,1.0", "train,99999999999999999999,0.0,1,1",
+    ])
+    def test_non_finite_or_out_of_range_values_are_parse_errors(self, tmp_path, row):
+        path = tmp_path / "d.csv"
+        path.write_text(DATASET_HEAD + "train,1,0.0,0.5,0.5\n" + row + "\n")
+        with pytest.raises(ParseError):
+            ref.load_dataset(path)
+
+    @pytest.mark.parametrize("complexity", ["nan,0.5", "0.5,1.5", "inf,0.5"])
+    def test_bad_class_complexity_is_parse_error(self, tmp_path, complexity):
+        path = tmp_path / "d.csv"
+        path.write_text(DATASET_HEAD.replace("0.5,0.25", complexity) + "train,0,0.0,1,2\n\n")
+        with pytest.raises(ParseError):
+            ref.load_dataset(path)
+
+    def test_undecodable_bytes_are_parse_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(DATASET_HEAD.encode() + b"train,0,0.0,\xff\xfe,1\n")
+        with pytest.raises(ParseError):
+            ref.load_dataset(path)
+
+    def test_header_without_feature_columns_is_parse_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("# class_complexity=0.5,0.25\nsplit,label,noise_level\ntrain,0,0.0\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: no feature columns$"):
+            ref.load_dataset(path)
+
+    def test_one_class_complexity_is_parse_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(DATASET_HEAD.replace("0.5,0.25", "0.5") + "train,0,0.0,1,2\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: class_complexity has 1 "):
+            ref.load_dataset(path)
+
+    def test_no_data_rows_is_parse_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(DATASET_HEAD + "\n\n")
+        with pytest.raises(ParseError):
+            ref.load_dataset(path)
+
+    @pytest.mark.parametrize("split", ["trainx", "trainxyz", "train\x00"])
+    def test_split_is_not_cut_down_to_a_valid_name(self, tmp_path, split):
+        path = tmp_path / "d.csv"
+        path.write_text(DATASET_HEAD + "train,1,0.0,0.5,0.5\n" + split + ",0,0.0,1,2\n")
+        message = f"{path}: bad row {split + ',0,0.0,1,2'!r}"
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            ref.load_dataset(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(complexity=COMPLEXITY, header=st.sampled_from(
+        ["split,label,noise_level,f0,f1", "split,label,noise_level", "split,label"]), rows=ROWS)
+    def test_any_file_gives_a_finite_dataset_or_parse_error(self, tmp_path_factory, complexity,
+                                                           header, rows):
+        path = tmp_path_factory.getbasetemp() / "fuzzed_dataset.csv"
+        path.write_text("\n".join([f"# class_complexity={complexity}", header, *rows]) + "\n")
+        try:
+            ds = ref.load_dataset(path)
+        except ParseError:
+            return
+        assert ds.n_features >= 1 and ds.n_classes >= 2
+        assert np.all(np.isfinite(ds.features))
+        assert np.all((ds.noise_level >= 0) & (ds.noise_level <= 1))
+        assert np.all((ds.class_complexity >= 0) & (ds.class_complexity <= 1))
+        assert ds.labels.min() >= 0 and ds.labels.max() < ds.n_classes
