@@ -3,8 +3,8 @@ and micro-averaged one-vs-rest ROC-AUC / average precision.
 
 Zero denominators never produce NaN: the metric is reported as 0 and the
 class is flagged undefined, so exported CSVs stay numeric. AUC and AP
-are two numbers from one sweep (`micro_auc_ap`), which processes tied
-scores as a single threshold group; no curve points are kept.
+are two numbers from one sort of the scores (`micro_auc_ap`), counted
+per tie group, each group one threshold; no curve points are kept.
 """
 
 from __future__ import annotations
@@ -102,11 +102,14 @@ def _first_bad_row(p: np.ndarray):
     """The index of the first row of a C-contiguous (n, C) matrix that
     `as_distribution` rejects, or None.
 
-    The mask applies its checks and tolerance to all rows in one pass. C
-    order matters: on a Fortran-ordered matrix `sum(axis=1)` adds in
-    another order than a row's own `sum()`, and can differ from it in the
-    last bit.
+    Whole-matrix reductions pass a valid matrix (NaN fails the minimum);
+    else a mask applies the same checks to all rows in one pass. C order
+    matters: on a Fortran-ordered matrix `sum(axis=1)` adds in another
+    order than a row's own `sum()`, and can differ in the last bit.
     """
+    if (p.shape[1] >= 2 and p.min() >= -_DIST_TOL and p.max() <= 1.0 + _DIST_TOL
+            and (np.abs(p.sum(axis=1) - 1.0) <= _DIST_TOL).all()):
+        return None
     with np.errstate(invalid="ignore"):  # inf - inf in a row sum
         bad = (
             (p.shape[1] < 2)
@@ -139,24 +142,21 @@ def _flatten_ovr(probabilities, labels):
 
 
 def _threshold_groups(scores, hits):
-    """Cumulative TP/FP after each tie group of the descending score sweep.
+    """Cumulative TP/FP counts at each tie group of scores, highest first.
 
-    Only the counts at group ends are read, and they do not depend on the
-    order inside a group, so the sort need not be stable.
+    One ascending sort gives the groups (-0.0 and 0.0 tie); a group's FP
+    count is the number of scores at or above it less its TP count.
     """
-    order = np.argsort(-scores)
-    s = scores[order]
-    h = hits[order]
-    boundary = np.flatnonzero(np.diff(s) != 0)
-    ends = np.append(boundary, s.size - 1)
-    cum_tp = np.cumsum(h)[ends]
-    cum_fp = np.cumsum(~h)[ends]
-    return cum_tp.astype(np.float64), cum_fp.astype(np.float64)
+    s = np.sort(scores)
+    first = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    tp = np.bincount(np.searchsorted(s[first], np.sort(scores[hits])), minlength=first.size)
+    cum_tp = np.cumsum(tp[::-1], dtype=np.float64)  # integers, so exact
+    return cum_tp, (s.size - first[::-1]) - cum_tp
 
 
 def micro_auc_ap(probabilities, labels) -> tuple[float, float]:
     """(ROC-AUC, average precision), micro-averaged one-vs-rest: every
-    (sample, class) pair flattened, validated once and swept once for both.
+    (sample, class) pair flattened, validated once and counted once for both.
 
     AUC is the trapezoid area under (FPR, TPR); AP sums precision times
     each step of recall, which is TPR.

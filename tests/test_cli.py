@@ -778,8 +778,35 @@ def write_eval_inputs(directory, with_probs):
     write(directory / "labels.csv", "\n".join(["label", *map(str, labels.tolist())]) + "\n")
 
 
+def write_large_eval_inputs(directory):
+    """50,000 predictions over 10 classes: a file of over 1 MiB, which
+    evaluate reads in ranges.
+
+    Half the rows, drawn at random, are softmax scores written with repr.
+    The others lie on the exact 1/8 grid (counts k/8 that sum to 8/8), and
+    a few of their zero cells are -0.0, so tie groups and both zeros fall
+    on either side of a range boundary.
+    """
+    rng = np.random.default_rng(2031)
+    n, c = 50_000, 10
+    labels = rng.integers(0, c, n)
+    logits = rng.normal(size=(n, c))
+    logits[np.arange(n), labels] += 1.0
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    grid = rng.permutation(n) < n // 2
+    probs[grid] = rng.multinomial(8, probs[grid]) / 8.0
+    probs[grid[:, None] & (probs == 0.0) & (rng.random((n, c)) < 0.02)] = -0.0
+    header = "pred," + ",".join(f"p{j}" for j in range(c))
+    rows = [f"{p}," + ",".join(map(repr, row))
+            for p, row in zip(probs.argmax(axis=1).tolist(), probs.tolist())]
+    write(directory / "preds.csv", "\n".join([header, *rows]) + "\n")
+    write(directory / "labels.csv", "\n".join(["label", *map(str, labels.tolist())]) + "\n")
+
+
 # sha256 of the evaluate outputs, recorded before the probability matrix
-# was validated in one pass and swept once for both curves
+# was validated in one pass and swept once for both curves (large: before
+# the sweep counted its tie groups from one ascending sort)
 GOLDEN_EVALUATE = {
     "probabilities": {
         "metrics.csv": "c785bb35dac6e1c20806d236589eebeb3379db8260828e6a2d182f8954da797c",
@@ -791,12 +818,20 @@ GOLDEN_EVALUATE = {
         "summary.csv": "d4cc8b5c90a4f4c481eaeeb05bd4e66badb503e9f9f99ce9255e179436a354b0",
         "stdout": "749cd425cc0831e7995810319db11d7c957da165097b9f08a941a9d3c82e9437",
     },
+    "large": {
+        "metrics.csv": "ec22d4d06655d28be327b94e00fae43532f25c6fe7b7490823bab396138977a4",
+        "summary.csv": "9d5d6f0da77062cf25897aa6a22d9c8d4c4e943fe0579a43d2bb94a2380726a8",
+        "stdout": "3e712d43beda1ff2edfafc7cfb4bc51bf0c855db2e6cd4de85eee79f84f1e7ba",
+    },
 }
 
 
 @pytest.mark.parametrize("inputs", list(GOLDEN_EVALUATE))
 def test_evaluate_outputs_pinned(tmp_path, inputs):
-    write_eval_inputs(tmp_path, with_probs=inputs == "probabilities")
+    if inputs == "large":
+        write_large_eval_inputs(tmp_path)
+    else:
+        write_eval_inputs(tmp_path, with_probs=inputs == "probabilities")
     out = tmp_path / "run"
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):

@@ -460,3 +460,46 @@ class TestMicroCurves:
         got = metrics._threshold_groups(scores, hits)
         want = ref.threshold_groups(scores, hits)
         assert [(a.dtype, a.tobytes()) for a in got] == [(a.dtype, a.tobytes()) for a in want]
+
+    def test_equal_to_the_reference_at_the_workload_scale(self):
+        # 50,000 x 10 = 500,000 scores. Half the rows lie on the 1/8 grid,
+        # where most scores tie and some zeros are -0.0; half are softmax rows
+        rng = np.random.default_rng(31)
+        n, c = 50_000, 10
+        p = numerics.softmax_rows(rng.normal(size=(n, c)))
+        grid = rng.random(n) < 0.5
+        p[grid] = rng.multinomial(8, p[grid]) / 8.0
+        p[grid[:, None] & (p == 0.0) & (rng.random((n, c)) < 0.1)] = -0.0
+        zeros = np.signbit(p[p == 0.0])
+        assert zeros.any() and not zeros.all()
+        labels = rng.integers(0, c, n)
+        hits = np.zeros((n, c), dtype=bool)
+        hits[np.arange(n), labels] = True
+        scores, hits = p.ravel(), hits.ravel()
+        got = metrics._threshold_groups(scores, hits)
+        want = ref.threshold_groups(scores, hits)
+        assert [(a.dtype, a.tobytes()) for a in got] == [(a.dtype, a.tobytes()) for a in want]
+        want = ref.auc_ap(*want, n, hits.size - n)
+        assert [v.hex() for v in metrics.micro_auc_ap(p, labels)] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("case", ["all equal", "all hits", "no hits"])
+    def test_threshold_groups_edge_cases(self, case):
+        rng = np.random.default_rng(5)
+        n = 1000
+        scores = rng.choice([0.0, -0.0, 0.25, 0.5, 1.0], n)
+        hits = rng.random(n) < 0.3
+        if case == "all equal":
+            scores = np.where(rng.random(n) < 0.5, 0.0, -0.0)
+        else:
+            hits[:] = case == "all hits"
+        got = metrics._threshold_groups(scores, hits)
+        want = ref.threshold_groups(scores, hits)
+        assert [(a.dtype, a.tobytes()) for a in got] == [(a.dtype, a.tobytes()) for a in want]
+
+    def test_every_score_equal(self):
+        labels = np.random.default_rng(6).integers(0, 4, 1000)
+        hits = np.zeros((1000, 4), dtype=bool)
+        hits[np.arange(1000), labels] = True
+        want = ref.auc_ap(*ref.threshold_groups(np.full(4000, 0.25), hits.ravel()), 1000, 3000)
+        got = metrics.micro_auc_ap(np.full((1000, 4), 0.25), labels)
+        assert [v.hex() for v in got] == [v.hex() for v in want] == [(0.5).hex(), (0.25).hex()]
