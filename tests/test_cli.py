@@ -842,6 +842,40 @@ def test_evaluate_outputs_pinned(tmp_path, inputs):
     assert digests == GOLDEN_EVALUATE[inputs]
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no os.sched_setaffinity here")
+def test_large_file_reads_the_same_on_every_cpu_and_on_one(tmp_path):
+    # the file is parsed in one range per usable CPU: a child pinned to one
+    # CPU parses it as one range, and must write the same outputs, and the
+    # same one error line for a bad cell in the last data row
+    write_large_eval_inputs(tmp_path)
+    preds = tmp_path / "preds.csv"
+    cpu = min(os.sched_getaffinity(0))
+
+    def evaluate(out, pinned):
+        return subprocess.run(
+            [sys.executable, "-m", "antdistill.cli", "evaluate", "--predictions", str(preds),
+             "--labels", str(tmp_path / "labels.csv"), "--out", str(out)],
+            capture_output=True, env=child_env(), timeout=120,
+            preexec_fn=(lambda: os.sched_setaffinity(0, {cpu})) if pinned else None)
+
+    for pinned in (False, True):
+        out = tmp_path / f"run-{pinned}"
+        proc = evaluate(out, pinned)
+        assert proc.returncode == 0, proc.stderr.decode("utf-8", "replace")
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        digests["stdout"] = hashlib.sha256(proc.stdout).hexdigest()
+        assert digests == GOLDEN_EVALUATE["large"]
+    text = preds.read_text(encoding="utf-8")
+    write(preds, text[:text.rindex(",", 0, -1)] + ",x\n")
+    for pinned in (False, True):
+        out = tmp_path / f"bad-{pinned}"
+        proc = evaluate(out, pinned)
+        assert (proc.returncode, proc.stderr.decode("utf-8")) == (2, (
+            f"error: {preds}: could not convert string 'x' to float64 at data row 50000, "
+            "column 11\n"))
+        assert not out.exists()
+
+
 class TestEvaluate:
     def test_perfect_predictions(self, tmp_path):
         write(tmp_path / "preds.csv", "pred\n0\n1\n2\n")
@@ -1428,6 +1462,14 @@ class TestReproExamples:
         assert proc.returncode == 0, proc.stderr
         assert "7/7 checks passed" in proc.stdout
 
+    def test_installed_script_is_the_function_the_children_run(self):
+        # so the children that run python -m antdistill.cli check the
+        # installed script's error paths too
+        tomllib = pytest.importorskip("tomllib")
+        with open(ROOT / "pyproject.toml", "rb") as f:
+            scripts = tomllib.load(f)["project"]["scripts"]
+        assert scripts == {"antdistill": "antdistill.cli:entrypoint"}
+
     def test_output_stable_across_runs(self, tmp_path):
         main(["repro-examples", "--out", str(tmp_path / "a")])
         main(["repro-examples", "--out", str(tmp_path / "b")])
@@ -1526,17 +1568,23 @@ def run_argv(directory, argv, name, text):
 DIVERGING_DISTILL = DISTILL_CONFIG.replace("learning_rate = 0.05", "learning_rate = 1e308")
 
 
-@pytest.mark.parametrize("argv, good, bad", [
+# (argv, a good run's input, a bad run's input, the bad run's error line,
+# with {} standing for the directory its inputs are in)
+@pytest.mark.parametrize("argv, good, bad, error", [
     (["gen-data"], DATA_SECTION,
-     DATA_SECTION.replace("samples = 120", "samples = 10").replace("classes = 3", "classes = 2")),
+     DATA_SECTION.replace("samples = 120", "samples = 10").replace("classes = 3", "classes = 2"),
+     "error: need at least 20 samples for 2 classes"),
     (["select", "--strategy", "grid"], "[grid]\npool = pool.json\n",
-     "[grid]\npool = missing.json\n"),
-    (["distill"], DISTILL_CONFIG, DIVERGING_DISTILL),
-    (["distill", "--ablation", "table11"], DISTILL_CONFIG, DIVERGING_DISTILL),
+     "[grid]\npool = missing.json\n",
+     "error: [grid] pool: {}/missing.json: cannot read: No such file or directory"),
+    (["distill"], DISTILL_CONFIG, DIVERGING_DISTILL, "error: training loss became nan"),
+    (["distill", "--ablation", "table11"], DISTILL_CONFIG, DIVERGING_DISTILL,
+     "error: training loss became nan"),
     (["evaluate"], "pred,p0,p1\n0,0.75,0.25\n1,0.125,0.875\n1,0.5,0.5\n",
-     "pred,p0,p1\n0,0.75,0.25\n1,0.125,x\n1,0.5,0.5\n"),
+     "pred,p0,p1\n0,0.75,0.25\n1,0.125,x\n1,0.5,0.5\n",
+     "error: {}/bad.csv: could not convert string 'x' to float64 at data row 2, column 3"),
 ], ids=["gen-data", "select", "distill", "distill-table11", "evaluate"])
-def test_a_failed_run_changes_nothing(tmp_path, capsys, argv, good, bad):
+def test_a_failed_run_changes_nothing(tmp_path, capsys, argv, good, bad, error):
     # a run directory records the run that wrote it: a failed run into it
     # writes no file and no config copy, and a failed first run makes no directory
     run = tmp_path / "run"
@@ -1545,7 +1593,7 @@ def test_a_failed_run_changes_nothing(tmp_path, capsys, argv, good, bad):
     capsys.readouterr()
     for out in (run, tmp_path / "fresh"):
         assert main([*run_argv(tmp_path, argv, "bad", bad), "--out", str(out)]) == 2
-        assert capsys.readouterr().err.count("\n") == 1
+        assert capsys.readouterr().err == error.format(tmp_path) + "\n"
     assert {path.name: path.read_bytes() for path in run.iterdir()} == first
     assert not (tmp_path / "fresh").exists()
 
