@@ -24,8 +24,7 @@ print(f"class 0: precision {rep.precision[0]:.3f} recall {rep.recall[0]:.3f} "
       f"f1 {rep.f1[0]:.4f}")
 print(f"class 1: precision {rep.precision[1]:.3f} recall {rep.recall[1]:.3f} "
       f"f1 {rep.f1[1]:.4f}")
-print(f"accuracy {rep.accuracy}  micro precision {rep.micro_precision} "
-      f"(equal by construction)")
+print(f"accuracy {rep.accuracy}")
 
 print("\ntrained classifier on synthetic data:")
 ds = generate_synthetic(400, 3, 6, 0.5, seed=4)

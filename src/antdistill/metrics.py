@@ -49,9 +49,6 @@ class ClassReport:
     macro_precision: float
     macro_recall: float
     macro_f1: float
-    micro_precision: float
-    micro_recall: float
-    micro_f1: float
 
 
 def _ratio(num, den):
@@ -61,35 +58,28 @@ def _ratio(num, den):
 
 
 def class_report(counts: np.ndarray) -> ClassReport:
-    """One-vs-rest per-class metrics plus macro and micro averages of
-    confusion's counts."""
+    """One-vs-rest per-class metrics, accuracy and macro averages of
+    confusion's counts.
+
+    Micro precision, recall and F1 are not kept: with one label and one
+    prediction per sample each equals the accuracy.
+    """
     total = counts.sum()
     if total == 0:
         raise EmptyMatrix("confusion matrix has no samples")
     tp = np.diag(counts).astype(np.float64)
-    fp = counts.sum(axis=0) - tp
-    fn = counts.sum(axis=1) - tp
-    precision, undefined_p = _ratio(tp, tp + fp)
-    recall, undefined_r = _ratio(tp, tp + fn)
+    precision, undefined_p = _ratio(tp, counts.sum(axis=0))
+    recall, undefined_r = _ratio(tp, counts.sum(axis=1))
     f1, undefined_f1 = _ratio(2 * precision * recall, precision + recall)
-
-    tp_sum = tp.sum()
-    accuracy = float(tp_sum / total)
-    micro_p = _ratio(tp_sum, tp_sum + fp.sum())[0]
-    micro_r = _ratio(tp_sum, tp_sum + fn.sum())[0]
-    micro_f1 = _ratio(2 * micro_p * micro_r, micro_p + micro_r)[0]
     return ClassReport(
         precision=precision,
         recall=recall,
         f1=f1,
         undefined=undefined_p | undefined_r | undefined_f1,
-        accuracy=accuracy,
+        accuracy=float(tp.sum() / total),
         macro_precision=float(precision.mean()),
         macro_recall=float(recall.mean()),
         macro_f1=float(f1.mean()),
-        micro_precision=float(micro_p),
-        micro_recall=float(micro_r),
-        micro_f1=float(micro_f1),
     )
 
 
@@ -175,19 +165,18 @@ def micro_auc_ap(probabilities, labels) -> tuple[float, float]:
 
 
 def report_csv(report: ClassReport) -> str:
-    """Wide CSV: one row per class plus macro and micro rows."""
+    """Wide CSV: one row per class plus macro and micro rows; the micro
+    precision, recall and F1 of single-label predictions are the accuracy."""
     lines = ["name,precision,recall,f1,undefined"]
-    for k in range(report.precision.size):
-        lines.append(
-            f"class_{k},{report.precision[k]!r},{report.recall[k]!r},"
-            f"{report.f1[k]!r},{int(report.undefined[k])}"
-        )
+    rows = zip(report.precision.tolist(), report.recall.tolist(), report.f1.tolist(),
+               report.undefined.tolist())
+    for k, (p, r, f1, undefined) in enumerate(rows):
+        lines.append(f"class_{k},{p!r},{r!r},{f1!r},{int(undefined)}")
     lines.append(
         f"macro,{report.macro_precision!r},{report.macro_recall!r},{report.macro_f1!r},0"
     )
-    lines.append(
-        f"micro,{report.micro_precision!r},{report.micro_recall!r},{report.micro_f1!r},0"
-    )
+    a = report.accuracy
+    lines.append(f"micro,{a!r},{a!r},{a!r},0")
     return "\n".join(lines) + "\n"
 
 

@@ -17,7 +17,7 @@ import scalar_reference as ref
 from antdistill import numerics, selection, tinynet
 from antdistill.cli import main, run_example_checks
 from antdistill.distill import _KD_LOSS, KdConfig, _kd_targets, distill_train, kd_loss
-from antdistill.metrics import class_report, confusion, micro_auc_ap
+from antdistill.metrics import class_report, confusion, micro_auc_ap, report_csv
 from antdistill.selection import AcoConfig, run_aco, run_grid, run_random, stub_pool
 from antdistill.temperature import ConstantPolicy, RuleBasedPolicy
 
@@ -337,8 +337,12 @@ def test_criterion_09_metrics_oracle_equivalence():
         if counts.sum() == 0:
             counts[0, 0] = 1
         r = class_report(counts)
-        assert abs(r.micro_precision - r.accuracy) < 1e-12
-        assert abs(r.micro_recall - r.accuracy) < 1e-12
+        micro = report_csv(r).splitlines()[-1].split(",")
+        tp = int(np.trace(counts))
+        fp = int((counts.sum(axis=0) - np.diag(counts)).sum())
+        fn = int((counts.sum(axis=1) - np.diag(counts)).sum())
+        assert micro == ["micro", *[repr(r.accuracy)] * 3, "0"]
+        assert float(micro[1]) == tp / (tp + fp) == tp / (tp + fn)
     elapsed = time.time() - start
     assert elapsed < 10.0
     announce(9, True, f"hand matrix, pairwise AUC oracle, micro identity ({elapsed:.1f}s)")

@@ -591,7 +591,9 @@ class TestDistill:
 # training moved to batched loss kernels, which must not change a byte.
 # distill_report.json was re-recorded when its temp_mean/min/max became one
 # number each instead of one per epoch, and again when its train_loss was
-# written at 12 significant digits, where every OpenBLAS kernel tried agrees
+# written at 12 significant digits, where every OpenBLAS kernel tried agrees;
+# metrics.csv was re-recorded when its class cells stopped being written as
+# np.float64(...)
 README_CONFIG = """\
 [data]
 samples = 600
@@ -618,7 +620,7 @@ student_hidden = 16,16
 GOLDEN_DISTILL = {
     None: {
         "distill_report.json": "e0f3ac86ca58da29c9c84f67c9dfbb170fcd9a5980e0d0d6bc2f98156e586e74",
-        "metrics.csv": "b5c6855ff4202c658f903b1e9aae118ffba5d5b421e230cc3d9f3709faad8bfa",
+        "metrics.csv": "fcf8fb57bff02a6e573c3efcbc4fa74e3662bec05c9056b4744eb459a1479213",
         "summary.csv": "1d93858a8c3dad294ca410b0f4f27e2588c28a291b241d5d3199b46e47ec49e0",
     },
     "table10": {
@@ -635,8 +637,11 @@ def test_distill_outputs_pinned(tmp_path, ablation):
     cfg = write(tmp_path / "c.ini", README_CONFIG)
     out = tmp_path / "run"
     argv = ["distill", "--config", str(cfg), "--out", str(out)]
-    with contextlib.redirect_stdout(io.StringIO()):
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
         assert main(argv + (["--ablation", ablation] if ablation else [])) == 0
+    assert not [p.name for p in out.iterdir() if b"np." in p.read_bytes()]
+    assert "np." not in stdout.getvalue()
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in out.iterdir() if p.name != "config.ini"}
     assert digests == GOLDEN_DISTILL[ablation]
@@ -699,6 +704,8 @@ def select_digests(directory, run):
     with contextlib.redirect_stdout(stdout):
         assert main(["select", "--config", str(cfg), "--strategy", strategy,
                      "--out", str(out)]) == 0
+    assert not [p.name for p in out.iterdir() if b"np." in p.read_bytes()]
+    assert "np." not in stdout.getvalue()
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in out.iterdir() if p.name != "config.ini"}
     digests["stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
@@ -806,20 +813,21 @@ def write_large_eval_inputs(directory):
 
 # sha256 of the evaluate outputs, recorded before the probability matrix
 # was validated in one pass and swept once for both curves (large: before
-# the sweep counted its tie groups from one ascending sort)
+# the sweep counted its tie groups from one ascending sort); metrics.csv
+# re-recorded when its class cells stopped being written as np.float64(...)
 GOLDEN_EVALUATE = {
     "probabilities": {
-        "metrics.csv": "c785bb35dac6e1c20806d236589eebeb3379db8260828e6a2d182f8954da797c",
+        "metrics.csv": "45beff34df7f4a0b6dc9929f51764602233346a3bc1350d2ce4c4d30346ebfbd",
         "summary.csv": "36e7536971aca1a2ed264b7aedd18f37b6286b24cbde618e133e9f8156b0af59",
         "stdout": "d130d5cce7ccc44ed740468614d5eb565f65bc4f6cb67582f64b84a382148161",
     },
     "pred-only": {
-        "metrics.csv": "c785bb35dac6e1c20806d236589eebeb3379db8260828e6a2d182f8954da797c",
+        "metrics.csv": "45beff34df7f4a0b6dc9929f51764602233346a3bc1350d2ce4c4d30346ebfbd",
         "summary.csv": "d4cc8b5c90a4f4c481eaeeb05bd4e66badb503e9f9f99ce9255e179436a354b0",
         "stdout": "749cd425cc0831e7995810319db11d7c957da165097b9f08a941a9d3c82e9437",
     },
     "large": {
-        "metrics.csv": "ec22d4d06655d28be327b94e00fae43532f25c6fe7b7490823bab396138977a4",
+        "metrics.csv": "3da6eb64c6c5dd26e7becbbadeade06c662120849de72a3bd95796920c87dd89",
         "summary.csv": "9d5d6f0da77062cf25897aa6a22d9c8d4c4e943fe0579a43d2bb94a2380726a8",
         "stdout": "3e712d43beda1ff2edfafc7cfb4bc51bf0c855db2e6cd4de85eee79f84f1e7ba",
     },
@@ -837,6 +845,8 @@ def test_evaluate_outputs_pinned(tmp_path, inputs):
     with contextlib.redirect_stdout(stdout):
         assert main(["evaluate", "--predictions", str(tmp_path / "preds.csv"),
                      "--labels", str(tmp_path / "labels.csv"), "--out", str(out)]) == 0
+    assert not [p.name for p in out.iterdir() if b"np." in p.read_bytes()]
+    assert "np." not in stdout.getvalue()
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     digests["stdout"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
     assert digests == GOLDEN_EVALUATE[inputs]

@@ -113,8 +113,12 @@ class TestClassReport:
             if counts.sum() == 0:
                 counts[0, 0] = 1
             rep = class_report(counts)
-            assert abs(rep.micro_precision - rep.accuracy) < 1e-12
-            assert abs(rep.micro_recall - rep.accuracy) < 1e-12
+            micro = report_csv(rep).splitlines()[-1].split(",")
+            tp = int(np.trace(counts))
+            fp = int((counts.sum(axis=0) - np.diag(counts)).sum())
+            fn = int((counts.sum(axis=1) - np.diag(counts)).sum())
+            assert micro == ["micro", *[repr(rep.accuracy)] * 3, "0"]
+            assert float(micro[1]) == tp / (tp + fp) == tp / (tp + fn)
 
     def test_f1_harmonic_mean_bounds(self):
         rng = np.random.default_rng(1)
@@ -241,6 +245,25 @@ class TestCsvExport:
         assert lines[0] == "name,precision,recall,f1,undefined"
         assert len(lines) == 1 + 2 + 2  # header + classes + macro/micro
         assert lines[-1].startswith("micro,")
+
+    # [[1, 4], [5, 0]]: accuracy 0.1, where 2·a·a/(a+a) is one ulp above a
+    @pytest.mark.parametrize("counts", [
+        [[1, 1], [0, 2]],
+        [[1, 4], [5, 0]],
+        [[3, 0, 1], [2, 5, 0], [0, 0, 0]],
+    ])
+    def test_report_csv_cells_are_plain_numbers(self, counts):
+        rep = class_report(np.array(counts))
+        rows = [line.split(",") for line in report_csv(rep).splitlines()[1:]]
+        assert len(rows) == rep.precision.size + 2
+        for k, row in enumerate(rows[:-2]):
+            assert row[0] == f"class_{k}"
+            assert [float(cell) for cell in row[1:4]] == [
+                rep.precision[k], rep.recall[k], rep.f1[k]]
+            assert row[4] == str(int(rep.undefined[k]))
+        assert rows[-2] == ["macro", *map(repr, (rep.macro_precision, rep.macro_recall,
+                                                 rep.macro_f1)), "0"]
+        assert rows[-1] == ["micro", *[repr(rep.accuracy)] * 3, "0"]
 
     def test_summary_csv(self):
         rep = class_report(np.array([[1, 1], [0, 2]]))
