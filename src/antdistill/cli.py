@@ -20,6 +20,7 @@ ASCII input rule, a large file in up to one range of lines per usable CPU.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import errno
 import io
 import itertools
@@ -152,24 +153,22 @@ def cmd_distill(args) -> tuple:
     net = cfg.build("kd", NetConfig)
     policy = (cfg.build("policy", POLICIES[cfg.sections["policy"]["variant"]])
               if cfg.has("policy") else RuleBasedPolicy())
+    kd = cfg.build("kd", KdConfig, policy=policy, train=train_cfg)  # checked before any training
     teacher = tinynet.init_mlp([clean.n_features, *net.teacher_hidden, clean.n_classes],
                                seed=tinynet.derive_seed(train_cfg.seed, 1))
     teacher, _ = tinynet.train_supervised(teacher, clean, train_cfg)
     student = tinynet.init_mlp([clean.n_features, *net.student_hidden, clean.n_classes],
                                seed=tinynet.derive_seed(train_cfg.seed, 2))
 
-    def kd_cfg(arm_policy):
-        return cfg.build("kd", KdConfig, policy=arm_policy, train=train_cfg)
-
     if not args.ablation:
-        trained, report = distill_train(teacher, student, experiment, kd_cfg(policy))
+        trained, report = distill_train(teacher, student, experiment, kd)
         rep, logits, labels = _test_report(trained, experiment)
         micro = metrics.micro_auc_ap(numerics.softmax_rows(logits), labels)
         return out, {"distill_report.json": report.to_json() + "\n",
                      "metrics.csv": metrics.report_csv(rep),
                      "summary.csv": metrics.summary_csv(rep, micro)}, (
             f"distilled student: test_accuracy={rep.accuracy:.6f} "
-            f"val_accuracy={report.final_val_accuracy:.6f}\n")
+            f"val_accuracy={report.val_accuracy[-1]:.6f}\n")
 
     # the ablations compare a constant temperature with a context-aware
     # policy: the configured one stands in for whichever it is, the
@@ -183,16 +182,17 @@ def cmd_distill(args) -> tuple:
         supervised = KdConfig(ConstantPolicy(1.0), t_base=0.0, train=train_cfg)
         rows = [("teacher", teacher, experiment)]
         arms = [("student_supervised", experiment, supervised),
-                ("student_constant_temp", experiment, kd_cfg(constant)),
-                ("student_context_aware", experiment, kd_cfg(context))]
+                ("student_constant_temp", experiment, dataclasses.replace(kd, policy=constant)),
+                ("student_context_aware", experiment, dataclasses.replace(kd, policy=context))]
     else:
         level = cfg.section("data").get("noise_level", TABLE11_NOISE_LEVEL)
         seed = tinynet.derive_seed(data.seed, 102)
         rows = []
         variants = [(kind, tinynet.inject_noise(clean, kind, level, seed))
                     for kind in ("gaussian", "salt_pepper", "uniform")] + [("clean", clean)]
-        arms = [(tag, variant, kd_cfg(context)) for tag, variant in variants]
-    students = distill_arms(teacher, student, [(dataset, kd) for _, dataset, kd in arms])
+        context_kd = dataclasses.replace(kd, policy=context)
+        arms = [(tag, variant, context_kd) for tag, variant in variants]
+    students = distill_arms(teacher, student, [(dataset, arm_kd) for _, dataset, arm_kd in arms])
     rows += [(tag, model, dataset) for (tag, dataset, _), (model, _) in zip(arms, students)]
     lines = [_metrics_row(tag, _test_report(model, dataset)[0]) for tag, model, dataset in rows]
     return out, {"ablation.csv": ABLATION_HEADER + "\n" + "\n".join(lines) + "\n"}, (

@@ -46,6 +46,10 @@ class DataConfig:
         if len(self.complexity) not in (1, self.classes):
             raise ConfigParseError(f"[data] complexity must have 1 or {self.classes} entries, "
                                    f"got {len(self.complexity)}")
+        for key in ("noise_level", "noise_fraction"):
+            value = getattr(self, key)
+            if not 0.0 <= value <= 1.0:  # NaN too
+                raise ConfigParseError(f"[data] {key} must lie in [0, 1], got {value}")
 
 
 @dataclass(frozen=True)
@@ -86,14 +90,12 @@ _PARSERS = {
 @functools.cache
 def _fields(owner) -> dict:
     """key -> (type, required) of each parameter of owner that a key sets:
-    those annotated with a type in _PARSERS, or with X | None for one. The
-    caller passes the others, such as run_aco's pool and cfg."""
+    those annotated with a type in _PARSERS. The caller passes the others,
+    such as run_aco's pool and cfg."""
     hints = typing.get_type_hints(owner)
     fields = {}
     for name, param in inspect.signature(owner).parameters.items():
         hint = hints.get(name)
-        if type(None) in typing.get_args(hint):
-            (hint,) = set(typing.get_args(hint)) - {type(None)}
         if hint in _PARSERS:
             fields[name] = (hint, param.default is param.empty)
     return fields

@@ -141,7 +141,6 @@ class DistillReport:
     temp_mean: float
     temp_min: float
     temp_max: float
-    final_val_accuracy: float
 
     def to_json(self) -> str:
         """The report as JSON, with each train_loss at 12 significant digits:
@@ -205,7 +204,6 @@ def distill_arms(teacher: tinynet.MlpModel, student: tinynet.MlpModel, arms):
         temp_mean=float(t[train_idx].mean()),
         temp_min=float(t[train_idx].min()),
         temp_max=float(t[train_idx].max()),
-        final_val_accuracy=history.val_accuracy[-1],
     )) for s, history, t, cfg in zip(trained, histories, temps, cfgs)]
 
 

@@ -357,7 +357,7 @@ class _Run:
                                           learning_rate=s.profile.learning_rate, seed=seed),
             ),
         )
-        return report.final_val_accuracy
+        return report.val_accuracy[-1]
 
     def proxy(self, cid: int) -> float:
         """Cheap score of one candidate: a short run on a seeded slice of
@@ -404,38 +404,21 @@ class _Run:
         )
 
 
-def run_aco(pool: CandidatePool, cfg: AcoConfig, pair_mode: bool = False,
-            init_pheromone: tuple[float, ...] | None = None,
-            init_heuristic: tuple[float, ...] | None = None) -> SelectionReport:
+def run_aco(pool: CandidatePool, cfg: AcoConfig, pair_mode: bool = False) -> SelectionReport:
     """Algorithm: pheromones start at one, the heuristic comes from a cheap
     proxy pass, each iteration every ant roulette-selects and evaluates a
-    candidate, then a single evaporate+deposit update is applied.
-
-    init_pheromone / init_heuristic override the all-ones start and the
-    proxy pass (skipping its evaluations); used to replay worked examples
-    from a known mid-run state.
-    """
+    candidate, then a single evaporate+deposit update is applied."""
     run = _Run(pool, cfg.seed, pair_mode)
     rng = np.random.default_rng(cfg.seed)
     units = run.units
 
-    if init_heuristic is not None:
-        heuristic = np.asarray(init_heuristic, dtype=np.float64)
+    proxy = np.array([run.proxy(i) for i in range(len(pool))])
+    if pair_mode:
+        heuristic = np.array([(proxy[i] + proxy[j]) / 2.0 for i, j in units])
     else:
-        proxy = np.array([run.proxy(i) for i in range(len(pool))])
-        if pair_mode:
-            heuristic = np.array([(proxy[i] + proxy[j]) / 2.0 for i, j in units])
-        else:
-            heuristic = proxy
-    pheromone = (
-        np.asarray(init_pheromone, dtype=np.float64)
-        if init_pheromone is not None
-        else np.ones(len(units))
-    )
-    if pheromone.shape != (len(units),) or heuristic.shape != (len(units),):
-        raise InvalidShape(f"init vectors must have length {len(units)}")
+        heuristic = proxy
 
-    state = PheromoneState(pheromone, heuristic)
+    state = PheromoneState(np.ones(len(units)), heuristic)
     best_unit, best_score = None, -1.0
     history = []
     for _ in range(cfg.n_iterations):

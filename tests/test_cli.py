@@ -132,7 +132,7 @@ class TestConfigParsing:
                    "student_hidden": "ints"},
             "aco": {"pool": "str", "alpha": "float", "beta": "float", "rho": "float",
                     "q0": "float", "n_ants": "int", "n_iterations": "int", "seed": "int",
-                    "pair_mode": "bool", "init_pheromone": "floats", "init_heuristic": "floats"},
+                    "pair_mode": "bool"},
             "pso": {"pool": "str", "n_particles": "int", "n_iterations": "int",
                     "inertia": "float", "c1": "float", "c2": "float", "seed": "int"},
             "grid": {"pool": "str", "pair_mode": "bool"},
@@ -228,20 +228,6 @@ SELECT_DATA = ("[data]\nsamples = 90\nclasses = 3\ndim = 4\ncomplexity = 0.2,0.4
 
 
 class TestSelect:
-    def test_aco_worked_example_first_iteration_probabilities(self, tmp_path):
-        worked_example_pool(tmp_path)
-        cfg = write(
-            tmp_path / "c.ini",
-            "[aco]\npool = pool.json\nq0 = 0\nseed = 0\n"
-            "init_pheromone = 2,1,4\ninit_heuristic = 3,5,2\n",
-        )
-        out = tmp_path / "run"
-        assert main(["select", "--config", str(cfg), "--strategy", "aco",
-                     "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
-        first = np.array(report["history"][0]["probabilities"])
-        np.testing.assert_allclose(first, [0.305, 0.424, 0.271], atol=1e-3)
-
     def test_grid_pair_mode_240_evaluations(self, tmp_path):
         scores = np.round(np.linspace(0.2, 0.9, 16), 3)
         write(
@@ -327,19 +313,6 @@ class TestSelect:
         assert fits == []
         assert f"{key} must be finite, got {value}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key", ["init_pheromone", "init_heuristic"])
-    @pytest.mark.parametrize("value", ["nan", "inf"])
-    def test_non_finite_init_vector_is_exit_2(self, tmp_path, capsys, key, value):
-        worked_example_pool(tmp_path)
-        vectors = {"init_pheromone": "1,1,1", "init_heuristic": "1,1,1", key: f"{value},1,1"}
-        cfg = write(tmp_path / "c.ini", "[aco]\npool = pool.json\n"
-                    + "".join(f"{k} = {v}\n" for k, v in vectors.items()))
-        out = tmp_path / "run"
-        assert main(["select", "--config", str(cfg), "--strategy", "aco",
-                     "--out", str(out)]) == 2
-        assert not (out / "report.json").exists()
-        assert "entries must be finite" in capsys.readouterr().err
-
     def test_overflowing_aco_weights_are_exit_2(self, tmp_path, capsys):
         # the pheromone of the 0.9 candidate passes 1, and its 1000th power
         # overflows: this once wrote NaN probabilities and exited 0
@@ -354,12 +327,14 @@ class TestSelect:
             "error: pheromone^alpha * heuristic^beta is not finite for alpha 1000.0, beta 2.0")
 
     def test_overflowing_aco_weight_sum_is_exit_2_without_a_warning(self, tmp_path, capsys):
-        # each weight is 10^308, finite, and their sum overflows: this once
-        # warned, wrote all-zero probabilities and exited 0
+        # the first iteration's deposits take each pheromone to about 5.9,
+        # whose 399.7th power is finite, and the second iteration's weights
+        # sum past the largest float: this once warned, wrote all-zero
+        # probabilities and exited 0
         write(tmp_path / "pool.json", json.dumps({"candidates": [
-            {"name": "a", "stub_score": 0.5}, {"name": "b", "stub_score": 0.9}]}))
-        cfg = write(tmp_path / "c.ini", "[aco]\npool = pool.json\nalpha = 308\nbeta = 0\n"
-                    "rho = 0.9\ninit_pheromone = 10,10\ninit_heuristic = 1,1\n")
+            {"name": "a", "stub_score": 0.5}, {"name": "b", "stub_score": 0.5}]}))
+        cfg = write(tmp_path / "c.ini", "[aco]\npool = pool.json\nalpha = 399.7\nbeta = 0\n"
+                    "n_ants = 20\nn_iterations = 2\nseed = 6\n")
         out = tmp_path / "run"
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -368,8 +343,8 @@ class TestSelect:
         assert caught == []
         assert not (out / "report.json").exists()
         assert capsys.readouterr().err == (
-            "error: pheromone^alpha * heuristic^beta weights sum to inf for alpha 308.0, "
-            "beta 0.0: [1e+308, 1e+308]\n")
+            "error: pheromone^alpha * heuristic^beta weights sum to inf for alpha 399.7, "
+            "beta 0.0: [1.2869126010164517e+308, 1.2869126010164517e+308]\n")
 
     def test_diverging_learning_rate_is_exit_2_without_a_warning(self, tmp_path, capsys):
         # this once printed numpy's overflow and invalid-value warnings first
@@ -619,7 +594,7 @@ student_hidden = 16,16
 """
 GOLDEN_DISTILL = {
     None: {
-        "distill_report.json": "e0f3ac86ca58da29c9c84f67c9dfbb170fcd9a5980e0d0d6bc2f98156e586e74",
+        "distill_report.json": "1ace17b2ec10422ba4ce7af42652a6609d3c369bf04b875c864f3e433bfb937c",
         "metrics.csv": "fcf8fb57bff02a6e573c3efcbc4fa74e3662bec05c9056b4744eb459a1479213",
         "summary.csv": "1d93858a8c3dad294ca410b0f4f27e2588c28a291b241d5d3199b46e47ec49e0",
     },
@@ -651,12 +626,12 @@ STUB_POOL = {"candidates": [{"name": f"m{i}", "stub_score": s}
                             for i, s in enumerate([0.61, 0.72, 0.55, 0.83, 0.79])]}
 # every strategy with every key of its section set away from the default,
 # aco and grid in pair mode on MLP_POOL; the sha256 of each output was
-# recorded before the config keys were derived from the dataclasses
+# recorded before the config keys were derived from the dataclasses, and
+# aco's before run_aco lost its init vectors
 SELECT_RUNS = {
     "aco": ("aco", STUB_POOL,
             "[aco]\npool = pool.json\nalpha = 1.5\nbeta = 1.0\nrho = 0.2\nq0 = 0.3\nn_ants = 3\n"
-            "n_iterations = 4\nseed = 11\npair_mode = false\ninit_pheromone = 1,2,3,1,2\n"
-            "init_heuristic = 2,1,1,3,1\n"),
+            "n_iterations = 4\nseed = 11\npair_mode = false\n"),
     "aco_pairs": ("aco", MLP_POOL,
                   SELECT_DATA + "[aco]\npool = pool.json\nalpha = 0.5\nn_ants = 2\n"
                                 "n_iterations = 3\nseed = 2\npair_mode = yes\n"),
@@ -668,9 +643,9 @@ SELECT_RUNS = {
 }
 GOLDEN_SELECT = {
     "aco": {
-        "report.csv": "f3fa1d6e733cfdfd8da0ab3e0767e7283100d61635adc7ea36cc2ef4091b72a5",
-        "report.json": "366fc8e5c70f040e48f6bc4b1468b1f272c60f439df565293b1dea3973bbec85",
-        "stdout": "7ac760ccba461c95014c673931b2d794b5b2e1dfa138483528de61b30186d43c",
+        "report.csv": "a33f522bcb1524bc4ec2f2437f4699af102d29b53994d4a49d4f1d941f1b9ea2",
+        "report.json": "18aabb6c429d6368fe957696b1eb2bd48f209321569ddb15e2126fda8d6b260c",
+        "stdout": "3ba4d07117ae326d753f12861d093c4fa751149c45d501e587397619c1103dbc",
     },
     "aco_pairs": {
         "report.csv": "06a687e350c6c450205285836255ff461b2ded7370e6d40db8c818bab2ca02a4",
@@ -1492,10 +1467,17 @@ class TestErrorPaths:
     def test_missing_config_is_nonzero(self, capsys):
         assert main(["gen-data", "--config", "/nonexistent.ini", "--out", "/tmp/x"]) == 2
 
-    def test_unknown_key_is_nonzero(self, tmp_path, capsys):
-        cfg = write(tmp_path / "c.ini", "[data]\nwhat = 1\n")
-        assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
-        assert "what" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv, text, key, section", [
+        (["gen-data"], "[data]\nwhat = 1\n", "what", "data"),
+        # ACO always starts from all-ones pheromones and the proxy heuristic
+        (["select", "--strategy", "aco"], "[aco]\npool = pool.json\ninit_pheromone = 2,1,4\n",
+         "init_pheromone", "aco"),
+    ], ids=["data-what", "aco-init-pheromone"])
+    def test_unknown_key_is_nonzero(self, tmp_path, capsys, argv, text, key, section):
+        cfg = write(tmp_path / "c.ini", text)
+        assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: unknown key {key!r} in section [{section}]\n")
 
     @pytest.mark.parametrize("argv, text, message", [
         (["gen-data", "--out", "run"], "[data]\nclasses = 3\ndim = 4\n",
@@ -1528,8 +1510,26 @@ class TestErrorPaths:
         (["distill", "--ablation", "table11"],
          DATA_SECTION.replace("complexity = 0.0", "complexity = 0.1,0.2,0.3,0.4") + "[kd]\n",
          "[data] complexity must have 1 or 3 entries, got 4"),
+        (["distill"], DATA_SECTION + "[kd]\nt_base = 2\n", "t_base must lie in [0, 1], got 2.0"),
+        (["distill", "--ablation", "table10"], DATA_SECTION + "[kd]\nt_base = 2\n",
+         "t_base must lie in [0, 1], got 2.0"),
+        (["distill", "--ablation", "table11"], DATA_SECTION + "[kd]\nt_base = -0.5\n",
+         "t_base must lie in [0, 1], got -0.5"),
+        (["gen-data"], DATA_SECTION.replace("gaussian", "none") + "noise_fraction = 7\n",
+         "[data] noise_fraction must lie in [0, 1], got 7.0"),
+        (["distill"], DATA_SECTION.replace("gaussian", "none").replace("level = 0.5", "level = 5") + "[kd]\n",
+         "[data] noise_level must lie in [0, 1], got 5.0"),
+        (["distill", "--ablation", "table10"], DATA_SECTION + "noise_fraction = nan\n[kd]\n",
+         "[data] noise_fraction must lie in [0, 1], got nan"),
+        (["distill", "--ablation", "table11"],
+         DATA_SECTION.replace("gaussian", "none").replace("level = 0.5", "level = 5") + "[kd]\n",
+         "[data] noise_level must lie in [0, 1], got 5.0"),
+        (["gen-data"], DATA_SECTION.replace("level = 0.5", "level = nan"),
+         "[data] noise_level must lie in [0, 1], got nan"),
     ], ids=["student-hidden", "teacher-hidden", "noise-kind", "noise-kind-none",
-            "complexity-count", "complexity-count-table11"])
+            "complexity-count", "complexity-count-table11", "t-base", "t-base-table10",
+            "t-base-table11", "noise-fraction", "noise-level", "noise-fraction-nan-table10",
+            "noise-level-table11", "noise-level-nan"])
     def test_bad_value_is_exit_2_naming_its_key_before_training(self, tmp_path, capsys,
                                                                 monkeypatch, argv, text, message):
         # the config is checked where it is read: no model is trained first

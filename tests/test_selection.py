@@ -357,10 +357,9 @@ GOLDEN_REPORTS = {
                         pair_mode=True),
         "a6fe4088e3111678272232677b4e342f587b90eb9ff65019e05985d4e9a9b754",
     ),
-    "aco_init_state": (
-        lambda: run_aco(stub_pool([0.9, 0.8, 0.7]), AcoConfig(q0=0.3, n_iterations=4, seed=0),
-                        init_pheromone=[2.0, 1.0, 4.0], init_heuristic=[3.0, 5.0, 2.0]),
-        "122fcc5b6f159d21cacd6c0ef28a1b41ae9016c35ef41f0d98b0f06101f1c526",
+    "aco_q0": (
+        lambda: run_aco(stub_pool([0.9, 0.8, 0.7]), AcoConfig(q0=0.3, n_iterations=4, seed=0)),
+        "891d44d3a1180a04fc801ed30a6c883b9f0cc398ac5648c07dc81870e47be7b3",
     ),
     "random_one_pick": (
         lambda: run_random(stub_pool(TIED), n_picks=1, seed=2),
