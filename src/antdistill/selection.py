@@ -188,7 +188,6 @@ class AcoConfig:
     alpha: float = 1.0  # pheromone exponent
     beta: float = 2.0  # heuristic exponent
     rho: float = 0.1  # evaporation rate
-    q0: float = 0.0  # probability of greedy exploitation; 0 = pure roulette
     n_ants: int = 5
     n_iterations: int = 15
     seed: int = 0
@@ -196,17 +195,17 @@ class AcoConfig:
     def __post_init__(self):
         if not 0.0 <= self.rho < 1.0:
             raise InvalidRho(f"rho must lie in [0, 1), got {self.rho!r}")
-        if not 0.0 <= self.q0 <= 1.0:
-            raise InvalidShape(f"q0 must lie in [0, 1], got {self.q0!r}")
-        if self.alpha < 0 or self.beta < 0:
-            raise InvalidShape("alpha and beta must be >= 0")
-        if self.n_ants < 1 or self.n_iterations < 1:
-            raise EmptyRun("n_ants and n_iterations must be >= 1")
+        for key in ("alpha", "beta"):
+            if getattr(self, key) < 0:
+                raise InvalidShape(f"{key} must be >= 0, got {getattr(self, key)!r}")
+        for key in ("n_ants", "n_iterations"):
+            if getattr(self, key) < 1:
+                raise EmptyRun(f"{key} must be >= 1, got {getattr(self, key)!r}")
         _check_finite(self, InvalidShape)
 
 
-def _preference_weights(state: PheromoneState, alpha: float, beta: float):
-    """(weights pheromone^alpha * heuristic^beta, their sum)."""
+def selection_probabilities(state: PheromoneState, alpha: float, beta: float) -> np.ndarray:
+    """P_m = pheromone^alpha * heuristic^beta, normalized over candidates."""
     with np.errstate(over="ignore", invalid="ignore"):  # inf, or inf * 0
         w = state.pheromone**alpha * state.heuristic**beta
         total = float(w.sum())
@@ -218,22 +217,13 @@ def _preference_weights(state: PheromoneState, alpha: float, beta: float):
     if not math.isfinite(total):
         raise NonFiniteWeights(f"pheromone^alpha * heuristic^beta weights sum to {total!r} for "
                                f"alpha {alpha!r}, beta {beta!r}: {w.tolist()}")
-    return w, total
-
-
-def selection_probabilities(state: PheromoneState, alpha: float, beta: float) -> np.ndarray:
-    """P_m = pheromone^alpha * heuristic^beta, normalized over candidates."""
-    w, total = _preference_weights(state, alpha, beta)
     return w / total
 
 
-def ant_select(state: PheromoneState, cfg: AcoConfig, rng: np.random.Generator) -> int:
-    """One ant's pick: greedy argmax with probability q0, else roulette wheel."""
-    w, total = _preference_weights(state, cfg.alpha, cfg.beta)
-    if cfg.q0 > 0.0 and rng.random() < cfg.q0:
-        return int(np.argmax(w))
-    p = w / total
-    return int(np.searchsorted(np.cumsum(p), rng.random(), side="right").clip(0, p.size - 1))
+def ant_select(probabilities: np.ndarray, rng: np.random.Generator) -> int:
+    """One ant's roulette-wheel pick from selection_probabilities."""
+    pick = np.searchsorted(np.cumsum(probabilities), rng.random(), side="right")
+    return int(pick.clip(0, len(probabilities) - 1))
 
 
 def update_pheromones(state: PheromoneState, selections, rho: float) -> PheromoneState:
@@ -407,7 +397,8 @@ class _Run:
 def run_aco(pool: CandidatePool, cfg: AcoConfig, pair_mode: bool = False) -> SelectionReport:
     """Algorithm: pheromones start at one, the heuristic comes from a cheap
     proxy pass, each iteration every ant roulette-selects and evaluates a
-    candidate, then a single evaporate+deposit update is applied."""
+    candidate from the iteration's one probability vector, the one history
+    records, then a single evaporate+deposit update is applied."""
     run = _Run(pool, cfg.seed, pair_mode)
     rng = np.random.default_rng(cfg.seed)
     units = run.units
@@ -425,7 +416,7 @@ def run_aco(pool: CandidatePool, cfg: AcoConfig, pair_mode: bool = False) -> Sel
         probs = selection_probabilities(state, cfg.alpha, cfg.beta)
         selections = []
         for _ant in range(cfg.n_ants):
-            u = ant_select(state, cfg, rng)
+            u = ant_select(probs, rng)
             score = run.score(units[u])
             selections.append((u, score))
             if score > best_score:
@@ -475,8 +466,10 @@ class PsoConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_particles < 1 or self.n_iterations < 0:
-            raise EmptyRun("n_particles must be >= 1 and n_iterations >= 0")
+        if self.n_particles < 1:
+            raise EmptyRun(f"n_particles must be >= 1, got {self.n_particles!r}")
+        if self.n_iterations < 0:
+            raise EmptyRun(f"n_iterations must be >= 0, got {self.n_iterations!r}")
         _check_finite(self, InvalidShape)
 
 

@@ -455,10 +455,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or not self.learning_rate >= 0.0:
-            raise InvalidShape("epochs/batch_size must be >= 1 and learning_rate >= 0")
+        for key in ("epochs", "batch_size"):
+            if getattr(self, key) < 1:
+                raise InvalidShape(f"{key} must be >= 1, got {getattr(self, key)!r}")
         if not math.isfinite(self.learning_rate):
             raise InvalidShape(f"learning_rate must be finite, got {self.learning_rate!r}")
+        if self.learning_rate < 0.0:
+            raise InvalidShape(f"learning_rate must be >= 0, got {self.learning_rate!r}")
 
 
 @dataclass

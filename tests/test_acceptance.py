@@ -174,7 +174,7 @@ def test_criterion_04_aco_convergence_and_budget():
     pool = stub_pool(DOMINANT_POOL_SCORES)
     found = 0
     for seed in range(20):
-        rep = run_aco(pool, AcoConfig(alpha=1.0, beta=2.0, rho=0.1, q0=0.0,
+        rep = run_aco(pool, AcoConfig(alpha=1.0, beta=2.0, rho=0.1,
                                       n_ants=5, n_iterations=15, seed=seed))
         assert rep.unique_evaluations <= 16
         assert rep.total_selections == 75

@@ -115,6 +115,19 @@ class TestConfigParsing:
         assert cfg.sections["data"]["complexity"] == (0.3,)
         assert cfg.sections["kd"]["teacher_hidden"] == (32, 32)
         assert cfg.sections["aco"]["pair_mode"] is False
+        # every key is documented: set in its section, or, for [policy],
+        # named on its variant's comment lines
+        for section, keys in config._KEYS.items():
+            if section != "policy":
+                assert set(cfg.sections[section]) == set(keys), section
+        documented, variant = {}, None
+        for line in block.split("[policy]\n", 1)[1].split("\n[", 1)[0].splitlines():
+            words = line.lstrip(";").split() if line.startswith(";") else []
+            if words and words[0].endswith(":"):
+                variant = words.pop(0)[:-1]
+            if variant is not None:
+                documented.setdefault(variant, set()).update(words)
+        assert documented == {name: set(config._fields(cls)) for name, cls in POLICIES.items()}
 
     def test_schema_keys_and_parsers(self):
         # every section's keys and the type each is parsed as, as documented in the README
@@ -131,8 +144,7 @@ class TestConfigParsing:
                    "learning_rate": "float", "seed": "int", "teacher_hidden": "ints",
                    "student_hidden": "ints"},
             "aco": {"pool": "str", "alpha": "float", "beta": "float", "rho": "float",
-                    "q0": "float", "n_ants": "int", "n_iterations": "int", "seed": "int",
-                    "pair_mode": "bool"},
+                    "n_ants": "int", "n_iterations": "int", "seed": "int", "pair_mode": "bool"},
             "pso": {"pool": "str", "n_particles": "int", "n_iterations": "int",
                     "inertia": "float", "c1": "float", "c2": "float", "seed": "int"},
             "grid": {"pool": "str", "pair_mode": "bool"},
@@ -627,10 +639,10 @@ STUB_POOL = {"candidates": [{"name": f"m{i}", "stub_score": s}
 # every strategy with every key of its section set away from the default,
 # aco and grid in pair mode on MLP_POOL; the sha256 of each output was
 # recorded before the config keys were derived from the dataclasses, and
-# aco's before run_aco lost its init vectors
+# aco's before run_aco lost its init vectors and the greedy q0 rule
 SELECT_RUNS = {
     "aco": ("aco", STUB_POOL,
-            "[aco]\npool = pool.json\nalpha = 1.5\nbeta = 1.0\nrho = 0.2\nq0 = 0.3\nn_ants = 3\n"
+            "[aco]\npool = pool.json\nalpha = 1.5\nbeta = 1.0\nrho = 0.2\nn_ants = 3\n"
             "n_iterations = 4\nseed = 11\npair_mode = false\n"),
     "aco_pairs": ("aco", MLP_POOL,
                   SELECT_DATA + "[aco]\npool = pool.json\nalpha = 0.5\nn_ants = 2\n"
@@ -644,7 +656,7 @@ SELECT_RUNS = {
 GOLDEN_SELECT = {
     "aco": {
         "report.csv": "a33f522bcb1524bc4ec2f2437f4699af102d29b53994d4a49d4f1d941f1b9ea2",
-        "report.json": "18aabb6c429d6368fe957696b1eb2bd48f209321569ddb15e2126fda8d6b260c",
+        "report.json": "f46ce0ebbbdf1cef7e3c4a5878feecc4a81159524d0171ac6819631504b7fa66",
         "stdout": "3ba4d07117ae326d753f12861d093c4fa751149c45d501e587397619c1103dbc",
     },
     "aco_pairs": {
@@ -1472,7 +1484,9 @@ class TestErrorPaths:
         # ACO always starts from all-ones pheromones and the proxy heuristic
         (["select", "--strategy", "aco"], "[aco]\npool = pool.json\ninit_pheromone = 2,1,4\n",
          "init_pheromone", "aco"),
-    ], ids=["data-what", "aco-init-pheromone"])
+        # every ant draws by roulette: there is no greedy exploitation rule
+        (["select", "--strategy", "aco"], "[aco]\npool = pool.json\nq0 = 0.3\n", "q0", "aco"),
+    ], ids=["data-what", "aco-init-pheromone", "aco-q0"])
     def test_unknown_key_is_nonzero(self, tmp_path, capsys, argv, text, key, section):
         cfg = write(tmp_path / "c.ini", text)
         assert main([*argv, "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
@@ -1526,10 +1540,28 @@ class TestErrorPaths:
          "[data] noise_level must lie in [0, 1], got 5.0"),
         (["gen-data"], DATA_SECTION.replace("level = 0.5", "level = nan"),
          "[data] noise_level must lie in [0, 1], got nan"),
+        (["distill"], DATA_SECTION + "[kd]\nepochs = 0\n", "epochs must be >= 1, got 0"),
+        (["distill"], DATA_SECTION + "[kd]\nbatch_size = 0\n", "batch_size must be >= 1, got 0"),
+        (["distill", "--ablation", "table10"], DATA_SECTION + "[kd]\nlearning_rate = -0.1\n",
+         "learning_rate must be >= 0, got -0.1"),
+        (["select", "--strategy", "aco"], "[aco]\npool = pool.json\nalpha = -1\n",
+         "alpha must be >= 0, got -1.0"),
+        (["select", "--strategy", "aco"], "[aco]\npool = pool.json\nbeta = -2\n",
+         "beta must be >= 0, got -2.0"),
+        (["select", "--strategy", "aco"], "[aco]\npool = pool.json\nn_ants = 0\n",
+         "n_ants must be >= 1, got 0"),
+        (["select", "--strategy", "aco"], "[aco]\npool = pool.json\nn_iterations = 0\n",
+         "n_iterations must be >= 1, got 0"),
+        (["select", "--strategy", "pso"], "[pso]\npool = pool.json\nn_particles = 0\n",
+         "n_particles must be >= 1, got 0"),
+        (["select", "--strategy", "pso"], "[pso]\npool = pool.json\nn_iterations = -1\n",
+         "n_iterations must be >= 0, got -1"),
     ], ids=["student-hidden", "teacher-hidden", "noise-kind", "noise-kind-none",
             "complexity-count", "complexity-count-table11", "t-base", "t-base-table10",
             "t-base-table11", "noise-fraction", "noise-level", "noise-fraction-nan-table10",
-            "noise-level-table11", "noise-level-nan"])
+            "noise-level-table11", "noise-level-nan", "kd-epochs", "kd-batch-size",
+            "kd-learning-rate", "aco-alpha", "aco-beta", "aco-n-ants", "aco-n-iterations",
+            "pso-n-particles", "pso-n-iterations"])
     def test_bad_value_is_exit_2_naming_its_key_before_training(self, tmp_path, capsys,
                                                                 monkeypatch, argv, text, message):
         # the config is checked where it is read: no model is trained first
@@ -1537,6 +1569,7 @@ class TestErrorPaths:
             raise AssertionError("trained a model")
 
         monkeypatch.setattr(tinynet, "sgd_fit", no_training)
+        write(tmp_path / "pool.json", json.dumps(STUB_POOL))  # the select runs' pool
         cfg = write(tmp_path / "c.ini", text)
         argv = [*argv, "--config", str(cfg), "--out", str(tmp_path / "run")]
         if message is None:  # a good config gets as far as training
@@ -1831,7 +1864,7 @@ GATE_FLOATS = st.sampled_from(["0", "-1", "-1e308", "1e308", "1e-320", "nan", "i
                                "0.5", "2"])
 GATE_COUNTS = st.integers(1, 3)
 GATE_OPTIONS = {
-    "aco": {"alpha": GATE_FLOATS, "beta": GATE_FLOATS, "rho": GATE_FLOATS, "q0": GATE_FLOATS,
+    "aco": {"alpha": GATE_FLOATS, "beta": GATE_FLOATS, "rho": GATE_FLOATS,
             "n_ants": GATE_COUNTS, "n_iterations": GATE_COUNTS, "seed": st.integers(0, 3),
             "pair_mode": st.booleans()},
     "pso": {"inertia": GATE_FLOATS, "c1": GATE_FLOATS, "c2": GATE_FLOATS,

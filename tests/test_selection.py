@@ -12,7 +12,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from antdistill import errors, selection, tinynet
@@ -88,33 +88,42 @@ class TestSelectionProbabilities:
         message = r"^pheromone\^alpha \* heuristic\^beta weights sum to inf for alpha 308.0, "
         with pytest.raises(NonFiniteWeights, match=message):
             selection_probabilities(state, 308.0, 1.0)
-        for q0 in (0.0, 1.0):
-            with pytest.raises(NonFiniteWeights, match=message):
-                ant_select(state, AcoConfig(alpha=308.0, beta=1.0, q0=q0),
-                           np.random.default_rng(0))
 
 
 class TestAntSelect:
-    def test_pure_exploitation_takes_argmax(self):
-        cfg = AcoConfig(q0=1.0, seed=0)
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            assert ant_select(WORKED_STATE, cfg, rng) == 1
-
     def test_roulette_frequencies_match_probabilities(self):
-        cfg = AcoConfig(q0=0.0, seed=0)
+        probabilities = selection_probabilities(WORKED_STATE, 1.0, 2.0)
         rng = np.random.default_rng(123)
         counts = np.zeros(3)
         n = 100_000
         for _ in range(n):
-            counts[ant_select(WORKED_STATE, cfg, rng)] += 1
+            counts[ant_select(probabilities, rng)] += 1
         np.testing.assert_allclose(counts / n, WORKED_PROBS, atol=0.01)
 
     def test_zero_mass_candidate_never_selected(self):
         state = PheromoneState(np.array([1.0, 1.0]), np.array([0.0, 5.0]))
-        cfg = AcoConfig(q0=0.0, seed=0)
+        probabilities = selection_probabilities(state, 1.0, 2.0)
         rng = np.random.default_rng(7)
-        assert all(ant_select(state, cfg, rng) == 1 for _ in range(200))
+        assert all(ant_select(probabilities, rng) == 1 for _ in range(200))
+
+    @settings(max_examples=100, deadline=None)
+    @given(vectors=st.integers(1, 6).flatmap(lambda m: st.tuples(
+               st.lists(st.floats(1e-3, 1e3), min_size=m, max_size=m),
+               st.lists(st.floats(0.0, 1e3), min_size=m, max_size=m))),
+           alpha=st.floats(0.0, 4.0), beta=st.floats(0.0, 4.0),
+           seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30))
+    def test_draws_equal_the_per_ant_roulette(self, vectors, alpha, beta, seed, n):
+        # each ant of an iteration draws from the iteration's one vector; the
+        # picks are those of a roulette that rebuilds the weights for each ant
+        state = PheromoneState(*map(np.array, vectors))
+        assume(np.any(state.pheromone**alpha * state.heuristic**beta > 0))
+        probabilities = selection_probabilities(state, alpha, beta)
+        rng, per_ant_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(n):
+            w = state.pheromone**alpha * state.heuristic**beta
+            p = w / float(w.sum())
+            expected = np.searchsorted(np.cumsum(p), per_ant_rng.random(), side="right")
+            assert ant_select(probabilities, rng) == int(expected.clip(0, p.size - 1))
 
 
 class TestUpdatePheromones:
@@ -245,8 +254,8 @@ class TestRunGrid:
 
 @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
 @pytest.mark.parametrize("cls, name", [(AcoConfig, "alpha"), (AcoConfig, "beta"),
-                                       (AcoConfig, "q0"), (PsoConfig, "inertia"),
-                                       (PsoConfig, "c1"), (PsoConfig, "c2")])
+                                       (PsoConfig, "inertia"), (PsoConfig, "c1"),
+                                       (PsoConfig, "c2")])
 def test_non_finite_search_parameters_rejected(cls, name, value):
     with pytest.raises(InvalidShape, match=name):
         cls(**{name: value})
@@ -356,10 +365,6 @@ GOLDEN_REPORTS = {
         lambda: run_aco(stub_pool(TIED[:5]), AcoConfig(n_ants=4, n_iterations=6, seed=2),
                         pair_mode=True),
         "a6fe4088e3111678272232677b4e342f587b90eb9ff65019e05985d4e9a9b754",
-    ),
-    "aco_q0": (
-        lambda: run_aco(stub_pool([0.9, 0.8, 0.7]), AcoConfig(q0=0.3, n_iterations=4, seed=0)),
-        "891d44d3a1180a04fc801ed30a6c883b9f0cc398ac5648c07dc81870e47be7b3",
     ),
     "random_one_pick": (
         lambda: run_random(stub_pool(TIED), n_picks=1, seed=2),

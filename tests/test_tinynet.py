@@ -276,10 +276,10 @@ class TestInjectNoise:
 
 class TestTrainSupervised:
     @pytest.mark.parametrize("kwargs, message", [
-        (dict(epochs=0), "epochs/batch_size must be >= 1 and learning_rate >= 0"),
-        (dict(batch_size=0), "epochs/batch_size must be >= 1 and learning_rate >= 0"),
-        (dict(learning_rate=-0.1), "epochs/batch_size must be >= 1 and learning_rate >= 0"),
-        (dict(learning_rate=float("nan")), "epochs/batch_size must be >= 1 and learning_rate >= 0"),
+        (dict(epochs=0), "epochs must be >= 1, got 0"),
+        (dict(batch_size=0), "batch_size must be >= 1, got 0"),
+        (dict(learning_rate=-0.1), "learning_rate must be >= 0, got -0.1"),
+        (dict(learning_rate=float("nan")), "learning_rate must be finite, got nan"),
         (dict(learning_rate=float("inf")), "learning_rate must be finite, got inf"),
     ])
     def test_invalid_train_config(self, kwargs, message):
