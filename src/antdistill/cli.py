@@ -117,7 +117,8 @@ def cmd_select(args) -> tuple:
         "report.csv": selection.CSV_HEADER + "\n" + report.csv_row() + "\n"}, (
         f"{strategy}: best={report.best_name} score={report.best_score:.6f} "
         f"unique_evaluations={report.unique_evaluations} "
-        f"total_selections={report.total_selections}\n")
+        f"total_selections={report.total_selections} "
+        f"evaluations_to_best={report.evaluations_to_best}\n")
 
 
 # ---------------------------------------------------------------------------

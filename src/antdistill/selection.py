@@ -11,14 +11,15 @@ compared on evaluation budget.
 Counting rule: a unique evaluation unit is a candidate id, its index in
 the pool (single-model mode), or an ordered pair of ids (pair mode). The
 one-time cheap proxy pass that seeds the ACO heuristic vector counts
-toward unique evaluations.
+toward unique evaluations, and so toward evaluations_to_best: the count
+right after the cache miss that first scored best_score.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -256,9 +257,12 @@ class SelectionReport:
     student_id: int | None
     unique_evaluations: int
     total_selections: int
+    evaluations_to_best: int  # unique_evaluations when best_score first appeared
     evaluated: dict  # str(id or pair) -> score
     history: list = field(default_factory=list)
     final_pheromone: list | None = None
+    proxy_scores: list | None = None  # aco: each candidate's proxy score, in pool order
+    config: dict | None = None  # aco, pso: the strategy config's fields but seed
 
     def to_json(self) -> str:
         payload = dict(self.__dict__)
@@ -267,11 +271,11 @@ class SelectionReport:
     def csv_row(self) -> str:
         return (
             f"{self.strategy},{self.seed},{self.best_score!r},"
-            f"{self.unique_evaluations},{self.total_selections}"
+            f"{self.unique_evaluations},{self.total_selections},{self.evaluations_to_best}"
         )
 
 
-CSV_HEADER = "strategy,seed,best_score,unique_evaluations,total_selections"
+CSV_HEADER = "strategy,seed,best_score,unique_evaluations,total_selections,evaluations_to_best"
 
 
 def _rank(scores: dict, pheromone=None) -> list:
@@ -314,6 +318,10 @@ class _Run:
         self.cache: dict = {}  # unit -> score
         self.proxied: set[int] = set()
         self.total_selections = 0
+        self.best = (-1.0, 0)  # best score so far, unique evaluations when it first appeared
+
+    def unique_evaluations(self) -> int:
+        return len(self.cache) + sum(cid not in self.cache for cid in self.proxied)
 
     def _seed(self, *parts: int) -> int:
         return tinynet.derive_seed(self.seed, *parts)
@@ -322,7 +330,9 @@ class _Run:
         """One selection of `unit`; only a cache miss trains."""
         self.total_selections += 1
         if unit not in self.cache:
-            self.cache[unit] = self._evaluate(unit)
+            self.cache[unit] = score = self._evaluate(unit)
+            if score > self.best[0]:
+                self.best = (score, self.unique_evaluations())
         return self.cache[unit]
 
     def _evaluate(self, unit) -> float:
@@ -365,8 +375,8 @@ class _Run:
         _, history = _train(cand.profile, work, seed, PROXY_EPOCHS)
         return history.val_accuracy[-1]
 
-    def report(self, strategy: str, best, best_score: float, history=None,
-               final_pheromone=None) -> SelectionReport:
+    def report(self, strategy: str, best, best_score: float, cfg=None, history=None,
+               final_pheromone=None, proxy_scores=None) -> SelectionReport:
         names = [c.name for c in self.pool.candidates]
         if self.pair_mode:
             teacher_id, student_id = best
@@ -386,19 +396,23 @@ class _Run:
             best_score=best_score,
             teacher_id=teacher_id,
             student_id=student_id,
-            unique_evaluations=len(self.cache) + len(self.proxied - self.cache.keys()),
+            unique_evaluations=self.unique_evaluations(),
             total_selections=self.total_selections,
+            evaluations_to_best=self.best[1],
             evaluated=evaluated,
             history=history or [],
             final_pheromone=final_pheromone,
+            proxy_scores=proxy_scores,
+            config={k: v for k, v in asdict(cfg).items() if k != "seed"} if cfg else None,
         )
 
 
 def run_aco(pool: CandidatePool, cfg: AcoConfig, pair_mode: bool = False) -> SelectionReport:
-    """Algorithm: pheromones start at one, the heuristic comes from a cheap
-    proxy pass, each iteration every ant roulette-selects and evaluates a
-    candidate from the iteration's one probability vector, the one history
-    records, then a single evaporate+deposit update is applied."""
+    """Algorithm: pheromones start at one, the heuristic is the proxy pass's
+    scores (a pair's is the mean of its two), each iteration every ant
+    roulette-picks a unit from one probability vector on default_rng(seed)
+    and evaluates it, then one evaporate+deposit update; history keeps the
+    picks, which with proxy_scores, config and evaluated replay each vector."""
     run = _Run(pool, cfg.seed, pair_mode)
     rng = np.random.default_rng(cfg.seed)
     units = run.units
@@ -422,17 +436,12 @@ def run_aco(pool: CandidatePool, cfg: AcoConfig, pair_mode: bool = False) -> Sel
             if score > best_score:
                 best_unit, best_score = u, score
         state = update_pheromones(state, selections, cfg.rho)
-        history.append(
-            {
-                "probabilities": probs.tolist(),
-                "chosen": [int(u) for u, _ in selections],
-                "pheromone": state.pheromone.tolist(),
-            }
-        )
+        history.append({"chosen": [int(u) for u, _ in selections]})
 
     # single mode: teacher/student = top two by final pheromone
     final_pheromone = None if pair_mode else state.pheromone.tolist()
-    return run.report("aco", units[best_unit], best_score, history, final_pheromone)
+    return run.report("aco", units[best_unit], best_score, cfg, history, final_pheromone,
+                      proxy.tolist())
 
 
 def run_random(pool: CandidatePool, n_picks: int = 1, seed: int = 0) -> SelectionReport:
@@ -509,4 +518,4 @@ def run_pso(pool: CandidatePool, cfg: PsoConfig) -> SelectionReport:
             gbest_x, gbest_y = pbest_x[g], pbest_y[g]
         history.append({"gbest": float(gbest_y)})
 
-    return run.report("pso", cid_at(gbest_x), float(gbest_y), history)
+    return run.report("pso", cid_at(gbest_x), float(gbest_y), cfg, history)

@@ -253,8 +253,10 @@ class TestSelect:
                      "--out", str(out)]) == 0
         header, rows = read_rows(out / "report.csv")
         assert header == ["strategy", "seed", "best_score", "unique_evaluations",
-                          "total_selections"]
+                          "total_selections", "evaluations_to_best"]
         assert rows[0][3] == "240"
+        # the best pair, m14->m15, is the 225th of the grid's 240 in (teacher, student) order
+        assert rows[0][5] == "225"
 
     def test_random_identical_csv_across_invocations(self, tmp_path):
         worked_example_pool(tmp_path)
@@ -638,8 +640,8 @@ STUB_POOL = {"candidates": [{"name": f"m{i}", "stub_score": s}
                             for i, s in enumerate([0.61, 0.72, 0.55, 0.83, 0.79])]}
 # every strategy with every key of its section set away from the default,
 # aco and grid in pair mode on MLP_POOL; the sha256 of each output was
-# recorded before the config keys were derived from the dataclasses, and
-# aco's before run_aco lost its init vectors and the greedy q0 rule
+# re-recorded when every report gained evaluations_to_best and an ACO
+# report's history kept only its picks, beside proxy_scores and config
 SELECT_RUNS = {
     "aco": ("aco", STUB_POOL,
             "[aco]\npool = pool.json\nalpha = 1.5\nbeta = 1.0\nrho = 0.2\nn_ants = 3\n"
@@ -655,29 +657,29 @@ SELECT_RUNS = {
 }
 GOLDEN_SELECT = {
     "aco": {
-        "report.csv": "a33f522bcb1524bc4ec2f2437f4699af102d29b53994d4a49d4f1d941f1b9ea2",
-        "report.json": "f46ce0ebbbdf1cef7e3c4a5878feecc4a81159524d0171ac6819631504b7fa66",
-        "stdout": "3ba4d07117ae326d753f12861d093c4fa751149c45d501e587397619c1103dbc",
+        "report.csv": "1ad1f18908dcb0929fba1a496c7d6931e0b82d0e3b8a46b557444a9c3e3fd101",
+        "report.json": "96feb11d10307e5ae6981cb629437925947e5ba522ad4082e049e210a4078263",
+        "stdout": "1edeb5685a9796562ac1a5a888af2e5f5299bdef597e907d90c6aba59bd9b3db",
     },
     "aco_pairs": {
-        "report.csv": "06a687e350c6c450205285836255ff461b2ded7370e6d40db8c818bab2ca02a4",
-        "report.json": "f9291082cfec328d92b5b76751842323ff69288cbabb0bc5d29cf980e8e4d99e",
-        "stdout": "5a062efd9f67c8bc231747c7fd2fde2d22e8367a1d0050f28c32dd79b53e3883",
+        "report.csv": "e451b6bb3754e873e46c3f45f5ac7ee0529a1bb0617885c03093cbd2bf28edf3",
+        "report.json": "8cf731d4b99717434d12ec6f2cfc9fb316ed749ca8882b433d8aa4a98ee6719b",
+        "stdout": "125f50d58616c4814768f869e5f72c53bdad71b2c9ebf876060ba5499aa4db67",
     },
     "grid_pairs": {
-        "report.csv": "f29e39d0257ee902c227ff67585da1fc172be40b2ec08cf1612c3d934fe41ca4",
-        "report.json": "5421d9cc7ea99ad345f895368d4403d8d41b9831e745d6108b9524248746a577",
-        "stdout": "3be3284021d58befd54316868d1fc8f320bfb0ff5ab014f6fd0d0119f72e0667",
+        "report.csv": "bd2e56f3bad7f45f825b8f837d07dc91f8b298a250a7a0fedacf160fff389e16",
+        "report.json": "6c6c5c29eb0d649ba9c5bf7debc1c66c0d6b016395596f76e26e0a3b99149677",
+        "stdout": "96f732333def2520897998354fe6243fa7549640454f5a739710b5b1f9574e48",
     },
     "pso": {
-        "report.csv": "b6162e1e238a193af0c10d95b997a09bfd169010fd898ab7d0ed63e4904a19fa",
-        "report.json": "2f4085ce0ccc9506ffeb5fd2feb2831f2925e727fca73ae66f35b277f9f72fe9",
-        "stdout": "6e5009cc29dad98732f7d116e8b9511a8cfccfecf14a14a4008547cb1c4a2b55",
+        "report.csv": "6e9272553d8d27a27af1b21673f58699f857eb9b5842ec23b42daba18ec3207e",
+        "report.json": "50dea21bb5ba26414ce4120620b05d38ea9e053661b96ea07d0f78f15116804d",
+        "stdout": "a150953059f61f49b9a3a5ee604b8261d3f4dcf10aa53f4b3ad19c248b1a9cb7",
     },
     "random": {
-        "report.csv": "47fb15796e80e75177e94fa537e6905368d53a85d6025720894c6df4dd76a948",
-        "report.json": "76d1b14a85fe325b67a7e9486d821f59efcdee6ccc2d14f2d099155bf5077ec3",
-        "stdout": "522ae3360366fdcd8a5881368c0a4b59426af0ef585ac0328eb702f20014db1c",
+        "report.csv": "133fe7e636e46acd854bf68bcf83535ecee883a42f52df39236244eb87261d56",
+        "report.json": "123fb1fa8659c712bcdec55cb9443fe4673a9a3588d295ddcf2a8822daa866cf",
+        "stdout": "3659eaddc94668e7a3f904fc277919bf36ca11d8adb50f04fc0996be3a274754",
     },
 }
 

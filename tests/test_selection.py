@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import test_cli
 from antdistill import errors, selection, tinynet
 from antdistill.errors import (
     AllZeroWeights,
@@ -353,38 +354,39 @@ class TestMixedPool:
         assert 0.0 <= rep.evaluated["1"] <= 1.0
 
 
-# sha256 of to_json() + "\n" + csv_row(), recorded before the strategies
-# shared one run object; any change to a report's bytes shows up here
+# sha256 of to_json() + "\n" + csv_row(), re-recorded when every report
+# gained evaluations_to_best and an ACO report's history kept only its
+# picks; any change to a report's bytes shows up here
 TIED = [0.5, 0.7, 0.7, 0.2, 0.9, 0.35]
 GOLDEN_REPORTS = {
     "aco_single": (
         lambda: run_aco(stub_pool(TIED), AcoConfig(seed=11)),
-        "18eafd0eb99b63024317d203b15ea647c9221fda8c1f4806966b5141fc9a9c75",
+        "e0b9e9f8a788c506b007449285bf4a20ef06a779e206e61164c57ae8c32cac7e",
     ),
     "aco_pair": (
         lambda: run_aco(stub_pool(TIED[:5]), AcoConfig(n_ants=4, n_iterations=6, seed=2),
                         pair_mode=True),
-        "a6fe4088e3111678272232677b4e342f587b90eb9ff65019e05985d4e9a9b754",
+        "997db158ae674dc38b21ef5f5aa384ae1e17de1d495f20532c93cfdb72031d5a",
     ),
     "random_one_pick": (
         lambda: run_random(stub_pool(TIED), n_picks=1, seed=2),
-        "038878484f025961354dc7174d47082f9a141a01a042317fd74117f5b5f9a04c",
+        "8587a638f0ac3e65fa32fa7578d488f0033f207a6ddfbfacf2e77061d1cd9415",
     ),
     "random_three_picks": (
         lambda: run_random(stub_pool(TIED), n_picks=3, seed=5),
-        "20d2f7d9721b9fc889862044b83584ee37910d55486acabbf1d233814453903e",
+        "9c4707b7402337eaddc8fd383515ad5b0a2f6c3dce83ee0294cbc465431e2c7e",
     ),
     "grid_single": (
         lambda: run_grid(stub_pool(TIED)),
-        "4235166fd6cb3a9c9562b202adb8414374a25321c4e52c674b1f307272f627e1",
+        "be2fc25702ffdae952574e002eaa8fce9a6f0d6367f23240e291f4d5a4a62d14",
     ),
     "grid_pair": (
         lambda: run_grid(stub_pool(TIED[:4]), pair_mode=True),
-        "4ff787d956cff968729e3b57efc56de6c66310ca80ae24ffee41e7b86c5079f9",
+        "b5fa8c506b42459825c06f7759857bbad1fb324a32d752627cba5f8df48dc3cc",
     ),
     "pso": (
         lambda: run_pso(stub_pool(TIED), PsoConfig(n_particles=4, n_iterations=6, seed=3)),
-        "91fdbd176d4b786b30b6e8d3a44bbeb2c27300546064973ead4a5fe23551d4e4",
+        "a69f887d7f3cd69e876bcd0d916cfea4b6f2fdc2497ef2252cf2ede02d7c5a3d",
     ),
 }
 
@@ -395,6 +397,106 @@ def test_report_bytes_pinned(case):
     rep = run()
     text = rep.to_json() + "\n" + rep.csv_row()
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_REPORTS))
+def test_evaluations_to_best_counts_to_the_first_best_miss(case):
+    # evaluated keeps the misses in order; an ACO run has proxied all M
+    # candidates first, so a single-mode miss adds nothing to the count
+    rep = GOLDEN_REPORTS[case][0]()
+    misses = list(rep.evaluated.values())
+    assert rep.best_score == max(misses)
+    k = misses.index(rep.best_score) + 1
+    if rep.strategy != "aco":
+        assert rep.evaluations_to_best == k
+    else:
+        assert rep.evaluations_to_best == (rep.pool_size + k if rep.pair_mode else rep.pool_size)
+
+
+def replay_aco(report: dict):
+    """An ACO run rebuilt from its report.json alone: all-ones pheromone and
+    the proxy heuristic (a pair's is the mean of its two proxies), then per
+    iteration the probability vector, each ant's roulette pick on
+    default_rng(seed) and the update with the picks' evaluated scores.
+    Returns each iteration's [probabilities, pheromone] lists, the picks,
+    the final pheromone, and the unique evaluations (proxies included) right
+    after the first miss that scored the best."""
+    m, cfg, p = report["pool_size"], report["config"], report["proxy_scores"]
+    if report["pair_mode"]:
+        units = [(i, j) for i in range(m) for j in range(m) if i != j]
+        heuristic = np.array([(p[i] + p[j]) / 2.0 for i, j in units])
+    else:
+        units, heuristic = list(range(m)), np.array(p)
+    key = (lambda u: f"{u[0]},{u[1]}") if report["pair_mode"] else str
+    state = PheromoneState(np.ones(len(units)), heuristic)
+    rng = np.random.default_rng(report["seed"])
+    vectors, picks, missed, best, to_best = [], [], [], -1.0, 0
+    for _ in range(cfg["n_iterations"]):
+        probabilities = selection_probabilities(state, cfg["alpha"], cfg["beta"])
+        chosen = [ant_select(probabilities, rng) for _ in range(cfg["n_ants"])]
+        scores = [report["evaluated"][key(units[u])] for u in chosen]
+        for u, score in zip(chosen, scores):
+            if units[u] not in missed:
+                missed.append(units[u])
+                if score > best:
+                    best, to_best = score, len(missed) + len(set(range(m)) - set(missed))
+        state = update_pheromones(state, zip(chosen, scores), cfg["rho"])
+        vectors.append([probabilities.tolist(), state.pheromone.tolist()])
+        picks.append(chosen)
+    return vectors, picks, state.pheromone.tolist(), to_best
+
+
+# sha256 of json.dumps([[h["probabilities"], h["pheromone"]] for h in
+# history]): the two vectors each ACO iteration of these reports held
+# before history kept only its picks, recorded from those reports
+REPLAYED_VECTORS = {
+    "aco_single": "8c5447b8741a9bca2cd774c0968e7b4258cf00ad0f4b41d117b3df3e0ed5b398",
+    "aco_pair": "9cdb4556adab4b12b410252098ef2e068a64e287e1b83a18d0f82f23d10b94e9",
+    # report.json of test_cli.SELECT_RUNS' select commands
+    "aco": "733abd2c8514219e69a28f25ac93af8c5f5f3a854c0ec81df77f22029f7420f5",
+    "aco_pairs": "eb4fe7265f97eca79ce4b776af7e38f41bc5e8216651b749693c46eaac195a00",
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPLAYED_VECTORS))
+def test_report_replays_the_vectors_it_once_held(tmp_path, case):
+    if case in GOLDEN_REPORTS:
+        report = json.loads(GOLDEN_REPORTS[case][0]().to_json())
+    else:
+        test_cli.select_digests(tmp_path, case)
+        report = json.loads((tmp_path / "run" / "report.json").read_text(encoding="utf-8"))
+    vectors, picks, final_pheromone, to_best = replay_aco(report)
+    assert [h["chosen"] for h in report["history"]] == picks
+    assert hashlib.sha256(json.dumps(vectors).encode()).hexdigest() == REPLAYED_VECTORS[case]
+    assert report["final_pheromone"] == (None if report["pair_mode"] else final_pheromone)
+    assert report["evaluations_to_best"] == to_best
+
+
+@settings(max_examples=300, deadline=None)
+@given(scores=st.lists(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+                       min_size=2, max_size=10),
+       alpha=st.floats(0.0, 4.0), beta=st.floats(0.0, 4.0), rho=st.floats(0.0, 0.99),
+       n_ants=st.integers(1, 6), n_iterations=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1), pair_mode=st.booleans())
+def test_any_aco_report_replays(scores, alpha, beta, rho, n_ants, n_iterations, seed,
+                                pair_mode):
+    cfg = AcoConfig(alpha, beta, rho, n_ants, n_iterations, seed)
+    try:
+        rep = run_aco(stub_pool(scores), cfg, pair_mode=pair_mode)
+    except AllZeroWeights:  # every heuristic^beta is 0: no report to replay
+        assume(False)
+    report = json.loads(rep.to_json())
+    _, picks, final_pheromone, to_best = replay_aco(report)
+    assert [h["chosen"] for h in report["history"]] == picks
+    assert report["final_pheromone"] == (None if pair_mode else final_pheromone)
+    assert report["evaluations_to_best"] == to_best
+
+
+def test_200_stub_pair_report_is_linear_in_the_pool():
+    # 39,800 ordered pairs: the report once held two vectors of them per
+    # iteration, 34.69 MB at AcoConfig()
+    pool = stub_pool(np.random.default_rng(0).uniform(0.0, 1.0, 200))
+    assert len(run_aco(pool, AcoConfig(), pair_mode=True).to_json().encode()) < 32 * 1024
 
 
 ERROR_TYPES = tuple(
