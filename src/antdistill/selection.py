@@ -11,8 +11,9 @@ compared on evaluation budget.
 Counting rule: a unique evaluation unit is a candidate id, its index in
 the pool (single-model mode), or an ordered pair of ids (pair mode). The
 one-time cheap proxy pass that seeds the ACO heuristic vector counts
-toward unique evaluations, and so toward evaluations_to_best: the count
-right after the cache miss that first scored best_score.
+toward unique evaluations. The best unit is the first cache miss to score
+best_score, the highest score evaluated, and evaluations_to_best is the
+unique-evaluation count right after that miss.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from . import distill, tinynet
 from .errors import (
     AllZeroWeights,
     EmptyRun,
+    IndexOutOfRange,
     InvalidRho,
     InvalidShape,
     NonFiniteWeights,
@@ -233,6 +235,8 @@ def update_pheromones(state: PheromoneState, selections, rho: float) -> Pheromon
         raise InvalidRho(f"rho must lie in [0, 1), got {rho!r}")
     phi = (1.0 - rho) * state.pheromone
     for cid, performance in selections:
+        if not 0 <= cid < phi.size:
+            raise IndexOutOfRange(f"candidate id {cid} outside [0, {phi.size})")
         if not 0.0 <= performance <= 1.0:
             raise InvalidShape(f"performance must lie in [0, 1], got {performance!r}")
         phi[cid] += performance
@@ -250,7 +254,7 @@ class SelectionReport:
     seed: int
     pool_size: int
     pair_mode: bool
-    best_id: object  # candidate id, or [teacher_id, student_id] in pair mode
+    best_id: object  # first unit evaluated to best_score: an id, or [teacher, student]
     best_name: str
     best_score: float
     teacher_id: int | None
@@ -300,8 +304,10 @@ def _train(profile: MlpProfile, ds: tinynet.SyntheticDataset, seed: int, epochs:
 
 
 class _Run:
-    """One selection run: the evaluation units, their score cache, the
-    budget counters, and the report built from them."""
+    """One selection run: the evaluation units, the run's one generator,
+    the score cache, the proxy scores, the budget counters and the best
+    unit, and the report built from them. Strategies keep only their own
+    search state."""
 
     def __init__(self, pool: CandidatePool, seed: int, pair_mode: bool):
         m = len(pool)
@@ -315,13 +321,15 @@ class _Run:
         self.units = (
             [(i, j) for i in range(m) for j in range(m) if i != j] if pair_mode else list(range(m))
         )
+        self.rng = np.random.default_rng(seed)
         self.cache: dict = {}  # unit -> score
-        self.proxied: set[int] = set()
+        self.proxies: dict[int, float] = {}  # candidate id -> proxy score
         self.total_selections = 0
-        self.best = (-1.0, 0)  # best score so far, unique evaluations when it first appeared
+        # (unit, score, unique evaluations then) of the first miss to beat every earlier score
+        self.best = (None, -1.0, 0)
 
     def unique_evaluations(self) -> int:
-        return len(self.cache) + sum(cid not in self.cache for cid in self.proxied)
+        return len(self.cache) + sum(cid not in self.cache for cid in self.proxies)
 
     def _seed(self, *parts: int) -> int:
         return tinynet.derive_seed(self.seed, *parts)
@@ -331,8 +339,8 @@ class _Run:
         self.total_selections += 1
         if unit not in self.cache:
             self.cache[unit] = score = self._evaluate(unit)
-            if score > self.best[0]:
-                self.best = (score, self.unique_evaluations())
+            if score > self.best[1]:
+                self.best = (unit, score, self.unique_evaluations())
         return self.cache[unit]
 
     def _evaluate(self, unit) -> float:
@@ -362,22 +370,25 @@ class _Run:
     def proxy(self, cid: int) -> float:
         """Cheap score of one candidate: a short run on a seeded slice of
         the train split, val split untouched."""
-        self.proxied.add(cid)
         cand = self.pool.candidates[cid]
         if cand.stub_score is not None:
-            return cand.stub_score
-        seed = self._seed(cid, 1)
-        work = self.pool.dataset.copy()
-        rng = np.random.default_rng(seed)
-        train_idx = work.indices("train")
-        keep = max(1, round(PROXY_SUBSAMPLE * train_idx.size))
-        work.split[train_idx[rng.permutation(train_idx.size)][keep:]] = "test"
-        _, history = _train(cand.profile, work, seed, PROXY_EPOCHS)
-        return history.val_accuracy[-1]
+            score = cand.stub_score
+        else:
+            seed = self._seed(cid, 1)
+            work = self.pool.dataset.copy()
+            rng = np.random.default_rng(seed)
+            train_idx = work.indices("train")
+            keep = max(1, round(PROXY_SUBSAMPLE * train_idx.size))
+            work.split[train_idx[rng.permutation(train_idx.size)][keep:]] = "test"
+            _, history = _train(cand.profile, work, seed, PROXY_EPOCHS)
+            score = history.val_accuracy[-1]
+        self.proxies[cid] = score
+        return score
 
-    def report(self, strategy: str, best, best_score: float, cfg=None, history=None,
-               final_pheromone=None, proxy_scores=None) -> SelectionReport:
+    def report(self, strategy: str, cfg=None, history=None,
+               final_pheromone=None) -> SelectionReport:
         names = [c.name for c in self.pool.candidates]
+        best, best_score, evaluations_to_best = self.best
         if self.pair_mode:
             teacher_id, student_id = best
             best_id, best_name = list(best), f"{names[teacher_id]}->{names[student_id]}"
@@ -398,11 +409,11 @@ class _Run:
             student_id=student_id,
             unique_evaluations=self.unique_evaluations(),
             total_selections=self.total_selections,
-            evaluations_to_best=self.best[1],
+            evaluations_to_best=evaluations_to_best,
             evaluated=evaluated,
             history=history or [],
             final_pheromone=final_pheromone,
-            proxy_scores=proxy_scores,
+            proxy_scores=list(self.proxies.values()) or None,
             config={k: v for k, v in asdict(cfg).items() if k != "seed"} if cfg else None,
         )
 
@@ -414,7 +425,6 @@ def run_aco(pool: CandidatePool, cfg: AcoConfig, pair_mode: bool = False) -> Sel
     and evaluates it, then one evaporate+deposit update; history keeps the
     picks, which with proxy_scores, config and evaluated replay each vector."""
     run = _Run(pool, cfg.seed, pair_mode)
-    rng = np.random.default_rng(cfg.seed)
     units = run.units
 
     proxy = np.array([run.proxy(i) for i in range(len(pool))])
@@ -424,24 +434,16 @@ def run_aco(pool: CandidatePool, cfg: AcoConfig, pair_mode: bool = False) -> Sel
         heuristic = proxy
 
     state = PheromoneState(np.ones(len(units)), heuristic)
-    best_unit, best_score = None, -1.0
     history = []
     for _ in range(cfg.n_iterations):
         probs = selection_probabilities(state, cfg.alpha, cfg.beta)
-        selections = []
-        for _ant in range(cfg.n_ants):
-            u = ant_select(probs, rng)
-            score = run.score(units[u])
-            selections.append((u, score))
-            if score > best_score:
-                best_unit, best_score = u, score
-        state = update_pheromones(state, selections, cfg.rho)
-        history.append({"chosen": [int(u) for u, _ in selections]})
+        chosen = [ant_select(probs, run.rng) for _ant in range(cfg.n_ants)]
+        state = update_pheromones(state, [(u, run.score(units[u])) for u in chosen], cfg.rho)
+        history.append({"chosen": chosen})
 
     # single mode: teacher/student = top two by final pheromone
     final_pheromone = None if pair_mode else state.pheromone.tolist()
-    return run.report("aco", units[best_unit], best_score, cfg, history, final_pheromone,
-                      proxy.tolist())
+    return run.report("aco", cfg, history, final_pheromone)
 
 
 def run_random(pool: CandidatePool, n_picks: int = 1, seed: int = 0) -> SelectionReport:
@@ -449,11 +451,9 @@ def run_random(pool: CandidatePool, n_picks: int = 1, seed: int = 0) -> Selectio
     run = _Run(pool, seed, pair_mode=False)
     if n_picks < 1:
         raise EmptyRun("n_picks must be >= 1")
-    rng = np.random.default_rng(seed)
-    for cid in rng.choice(len(pool), size=min(n_picks, len(pool)), replace=False):
+    for cid in run.rng.choice(len(pool), size=min(n_picks, len(pool)), replace=False):
         run.score(int(cid))
-    best = _rank(run.cache)[0]
-    return run.report("random", best, run.cache[best])
+    return run.report("random")
 
 
 def run_grid(pool: CandidatePool, pair_mode: bool = False) -> SelectionReport:
@@ -461,8 +461,7 @@ def run_grid(pool: CandidatePool, pair_mode: bool = False) -> SelectionReport:
     run = _Run(pool, 0, pair_mode)
     for unit in run.units:
         run.score(unit)
-    best = _rank(run.cache)[0]
-    return run.report("grid", best, run.cache[best])
+    return run.report("grid")
 
 
 @dataclass(frozen=True)
@@ -487,9 +486,8 @@ def run_pso(pool: CandidatePool, cfg: PsoConfig) -> SelectionReport:
     clamped and rounded to candidate ids for evaluation."""
     run = _Run(pool, cfg.seed, pair_mode=False)
     m = len(pool)
-    rng = np.random.default_rng(cfg.seed)
 
-    x = rng.uniform(0.0, m - 1.0, cfg.n_particles)
+    x = run.rng.uniform(0.0, m - 1.0, cfg.n_particles)
     v = np.zeros(cfg.n_particles)
 
     def cid_at(pos) -> int:
@@ -505,8 +503,8 @@ def run_pso(pool: CandidatePool, cfg: PsoConfig) -> SelectionReport:
     history = [{"gbest": float(gbest_y)}]
 
     for _ in range(cfg.n_iterations):
-        r1 = rng.random(cfg.n_particles)
-        r2 = rng.random(cfg.n_particles)
+        r1 = run.rng.random(cfg.n_particles)
+        r2 = run.rng.random(cfg.n_particles)
         v = cfg.inertia * v + cfg.c1 * r1 * (pbest_x - x) + cfg.c2 * r2 * (gbest_x - x)
         x = np.clip(x + v, 0.0, m - 1.0)
         y = score_at(x)
@@ -518,4 +516,4 @@ def run_pso(pool: CandidatePool, cfg: PsoConfig) -> SelectionReport:
             gbest_x, gbest_y = pbest_x[g], pbest_y[g]
         history.append({"gbest": float(gbest_y)})
 
-    return run.report("pso", cid_at(gbest_x), float(gbest_y), cfg, history)
+    return run.report("pso", cfg, history)

@@ -20,6 +20,7 @@ from antdistill import errors, selection, tinynet
 from antdistill.errors import (
     AllZeroWeights,
     EmptyRun,
+    IndexOutOfRange,
     InvalidRho,
     InvalidShape,
     NonFiniteWeights,
@@ -153,6 +154,12 @@ class TestUpdatePheromones:
     def test_invalid_rho(self):
         with pytest.raises(InvalidRho):
             update_pheromones(WORKED_STATE, [], rho=1.0)
+
+    @pytest.mark.parametrize("cid", [-1, 3])
+    def test_id_outside_the_pool_is_named(self, cid):
+        # -1 would deposit on the last candidate, 3 is past the end
+        with pytest.raises(IndexOutOfRange, match=rf"^candidate id {cid} outside \[0, 3\)$"):
+            update_pheromones(WORKED_STATE, [(0, 0.9), (cid, 0.5)], rho=0.1)
 
 
 class TestRunAco:
@@ -399,18 +406,63 @@ def test_report_bytes_pinned(case):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN_REPORTS))
-def test_evaluations_to_best_counts_to_the_first_best_miss(case):
-    # evaluated keeps the misses in order; an ACO run has proxied all M
-    # candidates first, so a single-mode miss adds nothing to the count
-    rep = GOLDEN_REPORTS[case][0]()
+def assert_best_is_the_first_best_miss(rep):
+    """best_score is the top evaluated score, best_id the k-th miss, the
+    first to score it, and evaluations_to_best counts to that miss.
+    evaluated keeps the misses in order; an ACO run has proxied all M
+    candidates first, so a single-mode miss adds nothing to the count."""
     misses = list(rep.evaluated.values())
     assert rep.best_score == max(misses)
     k = misses.index(rep.best_score) + 1
+    best_key = ",".join(map(str, rep.best_id)) if rep.pair_mode else str(rep.best_id)
+    assert list(rep.evaluated)[k - 1] == best_key
     if rep.strategy != "aco":
         assert rep.evaluations_to_best == k
     else:
         assert rep.evaluations_to_best == (rep.pool_size + k if rep.pair_mode else rep.pool_size)
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_REPORTS))
+def test_evaluations_to_best_counts_to_the_first_best_miss(case):
+    assert_best_is_the_first_best_miss(GOLDEN_REPORTS[case][0]())
+
+
+# every strategy, ACO and grid in both modes, on a drawn budget and seed
+STRATEGY_RUNS = {
+    "aco": lambda pool, n, seed: run_aco(pool, AcoConfig(n_ants=n, n_iterations=n, seed=seed)),
+    "aco_pair": lambda pool, n, seed: run_aco(pool, AcoConfig(n_ants=n, n_iterations=n, seed=seed),
+                                              pair_mode=True),
+    "random": lambda pool, n, seed: run_random(pool, n_picks=n, seed=seed),
+    "grid": lambda pool, n, seed: run_grid(pool),
+    "grid_pair": lambda pool, n, seed: run_grid(pool, pair_mode=True),
+    "pso": lambda pool, n, seed: run_pso(pool, PsoConfig(n_particles=n, n_iterations=n,
+                                                         seed=seed)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(sorted(STRATEGY_RUNS)),
+       scores=st.lists(st.sampled_from([0.0, 0.5, 0.9, 1.0]), min_size=2, max_size=10),
+       n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_every_report_names_the_first_best_miss(case, scores, n, seed):
+    # ties at the top: run_random(stub_pool([0.9, 0.5, 0.9]), 3, seed=0)
+    # evaluates 2, 0, 1 and names 2, the first of them to score 0.9
+    try:
+        rep = STRATEGY_RUNS[case](stub_pool(scores), n, seed)
+    except AllZeroWeights:  # every proxy is 0: ACO has no heuristic to draw by
+        assume(False)
+    assert_best_is_the_first_best_miss(rep)
+
+
+@pytest.mark.parametrize("run, misses", [
+    (lambda pool: run_random(pool, n_picks=3, seed=0), ["2", "0", "1"]),
+    (lambda pool: run_pso(pool, PsoConfig(n_particles=3, n_iterations=3, seed=1)),
+     ["1", "2", "0"]),
+], ids=["random", "pso"])
+def test_a_top_tie_names_the_first_drawn_best_and_the_lowest_id_teacher(run, misses):
+    rep = run(stub_pool([0.9, 0.5, 0.9]))
+    assert list(rep.evaluated) == misses
+    assert (rep.best_id, rep.best_name, rep.teacher_id) == (2, "stub-2", 0)
 
 
 def replay_aco(report: dict):
