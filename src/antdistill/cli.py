@@ -10,8 +10,8 @@ Subcommands:
 
 Every command is deterministic given its config file; reruns produce
 byte-identical outputs. A command returns (run directory or None, {file name:
-text}, stdout text); only then does main write each file whole, with a copy of
-the config as config.ini. A failed run, a deviating repro-examples too, writes nothing.
+text}, stdout text), with the config it parsed as config.ini; only then does
+main write each file whole. A failed run, a deviating repro-examples too, writes nothing.
 
 evaluate's two CSV files are the only files read here, by one reader under one
 ASCII input rule, a large file in up to one range of lines per usable CPU.
@@ -83,7 +83,7 @@ def cmd_gen_data(args) -> tuple:
     out = _out_dir(cfg, args.out)
     _, dataset, _ = _build_dataset(cfg)
     counts = {s: dataset.indices(s).size for s in tinynet.SPLITS}
-    return out, {"dataset.csv": tinynet.dataset_text(dataset)}, (
+    return out, {"dataset.csv": tinynet.dataset_text(dataset), "config.ini": cfg.text}, (
         f"wrote {out / 'dataset.csv'}: n={dataset.n_samples} classes={dataset.n_classes} "
         f"train={counts['train']} val={counts['val']} test={counts['test']} "
         f"mean_noise={dataset.noise_level.mean():.6f}\n")
@@ -114,7 +114,8 @@ def cmd_select(args) -> tuple:
 
     return _out_dir(cfg, args.out), {
         "report.json": report.to_json() + "\n",
-        "report.csv": selection.CSV_HEADER + "\n" + report.csv_row() + "\n"}, (
+        "report.csv": selection.CSV_HEADER + "\n" + report.csv_row() + "\n",
+        "config.ini": cfg.text}, (
         f"{strategy}: best={report.best_name} score={report.best_score:.6f} "
         f"unique_evaluations={report.unique_evaluations} "
         f"total_selections={report.total_selections} "
@@ -167,7 +168,8 @@ def cmd_distill(args) -> tuple:
         micro = metrics.micro_auc_ap(numerics.softmax_rows(logits), labels)
         return out, {"distill_report.json": report.to_json() + "\n",
                      "metrics.csv": metrics.report_csv(rep),
-                     "summary.csv": metrics.summary_csv(rep, micro)}, (
+                     "summary.csv": metrics.summary_csv(rep, micro),
+                     "config.ini": cfg.text}, (
             f"distilled student: test_accuracy={rep.accuracy:.6f} "
             f"val_accuracy={report.val_accuracy[-1]:.6f}\n")
 
@@ -196,7 +198,8 @@ def cmd_distill(args) -> tuple:
     students = distill_arms(teacher, student, [(dataset, arm_kd) for _, dataset, arm_kd in arms])
     rows += [(tag, model, dataset) for (tag, dataset, _), (model, _) in zip(arms, students)]
     lines = [_metrics_row(tag, _test_report(model, dataset)[0]) for tag, model, dataset in rows]
-    return out, {"ablation.csv": ABLATION_HEADER + "\n" + "\n".join(lines) + "\n"}, (
+    return out, {"ablation.csv": ABLATION_HEADER + "\n" + "\n".join(lines) + "\n",
+                 "config.ini": cfg.text}, (
         f"wrote {out / 'ablation.csv'} ({len(lines)} rows)\n")
 
 
@@ -545,10 +548,7 @@ def main(argv=None) -> int:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             out, files, stdout = args.func(args)
         if out is not None:
-            files = {name: text.encode("utf-8") for name, text in files.items()}
-            if hasattr(args, "config"):  # the file it named, byte for byte
-                files["config.ini"] = Path(args.config).read_bytes()
-            _write_files(out, files)
+            _write_files(out, {name: text.encode("utf-8") for name, text in files.items()})
         sys.stdout.write(stdout)
         return 0
     except VerificationFailed as exc:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import configparser
 import functools
 import inspect
+import io
 import typing
 from dataclasses import dataclass
 from pathlib import Path
@@ -126,11 +127,12 @@ _KEYS = {section: {key: hint for owner in owners for key, hint in (
 
 
 class RunConfig:
-    """Parsed sections plus the config file's own location (for relative paths)."""
+    """Parsed sections, the config file's location (for relative paths) and its text."""
 
-    def __init__(self, sections: dict, path: Path):
+    def __init__(self, sections: dict, path: Path, text: str):
         self.sections = sections
         self.path = path
+        self.text = text
 
     def has(self, section: str) -> bool:
         return section in self.sections
@@ -163,8 +165,9 @@ def load_config(path) -> RunConfig:
     # no section header can be empty, so [DEFAULT] is an ordinary, unknown section
     parser = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        with open(path, encoding="utf-8") as fh:
-            parser.read_file(fh)
+        data = path.read_bytes()  # once, so that a pipe's text is parsed and kept
+        # decoded as open(path, encoding="utf-8") decodes, newlines and errors alike
+        parser.read_file(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"), str(path))
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
@@ -188,7 +191,7 @@ def load_config(path) -> RunConfig:
             if key == "seed" and parsed[key] < 0:
                 raise ConfigParseError(f"{path}: 'seed' in [{name}] must be >= 0, got {raw}")
         sections[name] = parsed
-    cfg = RunConfig(sections, path)
+    cfg = RunConfig(sections, path, data.decode("utf-8"))
     if cfg.has("policy"):
         _check_policy_keys(cfg.section("policy", "variant"), path)
     return cfg

@@ -16,9 +16,10 @@ the loss half turns those softmaxes into the blended loss. The kernels
 index rows with `...`, so they take one student's (n, C) logits or a
 stack's (k, n, C). distill_arms builds each arm's targets once per
 training run and hands the pair to sgd_fit, which trains every arm in
-one loop and calls the loss half once per epoch; distill_train is its
-one-arm case. kd_loss validates one sample, builds its targets and
-calls both halves on a batch of one.
+one loop, calls the loss half once per epoch and returns one (student,
+history) pair per arm; distill_train is the one-arm view. kd_loss
+validates one sample, builds its targets and calls both halves on a
+batch of one.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ class KdConfig:
     train: tinynet.TrainConfig = field(default_factory=tinynet.TrainConfig)
 
     def __post_init__(self):
+        if not isinstance(self.policy, TemperaturePolicy):
+            raise InvalidPolicyParameters(f"unknown policy type {type(self.policy).__name__}")
         if not 0.0 <= self.t_base <= 1.0:
             raise InvalidPolicyParameters(f"t_base must lie in [0, 1], got {self.t_base!r}")
 
@@ -189,11 +192,7 @@ def distill_arms(teacher: tinynet.MlpModel, student: tinynet.MlpModel, arms):
     # training holds the targets, and each arm's temperatures for its report
     temps = [t for _, t, _ in rows]
     del rows, logits, weights
-    trained, histories = tinynet.sgd_fit(model, dataset, cfgs[0].train, _KD_LOSS, targets)
-    if len(arms) == 1:
-        trained, histories = [trained], [histories]
-    else:
-        trained = [trained.arm(a) for a in range(len(arms))]
+    fits = tinynet.sgd_fit(model, dataset, cfgs[0].train, _KD_LOSS, targets)
     train_idx = datasets[0].indices("train")
     return [(s, DistillReport(
         seed=cfg.train.seed,
@@ -204,7 +203,7 @@ def distill_arms(teacher: tinynet.MlpModel, student: tinynet.MlpModel, arms):
         temp_mean=float(t[train_idx].mean()),
         temp_min=float(t[train_idx].min()),
         temp_max=float(t[train_idx].max()),
-    )) for s, history, t, cfg in zip(trained, histories, temps, cfgs)]
+    )) for (s, history), t, cfg in zip(fits, temps, cfgs)]
 
 
 def distill_train(teacher: tinynet.MlpModel, student: tinynet.MlpModel,

@@ -11,15 +11,17 @@ temperature T and the distillation weight w used by the loss:
                       the weight on complex classes
 
 The rule steps are additive and clamped to [min_temperature,
-max_temperature] / [0, max_weight], so outputs are always bounded.
-compute_context and apply_policy evaluate one sample; apply_policy_rows
-evaluates a whole dataset at once, through the same policy step.
+max_temperature] / [0, max_weight], so outputs are always bounded. Each
+policy class holds its [policy] variant name and its rule, rows, which
+apply_policy runs on one sample's context and apply_policy_rows on a
+whole dataset's at once; compute_context gives one sample's context.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from typing import ClassVar, get_args
 
 import numpy as np
 
@@ -63,6 +65,7 @@ class PolicyOutput:
 
 @dataclass(frozen=True)
 class ConstantPolicy:
+    variant: ClassVar[str] = "constant"
     temperature: float = 2.0
 
     def __post_init__(self):
@@ -70,11 +73,16 @@ class ConstantPolicy:
             raise InvalidPolicyParameters(f"temperature must be > 0, got {self.temperature!r}")
         _check_finite(self, InvalidPolicyParameters)
 
+    def rows(self, confidence, uncertainty, noise, complexity, base_weight):
+        """(temperatures, weights) for n contexts, given as arrays of n values."""
+        return np.full_like(confidence, self.temperature), np.full_like(confidence, base_weight)
+
 
 @dataclass(frozen=True)
 class UncertaintyLinearPolicy:
     """T = 1 + scale * uncertainty; scale 0 disables the adjustment."""
 
+    variant: ClassVar[str] = "uncertainty_linear"
     scale: float = 2.0
 
     def __post_init__(self):
@@ -82,9 +90,14 @@ class UncertaintyLinearPolicy:
             raise InvalidPolicyParameters(f"scale must be >= 0, got {self.scale!r}")
         _check_finite(self, InvalidPolicyParameters)
 
+    def rows(self, confidence, uncertainty, noise, complexity, base_weight):
+        """As ConstantPolicy.rows."""
+        return 1.0 + self.scale * uncertainty, np.full_like(confidence, base_weight)
+
 
 @dataclass(frozen=True)
 class RuleBasedPolicy:
+    variant: ClassVar[str] = "rule_based"
     base_temperature: float = 2.0
     raise_step: float = 2.0
     lower_step: float = 1.0
@@ -110,15 +123,24 @@ class RuleBasedPolicy:
             raise InvalidPolicyParameters("need 0 <= base_weight <= max_weight <= 1")
         _check_finite(self, InvalidPolicyParameters)
 
+    def rows(self, confidence, uncertainty, noise, complexity, base_weight):
+        """As ConstantPolicy.rows, but the weight is the policy's own (rule 3)."""
+        noisy = noise >= self.noise_threshold
+        confident = confidence > self.confidence_threshold
+        raised = min(self.max_temperature, self.base_temperature + self.raise_step)
+        lowered = max(self.min_temperature, self.base_temperature - self.lower_step)
+        t = np.where(noisy & ~confident, raised,
+                     np.where(~noisy & confident, lowered, self.base_temperature))
+        w = np.where(complexity >= self.complexity_threshold,
+                     min(self.max_weight, self.base_weight + self.weight_step),
+                     self.base_weight)
+        return t.astype(np.float64), w.astype(np.float64)
+
 
 TemperaturePolicy = ConstantPolicy | UncertaintyLinearPolicy | RuleBasedPolicy
 
-# the [policy] variant name of each policy; a variant's keys are its class's fields
-POLICIES = {
-    "constant": ConstantPolicy,
-    "uncertainty_linear": UncertaintyLinearPolicy,
-    "rule_based": RuleBasedPolicy,
-}
+# each policy class by its [policy] variant name; a variant's keys are its class's fields
+POLICIES = {cls.variant: cls for cls in get_args(TemperaturePolicy)}
 
 
 def compute_context(teacher_logits, sample_noise: float, sample_class_complexity: float
@@ -133,29 +155,6 @@ def compute_context(teacher_logits, sample_noise: float, sample_class_complexity
     )
 
 
-def _policy_rows(policy: TemperaturePolicy, confidence, uncertainty, noise, complexity,
-                 base_weight) -> tuple[np.ndarray, np.ndarray]:
-    """(temperatures, weights) for n contexts, given as arrays of n values."""
-    n = confidence.shape[0]
-    run_weight = np.full(n, float(base_weight))
-    if isinstance(policy, ConstantPolicy):
-        return np.full(n, float(policy.temperature)), run_weight
-    if isinstance(policy, UncertaintyLinearPolicy):
-        return 1.0 + policy.scale * uncertainty, run_weight
-    if isinstance(policy, RuleBasedPolicy):
-        noisy = noise >= policy.noise_threshold
-        confident = confidence > policy.confidence_threshold
-        raised = min(policy.max_temperature, policy.base_temperature + policy.raise_step)
-        lowered = max(policy.min_temperature, policy.base_temperature - policy.lower_step)
-        t = np.where(noisy & ~confident, raised,
-                     np.where(~noisy & confident, lowered, policy.base_temperature))
-        w = np.where(complexity >= policy.complexity_threshold,
-                     min(policy.max_weight, policy.base_weight + policy.weight_step),
-                     policy.base_weight)
-        return t.astype(np.float64), w.astype(np.float64)
-    raise InvalidPolicyParameters(f"unknown policy type {type(policy).__name__}")
-
-
 def apply_policy(policy: TemperaturePolicy, ctx: ContextFeatures,
                  base_weight: float = 0.5) -> PolicyOutput:
     """Evaluate a policy on one sample's context.
@@ -167,7 +166,7 @@ def apply_policy(policy: TemperaturePolicy, ctx: ContextFeatures,
     _check_unit("base_weight", base_weight)
     confidence, uncertainty, noise, complexity = np.array(
         [[ctx.teacher_confidence], [ctx.uncertainty], [ctx.noise_level], [ctx.disease_complexity]])
-    t, w = _policy_rows(policy, confidence, uncertainty, noise, complexity, base_weight)
+    t, w = policy.rows(confidence, uncertainty, noise, complexity, base_weight)
     return PolicyOutput(float(t[0]), float(w[0]))
 
 
@@ -194,13 +193,10 @@ def apply_policy_rows(policy: TemperaturePolicy, teacher_logits, noise_level, cl
             raise InvalidPolicyParameters(f"{name} must lie in [0, 1]")
     _check_unit("base_weight", base_weight)
     probs = numerics.softmax_rows(z)
-    return _policy_rows(policy, probs.max(axis=1), numerics.normalized_entropy_rows(probs),
-                        noise, complexity, base_weight)
+    return policy.rows(probs.max(axis=1), numerics.normalized_entropy_rows(probs), noise,
+                       complexity, base_weight)
 
 
 def policy_descriptor(policy: TemperaturePolicy) -> dict:
     """JSON-friendly name + parameters, used in run reports."""
-    for variant, cls in POLICIES.items():
-        if isinstance(policy, cls):
-            return {"variant": variant, **asdict(policy)}
-    raise InvalidPolicyParameters(f"unknown policy type {type(policy).__name__}")
+    return {"variant": policy.variant, **asdict(policy)}

@@ -17,12 +17,12 @@ and a loss half that turns probabilities into per-row losses. sgd_fit
 calls the loss half once per epoch, on every row's probabilities, and
 sums each arm's row losses with one cumulative sum.
 
-sgd_fit trains one model, or k models of the same shape in lockstep:
-stack_models stacks their parameter vectors into a (k, P) matrix, and
-stack_datasets their datasets into one of k blocks of rows. Every array
-of the loop then takes a leading arm axis, so numpy's fixed per-call
-cost is paid once per mini-batch for all k arms; each arm's results are
-those of its own sgd_fit call, bit for bit.
+sgd_fit trains one model, or k models of the same shape in lockstep, the arms,
+and returns one (model, history) pair per arm: stack_models stacks their
+parameter vectors into a (k, P) matrix, and stack_datasets their datasets
+into one of k blocks of rows. Every array of the loop then takes a leading
+arm axis, so numpy's fixed per-call cost is paid once per mini-batch for
+all k arms; each arm's results are those of its own sgd_fit call, bit for bit.
 """
 
 from __future__ import annotations
@@ -477,8 +477,8 @@ def accuracy(model: MlpModel, features, labels) -> float:
 
 
 def sgd_fit(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig, loss, targets):
-    """Shared SGD loop over the train split; returns (model, history), or
-    for a stack of k models (stack, list of k histories).
+    """Shared SGD loop over the train split; returns one (model, history)
+    pair per arm, in arm order: one for one model, k for a stack of k.
 
     targets is a tuple of arrays indexed by dataset row, and loss is a pair
     (grad_rows, loss_rows) of functions on a batch's (n, C) logits:
@@ -573,14 +573,15 @@ def sgd_fit(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig, loss, 
             val_accuracy.append(np.reshape(np.mean(val_pred == val_y, axis=-1), k))
     if failures:
         raise failures[min(failures)]
-    histories = [TrainHistory(*arm) for arm in zip(np.transpose(train_loss).tolist(),
-                                                    np.transpose(val_accuracy).tolist())]
-    return model, (histories if axis else histories[0])
+    return [(model.arm(a), TrainHistory(*arm)) for a, arm in enumerate(
+        zip(np.transpose(train_loss).tolist(), np.transpose(val_accuracy).tolist()))]
 
 
 def train_supervised(model: MlpModel, dataset: SyntheticDataset, cfg: TrainConfig):
-    """Cross-entropy SGD on the train split; returns (model, history)."""
-    return sgd_fit(model, dataset, cfg, _CROSS_ENTROPY, _one_hot(dataset.labels, model.n_classes))
+    """Cross-entropy SGD of one model on the train split; returns (model, history)."""
+    _check_one_model(model)
+    [fit] = sgd_fit(model, dataset, cfg, _CROSS_ENTROPY, _one_hot(dataset.labels, model.n_classes))
+    return fit
 
 
 # ---------------------------------------------------------------------------

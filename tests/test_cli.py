@@ -1600,6 +1600,25 @@ def test_rerun_from_the_run_directory_is_byte_identical(tmp_path, argv, text):
     assert {path.name: path.read_bytes() for path in run.iterdir()} == first
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd to name a pipe by")
+def test_a_piped_config_is_kept_as_the_bytes_it_parsed(tmp_path):
+    # a pipe can be read once: config.ini must be what the run parsed, and
+    # it must rerun; a CRLF line and a non-ASCII comment are kept as they are
+    data = ("# données bruitées\r\n" + DATA_SECTION).encode("utf-8")
+    read_end, write_end = os.pipe()
+    try:
+        with os.fdopen(write_end, "wb") as fh:
+            fh.write(data)
+        run = tmp_path / "run"
+        assert main(["gen-data", "--config", f"/dev/fd/{read_end}", "--out", str(run)]) == 0
+    finally:
+        os.close(read_end)
+    first = {path.name: path.read_bytes() for path in run.iterdir()}
+    assert first["config.ini"] == data
+    assert main(["gen-data", "--config", str(run / "config.ini"), "--out", str(run)]) == 0
+    assert {path.name: path.read_bytes() for path in run.iterdir()} == first
+
+
 def run_argv(directory, argv, name, text):
     """argv with the inputs of one run: text is the config, or for evaluate
     the predictions file, written to directory under name."""

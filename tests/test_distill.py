@@ -350,6 +350,10 @@ class TestDistillTrainChecksItsInputsOnce:
         with pytest.raises(InvalidPolicyParameters, match="t_base"):
             KdConfig(ConstantPolicy(), t_base)
 
+    def test_unknown_policy_type(self):
+        with pytest.raises(InvalidPolicyParameters, match="^unknown policy type object$"):
+            KdConfig(object())
+
     def test_teacher_and_student_class_counts_must_match(self):
         ds, teacher, student = self.setup(c_teacher=4)
         with pytest.raises(LengthMismatch):

@@ -332,7 +332,6 @@ INVALID_CALLS = (
     + [("compute_context", label, (Z, *context)) for label, context in BAD_CONTEXTS.items()]
     + [("apply_policy", f"{type(policy).__name__}-weight-{w}", (policy, CTX, w))
        for policy in POLICY_DEFAULTS for w in (1.2, -0.2, np.nan)]
-    + [("apply_policy", "not-a-policy", (object(), CTX))]
 )
 
 

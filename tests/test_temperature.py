@@ -154,6 +154,15 @@ class TestDescriptors:
         assert d["variant"] == "rule_based" and d["base_temperature"] == 2.0
         assert d == {"variant": "rule_based", **dataclasses.asdict(RuleBasedPolicy())}
 
-    def test_unknown_policy_type(self):
-        with pytest.raises(InvalidPolicyParameters, match="unknown policy type"):
-            policy_descriptor(object())
+    @pytest.mark.parametrize("cls", POLICIES.values())
+    def test_each_class_is_the_policy_of_its_variant(self, cls):
+        assert POLICIES[cls.variant] is cls
+        assert "variant" not in {f.name for f in dataclasses.fields(cls)}
+
+    @pytest.mark.parametrize("policy", [
+        ConstantPolicy(3.5), UncertaintyLinearPolicy(0.25),
+        RuleBasedPolicy(base_temperature=3.0, raise_step=0.5, min_temperature=1.5,
+                        noise_threshold=0.25, base_weight=0.1, max_weight=0.6)])
+    def test_descriptor_rebuilds_its_policy(self, policy):
+        d = policy_descriptor(policy)
+        assert POLICIES[d.pop("variant")](**d) == policy

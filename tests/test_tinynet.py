@@ -550,6 +550,23 @@ class TestStackedModel:
         stack = tinynet.stack_models([tinynet.init_mlp([4, 5, 3], seed=0)] * 2)
         with pytest.raises(ShapeMismatch, match="^expected one model, got a stack of 2$"):
             tinynet.accuracy(stack, ds.features, ds.labels)
+        with pytest.raises(ShapeMismatch, match="^expected one model, got a stack of 2$"):
+            tinynet.train_supervised(stack, tinynet.stack_datasets([ds, ds]),
+                                     tinynet.TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize("k", [None, 1, 3])
+    def test_sgd_fit_returns_a_one_arm_model_and_history_per_arm(self, k):
+        ds = small_dataset(seed=1, n=60)
+        model = tinynet.init_mlp([4, 5, 3], seed=0)
+        if k is not None:  # a stack of k
+            model, ds = tinynet.stack_models([model] * k), tinynet.stack_datasets([ds] * k)
+        fits = tinynet.sgd_fit(model, ds, tinynet.TrainConfig(epochs=2), tinynet._CROSS_ENTROPY,
+                               tinynet._one_hot(ds.labels, 3))
+        assert len(fits) == model.n_arms
+        for trained, history in fits:
+            assert trained.layer_dims == model.layer_dims and trained.n_arms == 1
+            assert trained.params.shape == model.params.shape[-1:]
+            assert len(history.train_loss) == len(history.val_accuracy) == 2
 
     def test_models_of_other_layer_dims_do_not_stack(self):
         with pytest.raises(ShapeMismatch, match="same layer_dims"):
@@ -606,7 +623,8 @@ class TestStackedDataset:
                                        np.concatenate([self.ds.split, other.split]))
         stack = tinynet.stack_models([tinynet.init_mlp([4, 3], seed=0)] * 2)
         with pytest.raises(ShapeMismatch, match=f"^stacked datasets must share their {name}$"):
-            tinynet.train_supervised(stack, two, tinynet.TrainConfig(epochs=1))
+            tinynet.sgd_fit(stack, two, tinynet.TrainConfig(epochs=1), tinynet._CROSS_ENTROPY,
+                            tinynet._one_hot(two.labels, 3))
 
     @pytest.mark.parametrize("k, rows", [(2, 61), (3, 100), (4, 90)])
     def test_sgd_fit_rejects_rows_that_are_not_k_equal_blocks(self, k, rows):
@@ -614,7 +632,8 @@ class TestStackedDataset:
         stack = tinynet.stack_models([tinynet.init_mlp([4, 3], seed=0)] * k)
         with pytest.raises(ShapeMismatch, match=f"^a stack of {k} models needs {k} equal blocks "
                                                 f"of rows, got {rows} rows$"):
-            tinynet.train_supervised(stack, ds, tinynet.TrainConfig(epochs=1))
+            tinynet.sgd_fit(stack, ds, tinynet.TrainConfig(epochs=1), tinynet._CROSS_ENTROPY,
+                            tinynet._one_hot(ds.labels, 3))
 
 
 @st.composite
@@ -708,7 +727,7 @@ class TestSgdFitMatchesReferenceLoop:
         def batch_loss(logits, idx):
             return values[idx], np.zeros_like(logits)
 
-        return (repr(fit_outcome(lambda: tinynet.sgd_fit(model, ds, cfg, pair, (values,)))),
+        return (repr(fit_outcome(lambda: tinynet.sgd_fit(model, ds, cfg, pair, (values,))[0])),
                 repr(fit_outcome(lambda: ref.sgd_fit(model, ds, cfg, batch_loss))))
 
     @settings(max_examples=200, deadline=None)
@@ -791,16 +810,16 @@ def lockstep_outcomes(run):
     per arm stop at the first that raises, as a loop over them would."""
     loss, student, datasets, cfg, targets = run
     try:
-        stack, histories = tinynet.sgd_fit(
+        got = [arm_outcome(*fit) for fit in tinynet.sgd_fit(
             tinynet.stack_models([student] * len(datasets)), tinynet.stack_datasets(datasets),
-            cfg, loss, [np.concatenate(parts) for parts in zip(*targets)])
-        got = [arm_outcome(stack.arm(a), h) for a, h in enumerate(histories)]
+            cfg, loss, [np.concatenate(parts) for parts in zip(*targets)])]
     except NonFiniteLoss as exc:
         got = repr(exc)
     want = []
     for d, t in zip(datasets, targets):
         try:
-            want.append(arm_outcome(*tinynet.sgd_fit(student, d, cfg, loss, t)))
+            [fit] = tinynet.sgd_fit(student, d, cfg, loss, t)
+            want.append(arm_outcome(*fit))
         except NonFiniteLoss as exc:
             want = repr(exc)
             break
